@@ -231,16 +231,16 @@ def _load_models(models_dir: Path, embedding_model: emb.EmbeddingModel) -> pipel
     )
 
 
-def _train_embeddings(data_paths, run: RunConfig, workers: int) -> emb.EmbeddingModel:
+def _train_embeddings(data_paths, run: RunConfig) -> emb.EmbeddingModel:
     triples = _load_many(data_paths)
     corpus = build_corpus(triples)
-    model = emb.train_skipgram(corpus, run.embedding, workers=workers)
+    model = emb.train_skipgram(corpus, run.embedding)
     return emb.finalize(model)
 
 
 def cmd_train_embeddings(args) -> int:
     run = build_run_config(args.config, args.seed)
-    model = _train_embeddings(args.data, run, args.threads)
+    model = _train_embeddings(args.data, run)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     emb.save_embedding(model, out_dir / "embeddings.txt")
@@ -369,7 +369,7 @@ def cmd_pipeline(args) -> int:
     labeled = load_triples(args.labeled)
     extra = load_triples(args.unlabeled) if args.unlabeled else []
     corpus = build_corpus(labeled + extra)
-    model = emb.finalize(emb.train_skipgram(corpus, run.embedding, workers=args.threads))
+    model = emb.finalize(emb.train_skipgram(corpus, run.embedding))
     emb.save_embedding(model, out_dir / "embeddings.txt")
     final_loss = model.epoch_losses[-1] if model.epoch_losses else float("nan")
     print(f"vocabulary size: {len(model.vocab)}")
@@ -400,12 +400,6 @@ def cmd_pipeline(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="embedding training workers; >1 is faster but non-deterministic (default 1)",
-    )
     parser.add_argument("--out", default="out", help="output directory (default ./out)")
 
 

@@ -1,15 +1,18 @@
 """Skip-gram word embeddings with negative sampling, trained from scratch.
 
-Training follows the classic SGD recipe: for every center word an
-effective window is drawn uniformly from [1, window], every in-window
-(center, context) pair gets one gradient step against k sampled negative
-words, and the learning rate decays linearly over the total number of
-pairs. Vectors are finalized onto the unit hypersphere before any
-querying; the default dimensionality is 30.
+For every center word an effective window is drawn uniformly from
+[1, window]. One sentence is one update step, after the gather / score /
+scatter restructuring of Ji et al. 2016 ("Parallelizing Word2Vec in
+Shared and Distributed Memory"): every in-window (center, context) pair
+of the sentence is scored against k sampled negative words with the
+vectors as they stood before the step, and the gradients are summed per
+row and applied at once. The learning rate decays linearly over the
+total number of pairs. Vectors are finalized onto the unit hypersphere
+before any querying; the default dimensionality is 30.
 
 All randomness is driven by the config seed through named substreams
-(init / window / subsample / negatives), which makes single-threaded
-training bit-reproducible.
+(init / window / subsample / negatives), which makes training
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -130,24 +133,25 @@ class UnigramSampler:
         return np.searchsorted(self._cum, draws, side="right")
 
 
-def _pair_core(center: np.ndarray, outs: np.ndarray):
-    """Loss and gradients for one positive pair against stacked outputs.
+def _pair_core(centers: np.ndarray, outs: np.ndarray):
+    """Loss and gradients for P positive pairs against stacked outputs.
 
-    ``outs`` row 0 is the context vector, rows 1.. are negatives. Returns
-    (loss, grad wrt center, grad wrt each output row). The loss is
+    ``centers`` is (P, d) and ``outs`` is (P, 1 + k, d): for each pair, row
+    0 is the context vector and rows 1.. are its negatives. Returns (loss
+    per pair, grad wrt each center, grad wrt each output row). The loss is
     -log sigmoid(u_ctx . v) - sum_j log sigmoid(-u_negj . v); with the
     context score sign-flipped it collapses to sum logaddexp(0, t), and
     sigmoid(t) = exp(t - logaddexp(0, t)) keeps everything overflow-free.
+    Each pair's results depend on that pair's rows alone.
     """
-    scores = outs @ center
-    scores[0] = -scores[0]
+    scores = np.einsum("pd,pjd->pj", centers, outs)
+    scores[:, 0] = -scores[:, 0]
     ell = np.logaddexp(0.0, scores)
-    loss = ell.sum()
-    coeff = np.exp(scores - ell)  # d loss / d score, up to the sign of row 0
-    coeff[0] = -coeff[0]
-    grad_center = coeff @ outs
-    grad_outs = coeff[:, None] * center
-    return loss, grad_center, grad_outs
+    coeff = np.exp(scores - ell)  # d loss / d score, up to the sign of column 0
+    coeff[:, 0] = -coeff[:, 0]
+    grad_centers = np.einsum("pj,pjd->pd", coeff, outs)
+    grad_outs = coeff[:, :, None] * centers[:, None, :]
+    return ell.sum(axis=1), grad_centers, grad_outs
 
 
 def pair_loss_and_gradients(
@@ -173,9 +177,8 @@ def pair_loss_and_gradients(
             raise ValueError(
                 f"dimension mismatch: center has shape {center.shape}, got {v.shape}"
             )
-    outs = np.stack(rows)
-    loss, grad_center, grad_outs = _pair_core(center, outs)
-    return float(loss), grad_center, grad_outs[0], grad_outs[1:]
+    loss, grad_center, grad_outs = _pair_core(center[None], np.stack(rows)[None])
+    return float(loss[0]), grad_center[0], grad_outs[0, 0], grad_outs[0, 1:]
 
 
 def _keep_probabilities(vocab: Vocabulary, threshold: float) -> np.ndarray:
@@ -187,120 +190,93 @@ def _keep_probabilities(vocab: Vocabulary, threshold: float) -> np.ndarray:
 
 
 def _epoch_layouts(
-    encoded: list[np.ndarray],
-    config: EmbeddingConfig,
-    keep: np.ndarray | None,
-    rng_suffix: str = "",
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (epoch, effective sentence, per-center window sizes).
+    encoded: list[np.ndarray], config: EmbeddingConfig, keep: np.ndarray | None
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Per epoch, the effective sentences as flat (ids, left, right, lengths).
 
-    Drives the window and subsampling RNG substreams in a fixed order, so
-    two iterations with the same config replay the identical layout. The
-    pair-counting pass and the training pass both consume this.
+    ``ids`` holds the kept tokens of every non-empty sentence back to
+    back, ``left``/``right`` how many in-window context words each token
+    has on either side, and ``lengths`` the sentence lengths. Each epoch
+    draws the subsampling and window substreams once, in a fixed order,
+    so a config always yields the same layouts.
     """
-    win_rng = make_rng(config.seed, "window" + rng_suffix)
-    sub_rng = make_rng(config.seed, "subsample" + rng_suffix) if keep is not None else None
-    for epoch in range(config.epochs):
-        for sentence in encoded:
-            ids = sentence
-            if sub_rng is not None:
-                ids = ids[sub_rng.random(len(ids)) < keep[ids]]
-            n = len(ids)
-            if n == 0:
-                continue
-            windows = win_rng.integers(1, config.window + 1, size=n)
-            yield epoch, ids, windows
+    tokens = np.concatenate(encoded)
+    sentence_of = np.repeat(np.arange(len(encoded)), [len(s) for s in encoded])
+    win_rng = make_rng(config.seed, "window")
+    sub_rng = make_rng(config.seed, "subsample") if keep is not None else None
+    layouts = []
+    for _ in range(config.epochs):
+        ids, sentence = tokens, sentence_of
+        if sub_rng is not None:
+            kept = sub_rng.random(len(tokens)) < keep[tokens]
+            ids, sentence = tokens[kept], sentence_of[kept]
+        lengths = np.bincount(sentence)
+        lengths = lengths[lengths > 0]
+        pos = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        windows = win_rng.integers(1, config.window + 1, size=len(ids))
+        left = np.minimum(pos, windows)
+        right = np.minimum(np.repeat(lengths, lengths) - 1 - pos, windows)
+        layouts.append((ids, left, right, lengths))
+    return layouts
 
 
-def _count_pairs(ids_len: int, windows: np.ndarray) -> int:
-    pos = np.arange(ids_len)
-    return int(np.sum(np.minimum(pos, windows) + np.minimum(ids_len - 1 - pos, windows)))
+def _sentence_pairs(ids: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """(centers, contexts) word ids of every pair in one sentence.
+
+    Center-major: pairs run by center position, then context position.
+    """
+    counts = left + right
+    center_at = np.repeat(np.arange(len(ids)), counts)
+    context_at = np.arange(len(center_at)) - np.repeat(np.cumsum(counts) - counts + left, counts)
+    context_at += context_at >= 0  # skip the center itself
+    context_at += center_at
+    return ids[center_at], ids[context_at]
 
 
-_NEGATIVE_BUFFER = 8192
+def _draw_negatives(sampler, rng, contexts: np.ndarray, k: int) -> np.ndarray:
+    """(P, k) negatives for P pairs from the ``negatives`` substream.
+
+    Slots are filled row-major; a draw equal to its pair's context is
+    redrawn (again row-major over the rejected slots) until none is left,
+    except with a one-word vocabulary, where it cannot be avoided.
+    ``Generator.random`` yields the same values however its draws are
+    chunked, so successive calls read one unbroken stream.
+    """
+    negatives = sampler.sample_n(rng, len(contexts) * k).reshape(-1, k)
+    if len(sampler.probabilities) > 1:
+        rejected = negatives == contexts[:, None]
+        while rejected.any():
+            negatives[rejected] = sampler.sample_n(rng, int(np.count_nonzero(rejected)))
+            rejected = negatives == contexts[:, None]
+    return negatives
 
 
-def _train_partition(
-    encoded: list[np.ndarray],
-    config: EmbeddingConfig,
-    keep: np.ndarray | None,
-    sampler: UnigramSampler,
-    input_vectors: np.ndarray,
-    output_vectors: np.ndarray,
-    epoch_loss: np.ndarray,
-    epoch_pairs: np.ndarray,
-    rng_suffix: str = "",
-) -> None:
-    """Run SGD over one sentence partition, updating the shared matrices."""
-    vocab_size = input_vectors.shape[0]
-    k = config.negatives
-    neg_rng = make_rng(config.seed, "negatives" + rng_suffix)
+def _subtract_rows(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
+    """matrix[rows] -= updates, with the updates to a repeated row summed.
 
-    total_pairs = 0
-    for _, ids, windows in _epoch_layouts(encoded, config, keep, rng_suffix):
-        total_pairs += _count_pairs(len(ids), windows)
-    if total_pairs == 0:
-        return
-    lr_initial = config.lr_initial
-    lr_span = config.lr_initial - config.lr_final
-    denom = max(total_pairs - 1, 1)
-
-    # negatives come from a buffered stream; draws equal to the current
-    # context word are skipped and redrawn (impossible to avoid for a
-    # single-word vocabulary, where they are allowed through)
-    neg_buf = sampler.sample_n(neg_rng, _NEGATIVE_BUFFER)
-    neg_ptr = 0
-    reject_equal = vocab_size > 1
-
-    idx = np.empty(k + 1, dtype=np.intp)
-    pair_index = 0
-    for epoch, ids, windows in _epoch_layouts(encoded, config, keep, rng_suffix):
-        n = len(ids)
-        sentence = ids.tolist()
-        for i in range(n):
-            center = sentence[i]
-            lo = i - windows[i] if i >= windows[i] else 0
-            hi = i + windows[i]
-            if hi >= n:
-                hi = n - 1
-            v = input_vectors[center]
-            for j in range(lo, hi + 1):
-                if j == i:
-                    continue
-                context = sentence[j]
-                idx[0] = context
-                taken = 1
-                while taken <= k:
-                    if neg_ptr == _NEGATIVE_BUFFER:
-                        neg_buf = sampler.sample_n(neg_rng, _NEGATIVE_BUFFER)
-                        neg_ptr = 0
-                    cand = neg_buf[neg_ptr]
-                    neg_ptr += 1
-                    if reject_equal and cand == context:
-                        continue
-                    idx[taken] = cand
-                    taken += 1
-                lr = lr_initial - lr_span * (pair_index / denom)
-                loss, grad_center, grad_outs = _pair_core(v, output_vectors[idx])
-                # np.add.at accumulates duplicate negative indices correctly
-                np.add.at(output_vectors, idx, -lr * grad_outs)
-                input_vectors[center] = v = v - lr * grad_center
-                pair_index += 1
-                epoch_loss[epoch] += loss
-                epoch_pairs[epoch] += 1
+    A stable argsort groups each row's updates in their original order;
+    np.add.reduceat reduces every group and the sum is subtracted once.
+    """
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    first = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    matrix[rows[first]] -= np.add.reduceat(updates[order], first, axis=0)
 
 
 def train_skipgram(
-    corpus: Sequence[Sequence[str]],
-    config: EmbeddingConfig,
-    workers: int = 1,
+    corpus: Sequence[Sequence[str]], config: EmbeddingConfig
 ) -> EmbeddingModel:
     """Train a (non-finalized) skip-gram model over the pooled corpus.
 
-    With ``workers=1`` the run is single-threaded and bit-reproducible
-    for a fixed seed. With more workers, sentences are partitioned
-    round-robin and threads update the shared matrices without locking;
-    races are tolerated and results become non-deterministic.
+    One sentence is one update step. Every (center, context) pair of the
+    sentence is scored against its k negatives using the vectors as they
+    stood before the step; the pair at global index i gets learning rate
+    lr_initial - (lr_initial - lr_final) * i / (total_pairs - 1). Each
+    pair contributes lr * gradient to its center's input row and to its
+    context's and negatives' output rows. The contributions to one row are
+    ordered by pair, and within a pair context first, then negatives in
+    draw order; they are reduced with np.add.reduceat and subtracted once.
+    The run is bit-reproducible for a fixed seed.
     """
     vocab = build_vocabulary(corpus, config.min_count)
     encoded = []
@@ -311,50 +287,52 @@ def train_skipgram(
         if len(ids) > 0:
             encoded.append(ids)
 
-    init_rng = make_rng(config.seed, "init")
-    input_vectors = (init_rng.random((len(vocab), config.dim)) - 0.5) / config.dim
-    output_vectors = np.zeros((len(vocab), config.dim))
+    vocab_size, dim, k = len(vocab), config.dim, config.negatives
+    # input vectors are rows [0, V), output vectors rows [V, 2V) of one
+    # matrix, so a step is one gather and one scatter
+    weights = np.zeros((2 * vocab_size, dim))
+    weights[:vocab_size] = (make_rng(config.seed, "init").random((vocab_size, dim)) - 0.5) / dim
     sampler = UnigramSampler(vocab, config.unigram_power)
+    neg_rng = make_rng(config.seed, "negatives")
     keep = _keep_probabilities(vocab, config.subsample) if config.subsample > 0 else None
 
-    epoch_loss = np.zeros(config.epochs)
-    epoch_pairs = np.zeros(config.epochs, dtype=np.int64)
-
-    if workers <= 1:
-        _train_partition(
-            encoded, config, keep, sampler, input_vectors, output_vectors,
-            epoch_loss, epoch_pairs,
-        )
-    else:
-        import threading
-
-        threads = []
-        for w in range(workers):
-            part = encoded[w::workers]
-            if not part:
+    layouts = _epoch_layouts(encoded, config, keep)
+    total_pairs = sum(int(left.sum() + right.sum()) for _, left, right, _ in layouts)
+    lr_span = config.lr_initial - config.lr_final
+    denom = max(total_pairs - 1, 1)
+    losses = []
+    pair_index = 0
+    for ids, left, right, lengths in layouts:
+        loss_sum = 0.0
+        start, first_pair = 0, pair_index
+        for end in np.cumsum(lengths).tolist():
+            center, context = _sentence_pairs(ids[start:end], left[start:end], right[start:end])
+            start = end
+            n = len(center)
+            if n == 0:
                 continue
-            threads.append(
-                threading.Thread(
-                    target=_train_partition,
-                    args=(part, config, keep, sampler, input_vectors, output_vectors,
-                          epoch_loss, epoch_pairs, f"/worker{w}"),
-                )
-            )
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+            rows = np.empty((n, k + 2), dtype=np.intp)
+            rows[:, 0] = center
+            rows[:, 1] = context + vocab_size
+            rows[:, 2:] = _draw_negatives(sampler, neg_rng, context, k) + vocab_size
+            vectors = weights[rows]
+            loss, grad_center, grad_outs = _pair_core(vectors[:, 0], vectors[:, 1:])
+            lr = config.lr_initial - lr_span * (np.arange(pair_index, pair_index + n) / denom)
+            updates = np.empty_like(vectors)
+            np.multiply(lr[:, None], grad_center, out=updates[:, 0])
+            np.multiply(lr[:, None, None], grad_outs, out=updates[:, 1:])
+            _subtract_rows(weights, rows.ravel(), updates.reshape(-1, dim))
+            loss_sum += loss.sum()
+            pair_index += n
+        n_pairs = pair_index - first_pair
+        losses.append(float(loss_sum / n_pairs) if n_pairs else 0.0)
 
-    losses = tuple(
-        float(epoch_loss[e] / epoch_pairs[e]) if epoch_pairs[e] else 0.0
-        for e in range(config.epochs)
-    )
     return EmbeddingModel(
         vocab=vocab,
-        input_vectors=input_vectors,
-        output_vectors=output_vectors,
+        input_vectors=weights[:vocab_size],
+        output_vectors=weights[vocab_size:],
         finalized=False,
-        epoch_losses=losses,
+        epoch_losses=tuple(losses),
     )
 
 
@@ -426,9 +404,10 @@ def save_embedding(model: EmbeddingModel, path) -> None:
 def load_embedding(path) -> EmbeddingModel:
     """Load a finalized model written by save_embedding.
 
-    Validates the header counts and per-line arity. Counts are not stored
-    in the format, so loaded models are query-only (they can back feature
-    extraction and neighbor queries but not further training).
+    Validates the header counts, per-line arity and that every value is a
+    finite number. Counts are not stored in the format, so loaded models
+    are query-only (they can back feature extraction and neighbor queries
+    but not further training).
     """
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().split()
@@ -454,7 +433,13 @@ def load_embedding(path) -> EmbeddingModel:
                 raise ValueError(f"{path}: line {line_no}: duplicate word {word!r}")
             index[word] = len(words)
             words.append(word)
-            rows.append(np.array([float(x) for x in parts[1:]], dtype=np.float64))
+            try:
+                row = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+            except ValueError:
+                raise ValueError(f"{path}: line {line_no}: non-numeric value") from None
+            if not np.isfinite(row).all():
+                raise ValueError(f"{path}: line {line_no}: non-finite value")
+            rows.append(row)
     if len(words) != expected_v:
         raise ValueError(f"{path}: header claims {expected_v} words, found {len(words)}")
     vocab = Vocabulary(words=tuple(words), counts={}, index=index)

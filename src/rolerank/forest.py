@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -287,7 +287,17 @@ def classifier_from_json(text: str) -> RoleClassifier:
     for key in ("role", "config", "training_size", "n_features", "trees"):
         if key not in payload:
             raise ValueError(f"classifier JSON missing {key!r}")
-    config = ForestConfig(**payload["config"])
+    config_obj = payload["config"]
+    if not isinstance(config_obj, dict):
+        raise ValueError("classifier JSON 'config' must be an object")
+    expected = [field.name for field in fields(ForestConfig)]
+    for key in config_obj:
+        if key not in expected:
+            raise ValueError(f"unknown config key {key!r}")
+    for key in expected:
+        if key not in config_obj:
+            raise ValueError(f"config missing {key!r}")
+    config = ForestConfig(**config_obj)
     n_features = payload["n_features"]
     trees_obj = payload["trees"]
     if len(trees_obj) != config.n_trees:

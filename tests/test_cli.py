@@ -227,6 +227,37 @@ class TestScore:
         assert code != 0
         assert "affiliate.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("mystery", 1), ("seed", None)])
+    def test_model_config_key_named(self, trained, tmp_path, capsys, key, value):
+        _, labeled, _, _, out = trained
+        path = out / "models" / "affiliate.json"
+        payload = json.loads(path.read_text())
+        if value is None:
+            del payload["config"][key]
+        else:
+            payload["config"][key] = value
+        path.write_text(json.dumps(payload))
+        code = run("score", "--triples", labeled, "--models", out / "models",
+                   "--embeddings", out / "embeddings.txt", "--out", tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "affiliate.json" in err and repr(key) in err
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_non_finite_embedding_named(self, trained, tmp_path, capsys, value):
+        _, labeled, _, _, out = trained
+        path = out / "embeddings.txt"
+        lines = path.read_text().splitlines()
+        word, _, rest = lines[2].partition(" ")
+        lines[2] = f"{word} {value} {rest.partition(' ')[2]}"
+        path.write_text("\n".join(lines) + "\n")
+        code = run("score", "--triples", labeled, "--models", out / "models",
+                   "--embeddings", path, "--out", tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{path}: line 3: non-finite value" in err
+        assert not (tmp_path / "scores.jsonl").exists()
+
 
 class TestEvaluateCommand:
     def test_reports_written(self, trained):
@@ -278,20 +309,6 @@ class TestNeighbors:
         with pytest.raises(SystemExit) as excinfo:
             run("neighbors", "x", "--embeddings", out / "embeddings.txt", "-k", "0")
         assert excinfo.value.code == 2
-
-
-class TestThreads:
-    def test_parallel_training_still_yields_valid_model(self, workspace):
-        tmp, labeled, _, config = workspace
-        out = tmp / "threaded"
-        assert run("train-embeddings", "--data", labeled, "--config", config,
-                   "--out", out, "--threads", "3") == 0
-        from rolerank.embedding import load_embedding
-        import numpy as np
-
-        model = load_embedding(out / "embeddings.txt")
-        norms = np.linalg.norm(model.input_vectors, axis=1)
-        assert np.abs(norms - 1.0).max() < 1e-6
 
 
 class TestPipelineCommand:

@@ -245,12 +245,32 @@ class TestTrainSkipgram:
         norms = np.linalg.norm(model.input_vectors, axis=1)
         assert np.abs(norms - 1).max() < 1e-6
 
-    def test_multiworker_smoke(self):
-        corpus = clique_corpus(sentences_per_clique=100)
-        config = EmbeddingConfig(dim=8, epochs=2, seed=4)
-        model = finalize(train_skipgram(corpus, config, workers=3))
-        norms = np.linalg.norm(model.input_vectors, axis=1)
-        assert np.abs(norms - 1).max() < 1e-6
+    def test_negatives_never_equal_their_context(self, monkeypatch):
+        from rolerank import embedding
+
+        draw = embedding._draw_negatives
+        drawn = []
+
+        def recording(sampler, rng, contexts, k):
+            negatives = draw(sampler, rng, contexts, k)
+            drawn.append((contexts.copy(), negatives.copy()))
+            return negatives
+
+        monkeypatch.setattr(embedding, "_draw_negatives", recording)
+        corpus = [["a", "b", "a", "b", "b"]] * 20
+        train_skipgram(corpus, EmbeddingConfig(dim=4, negatives=5, epochs=2, seed=3))
+        assert len(drawn) == 40
+        for contexts, negatives in drawn:
+            assert negatives.shape == (len(contexts), 5)
+            # two words: every negative must be the word that is not the context
+            assert np.array_equal(negatives, np.repeat(1 - contexts[:, None], 5, axis=1))
+
+    def test_one_word_vocabulary_trains(self):
+        corpus = [["solo", "solo", "solo"]] * 3
+        model = train_skipgram(corpus, EmbeddingConfig(dim=4, epochs=2, seed=3))
+        assert all(loss > 0 for loss in model.epoch_losses)
+        assert np.all(np.isfinite(model.input_vectors))
+        assert np.any(model.output_vectors != 0)
 
     def test_min_count_propagates(self):
         corpus = [["common", "common", "rare"]]
@@ -260,41 +280,65 @@ class TestTrainSkipgram:
 
 class TestTrainerMatchesPairOperation:
     def test_two_word_corpus_replay(self):
-        """The training loop is exactly sequential SGD on pair_loss_and_gradients.
+        """One sentence is one step of pair_loss_and_gradients updates.
 
-        Replays the RNG substreams by hand for a one-sentence corpus and
-        checks the final matrices bitwise.
+        Replays the RNG substreams by hand for a one-sentence corpus: every
+        pair's gradients come from the vectors before the step, and each
+        row's lr-scaled contributions, in pair order (center, then context,
+        then negatives in draw order), are reduced with np.add.reduceat and
+        subtracted once. The final matrices must match bitwise.
         """
-        from rolerank.embedding import _NEGATIVE_BUFFER, UnigramSampler, build_vocabulary
+        from collections import defaultdict
+
+        from rolerank.embedding import UnigramSampler, build_vocabulary
         from rolerank.seeds import make_rng
 
-        config = EmbeddingConfig(dim=4, window=2, negatives=1, epochs=1,
+        config = EmbeddingConfig(dim=4, window=2, negatives=2, epochs=1,
                                  lr_initial=0.1, lr_final=0.05, seed=77)
-        corpus = [["a", "b"]]
+        corpus = [["a", "b", "a", "c"]]
         model = train_skipgram(corpus, config)
 
         vocab = build_vocabulary(corpus)
-        inp = (make_rng(config.seed, "init").random((2, config.dim)) - 0.5) / config.dim
-        out = np.zeros((2, config.dim))
-        sampler = UnigramSampler(vocab, config.unigram_power)
-        make_rng(config.seed, "window").integers(1, config.window + 1, size=2)
-        neg_rng = make_rng(config.seed, "negatives")
-        buffer = sampler.sample_n(neg_rng, _NEGATIVE_BUFFER)
-        ptr = 0
+        sentence = [vocab.index[w] for w in corpus[0]]
+        n, k = len(sentence), config.negatives
+        inp = (make_rng(config.seed, "init").random((len(vocab), config.dim)) - 0.5) / config.dim
+        out = np.zeros((len(vocab), config.dim))
+        windows = make_rng(config.seed, "window").integers(1, config.window + 1, size=n)
+        pairs = [
+            (sentence[i], sentence[j])
+            for i in range(n)
+            for j in range(max(0, i - windows[i]), min(n, i + windows[i] + 1))
+            if j != i
+        ]
 
-        # total pairs = 2 (each word sees the other), lr: 0.1 then 0.05
-        for pair_index, (center, context) in enumerate([(0, 1), (1, 0)]):
-            while buffer[ptr] == context:
-                ptr += 1
-            negative = buffer[ptr]
-            ptr += 1
-            lr = config.lr_initial - (config.lr_initial - config.lr_final) * pair_index
+        # slots fill row-major; rejected slots are redrawn row-major
+        stream = iter(UnigramSampler(vocab, config.unigram_power).sample_n(
+            make_rng(config.seed, "negatives"), 10_000).tolist())
+        negatives = [[next(stream) for _ in range(k)] for _ in pairs]
+        while True:
+            rejected = [(p, s) for p, (_, context) in enumerate(pairs)
+                        for s in range(k) if negatives[p][s] == context]
+            if not rejected:
+                break
+            for p, s in rejected:
+                negatives[p][s] = next(stream)
+
+        to_input, to_output = defaultdict(list), defaultdict(list)
+        for pair_index, ((center, context), negs) in enumerate(zip(pairs, negatives)):
+            lr = config.lr_initial - (config.lr_initial - config.lr_final) * (
+                pair_index / (len(pairs) - 1))
             _, g_center, g_context, g_negs = pair_loss_and_gradients(
-                inp[center], out[context], [out[negative]]
+                inp[center], out[context], [out[m] for m in negs]
             )
-            out[context] = out[context] - lr * g_context
-            out[negative] = out[negative] - lr * g_negs[0]
-            inp[center] = inp[center] - lr * g_center
+            to_input[center].append(lr * g_center)
+            to_output[context].append(lr * g_context)
+            for m, g in zip(negs, g_negs):
+                to_output[m].append(lr * g)
+        assert max(len(v) for v in to_input.values()) > 1
+        assert max(len(v) for v in to_output.values()) > 1
+        for matrix, contributions in ((inp, to_input), (out, to_output)):
+            for row, updates in contributions.items():
+                matrix[row] = matrix[row] - np.add.reduceat(np.stack(updates), [0], axis=0)[0]
 
         assert np.array_equal(model.input_vectors, inp)
         assert np.array_equal(model.output_vectors, out)
@@ -411,6 +455,15 @@ class TestPersistence:
 
         path.write_text("2 2\nw 0.1 0.2\nw 0.3 0.4\n")
         with pytest.raises(ValueError, match="duplicate"):
+            load_embedding(path)
+
+        for value in ("nan", "inf", "-inf"):
+            path.write_text(f"2 2\nw 0.1 0.2\nv 0.3 {value}\n")
+            with pytest.raises(ValueError, match="line 3: non-finite"):
+                load_embedding(path)
+
+        path.write_text("1 2\nw 0.1 abc\n")
+        with pytest.raises(ValueError, match="line 2: non-numeric"):
             load_embedding(path)
 
     def test_unfinalized_not_persisted(self, tmp_path):

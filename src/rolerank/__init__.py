@@ -41,7 +41,6 @@ from .evaluation import (
 )
 from .features import ContextFeatureVector, context_vector, l2_normalize
 from .forest import (
-    DecisionTree,
     ForestConfig,
     RoleClassifier,
     best_split,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ContextFeatureVector",
     "ContextualTriple",
-    "DecisionTree",
     "EmbeddingConfig",
     "EmbeddingModel",
     "EvalReport",

@@ -52,17 +52,14 @@ def context_vector(sentences: Sequence[str], model: EmbeddingModel) -> ContextFe
     """
     if not model.finalized:
         raise ValueError("context_vector requires a finalized model")
-    total = np.zeros(model.dim)
-    any_known = False
     index = model.vocab.index
-    for sentence in sentences:
-        for token in tokenize(sentence):
-            i = index.get(token)
-            if i is not None:
-                total += model.input_vectors[i]
-                any_known = True
+    known = [i for s in sentences for i in map(index.get, tokenize(s)) if i is not None]
+    # one gather and one axis-0 sum: for rows of two or more components
+    # numpy adds them in order, so the total equals a token-by-token
+    # running sum bit for bit
+    total = model.input_vectors[known].sum(axis=0) if known else np.zeros(model.dim)
     values, _ = l2_normalize(total)
-    return ContextFeatureVector(values=values, oov=not any_known)
+    return ContextFeatureVector(values=values, oov=not known)
 
 
 def write_cfvs(records: Iterable[tuple[str, ContextFeatureVector]], out: IO[str]) -> None:

@@ -7,6 +7,12 @@ distinct values) is chosen. Leaves store the positive-class fraction of
 the samples that reached them, and the forest's score is the mean leaf
 fraction over trees, read as a probability in [0, 1].
 
+A forest is the struct-of-arrays layout of scikit-learn's ``Tree``: the
+nodes of all trees, in preorder, as arrays ``feature``, ``threshold``,
+``left``, ``right`` and ``value``, plus each tree's first node in
+``roots``. Model files store these arrays; a batch is predicted by
+stepping every (tree, row) pair down one level at a time.
+
 Given a seed the whole construction is deterministic: per-tree RNGs are
 derived from (seed, tree index), and split ties break toward the lower
 feature index and lower threshold.
@@ -43,39 +49,30 @@ class ForestConfig:
             raise ValueError("features_per_split must be >= 1 or None")
 
 
-@dataclass
-class TreeNode:
-    """Internal split (feature, threshold, children) or leaf (positive fraction)."""
-
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    leaf_value: float | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.leaf_value is not None
-
-
-@dataclass
-class DecisionTree:
-    root: TreeNode
-
-    def predict(self, x: np.ndarray) -> float:
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.leaf_value
+# node array -> dtype. A node with left == -1 is a leaf whose value is its
+# positive fraction (feature, threshold, right written as -1, 0.0, -1); an
+# internal node (value 0.0) sends x to left if x[feature] <= threshold,
+# else to right.
+NODE_ARRAYS = {
+    "feature": np.int64, "threshold": np.float64, "left": np.int64, "right": np.int64,
+    "value": np.float64,
+}
 
 
 @dataclass
 class RoleClassifier:
+    """One role's forest: tree ``t`` is nodes ``roots[t]`` up to the next root."""
+
     role: str
-    trees: list[DecisionTree]
     config: ForestConfig
     training_size: tuple[int, int]  # (positives, negatives) actually trained on
     n_features: int
+    roots: np.ndarray  # (n_trees,) int64
+    feature: np.ndarray  # each NODE_ARRAYS entry is (nodes,) of its dtype
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
 
 def best_split(
@@ -152,32 +149,42 @@ def best_split(
 def _grow(
     X: np.ndarray,
     y: np.ndarray,
-    depth: int,
     rng: np.random.Generator,
     config: ForestConfig,
     m: int,
-) -> TreeNode:
-    n = len(y)
-    pos = int(y.sum())
-    if (
-        pos == 0
-        or pos == n
-        or (config.max_depth is not None and depth >= config.max_depth)
-        or n < 2 * config.min_samples_leaf
-    ):
-        return TreeNode(leaf_value=pos / n)
-    features = rng.choice(X.shape[1], size=m, replace=False)
-    split = best_split(X, y, features, config.min_samples_leaf)
-    if split is None:
-        return TreeNode(leaf_value=pos / n)
-    f, threshold, _ = split
-    mask = X[:, f] <= threshold
-    return TreeNode(
-        feature=f,
-        threshold=threshold,
-        left=_grow(X[mask], y[mask], depth + 1, rng, config, m),
-        right=_grow(X[~mask], y[~mask], depth + 1, rng, config, m),
-    )
+    nodes: list[list],
+) -> None:
+    """Append one tree's [feature, threshold, left, right, value] rows.
+
+    The stack holds (samples, labels, depth, parent) with the right child
+    pushed before the left, so nodes (and their ``rng`` draws) come in
+    preorder: a left child is its parent's next node, and a right child
+    fills in its parent's ``right``.
+    """
+    stack = [(X, y, 0, -1)]
+    while stack:
+        X, y, depth, parent = stack.pop()
+        if parent >= 0:
+            nodes[parent][3] = len(nodes)
+        n = len(y)
+        pos = int(y.sum())
+        split = None
+        if not (
+            pos == 0
+            or pos == n
+            or (config.max_depth is not None and depth >= config.max_depth)
+            or n < 2 * config.min_samples_leaf
+        ):
+            features = rng.choice(X.shape[1], size=m, replace=False)
+            split = best_split(X, y, features, config.min_samples_leaf)
+        if split is None:
+            nodes.append([-1, 0.0, -1, -1, pos / n])
+            continue
+        f, t, _ = split
+        mask = X[:, f] <= t
+        stack.append((X[~mask], y[~mask], depth + 1, len(nodes)))
+        stack.append((X[mask], y[mask], depth + 1, -1))
+        nodes.append([f, t, len(nodes) + 1, -1, 0.0])
 
 
 def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str = "") -> RoleClassifier:
@@ -202,81 +209,118 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
         raise ValueError(f"features_per_split exceeds feature count {d}")
     m = config.features_per_split or min(d, math.ceil(math.sqrt(d)))
 
-    trees = []
+    nodes: list[list] = []
+    roots = []
     for t in range(config.n_trees):
         rng = make_rng(config.seed, f"tree{t}")
         bootstrap = rng.integers(0, n, size=n)
-        trees.append(DecisionTree(root=_grow(X[bootstrap], y[bootstrap], 0, rng, config, m)))
+        roots.append(len(nodes))
+        _grow(X[bootstrap], y[bootstrap], rng, config, m, nodes)
     return RoleClassifier(
         role=role,
-        trees=trees,
         config=config,
         training_size=(pos, n - pos),
         n_features=d,
+        roots=np.array(roots, dtype=np.int64),
+        **{
+            name: np.array(column, dtype=dtype)
+            for (name, dtype), column in zip(NODE_ARRAYS.items(), zip(*nodes))
+        },
     )
 
 
-def predict_proba(classifier: RoleClassifier, x: np.ndarray) -> float:
-    """Mean positive-class leaf fraction over all trees, in [0, 1]."""
+def predict_proba(classifier: RoleClassifier, x: np.ndarray) -> float | np.ndarray:
+    """Mean positive-class leaf fraction over all trees, in [0, 1].
+
+    A (d,) vector gives a float; an (n, d) matrix gives an (n,) array.
+    Every (tree, row) pair starts at its tree's root and all pairs still
+    at an internal node step down one level together.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (classifier.n_features,):
-        raise ValueError(
-            f"expected a vector of dimension {classifier.n_features}, got shape {x.shape}"
-        )
-    return sum(tree.predict(x) for tree in classifier.trees) / len(classifier.trees)
-
-
-def _node_to_obj(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"p": node.leaf_value}
-    return {
-        "f": node.feature,
-        "t": node.threshold,
-        "l": _node_to_obj(node.left),
-        "r": _node_to_obj(node.right),
-    }
-
-
-def _node_from_obj(obj: dict, n_features: int, depth: int, max_depth: int | None) -> TreeNode:
-    if not isinstance(obj, dict):
-        raise ValueError("tree node must be an object")
-    if "p" in obj:
-        p = obj["p"]
-        if not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
-            raise ValueError(f"leaf fraction {p!r} outside [0, 1]")
-        return TreeNode(leaf_value=float(p))
-    for key in ("f", "t", "l", "r"):
-        if key not in obj:
-            raise ValueError(f"internal node missing {key!r}")
-    if max_depth is not None and depth >= max_depth:
-        raise ValueError("tree deeper than config.max_depth")
-    f = obj["f"]
-    if not isinstance(f, int) or not 0 <= f < n_features:
-        raise ValueError(f"feature index {f!r} out of range")
-    return TreeNode(
-        feature=f,
-        threshold=float(obj["t"]),
-        left=_node_from_obj(obj["l"], n_features, depth + 1, max_depth),
-        right=_node_from_obj(obj["r"], n_features, depth + 1, max_depth),
-    )
+    c, d = classifier, classifier.n_features
+    if x.shape != (d,) and (x.ndim != 2 or x.shape[1] != d):
+        raise ValueError(f"expected vectors of dimension {d}, got shape {x.shape}")
+    flat, n, trees = x.ravel(), x.size // d, len(c.roots)
+    node = np.repeat(c.roots, n)  # pair t * n + i is (tree t, row i)
+    offset = np.tile(np.arange(0, n * d, d), trees)  # row i's start in flat
+    live = np.flatnonzero(c.left[node] >= 0)
+    while live.size:
+        at = node[live]
+        at = np.where(flat[offset[live] + c.feature[at]] <= c.threshold[at], c.left[at], c.right[at])
+        node[live] = at
+        live = live[c.left[at] >= 0]
+    # add.accumulate adds the trees strictly in order, so each score is
+    # bit-identical to a running sum over the trees; np.sum may pair terms
+    scores = np.add.accumulate(c.value[node].reshape(trees, n), axis=0)[-1] / trees
+    return float(scores[0]) if x.ndim == 1 else scores
 
 
 def classifier_to_json(classifier: RoleClassifier) -> str:
     cfg = classifier.config
     payload = {
         "role": classifier.role,
-        "config": {
-            "n_trees": cfg.n_trees,
-            "max_depth": cfg.max_depth,
-            "min_samples_leaf": cfg.min_samples_leaf,
-            "features_per_split": cfg.features_per_split,
-            "seed": cfg.seed,
-        },
+        "config": {field.name: getattr(cfg, field.name) for field in fields(ForestConfig)},
         "training_size": list(classifier.training_size),
         "n_features": classifier.n_features,
-        "trees": [_node_to_obj(tree.root) for tree in classifier.trees],
+        "roots": classifier.roots.tolist(),
+        **{name: getattr(classifier, name).tolist() for name in NODE_ARRAYS},
     }
     return json.dumps(payload, separators=(",", ":"))
+
+
+def _int(value, name: str, optional: bool = False) -> int | None:
+    """``value`` if it is an int (or None when ``optional``); bools are not."""
+    if value is None and optional:
+        return None
+    if type(value) is not int:
+        kind = "an integer or null" if optional else "an integer"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
+def _number_array(obj, name: str, dtype) -> np.ndarray:
+    """A JSON list of numbers as a 1-d array; ints only for an int dtype."""
+    allowed = {int} if dtype is np.int64 else {int, float}
+    if not isinstance(obj, list) or not set(map(type, obj)) <= allowed:
+        kind = "integers" if dtype is np.int64 else "numbers"
+        raise ValueError(f"{name!r} must be a list of {kind}")
+    try:
+        return np.array(obj, dtype=dtype)
+    except OverflowError:
+        raise ValueError(f"{name!r} holds a number out of range") from None
+
+
+def _check_nodes(c: RoleClassifier) -> None:
+    """Vectorised structural checks of a loaded forest's node arrays."""
+    size = len(c.feature)
+    if any(len(getattr(c, name)) != size for name in NODE_ARRAYS):
+        raise ValueError("node arrays differ in length")
+    roots = c.roots
+    if len(roots) != c.config.n_trees:
+        raise ValueError(f"expected {c.config.n_trees} trees, found {len(roots)}")
+    if roots[0] != 0 or np.any(roots[1:] <= roots[:-1]) or roots[-1] >= size:
+        raise ValueError("roots must start at 0 and increase strictly inside the node arrays")
+    if not np.all(np.isfinite(c.threshold)):
+        raise ValueError("non-finite split threshold")
+    if not np.all((c.value >= 0.0) & (c.value <= 1.0)):
+        raise ValueError("leaf fraction outside [0, 1]")
+    internal = c.left >= 0
+    parents = np.flatnonzero(internal)
+    if np.any((c.feature[parents] < 0) | (c.feature[parents] >= c.n_features)):
+        raise ValueError(f"feature index out of range [0, {c.n_features})")
+    tree_end = np.append(roots[1:], size)[np.searchsorted(roots, parents, side="right") - 1]
+    for children in (c.left[parents], c.right[parents]):
+        if np.any((children <= parents) | (children >= tree_end)):
+            raise ValueError("a child index must lie after its parent, inside its tree")
+    # children lie after their parents, so this walk ends; np.unique keeps
+    # each level within the node count even if nodes share a child
+    depth, level = 0, roots[internal[roots]]
+    while level.size:
+        depth += 1
+        if c.config.max_depth is not None and depth > c.config.max_depth:
+            raise ValueError("tree deeper than config.max_depth")
+        level = np.unique(np.concatenate([c.left[level], c.right[level]]))
+        level = level[internal[level]]
 
 
 def classifier_from_json(text: str) -> RoleClassifier:
@@ -284,38 +328,35 @@ def classifier_from_json(text: str) -> RoleClassifier:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"corrupt classifier JSON: {exc.msg}") from None
-    for key in ("role", "config", "training_size", "n_features", "trees"):
+    if not isinstance(payload, dict):
+        raise ValueError("classifier JSON must be an object")
+    for key in ("role", "config", "training_size", "n_features", "roots", *NODE_ARRAYS):
         if key not in payload:
             raise ValueError(f"classifier JSON missing {key!r}")
     config_obj = payload["config"]
     if not isinstance(config_obj, dict):
         raise ValueError("classifier JSON 'config' must be an object")
-    expected = [field.name for field in fields(ForestConfig)]
+    expected = {field.name: field.default for field in fields(ForestConfig)}
     for key in config_obj:
         if key not in expected:
             raise ValueError(f"unknown config key {key!r}")
-    for key in expected:
+    for key, default in expected.items():
         if key not in config_obj:
             raise ValueError(f"config missing {key!r}")
-    config = ForestConfig(**config_obj)
-    n_features = payload["n_features"]
-    trees_obj = payload["trees"]
-    if len(trees_obj) != config.n_trees:
-        raise ValueError(
-            f"expected {config.n_trees} trees, found {len(trees_obj)}"
-        )
-    trees = [
-        DecisionTree(root=_node_from_obj(obj, n_features, 0, config.max_depth))
-        for obj in trees_obj
-    ]
-    pos, neg = payload["training_size"]
-    return RoleClassifier(
+        _int(config_obj[key], f"config {key!r}", optional=default is None)
+    size = payload["training_size"]
+    if not isinstance(size, list) or len(size) != 2:
+        raise ValueError("'training_size' must be a [positives, negatives] list")
+    classifier = RoleClassifier(
         role=payload["role"],
-        trees=trees,
-        config=config,
-        training_size=(int(pos), int(neg)),
-        n_features=int(n_features),
+        config=ForestConfig(**config_obj),
+        training_size=tuple(_int(v, "'training_size'") for v in size),
+        n_features=_int(payload["n_features"], "'n_features'"),
+        roots=_number_array(payload["roots"], "roots", np.int64),
+        **{name: _number_array(payload[name], name, dtype) for name, dtype in NODE_ARRAYS.items()},
     )
+    _check_nodes(classifier)
+    return classifier
 
 
 def save_classifier(classifier: RoleClassifier, path) -> None:

@@ -120,32 +120,31 @@ def train_role_models(
 def score_triples(
     triples: Iterable[ContextualTriple], bundle: ModelBundle
 ) -> list[ScoredTriple]:
-    """Score each triple with its role's classifier.
+    """Score each triple with its role's classifier, in input order.
 
     Unknown roles score exactly 0.0 (exact role match is required for a
-    non-zero score); degenerate contexts score the 0.5 fallback.
+    non-zero score); degenerate contexts score the 0.5 fallback. The
+    remaining triples are scored with one forest call per role.
     """
-    scored = []
+    triples = list(triples)
+    scored: list[ScoredTriple | None] = []
+    pending: dict[str, list[tuple[int, np.ndarray]]] = {}
     for triple in triples:
-        classifier = bundle.classifiers.get(triple.role)
-        if classifier is None:
-            scored.append(
-                ScoredTriple(
-                    triple=triple,
-                    score=UNKNOWN_ROLE_SCORE,
-                    note=f"no classifier for role {triple.role!r}",
-                )
-            )
+        if triple.role not in bundle.classifiers:
+            note = f"no classifier for role {triple.role!r}"
+            scored.append(ScoredTriple(triple=triple, score=UNKNOWN_ROLE_SCORE, note=note))
             continue
         cfv = context_vector(triple.sentences, bundle.embedding)
         if cfv.is_zero:
-            scored.append(
-                ScoredTriple(triple=triple, score=OOV_FALLBACK_SCORE, oov_fallback=True)
-            )
+            scored.append(ScoredTriple(triple=triple, score=OOV_FALLBACK_SCORE, oov_fallback=True))
             continue
-        scored.append(
-            ScoredTriple(triple=triple, score=predict_proba(classifier, cfv.values))
-        )
+        pending.setdefault(triple.role, []).append((len(scored), cfv.values))
+        scored.append(None)
+    for role, items in pending.items():
+        rows, vectors = zip(*items)
+        predicted = predict_proba(bundle.classifiers[role], np.vstack(vectors))
+        for i, score in zip(rows, predicted.tolist()):
+            scored[i] = ScoredTriple(triple=triples[i], score=score)
     return scored
 
 

@@ -199,22 +199,26 @@ def test_c6_forest_oracle_and_determinism():
     again = train_forest(X, y, config, role="xor")
     assert classifier_to_json(classifier) == classifier_to_json(again)
 
-    predictions = np.array([predict_proba(classifier, x) for x in X])
+    predictions = predict_proba(classifier, X)
     accuracy = np.mean((predictions >= 0.5) == y)
     assert accuracy >= 0.95
 
     payload = json.loads(classifier_to_json(classifier))
 
-    def traverse(obj, x):
-        while "p" not in obj:
-            obj = obj["l"] if x[obj["f"]] <= obj["t"] else obj["r"]
-        return obj["p"]
+    def traverse(node, x):
+        while payload["left"][node] >= 0:
+            if x[payload["feature"][node]] <= payload["threshold"][node]:
+                node = payload["left"][node]
+            else:
+                node = payload["right"][node]
+        return payload["value"][node]
 
-    probe = np.random.default_rng(608)
-    for _ in range(100):
-        x = probe.normal(size=2)
-        oracle = np.mean([traverse(t, x) for t in payload["trees"]])
+    probes = np.random.default_rng(608).normal(size=(100, 2))
+    batch = predict_proba(classifier, probes)
+    for x, batch_score in zip(probes, batch):
+        oracle = np.mean([traverse(root, x) for root in payload["roots"]])
         assert predict_proba(classifier, x) == pytest.approx(oracle, abs=1e-12)
+        assert batch_score == pytest.approx(oracle, abs=1e-12)
     elapsed_under(t0, 30.0)
 
 

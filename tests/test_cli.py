@@ -40,6 +40,42 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def first_split(payload):
+    return next(i for i, left in enumerate(payload["left"]) if left >= 0)
+
+
+def first_leaf(payload):
+    return payload["left"].index(-1)
+
+
+def edited(payload, key, index, value):
+    payload[key][index] = value
+    return payload
+
+
+# one broken model file per case, made from a trained one, with the
+# message its load must give
+MODEL_EDITS = {
+    "nan threshold": (
+        lambda p: edited(p, "threshold", first_split(p), float("nan")), "non-finite"),
+    "null threshold": (
+        lambda p: edited(p, "threshold", first_split(p), None), "'threshold' must be a list"),
+    "leaf value 1.5": (
+        lambda p: edited(p, "value", first_leaf(p), 1.5), "leaf fraction"),
+    "child before parent": (
+        lambda p: edited(p, "left", first_split(p), first_split(p)), "after its parent"),
+    "child in next tree": (
+        lambda p: edited(p, "right", first_split(p), p["roots"][1]), "inside its tree"),
+    "feature out of range": (
+        lambda p: edited(p, "feature", first_split(p), p["n_features"]), "feature index"),
+    "tree count": (lambda p: dict(p, roots=p["roots"][:-1]), "expected 5 trees"),
+    "deeper than max_depth": (
+        lambda p: dict(p, config=dict(p["config"], max_depth=1)), "deeper than config.max_depth"),
+    "training_size not a list": (lambda p: dict(p, training_size=7), "'training_size'"),
+    "payload not an object": (lambda p: [p], "must be an object"),
+}
+
+
 class TestConfig:
     def test_parse_values_and_comments(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -227,7 +263,11 @@ class TestScore:
         assert code != 0
         assert "affiliate.json" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("mystery", 1), ("seed", None)])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("mystery", 1), ("seed", None), ("n_trees", "5"), ("max_depth", 2.5),
+         ("min_samples_leaf", True), ("features_per_split", [2])],
+    )
     def test_model_config_key_named(self, trained, tmp_path, capsys, key, value):
         _, labeled, _, _, out = trained
         path = out / "models" / "affiliate.json"
@@ -242,6 +282,22 @@ class TestScore:
         assert code == 1
         err = capsys.readouterr().err
         assert "affiliate.json" in err and repr(key) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", sorted(MODEL_EDITS))
+    def test_malformed_model_named(self, trained, tmp_path, capsys, edit):
+        _, labeled, _, _, out = trained
+        path = out / "models" / "affiliate.json"
+        payload = json.loads(path.read_text())
+        change, message = MODEL_EDITS[edit]
+        path.write_text(json.dumps(change(payload)))
+        code = run("score", "--triples", labeled, "--models", out / "models",
+                   "--embeddings", out / "embeddings.txt", "--out", tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "scores.jsonl").exists()
 
     @pytest.mark.parametrize("value", ["nan", "-inf"])
     def test_non_finite_embedding_named(self, trained, tmp_path, capsys, value):

@@ -109,6 +109,17 @@ class TestContextVector:
         with pytest.raises(ValueError):
             context_vector(["word1"], model)
 
+    def test_sum_equals_sequential_sum(self):
+        model = self.model()
+        sentences = ["word3 mystery word7 word3", "word12 word3 word0"]
+        total = np.zeros(model.dim)
+        for sentence in sentences:
+            for token in sentence.split():
+                if token in model.vocab.index:
+                    total += model.input_vectors[model.vocab.index[token]]
+        expected, _ = l2_normalize(total)
+        assert np.array_equal(context_vector(sentences, model).values, expected)
+
     def test_exact_cancellation_degenerates(self):
         model = unit_vector_model(["plus", "minus"], dim=3, seed=0)
         model.input_vectors[0] = [1.0, 0.0, 0.0]

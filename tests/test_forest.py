@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from rolerank.forest import (
-    DecisionTree,
     ForestConfig,
-    RoleClassifier,
-    TreeNode,
     best_split,
     classifier_from_json,
     classifier_to_json,
@@ -137,7 +134,7 @@ class TestTrainForest:
     def test_shapes_recorded(self):
         X, y = xor_dataset(n_per_cluster=10)
         classifier = train_forest(X, y, ForestConfig(n_trees=7, seed=3), role="issuer")
-        assert len(classifier.trees) == 7
+        assert len(classifier.roots) == 7
         assert classifier.n_features == 2
         assert classifier.training_size == (20, 20)
         assert classifier.role == "issuer"
@@ -152,13 +149,18 @@ class TestTrainForest:
         classifier = train_forest(
             X, y, ForestConfig(n_trees=4, max_depth=2, seed=1, features_per_split=2)
         )
-
-        def depth(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(depth(node.left), depth(node.right))
-
-        assert all(depth(t.root) <= 2 for t in classifier.trees)
+        payload = json.loads(classifier_to_json(classifier))
+        depths = []
+        for root in payload["roots"]:
+            stack = [(root, 0)]
+            while stack:
+                node, depth = stack.pop()
+                if payload["left"][node] < 0:
+                    depths.append(depth)
+                else:
+                    stack += [(payload["left"][node], depth + 1), (payload["right"][node], depth + 1)]
+        assert len(depths) == sum(1 for left in payload["left"] if left < 0)
+        assert max(depths) == 2
 
     def test_bootstrap_fit_property(self):
         # unlimited depth + leaf size 1: every tree is pure on distinct inputs
@@ -168,43 +170,82 @@ class TestTrainForest:
         if y.sum() in (0, 40):
             y[0] = 1 - y[0]
         classifier = train_forest(X, y, ForestConfig(n_trees=6, seed=2))
-        for tree in classifier.trees:
-
-            def leaves(node):
-                if node.is_leaf:
-                    yield node.leaf_value
-                else:
-                    yield from leaves(node.left)
-                    yield from leaves(node.right)
-
-            assert all(v in (0.0, 1.0) for v in leaves(tree.root))
+        leaves = classifier.value[classifier.left < 0]
+        assert len(leaves) > 6
+        assert all(v in (0.0, 1.0) for v in leaves)
 
 
-def traverse_oracle(obj: dict, x: np.ndarray) -> float:
-    """Independent traversal of the serialized node structure."""
-    while "p" not in obj:
-        obj = obj["l"] if x[obj["f"]] <= obj["t"] else obj["r"]
-    return obj["p"]
+# Pinned on the recursive node-graph grower this layout replaced: the
+# iterative grower must reproduce its trees (and rng draws) exactly.
+GOLDEN_PROBES = np.random.default_rng(2024).uniform(-0.5, 1.5, size=(20, 2))
+GOLDEN = [
+    (
+        {"noise": 0.1},
+        ForestConfig(n_trees=20, seed=4, features_per_split=2),
+        336,
+        [1.0, 0.95, 0.95, 0.0, 0.2, 0.4, 0.5, 0.0, 0.0, 1.0,
+         0.15, 0.9, 0.0, 0.95, 0.0, 0.05, 0.95, 1.0, 0.9, 0.9],
+    ),
+    (
+        {"noise": 0.4},
+        ForestConfig(n_trees=20, seed=4, features_per_split=1, min_samples_leaf=2),
+        794,
+        [0.85, 0.8583333333333334, 0.8916666666666666, 0.12916666666666668,
+         0.32083333333333336, 0.4666666666666667, 0.425, 0.175, 0.125, 0.5125,
+         0.7125, 0.95, 0.2958333333333333, 0.875, 0.2833333333333333,
+         0.2666666666666667, 0.625, 0.8, 0.4083333333333334, 0.6125],
+    ),
+]
+
+
+@pytest.mark.parametrize("data, config, nodes, scores", GOLDEN)
+def test_golden_forest(data, config, nodes, scores):
+    X, y = xor_dataset(n_per_cluster=25, **data)
+    classifier = train_forest(X, y, config)
+    assert len(classifier.feature) == nodes
+    assert [predict_proba(classifier, x) for x in GOLDEN_PROBES] == scores
+
+
+def traverse_oracle(payload: dict, root: int, x: np.ndarray) -> float:
+    """Independent traversal of one serialized tree."""
+    node = root
+    while payload["left"][node] >= 0:
+        if x[payload["feature"][node]] <= payload["threshold"][node]:
+            node = payload["left"][node]
+        else:
+            node = payload["right"][node]
+    return payload["value"][node]
+
+
+def forest_payload(roots, feature, threshold, left, right, value, n_trees=None, n_features=2):
+    """A serialized forest; ``n_trees`` defaults to the number of roots."""
+    return {
+        "role": "r",
+        "config": {"n_trees": len(roots) if n_trees is None else n_trees,
+                   "max_depth": None, "min_samples_leaf": 1,
+                   "features_per_split": None, "seed": 0},
+        "training_size": [1, 1],
+        "n_features": n_features,
+        "roots": roots, "feature": feature, "threshold": threshold,
+        "left": left, "right": right, "value": value,
+    }
+
+
+def leaf_forest(values, n_features):
+    """One one-leaf tree per value."""
+    k = len(values)
+    return classifier_from_json(json.dumps(forest_payload(
+        list(range(k)), [-1] * k, [0.0] * k, [-1] * k, [-1] * k, values, n_features=n_features,
+    )))
 
 
 class TestPredictProba:
     def test_mean_of_two_trees(self):
-        trees = [
-            DecisionTree(root=TreeNode(leaf_value=0.2)),
-            DecisionTree(root=TreeNode(leaf_value=0.8)),
-        ]
-        classifier = RoleClassifier(
-            role="r", trees=trees, config=ForestConfig(n_trees=2, seed=0),
-            training_size=(1, 1), n_features=3,
-        )
+        classifier = leaf_forest([0.2, 0.8], n_features=3)
         assert predict_proba(classifier, np.zeros(3)) == pytest.approx(0.5)
 
     def test_all_unit_leaves(self):
-        trees = [DecisionTree(root=TreeNode(leaf_value=1.0)) for _ in range(4)]
-        classifier = RoleClassifier(
-            role="r", trees=trees, config=ForestConfig(n_trees=4, seed=0),
-            training_size=(1, 1), n_features=2,
-        )
+        classifier = leaf_forest([1.0, 1.0], n_features=2)
         assert predict_proba(classifier, np.zeros(2)) == 1.0
 
     def test_matches_serialized_traversal_oracle(self):
@@ -214,8 +255,18 @@ class TestPredictProba:
         rng = np.random.default_rng(6)
         for _ in range(50):
             x = rng.normal(size=2)
-            expected = np.mean([traverse_oracle(t, x) for t in payload["trees"]])
+            expected = np.mean([traverse_oracle(payload, root, x) for root in payload["roots"]])
             assert predict_proba(classifier, x) == pytest.approx(expected, abs=1e-12)
+
+    def test_matrix_equals_row_by_row(self):
+        X, y = xor_dataset(n_per_cluster=25, noise=0.4)
+        classifier = train_forest(X, y, ForestConfig(n_trees=30, seed=8, features_per_split=1))
+        probes = np.random.default_rng(3).normal(loc=0.5, size=(40, 2))
+        batch = predict_proba(classifier, probes)
+        assert batch.shape == (40,)
+        assert batch.tolist() == [predict_proba(classifier, x) for x in probes]
+        assert predict_proba(classifier, probes[:1]).tolist() == [predict_proba(classifier, probes[0])]
+        assert predict_proba(classifier, probes[:0]).shape == (0,)
 
     def test_range(self):
         X, y = xor_dataset(n_per_cluster=10)
@@ -228,8 +279,9 @@ class TestPredictProba:
     def test_dimension_mismatch(self):
         X, y = xor_dataset(n_per_cluster=5)
         classifier = train_forest(X, y, ForestConfig(n_trees=2, seed=0))
-        with pytest.raises(ValueError, match="dimension"):
-            predict_proba(classifier, np.zeros(5))
+        for shape in [(5,), (3, 5), (2, 2, 2)]:
+            with pytest.raises(ValueError, match="dimension"):
+                predict_proba(classifier, np.zeros(shape))
 
 
 class TestPersistence:
@@ -254,67 +306,24 @@ class TestPersistence:
             load_classifier(path)
 
     def test_validation_leaf_fraction(self):
+        payload = forest_payload([0], [-1], [0.0], [-1], [-1], [1.5])
         with pytest.raises(ValueError, match="leaf fraction"):
-            classifier_from_json(
-                json.dumps(
-                    {
-                        "role": "r",
-                        "config": {"n_trees": 1, "max_depth": None,
-                                   "min_samples_leaf": 1, "features_per_split": None,
-                                   "seed": 0},
-                        "training_size": [1, 1],
-                        "n_features": 2,
-                        "trees": [{"p": 1.5}],
-                    }
-                )
-            )
+            classifier_from_json(json.dumps(payload))
 
     def test_validation_tree_count(self):
+        payload = forest_payload([0], [-1], [0.0], [-1], [-1], [0.5], n_trees=2)
         with pytest.raises(ValueError, match="trees"):
-            classifier_from_json(
-                json.dumps(
-                    {
-                        "role": "r",
-                        "config": {"n_trees": 2, "max_depth": None,
-                                   "min_samples_leaf": 1, "features_per_split": None,
-                                   "seed": 0},
-                        "training_size": [1, 1],
-                        "n_features": 2,
-                        "trees": [{"p": 0.5}],
-                    }
-                )
-            )
+            classifier_from_json(json.dumps(payload))
 
     def test_validation_missing_child(self):
-        with pytest.raises(ValueError, match="missing"):
-            classifier_from_json(
-                json.dumps(
-                    {
-                        "role": "r",
-                        "config": {"n_trees": 1, "max_depth": None,
-                                   "min_samples_leaf": 1, "features_per_split": None,
-                                   "seed": 0},
-                        "training_size": [1, 1],
-                        "n_features": 2,
-                        "trees": [{"f": 0, "t": 0.5, "l": {"p": 0.5}}],
-                    }
-                )
-            )
+        # an internal node whose right child is absent
+        payload = forest_payload([0], [0, -1], [0.5, 0.0], [1, -1], [-1, -1], [0.0, 0.5])
+        with pytest.raises(ValueError, match="child"):
+            classifier_from_json(json.dumps(payload))
 
     def test_validation_feature_range(self):
+        payload = forest_payload(
+            [0], [5, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.0, 0.0, 1.0]
+        )
         with pytest.raises(ValueError, match="feature index"):
-            classifier_from_json(
-                json.dumps(
-                    {
-                        "role": "r",
-                        "config": {"n_trees": 1, "max_depth": None,
-                                   "min_samples_leaf": 1, "features_per_split": None,
-                                   "seed": 0},
-                        "training_size": [1, 1],
-                        "n_features": 2,
-                        "trees": [
-                            {"f": 5, "t": 0.5, "l": {"p": 0.0}, "r": {"p": 1.0}}
-                        ],
-                    }
-                )
-            )
+            classifier_from_json(json.dumps(payload))

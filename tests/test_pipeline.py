@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from rolerank.corpus import ContextualTriple, RelevanceLabel
-from rolerank.forest import ForestConfig, classifier_to_json
+from rolerank.features import context_vector
+from rolerank.forest import ForestConfig, classifier_to_json, predict_proba
 from rolerank.pipeline import (
     ModelBundle,
     ScoredTriple,
@@ -169,6 +170,32 @@ class TestScoreTriples:
         positive = score_triples([triple("p", "issuer", "word0 word1 word2 word3")], bundle)
         negative = score_triples([triple("n", "issuer", "word5 word6 word7 word8")], bundle)
         assert positive[0].score > negative[0].score
+
+
+    def test_mixed_batch_in_input_order(self, model):
+        labeled = labeled_role("issuer", model, n=20) + labeled_role("trustee", model, n=20)
+        two_roles = train_role_models(labeled, model, ForestConfig(n_trees=10, seed=3))
+        batch = []
+        for i in range(6):
+            batch += [
+                triple(f"i{i}", "issuer", f"word{i} word{i + 4} word{i + 7}"),
+                triple(f"t{i}", "trustee", f"word{i + 1} word{9 - i}"),
+            ]
+        batch.insert(3, triple("g", "guarantor", "word0 word1"))
+        batch.insert(7, triple("o", "trustee", "zzz qqq"))
+        scored = score_triples(batch, two_roles)
+        assert [s.triple.id for s in scored] == [t.id for t in batch]
+        for s in scored:
+            if s.triple.id == "g":
+                assert (s.score, s.oov_fallback) == (0.0, False)
+            elif s.triple.id == "o":
+                assert (s.score, s.oov_fallback) == (0.5, True)
+            else:
+                classifier = two_roles.classifiers[s.triple.role]
+                cfv = context_vector(s.triple.sentences, model)
+                assert type(s.score) is float
+                assert s.score == predict_proba(classifier, cfv.values)
+        assert len({s.score for s in scored}) > 3
 
 
 class TestRank:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import embedding as emb
 from . import evaluation, forest, pipeline
-from .corpus import ContextualTriple, TripleParseError, build_corpus, load_triples
+from .corpus import ContextualTriple, InputError, TripleParseError, build_corpus, load_triples, open_text
 from .seeds import derive_seed
 
 DEFAULT_SEED = 42
@@ -44,16 +44,8 @@ class RunConfig:
     seed: int = DEFAULT_SEED
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     pass
-
-
-def _cast_int(text: str) -> int:
-    return int(text)
-
-
-def _cast_float(text: str) -> float:
-    return float(text)
 
 
 def _cast_optional_int(text: str):
@@ -63,34 +55,34 @@ def _cast_optional_int(text: str):
 
 
 _CONFIG_CASTS = {
-    "seed": _cast_int,
-    "threshold": _cast_float,
-    "embedding.dim": _cast_int,
-    "embedding.window": _cast_int,
-    "embedding.negatives": _cast_int,
-    "embedding.epochs": _cast_int,
-    "embedding.lr_initial": _cast_float,
-    "embedding.lr_final": _cast_float,
-    "embedding.min_count": _cast_int,
-    "embedding.unigram_power": _cast_float,
-    "embedding.subsample": _cast_float,
-    "embedding.seed": _cast_int,
-    "forest.n_trees": _cast_int,
+    "seed": int,
+    "threshold": float,
+    "embedding.dim": int,
+    "embedding.window": int,
+    "embedding.negatives": int,
+    "embedding.epochs": int,
+    "embedding.lr_initial": float,
+    "embedding.lr_final": float,
+    "embedding.min_count": int,
+    "embedding.unigram_power": float,
+    "embedding.subsample": float,
+    "embedding.seed": int,
+    "forest.n_trees": int,
     "forest.max_depth": _cast_optional_int,
-    "forest.min_samples_leaf": _cast_int,
+    "forest.min_samples_leaf": int,
     "forest.features_per_split": _cast_optional_int,
-    "forest.seed": _cast_int,
-    "gains.highly_relevant": _cast_float,
-    "gains.relevant": _cast_float,
-    "gains.neutral": _cast_float,
-    "gains.irrelevant": _cast_float,
+    "forest.seed": int,
+    "gains.highly_relevant": float,
+    "gains.relevant": float,
+    "gains.neutral": float,
+    "gains.irrelevant": float,
 }
 
 
 def parse_config_file(path) -> dict:
     """Parse the flat ``key = value`` format ('#' starts a comment)."""
     values = {}
-    with open(path, "r", encoding="utf-8") as f:
+    with open_text(path) as f:
         for line_no, line in enumerate(f, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -488,10 +480,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TripleParseError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, KeyError) as exc:

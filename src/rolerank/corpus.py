@@ -15,15 +15,20 @@ from __future__ import annotations
 
 import enum
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 NUM_TOKEN = "<num>"
 
 MAX_CONTEXT_SENTENCES = 3
 
 
-class TripleParseError(ValueError):
+class InputError(ValueError):
+    """Input that cannot be used as given (the CLI exits 2)."""
+
+
+class TripleParseError(InputError):
     """Raised for malformed triple records; carries the 1-based line number."""
 
     def __init__(self, message: str, line: int | None = None):
@@ -168,8 +173,18 @@ def parse_triples(lines: Iterable[str]) -> list[ContextualTriple]:
     return triples
 
 
-def load_triples(path) -> list[ContextualTriple]:
+@contextmanager
+def open_text(path) -> Iterator[IO[str]]:
+    """``path`` opened as UTF-8 text; undecodable bytes raise InputError naming it."""
     with open(path, "r", encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def load_triples(path) -> list[ContextualTriple]:
+    with open_text(path) as f:
         return parse_triples(f)
 
 

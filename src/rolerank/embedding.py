@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import open_text
 from .seeds import make_rng
 
 logger = logging.getLogger(__name__)
@@ -409,7 +410,7 @@ def load_embedding(path) -> EmbeddingModel:
     are query-only (they can back feature extraction and neighbor queries
     but not further training).
     """
-    with open(path, "r", encoding="utf-8") as f:
+    with open_text(path) as f:
         header = f.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: header must be '<vocab_size> <dim>'")

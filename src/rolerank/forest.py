@@ -5,7 +5,10 @@ greedy splits; at every node a random subset of features is considered
 and the best Gini-decrease threshold (midpoints between consecutive
 distinct values) is chosen. Leaves store the positive-class fraction of
 the samples that reached them, and the forest's score is the mean leaf
-fraction over trees, read as a probability in [0, 1].
+fraction over trees, read as a probability in [0, 1]. A node's split
+search is one batch of numpy calls over the sorted (samples, candidate
+features) block: a float pass shortlists the cuts near the best ratio
+over all candidates and exact integer arithmetic settles the winner.
 
 A forest is the struct-of-arrays layout of scikit-learn's ``Tree``: the
 nodes of all trees, in preorder, as arrays ``feature``, ``threshold``,
@@ -89,61 +92,52 @@ def best_split(
     on identical feature vectors). Ties prefer the lower feature index,
     then the lower threshold.
 
-    Split quality is settled in exact integer arithmetic over the class
-    counts (the decrease is a ratio of integers for fixed n), so
-    mathematically tied candidates stay tied instead of drifting apart by
-    float rounding: a float pass shortlists near-maximal cuts, exact
-    cross-multiplication picks the winner.
+    The candidate columns, sorted by index, form one (n, m) block that is
+    sorted column by column with one stable argsort; one cumulative sum
+    gives the positives left of every cut. Split quality is settled in
+    exact integer arithmetic over the class counts (the decrease is a
+    ratio of integers for fixed n), so mathematically tied candidates stay
+    tied instead of drifting apart by float rounding: a float ratio
+    shortlists the cuts within rounding of the block's maximum, and exact
+    cross-multiplication over the shortlist, walked feature by feature,
+    picks the winner.
     """
     n = len(y)
     if n == 0 or len(candidate_features) == 0:
         raise ValueError("best_split needs samples and candidate features")
-    total_pos = int(y.sum())
-    parent_sq = total_pos**2 + (n - total_pos) ** 2
-    # overall best as the exact fraction N / (n^2 * D); decrease > 0 iff N > 0
-    best_numer = 0
-    best_denom = 1
-    best_feature = -1
-    best_threshold = 0.0
-
-    for f in sorted(int(c) for c in candidate_features):
-        x = X[:, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        pos_prefix = np.cumsum(y[order])
-        cut = np.flatnonzero(xs[:-1] < xs[1:])  # left side = first cut+1 samples
-        if cut.size == 0:
-            continue
-        nl = cut + 1
-        nr = n - nl
-        if min_samples_leaf > 1:
-            ok = (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
-            cut, nl, nr = cut[ok], nl[ok], nr[ok]
-            if cut.size == 0:
-                continue
-        pl = pos_prefix[cut]
-        pr = total_pos - pl
-        a = pl**2 + (nl - pl) ** 2
-        b = pr**2 + (nr - pr) ** 2
-        t = a * nr + b * nl
-        denom = nl * nr
-        ratio = t / denom  # decrease is monotone in this; float only shortlists
-        shortlist = np.flatnonzero(ratio >= ratio.max() * (1.0 - 1e-12))
-        for c in shortlist:
-            numer = n * int(t[c]) - parent_sq * int(denom[c])
-            if numer <= 0:
-                continue
-            # exact fraction comparison; strict > keeps the first (lowest
-            # feature, lowest threshold) among true ties
-            if numer * best_denom > best_numer * int(denom[c]):
-                best_numer = numer
-                best_denom = int(denom[c])
-                best_feature = f
-                best_threshold = float((xs[cut[c]] + xs[cut[c] + 1]) / 2.0)
-
-    if best_feature < 0:
+    features = np.sort(np.asarray(candidate_features, dtype=np.int64))
+    block = X[:, features]  # column j is feature features[j]
+    order = np.argsort(block, axis=0, kind="stable")
+    xs = np.take_along_axis(block, order, axis=0)
+    # row i cuts between sorted samples i and i + 1: nl = i + 1 go left
+    pl = np.cumsum(y[order], axis=0)[:-1]
+    nl = np.arange(1, n, dtype=np.int64)[:, None]
+    nr = n - nl
+    cut = (xs[:-1] < xs[1:]) & (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
+    if not cut.any():
         return None
-    return best_feature, best_threshold, best_numer / (n * n * best_denom)
+    total_pos = int(y.sum())
+    pr = total_pos - pl
+    t = (pl**2 + (nl - pl) ** 2) * nr + (pr**2 + (nr - pr) ** 2) * nl
+    # the decrease is monotone in t / (nl * nr) and every real cut's ratio
+    # is > 0; the float ratio only shortlists, within rounding of the max
+    ratio = np.where(cut, t / (nl * nr), 0.0)
+    cols, rows = np.nonzero((ratio >= ratio.max() * (1.0 - 1e-12)).T)  # feature-major
+
+    # overall best as the exact fraction N / (n^2 * D); decrease > 0 iff N > 0
+    parent_sq = total_pos**2 + (n - total_pos) ** 2
+    best_numer, best_denom, best = 0, 1, None
+    for j, i in zip(cols.tolist(), rows.tolist()):
+        denom = (i + 1) * (n - i - 1)
+        numer = n * int(t[i, j]) - parent_sq * denom
+        # exact fraction comparison; strict > keeps the first (lowest
+        # feature, lowest threshold) among true ties
+        if numer > 0 and numer * best_denom > best_numer * denom:
+            best_numer, best_denom, best = numer, denom, (i, j)
+    if best is None:
+        return None
+    i, j = best
+    return int(features[j]), float((xs[i, j] + xs[i + 1, j]) / 2.0), best_numer / (n * n * best_denom)
 
 
 def _grow(

@@ -130,6 +130,23 @@ class TestConfig:
         ) == 2
 
 
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("bad", ["labeled", "embeddings", "config"])
+    def test_exit_2_names_file(self, workspace, capsys, bad):
+        tmp, labeled, _, config = workspace
+        paths = {"labeled": labeled, "embeddings": tmp / "embeddings.txt", "config": config}
+        paths["embeddings"].write_text("1 2\nword 0.6 0.8\n")
+        paths[bad] = tmp / f"latin1-{bad}"
+        paths[bad].write_bytes("# café\n".encode("latin-1"))
+        code = run("train", "--labeled", paths["labeled"], "--embeddings", paths["embeddings"],
+                   "--config", paths["config"], "--out", tmp / "out")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{paths[bad]}: not UTF-8 text" in err
+        assert "Traceback" not in err
+        assert not (tmp / "out").exists()
+
+
 class TestTrainEmbeddings:
     def test_writes_artifact_and_stats(self, workspace, capsys):
         tmp, labeled, unlabeled, config = workspace

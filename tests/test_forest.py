@@ -1,7 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rolerank.forest import (
     ForestConfig,
@@ -24,6 +28,80 @@ def xor_dataset(n_per_cluster=50, noise=0.1, seed=17):
         X.append(rng.normal(loc=(cx, cy), scale=noise, size=(n_per_cluster, 2)))
         y.extend([label] * n_per_cluster)
     return np.vstack(X), np.array(y)
+
+
+def flipped_dataset(flip, n=400, d=6, seed=31):
+    """Continuous features on a 0.1 grid (so values repeat) whose labels
+    follow x0 + x1 * x2 > 0, with a ``flip`` fraction of them inverted."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, d)), 1)
+    y = (X[:, 0] + X[:, 1] * X[:, 2] > 0).astype(np.int64)
+    flipped = rng.random(n) < flip
+    y[flipped] = 1 - y[flipped]
+    return X, y
+
+
+def best_split_oracle(X, y, candidate_features, min_samples_leaf=1):
+    """The per-feature loop that ``best_split`` replaced, kept verbatim as
+    its reference: one argsort, prefix sum and shortlist per feature."""
+    n = len(y)
+    total_pos = int(y.sum())
+    parent_sq = total_pos**2 + (n - total_pos) ** 2
+    best_numer = 0
+    best_denom = 1
+    best_feature = -1
+    best_threshold = 0.0
+
+    for f in sorted(int(c) for c in candidate_features):
+        x = X[:, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        pos_prefix = np.cumsum(y[order])
+        cut = np.flatnonzero(xs[:-1] < xs[1:])  # left side = first cut+1 samples
+        if cut.size == 0:
+            continue
+        nl = cut + 1
+        nr = n - nl
+        if min_samples_leaf > 1:
+            ok = (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
+            cut, nl, nr = cut[ok], nl[ok], nr[ok]
+            if cut.size == 0:
+                continue
+        pl = pos_prefix[cut]
+        pr = total_pos - pl
+        a = pl**2 + (nl - pl) ** 2
+        b = pr**2 + (nr - pr) ** 2
+        t = a * nr + b * nl
+        denom = nl * nr
+        ratio = t / denom  # decrease is monotone in this; float only shortlists
+        shortlist = np.flatnonzero(ratio >= ratio.max() * (1.0 - 1e-12))
+        for c in shortlist:
+            numer = n * int(t[c]) - parent_sq * int(denom[c])
+            if numer <= 0:
+                continue
+            # exact fraction comparison; strict > keeps the first (lowest
+            # feature, lowest threshold) among true ties
+            if numer * best_denom > best_numer * int(denom[c]):
+                best_numer = numer
+                best_denom = int(denom[c])
+                best_feature = f
+                best_threshold = float((xs[cut[c]] + xs[cut[c] + 1]) / 2.0)
+
+    if best_feature < 0:
+        return None
+    return best_feature, best_threshold, best_numer / (n * n * best_denom)
+
+
+@st.composite
+def split_cases(draw):
+    """Tie-heavy split searches: values on a small integer grid, candidate
+    lists that may repeat a feature, leaf floors up to 3."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 8))
+    X = draw(arrays(np.int64, (n, d), elements=st.integers(0, draw(st.integers(0, 4)))))
+    y = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    features = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=8))
+    return X.astype(np.float64), y, features, draw(st.integers(1, 3))
 
 
 class TestBestSplit:
@@ -82,6 +160,17 @@ class TestBestSplit:
             result = best_split(X, y, [0, 1, 2])
             if result is not None:
                 assert result[2] > 0.0
+
+    @given(split_cases())
+    @settings(max_examples=500, deadline=None)
+    # None: pure labels, conflicting labels on one value, a leaf floor no cut meets
+    @example(case=(np.array([[0.0], [1.0]]), np.array([1, 1]), [0], 1))
+    @example(case=(np.array([[2.0, 2.0]] * 3), np.array([0, 1, 0]), [1, 0, 1], 1))
+    @example(case=(np.array([[0.0], [1.0], [2.0]]), np.array([0, 1, 1]), [0], 2))
+    def test_equals_per_feature_oracle(self, case):
+        X, y, features, min_samples_leaf = case
+        expected = best_split_oracle(X, y, features, min_samples_leaf)
+        assert best_split(X, y, features, min_samples_leaf) == expected
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -195,15 +284,34 @@ GOLDEN = [
          0.7125, 0.95, 0.2958333333333333, 0.875, 0.2833333333333333,
          0.2666666666666667, 0.625, 0.8, 0.4083333333333334, 0.6125],
     ),
+    # Deep, tie-rich forests on 6-d noisy data, recorded on the per-feature
+    # split search; pinned by the sha256 of the whole model JSON.
+    pytest.param(
+        {"flip": 0.2},
+        ForestConfig(n_trees=20, seed=7),
+        2796,
+        "a211f5ce767df0a521a9de66811e28cfe80740758c9f03b9c3b938818bf913b3",
+        id="flipped",
+    ),
+    pytest.param(
+        {"flip": 0.2},
+        ForestConfig(n_trees=20, seed=7, min_samples_leaf=2, max_depth=6),
+        1298,
+        "ee60fe45182d14a5443f182b0796bfe6921eb58f30152fc0f282bd0b9273a3a3",
+        id="flipped-leaf2-depth6",
+    ),
 ]
 
 
 @pytest.mark.parametrize("data, config, nodes, scores", GOLDEN)
 def test_golden_forest(data, config, nodes, scores):
-    X, y = xor_dataset(n_per_cluster=25, **data)
+    X, y = flipped_dataset(**data) if "flip" in data else xor_dataset(n_per_cluster=25, **data)
     classifier = train_forest(X, y, config)
     assert len(classifier.feature) == nodes
-    assert [predict_proba(classifier, x) for x in GOLDEN_PROBES] == scores
+    if isinstance(scores, str):
+        assert hashlib.sha256(classifier_to_json(classifier).encode()).hexdigest() == scores
+    else:
+        assert [predict_proba(classifier, x) for x in GOLDEN_PROBES] == scores
 
 
 def traverse_oracle(payload: dict, root: int, x: np.ndarray) -> float:

@@ -1,13 +1,16 @@
 """Command-line interface: staged pipeline with on-disk artifacts.
 
-Subcommands cover the five stages plus a convenience chain:
+Subcommands cover the four stages, a neighbor table and the chain of all four:
 
   train-embeddings   corpus -> embeddings.txt
   train              labeled triples + embeddings -> models/<role>.json
   score              triples + models -> scores.jsonl (rank order)
   evaluate           split / train / evaluate per fraction -> report.json/.csv
   neighbors          nearest-neighbor table for seed keywords
-  pipeline           all of the above in one run
+  pipeline           the four stages in one run
+
+Each stage is one ``_stage_*`` function, run by its subcommand and by
+``pipeline`` alike, so both write the same artifacts.
 
 Hyperparameters come from an optional flat "key = value" config file with
 command-line overrides; every stage seed derives deterministically from
@@ -18,9 +21,11 @@ artifacts (no timestamps are ever written into them).
 from __future__ import annotations
 
 import argparse
+import json
 import re
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from . import embedding as emb
@@ -152,16 +157,18 @@ def build_run_config(config_path, seed_override: int | None) -> RunConfig:
     )
 
 
-def _load_many(paths) -> list[ContextualTriple]:
-    triples = []
+def _load_many(paths) -> list[list[ContextualTriple]]:
+    """The triples of each file, in order; no id may appear in two files."""
+    loaded = []
     seen = set()
     for path in paths:
-        for triple in load_triples(path):
+        triples = load_triples(path)
+        for triple in triples:
             if triple.id in seen:
-                raise TripleParseError(f"duplicate id {triple.id!r} across input files")
+                raise TripleParseError(f"{path}: duplicate id {triple.id!r} across input files")
             seen.add(triple.id)
-            triples.append(triple)
-    return triples
+        loaded.append(triples)
+    return loaded
 
 
 def _safe_filename(role: str, taken: set[str]) -> str:
@@ -175,37 +182,27 @@ def _safe_filename(role: str, taken: set[str]) -> str:
     return name
 
 
-def _write_models(bundle: pipeline.ModelBundle, models_dir: Path) -> None:
-    import json
-
-    models_dir.mkdir(parents=True, exist_ok=True)
-    taken: set[str] = set()
-    role_files = {}
-    for role in sorted(bundle.classifiers):
-        name = _safe_filename(role, taken)
-        forest.save_classifier(bundle.classifiers[role], models_dir / name)
-        role_files[role] = name
-    manifest = {
-        "embedding_dim": bundle.embedding.dim,
-        "roles": role_files,
-        "skipped": [[role, reason] for role, reason in bundle.skipped_roles],
-    }
-    with open(models_dir / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+def _is_string_pair(entry) -> bool:
+    return isinstance(entry, list) and len(entry) == 2 and all(isinstance(s, str) for s in entry)
 
 
 def _load_models(models_dir: Path, embedding_model: emb.EmbeddingModel) -> pipeline.ModelBundle:
-    import json
-
     manifest_path = models_dir / "manifest.json"
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+        if not isinstance(manifest, dict):
+            raise ValueError("not a JSON object")
+        roles = manifest.get("roles", {})
+        if not isinstance(roles, dict) or not all(isinstance(n, str) for n in roles.values()):
+            raise ValueError("'roles' must map role names to file names")
+        skipped = manifest.get("skipped", [])
+        if not isinstance(skipped, list) or not all(map(_is_string_pair, skipped)):
+            raise ValueError("'skipped' must hold [role, reason] string pairs")
+    except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8 and bad JSON
         raise ValueError(f"cannot read model manifest {manifest_path}: {exc}") from None
     classifiers = {}
-    for role, name in manifest.get("roles", {}).items():
+    for role, name in roles.items():
         classifier = forest.load_classifier(models_dir / name)
         if classifier.role != role:
             raise ValueError(
@@ -217,61 +214,9 @@ def _load_models(models_dir: Path, embedding_model: emb.EmbeddingModel) -> pipel
                 f"embedding has dimension {embedding_model.dim}"
             )
         classifiers[role] = classifier
-    skipped = [tuple(entry) for entry in manifest.get("skipped", [])]
     return pipeline.ModelBundle(
-        embedding=embedding_model, classifiers=classifiers, skipped_roles=skipped
+        embedding=embedding_model, classifiers=classifiers, skipped_roles=list(map(tuple, skipped))
     )
-
-
-def _train_embeddings(data_paths, run: RunConfig) -> emb.EmbeddingModel:
-    triples = _load_many(data_paths)
-    corpus = build_corpus(triples)
-    model = emb.train_skipgram(corpus, run.embedding)
-    return emb.finalize(model)
-
-
-def cmd_train_embeddings(args) -> int:
-    run = build_run_config(args.config, args.seed)
-    model = _train_embeddings(args.data, run)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    emb.save_embedding(model, out_dir / "embeddings.txt")
-    final_loss = model.epoch_losses[-1] if model.epoch_losses else float("nan")
-    print(f"vocabulary size: {len(model.vocab)}")
-    print(f"epochs: {run.embedding.epochs}")
-    print(f"final mean loss: {final_loss:.6f}")
-    print(f"wrote {out_dir / 'embeddings.txt'}")
-    return EXIT_OK
-
-
-def cmd_train(args) -> int:
-    run = build_run_config(args.config, args.seed)
-    labeled = load_triples(args.labeled)
-    model = emb.load_embedding(args.embeddings)
-    bundle = pipeline.train_role_models(labeled, model, run.forest)
-    models_dir = Path(args.out) / "models"
-    _write_models(bundle, models_dir)
-    print(f"trained roles: {', '.join(sorted(bundle.classifiers)) or '(none)'}")
-    for role, reason in bundle.skipped_roles:
-        print(f"skipped role {role!r}: {reason}")
-    print(f"wrote {models_dir}")
-    return EXIT_OK
-
-
-def cmd_score(args) -> int:
-    model = emb.load_embedding(args.embeddings)
-    bundle = _load_models(Path(args.models), model)
-    triples = load_triples(args.triples)
-    scored = pipeline.rank(pipeline.score_triples(triples, bundle))
-    if args.per_role:
-        scored = sorted(scored, key=lambda s: (s.triple.role, -s.score, s.triple.id))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "scores.jsonl"
-    with open(out_path, "w", encoding="utf-8") as f:
-        pipeline.write_scored(scored, f)
-    print(f"scored {len(scored)} triples -> {out_path}")
-    return EXIT_OK
 
 
 def _parse_fractions(text: str) -> list[float]:
@@ -289,9 +234,54 @@ def _parse_fractions(text: str) -> list[float]:
     return fractions
 
 
-def _evaluate_fractions(
-    labeled, model, run: RunConfig, fractions
-) -> dict[float, evaluation.EvalRun]:
+def _stage_embeddings(triples, run: RunConfig, out_dir: Path) -> emb.EmbeddingModel:
+    model = emb.finalize(emb.train_skipgram(build_corpus(triples), run.embedding))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    emb.save_embedding(model, out_dir / "embeddings.txt")
+    final_loss = model.epoch_losses[-1] if model.epoch_losses else float("nan")
+    print(f"vocabulary size: {len(model.vocab)}")
+    print(f"epochs: {run.embedding.epochs}")
+    print(f"final mean loss: {final_loss:.6f}")
+    print(f"wrote {out_dir / 'embeddings.txt'}")
+    return model
+
+
+def _stage_train(labeled, model, run: RunConfig, out_dir: Path) -> pipeline.ModelBundle:
+    bundle = pipeline.train_role_models(labeled, model, run.forest)
+    models_dir = out_dir / "models"
+    models_dir.mkdir(parents=True, exist_ok=True)
+    taken: set[str] = set()
+    role_files = {}
+    for role in sorted(bundle.classifiers):
+        role_files[role] = _safe_filename(role, taken)
+        forest.save_classifier(bundle.classifiers[role], models_dir / role_files[role])
+    manifest = {
+        "embedding_dim": model.dim,
+        "roles": role_files,
+        "skipped": [[role, reason] for role, reason in bundle.skipped_roles],
+    }
+    with open(models_dir / "manifest.json", "w", encoding="utf-8") as f:
+        json.dump(manifest, f, indent=2, sort_keys=True)
+        f.write("\n")
+    print(f"trained roles: {', '.join(sorted(bundle.classifiers))}")
+    for role, reason in bundle.skipped_roles:
+        print(f"skipped role {role!r}: {reason}")
+    print(f"wrote {models_dir}")
+    return bundle
+
+
+def _stage_score(triples, bundle, out_dir: Path, per_role: bool = False) -> None:
+    scored = pipeline.rank(pipeline.score_triples(triples, bundle))
+    if per_role:
+        scored = sorted(scored, key=lambda s: (s.triple.role, -s.score, s.triple.id))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out_path = out_dir / "scores.jsonl"
+    with open(out_path, "w", encoding="utf-8") as f:
+        pipeline.write_scored(scored, f)
+    print(f"scored {len(scored)} triples -> {out_path}")
+
+
+def _stage_evaluate(labeled, model, run: RunConfig, fractions, out_dir: Path) -> None:
     split_seed = derive_seed(run.seed, "split")
     runs = {}
     for fraction in fractions:
@@ -302,25 +292,11 @@ def _evaluate_fractions(
         runs[fraction] = evaluation.evaluate(
             bundle, test, threshold=run.threshold, gains=run.gains
         )
-    return runs
-
-
-def _write_reports(runs, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "report.json", "w", encoding="utf-8") as f:
         evaluation.write_reports_json(runs, f)
     with open(out_dir / "report.csv", "w", encoding="utf-8") as f:
         evaluation.write_reports_csv(runs, f)
-
-
-def cmd_evaluate(args) -> int:
-    run = build_run_config(args.config, args.seed)
-    fractions = _parse_fractions(args.fractions)
-    labeled = load_triples(args.labeled)
-    model = emb.load_embedding(args.embeddings)
-    runs = _evaluate_fractions(labeled, model, run, fractions)
-    out_dir = Path(args.out)
-    _write_reports(runs, out_dir)
     for fraction in sorted(runs):
         aggregate = runs[fraction].aggregate
         print(
@@ -328,6 +304,36 @@ def cmd_evaluate(args) -> int:
             f"R={aggregate.recall:.4f} F1={aggregate.f1:.4f} NDCG={aggregate.ndcg:.4f}"
         )
     print(f"wrote {out_dir / 'report.json'} and {out_dir / 'report.csv'}")
+
+
+def cmd_train_embeddings(args) -> int:
+    run = build_run_config(args.config, args.seed)
+    _stage_embeddings(chain(*_load_many(args.data)), run, Path(args.out))
+    return EXIT_OK
+
+
+def cmd_train(args) -> int:
+    run = build_run_config(args.config, args.seed)
+    labeled = load_triples(args.labeled)
+    model = emb.load_embedding(args.embeddings)
+    _stage_train(labeled, model, run, Path(args.out))
+    return EXIT_OK
+
+
+def cmd_score(args) -> int:
+    model = emb.load_embedding(args.embeddings)
+    bundle = _load_models(Path(args.models), model)
+    triples = load_triples(args.triples)
+    _stage_score(triples, bundle, Path(args.out), per_role=args.per_role)
+    return EXIT_OK
+
+
+def cmd_evaluate(args) -> int:
+    run = build_run_config(args.config, args.seed)
+    fractions = _parse_fractions(args.fractions)
+    labeled = load_triples(args.labeled)
+    model = emb.load_embedding(args.embeddings)
+    _stage_evaluate(labeled, model, run, fractions, Path(args.out))
     return EXIT_OK
 
 
@@ -353,39 +359,18 @@ def cmd_neighbors(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    """train-embeddings, train, score and evaluate chained into one directory."""
     run = build_run_config(args.config, args.seed)
     fractions = _parse_fractions(args.fractions)
+    files = _load_many([args.labeled, args.unlabeled] if args.unlabeled else [args.labeled])
+    labeled = files[0]
+    # scored: the --score-file, else a non-empty unlabeled file, else the labeled one
+    to_score = load_triples(args.score_file) if args.score_file else files[-1] or labeled
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    labeled = load_triples(args.labeled)
-    extra = load_triples(args.unlabeled) if args.unlabeled else []
-    corpus = build_corpus(labeled + extra)
-    model = emb.finalize(emb.train_skipgram(corpus, run.embedding))
-    emb.save_embedding(model, out_dir / "embeddings.txt")
-    final_loss = model.epoch_losses[-1] if model.epoch_losses else float("nan")
-    print(f"vocabulary size: {len(model.vocab)}")
-    print(f"final mean loss: {final_loss:.6f}")
-
-    bundle = pipeline.train_role_models(labeled, model, run.forest)
-    _write_models(bundle, out_dir / "models")
-    print(f"trained roles: {', '.join(sorted(bundle.classifiers))}")
-
-    to_score = load_triples(args.score_file) if args.score_file else (extra or labeled)
-    scored = pipeline.rank(pipeline.score_triples(to_score, bundle))
-    with open(out_dir / "scores.jsonl", "w", encoding="utf-8") as f:
-        pipeline.write_scored(scored, f)
-    print(f"scored {len(scored)} triples")
-
-    runs = _evaluate_fractions(labeled, model, run, fractions)
-    _write_reports(runs, out_dir)
-    for fraction in sorted(runs):
-        aggregate = runs[fraction].aggregate
-        print(
-            f"fraction {fraction:g}: P={aggregate.precision:.4f} "
-            f"R={aggregate.recall:.4f} F1={aggregate.f1:.4f} NDCG={aggregate.ndcg:.4f}"
-        )
-    print(f"artifacts in {out_dir}")
+    model = _stage_embeddings(chain(*files), run, out_dir)
+    bundle = _stage_train(labeled, model, run, out_dir)
+    _stage_score(to_score, bundle, out_dir)
+    _stage_evaluate(labeled, model, run, fractions, out_dir)
     return EXIT_OK
 
 

@@ -184,8 +184,13 @@ def open_text(path) -> Iterator[IO[str]]:
 
 
 def load_triples(path) -> list[ContextualTriple]:
+    """``parse_triples`` over a file; its errors name the file and keep ``line``."""
     with open_text(path) as f:
-        return parse_triples(f)
+        try:
+            return parse_triples(f)
+        except TripleParseError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
 
 
 def triple_to_json(triple: ContextualTriple) -> str:

@@ -136,6 +136,11 @@ def precision_recall_f1(
             fn += 1
         else:
             tn += 1
+    return _prf_from_counts(tp, fp, fn, tn)
+
+
+def _prf_from_counts(tp: int, fp: int, fn: int, tn: int) -> PRFResult:
+    """P/R/F1 of confusion counts; an empty denominator gives 0.0, flagged."""
     precision_defined = tp + fp > 0
     recall_defined = tp + fn > 0
     precision = tp / (tp + fp) if precision_defined else 0.0
@@ -239,23 +244,9 @@ def evaluate(
         ndcg_values.append(ndcg_value)
         all_defined = all_defined and ndcg_defined
 
-    tp, fp, fn, tn = totals
-    precision_defined = tp + fp > 0
-    recall_defined = tp + fn > 0
-    precision = tp / (tp + fp) if precision_defined else 0.0
-    recall = tp / (tp + fn) if recall_defined else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    aggregate = EvalReport(
-        role=AGGREGATE_ROLE,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        ndcg=sum(ndcg_values) / len(ndcg_values) if ndcg_values else 1.0,
-        threshold=threshold,
-        counts=(tp, fp, fn, tn),
-        precision_defined=precision_defined,
-        recall_defined=recall_defined,
-        ndcg_defined=all_defined,
+    ndcg_mean = sum(ndcg_values) / len(ndcg_values) if ndcg_values else 1.0
+    aggregate = _report(
+        AGGREGATE_ROLE, _prf_from_counts(*totals), ndcg_mean, all_defined, threshold
     )
     return EvalRun(per_role=per_role, aggregate=aggregate)
 

@@ -9,9 +9,8 @@ vector so scoring stays total.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,14 +59,3 @@ def context_vector(sentences: Sequence[str], model: EmbeddingModel) -> ContextFe
     total = model.input_vectors[known].sum(axis=0) if known else np.zeros(model.dim)
     values, _ = l2_normalize(total)
     return ContextFeatureVector(values=values, oov=not known)
-
-
-def write_cfvs(records: Iterable[tuple[str, ContextFeatureVector]], out: IO[str]) -> None:
-    """Debug dump: one JSON line of {id, oov, values} per record."""
-    for triple_id, cfv in records:
-        out.write(
-            json.dumps(
-                {"id": triple_id, "oov": cfv.oov, "values": [float(x) for x in cfv.values]}
-            )
-            + "\n"
-        )

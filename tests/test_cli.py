@@ -172,7 +172,7 @@ class TestTrainEmbeddings:
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": "a"}\n')
         assert run("train-embeddings", "--data", bad, "--out", tmp_path / "o") == 2
-        assert "line 1" in capsys.readouterr().err
+        assert f"{bad}: line 1" in capsys.readouterr().err
 
 
 @pytest.fixture()
@@ -316,6 +316,23 @@ class TestScore:
         assert "Traceback" not in err
         assert not (tmp_path / "scores.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff", b"[]", b'{"roles": []}', b'{"roles": {"affiliate": 5}}', b'{"skipped": [5]}'],
+        ids=["not utf-8", "list", "roles a list", "file name a number", "skipped not a pair"],
+    )
+    def test_malformed_manifest_named(self, trained, tmp_path, capsys, content):
+        _, labeled, _, _, out = trained
+        path = out / "models" / "manifest.json"
+        path.write_bytes(content)
+        code = run("score", "--triples", labeled, "--models", out / "models",
+                   "--embeddings", out / "embeddings.txt", "--out", tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"cannot read model manifest {path}: " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "scores.jsonl").exists()
+
     @pytest.mark.parametrize("value", ["nan", "-inf"])
     def test_non_finite_embedding_named(self, trained, tmp_path, capsys, value):
         _, labeled, _, _, out = trained
@@ -412,3 +429,33 @@ class TestPipelineCommand:
                    "--fractions", "0.5", "--config", config, "--out", out) == 0
         rows = [json.loads(line) for line in (out / "scores.jsonl").read_text().splitlines()]
         assert len(rows) == 60  # the labeled file itself
+
+    def test_id_in_both_files_exit_2(self, workspace, capsys):
+        tmp, labeled, unlabeled, config = workspace
+        first = labeled.read_text().splitlines()[0]
+        unlabeled.write_text(unlabeled.read_text() + first + "\n")
+        out = tmp / "dup"
+        assert run("pipeline", "--labeled", labeled, "--unlabeled", unlabeled,
+                   "--fractions", "0.5", "--config", config, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"{unlabeled}: duplicate id {json.loads(first)['id']!r}" in err
+        assert not (out / "embeddings.txt").exists()
+
+    def test_staged_equals_pipeline(self, workspace):
+        tmp, labeled, unlabeled, config = workspace
+        staged, chained = tmp / "staged", tmp / "chained"
+        embeddings = staged / "embeddings.txt"
+        common = ("--config", config, "--out", staged)
+        assert run("train-embeddings", "--data", labeled, "--data", unlabeled, *common) == 0
+        assert run("train", "--labeled", labeled, "--embeddings", embeddings, *common) == 0
+        assert run("score", "--triples", unlabeled, "--models", staged / "models",
+                   "--embeddings", embeddings, *common) == 0
+        assert run("evaluate", "--labeled", labeled, "--embeddings", embeddings,
+                   "--fractions", "0.5,0.8", *common) == 0
+        assert run("pipeline", "--labeled", labeled, "--unlabeled", unlabeled,
+                   "--fractions", "0.5,0.8", "--config", config, "--out", chained) == 0
+        models = sorted(p.name for p in (chained / "models").iterdir())
+        assert sorted(p.name for p in (staged / "models").iterdir()) == models
+        for name in ["embeddings.txt", "scores.jsonl", "report.json", "report.csv",
+                     *(f"models/{m}" for m in models)]:
+            assert (staged / name).read_bytes() == (chained / name).read_bytes(), name

@@ -1,11 +1,9 @@
-import io
-import json
 import math
 
 import numpy as np
 import pytest
 
-from rolerank.features import context_vector, l2_normalize, write_cfvs
+from rolerank.features import context_vector, l2_normalize
 from synth import unit_vector_model
 
 
@@ -127,17 +125,3 @@ class TestContextVector:
         cfv = context_vector(["plus minus"], model)
         assert cfv.is_zero
         assert not cfv.oov  # known words, degenerate sum
-
-
-def test_write_cfvs_format():
-    model = unit_vector_model(["w0", "w1"], dim=3, seed=1)
-    records = [
-        ("id1", context_vector(["w0 w1"], model)),
-        ("id2", context_vector(["nothing known"], model)),
-    ]
-    buf = io.StringIO()
-    write_cfvs(records, buf)
-    lines = [json.loads(line) for line in buf.getvalue().splitlines()]
-    assert lines[0]["id"] == "id1" and lines[0]["oov"] is False
-    assert len(lines[0]["values"]) == 3
-    assert lines[1]["oov"] is True and lines[1]["values"] == [0.0, 0.0, 0.0]

@@ -39,7 +39,7 @@ from .evaluation import (
     precision_recall_f1,
     split_train_test,
 )
-from .features import ContextFeatureVector, context_vector, l2_normalize
+from .features import featurize
 from .forest import (
     ForestConfig,
     RoleClassifier,
@@ -61,7 +61,6 @@ from .pipeline import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContextFeatureVector",
     "ContextualTriple",
     "EmbeddingConfig",
     "EmbeddingModel",
@@ -81,10 +80,9 @@ __all__ = [
     "build_corpus",
     "build_vocabulary",
     "canonicalize_role",
-    "context_vector",
     "evaluate",
+    "featurize",
     "finalize",
-    "l2_normalize",
     "load_classifier",
     "load_embedding",
     "load_triples",

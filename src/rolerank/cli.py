@@ -193,9 +193,11 @@ def _load_models(models_dir: Path, embedding_model: emb.EmbeddingModel) -> pipel
             manifest = json.load(f)
         if not isinstance(manifest, dict):
             raise ValueError("not a JSON object")
-        roles = manifest.get("roles", {})
-        if not isinstance(roles, dict) or not all(isinstance(n, str) for n in roles.values()):
-            raise ValueError("'roles' must map role names to file names")
+        roles = manifest.get("roles")
+        if not isinstance(roles, dict) or not roles or not all(
+            isinstance(name, str) for name in roles.values()
+        ):
+            raise ValueError("'roles' must map at least one role name to a file name")
         skipped = manifest.get("skipped", [])
         if not isinstance(skipped, list) or not all(map(_is_string_pair, skipped)):
             raise ValueError("'skipped' must hold [role, reason] string pairs")

@@ -15,13 +15,18 @@ from __future__ import annotations
 
 import enum
 import json
+import re
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 NUM_TOKEN = "<num>"
 
 MAX_CONTEXT_SENTENCES = 3
+
+# a whitespace-free run that starts and ends on an alphanumeric character:
+# [^\W_] is exactly the characters for which str.isalnum() is true
+_WORD = re.compile(r"[^\W_](?:\S*[^\W_])?")
 
 
 class InputError(ValueError):
@@ -65,9 +70,6 @@ class ContextualTriple:
     sentences: tuple[str, ...]
     label: RelevanceLabel | None = None
 
-    def with_label(self, label: RelevanceLabel | None) -> "ContextualTriple":
-        return replace(self, label=label)
-
 
 def canonicalize_role(raw: str) -> str:
     """Reduce a role string to its lowercase singular form.
@@ -94,18 +96,7 @@ def tokenize(sentence: str) -> list[str]:
     "&" in "at&t" survive), drops pieces that strip to nothing, and
     replaces pure-digit tokens with the ``<num>`` sentinel.
     """
-    tokens = []
-    for piece in sentence.lower().split():
-        start, end = 0, len(piece)
-        while start < end and not piece[start].isalnum():
-            start += 1
-        while end > start and not piece[end - 1].isalnum():
-            end -= 1
-        word = piece[start:end]
-        if not word:
-            continue
-        tokens.append(NUM_TOKEN if word.isdigit() else word)
-    return tokens
+    return [NUM_TOKEN if word.isdigit() else word for word in _WORD.findall(sentence.lower())]
 
 
 def _parse_record(obj: dict, line_no: int) -> ContextualTriple:

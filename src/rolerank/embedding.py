@@ -91,9 +91,6 @@ class EmbeddingModel:
     def dim(self) -> int:
         return self.input_vectors.shape[1]
 
-    def vector(self, word: str) -> np.ndarray:
-        return self.input_vectors[self.vocab.index[word]]
-
 
 def build_vocabulary(corpus: Sequence[Sequence[str]], min_count: int = 1) -> Vocabulary:
     """Count words across the corpus and retain those seen >= min_count times."""
@@ -125,9 +122,6 @@ class UnigramSampler:
         weights = counts**power
         self._cum = np.cumsum(weights)
         self.probabilities = weights / self._cum[-1]
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(self.sample_n(rng, 1)[0])
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         draws = rng.random(n) * self._cum[-1]

@@ -1,15 +1,16 @@
 """Context feature vectors: count-weighted bag-of-words pooling.
 
-A triple's context sentences are tokenized, the word vectors of every
+``featurize`` maps n contexts, each a list of sentences, to one (n, d)
+matrix. A context's sentences are tokenized, the word vectors of every
 in-vocabulary token occurrence are summed (repeats count each time), and
 the sum is L2-normalized back onto the unit hypersphere. Out-of-vocabulary
-tokens are skipped; a context with no known token yields a flagged zero
-vector so scoring stays total.
+tokens are skipped. A context whose sum has norm <= 1e-12 (no known token,
+or the vanishingly rare exact cancellation) keeps an all-zero row and a
+False mask entry, so callers choose their own fallback.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,44 +19,39 @@ from .corpus import tokenize
 from .embedding import ZERO_NORM_EPS, EmbeddingModel
 
 
-@dataclass(frozen=True)
-class ContextFeatureVector:
-    values: np.ndarray
-    oov: bool  # every token was out of vocabulary
+def featurize(
+    contexts: Sequence[Sequence[str]], model: EmbeddingModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """Return (X, nonzero): one unit-norm row per context, and the (n,)
+    bool mask of rows whose sum had norm > 1e-12 (the others are zero).
 
-    @property
-    def is_zero(self) -> bool:
-        return not np.any(self.values)
-
-
-def l2_normalize(v: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Return (v / ||v||, False), or (zero vector, True) for degenerate input.
-
-    Inputs with norm <= 1e-12 are signalled rather than raised so callers
-    can decide their own fallback.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm <= ZERO_NORM_EPS:
-        return np.zeros_like(v), True
-    return v / norm, False
-
-
-def context_vector(sentences: Sequence[str], model: EmbeddingModel) -> ContextFeatureVector:
-    """Pool a context's word vectors into a unit-length feature vector.
-
-    Word order is ignored but multiplicity matters: each occurrence adds
-    its vector to the sum again. ``oov`` is set when no token was in the
-    vocabulary; the (vanishingly rare) exact cancellation of in-vocabulary
-    vectors also degenerates to the zero vector, with ``oov`` left False.
+    Each context's token ids, in token order, fill one row of a padded id
+    matrix whose pad id points at an all-zero row. The columns are added
+    one at a time, so every row's total is a token-by-token running sum
+    (adding the zero pad is exact) while only n x d floats are live. The
+    norm is taken row by row with ``np.linalg.norm``: the vectorised
+    ``axis=1`` norm can differ in the last bit.
     """
     if not model.finalized:
-        raise ValueError("context_vector requires a finalized model")
-    index = model.vocab.index
-    known = [i for s in sentences for i in map(index.get, tokenize(s)) if i is not None]
-    # one gather and one axis-0 sum: for rows of two or more components
-    # numpy adds them in order, so the total equals a token-by-token
-    # running sum bit for bit
-    total = model.input_vectors[known].sum(axis=0) if known else np.zeros(model.dim)
-    values, _ = l2_normalize(total)
-    return ContextFeatureVector(values=values, oov=not known)
+        raise ValueError("featurize requires a finalized model")
+    index, n, d = model.vocab.index, len(contexts), model.dim
+    ids = [
+        [i for s in sentences for i in map(index.get, tokenize(s)) if i is not None]
+        for sentences in contexts
+    ]
+    width = max([1, *map(len, ids)])
+    table = np.vstack([model.input_vectors, np.zeros((1, d))])
+    padded = np.full((n, width), len(table) - 1, dtype=np.intp)
+    for row, known in zip(padded, ids):
+        row[: len(known)] = known
+    totals = table[padded[:, 0]]
+    for j in range(1, width):
+        totals += table[padded[:, j]]
+    X = np.zeros((n, d))
+    nonzero = np.zeros(n, dtype=bool)
+    for i, total in enumerate(totals):
+        norm = float(np.linalg.norm(total))
+        if norm > ZERO_NORM_EPS:
+            X[i] = total / norm
+            nonzero[i] = True
+    return X, nonzero

@@ -2,10 +2,12 @@
 
 Labels binarize as highly relevant / relevant -> 1, irrelevant -> 0;
 neutral triples carry ranking gain only and never enter training. Each
-role gets its own forest over the CFVs of its labeled triples. Scoring
-is total: a triple whose role has no classifier scores exactly 0.0 (the
-role in a query must match exactly for non-zero relevance), and a triple
-whose context has no known word falls back to the uninformative 0.5.
+role gets its own forest over the context vectors of its labeled
+triples. Each set of triples is featurized in one ``featurize`` call,
+and its rows are grouped by role with index lists. Scoring is total: a
+triple whose role has no classifier scores exactly 0.0 (the role in a
+query must match exactly for non-zero relevance), and a triple whose
+context has no known word falls back to the uninformative 0.5.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .corpus import ContextualTriple, RelevanceLabel
 from .embedding import EmbeddingModel
-from .features import context_vector
+from .features import featurize
 from .forest import ForestConfig, RoleClassifier, predict_proba, train_forest
 from .seeds import derive_seed
 
@@ -39,7 +41,6 @@ class ScoredTriple:
     triple: ContextualTriple
     score: float
     oov_fallback: bool = False
-    note: str | None = None
 
 
 @dataclass
@@ -63,13 +64,14 @@ def train_role_models(
     embedding: EmbeddingModel,
     forest_config: ForestConfig,
 ) -> ModelBundle:
-    """Train one forest per role over CFV features of the labeled triples.
+    """Train one forest per role over the context vectors of the labeled triples.
 
-    Per role: binarize labels (neutral dropped), featurize, drop all-OOV
-    contexts, and train on the survivors in canonical id order with a
-    per-role seed derived from the forest seed. Roles that end up with
-    fewer than two samples in either class are recorded as skipped
-    instead of failing the run; zero trainable roles is an error.
+    Per role: binarize labels (neutral dropped), featurize the trainable
+    triples in one call, drop the zero rows (all-OOV contexts), and train
+    on the survivors in canonical id order with a per-role seed derived
+    from the forest seed. Roles that end up with fewer than two samples
+    in either class are recorded as skipped instead of failing the run;
+    zero trainable roles is an error.
     """
     if not embedding.finalized:
         raise ValueError("train_role_models requires a finalized embedding")
@@ -82,24 +84,16 @@ def train_role_models(
     classifiers: dict[str, RoleClassifier] = {}
     skipped: list[tuple[str, str]] = []
     for role in sorted(by_role):
-        rows = []
-        labels = []
-        usable = 0
-        for triple in sorted(by_role[role], key=lambda t: t.id):
-            target = binarize_label(triple.label)
-            if target is None:
-                continue
-            usable += 1
-            cfv = context_vector(triple.sentences, embedding)
-            if cfv.is_zero:
+        ordered = sorted(by_role[role], key=lambda t: t.id)
+        trainable = [t for t in ordered if binarize_label(t.label) is not None]
+        X, nonzero = featurize([t.sentences for t in trainable], embedding)
+        for triple, keep in zip(trainable, nonzero):
+            if not keep:
                 logger.info("dropping all-OOV training triple %s", triple.id)
-                continue
-            rows.append(cfv.values)
-            labels.append(target)
-        if not rows:
+        y = np.array([binarize_label(t.label) for t in trainable], dtype=np.int64)[nonzero]
+        if not len(y):
             skipped.append((role, SKIP_NO_TRAINABLE))
             continue
-        y = np.array(labels, dtype=np.int64)
         pos = int(y.sum())
         neg = len(y) - pos
         if pos == 0 or neg == 0:
@@ -109,9 +103,9 @@ def train_role_models(
             skipped.append((role, SKIP_TOO_FEW))
             continue
         role_config = replace(forest_config, seed=derive_seed(forest_config.seed, role))
-        classifiers[role] = train_forest(np.vstack(rows), y, role_config, role=role)
-        if usable > len(y):
-            logger.info("role %s: %d all-OOV triples excluded", role, usable - len(y))
+        classifiers[role] = train_forest(X[nonzero], y, role_config, role=role)
+        if len(trainable) > len(y):
+            logger.info("role %s: %d all-OOV triples excluded", role, len(trainable) - len(y))
     if not classifiers:
         raise ValueError("no role has enough labeled data to train a classifier")
     return ModelBundle(embedding=embedding, classifiers=classifiers, skipped_roles=skipped)
@@ -123,29 +117,26 @@ def score_triples(
     """Score each triple with its role's classifier, in input order.
 
     Unknown roles score exactly 0.0 (exact role match is required for a
-    non-zero score); degenerate contexts score the 0.5 fallback. The
-    remaining triples are scored with one forest call per role.
+    non-zero score). The known-role triples are featurized in one call;
+    zero rows score the 0.5 fallback, and the rest are scored with one
+    forest call per role.
     """
     triples = list(triples)
-    scored: list[ScoredTriple | None] = []
-    pending: dict[str, list[tuple[int, np.ndarray]]] = {}
-    for triple in triples:
-        if triple.role not in bundle.classifiers:
-            note = f"no classifier for role {triple.role!r}"
-            scored.append(ScoredTriple(triple=triple, score=UNKNOWN_ROLE_SCORE, note=note))
-            continue
-        cfv = context_vector(triple.sentences, bundle.embedding)
-        if cfv.is_zero:
-            scored.append(ScoredTriple(triple=triple, score=OOV_FALLBACK_SCORE, oov_fallback=True))
-            continue
-        pending.setdefault(triple.role, []).append((len(scored), cfv.values))
-        scored.append(None)
-    for role, items in pending.items():
-        rows, vectors = zip(*items)
-        predicted = predict_proba(bundle.classifiers[role], np.vstack(vectors))
-        for i, score in zip(rows, predicted.tolist()):
-            scored[i] = ScoredTriple(triple=triples[i], score=score)
-    return scored
+    known = [i for i, triple in enumerate(triples) if triple.role in bundle.classifiers]
+    X, nonzero = featurize([triples[i].sentences for i in known], bundle.embedding)
+    scores = [UNKNOWN_ROLE_SCORE] * len(triples)
+    fallback = [False] * len(triples)
+    by_role: dict[str, list[int]] = {}
+    for row, i in enumerate(known):
+        if nonzero[row]:
+            by_role.setdefault(triples[i].role, []).append(row)
+        else:
+            scores[i], fallback[i] = OOV_FALLBACK_SCORE, True
+    for role, rows in by_role.items():
+        predicted = predict_proba(bundle.classifiers[role], X[rows])
+        for row, score in zip(rows, predicted.tolist()):
+            scores[known[row]] = score
+    return [ScoredTriple(t, s, f) for t, s, f in zip(triples, scores, fallback)]
 
 
 def rank(scored: Iterable[ScoredTriple]) -> list[ScoredTriple]:

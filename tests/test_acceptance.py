@@ -25,7 +25,7 @@ from rolerank.embedding import (
     train_skipgram,
 )
 from rolerank.evaluation import GainMap, evaluate, ndcg, split_train_test
-from rolerank.features import context_vector
+from rolerank.features import featurize
 from rolerank.forest import ForestConfig, classifier_to_json, predict_proba, train_forest
 from rolerank.pipeline import train_role_models
 from rolerank.seeds import derive_seed
@@ -120,20 +120,16 @@ def test_c4_cfv_properties():
         if case % 4 == 0:  # sprinkle OOV tokens among known ones
             tokens += ["zzz-unknown"] * int(rng.integers(1, 4))
         sentence = " ".join(tokens)
-        cfv = context_vector([sentence], model)
-        assert not cfv.oov
-        assert abs(np.linalg.norm(cfv.values) - 1.0) < 1e-6
-
         shuffled = list(tokens)
         rng.shuffle(shuffled)
-        permuted = context_vector([" ".join(shuffled)], model)
-        assert np.abs(cfv.values - permuted.values).max() < 1e-9
+        X, nonzero = featurize([[sentence], [" ".join(shuffled)], [sentence, sentence]], model)
+        assert nonzero[0]
+        assert abs(np.linalg.norm(X[0]) - 1.0) < 1e-6
+        assert np.abs(X[0] - X[1]).max() < 1e-9  # permuted
+        assert np.abs(X[0] - X[2]).max() < 1e-9  # doubled
 
-        doubled = context_vector([sentence, sentence], model)
-        assert np.abs(cfv.values - doubled.values).max() < 1e-9
-
-    all_oov = context_vector(["totally unknown gibberish"], model)
-    assert all_oov.oov and np.all(all_oov.values == 0.0)
+    all_oov, nonzero = featurize([["totally unknown gibberish"]], model)
+    assert not nonzero[0] and np.all(all_oov == 0.0)
     elapsed_under(t0, 5.0)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -14,7 +15,7 @@ def workspace(tmp_path):
     labeled_path = tmp_path / "labeled.jsonl"
     triples_to_jsonl(labeled, labeled_path)
 
-    unlabeled = [t.with_label(None) for t in make_labeled_triples(
+    unlabeled = [dataclasses.replace(t, label=None) for t in make_labeled_triples(
         roles=("affiliate",), n_per_role=10, seed=99
     )]
     unlabeled_renamed = [
@@ -318,8 +319,17 @@ class TestScore:
 
     @pytest.mark.parametrize(
         "content",
-        [b"\xff", b"[]", b'{"roles": []}', b'{"roles": {"affiliate": 5}}', b'{"skipped": [5]}'],
-        ids=["not utf-8", "list", "roles a list", "file name a number", "skipped not a pair"],
+        [
+            b"\xff",
+            b"[]",
+            b'{"roles": []}',
+            b'{"roles": {"affiliate": 5}}',
+            b'{"roles": {"affiliate": "affiliate.json"}, "skipped": [5]}',
+            b"{}",
+            b'{"roles": {}}',
+        ],
+        ids=["not utf-8", "list", "roles a list", "file name a number", "skipped not a pair",
+             "no roles", "roles empty"],
     )
     def test_malformed_manifest_named(self, trained, tmp_path, capsys, content):
         _, labeled, _, _, out = trained

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rolerank.corpus import (
+    NUM_TOKEN,
     ContextualTriple,
     RelevanceLabel,
     TripleParseError,
@@ -15,6 +17,25 @@ from rolerank.corpus import (
     triple_to_json,
     write_triples,
 )
+
+# Unicode whitespace that str.split() splits on, mixed into generated text
+WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u202f\u3000"
+
+
+def tokenize_oracle(sentence: str) -> list[str]:
+    """The per-character tokenizer that the regex replaced, kept verbatim."""
+    tokens = []
+    for piece in sentence.lower().split():
+        start, end = 0, len(piece)
+        while start < end and not piece[start].isalnum():
+            start += 1
+        while end > start and not piece[end - 1].isalnum():
+            end -= 1
+        word = piece[start:end]
+        if not word:
+            continue
+        tokens.append(NUM_TOKEN if word.isdigit() else word)
+    return tokens
 
 
 def record(**overrides) -> str:
@@ -145,6 +166,13 @@ class TestTokenize:
             if token != "<num>":
                 assert token[0].isalnum() and token[-1].isalnum()
 
+    @given(st.text() | st.text(st.characters() | st.sampled_from(WHITESPACE)))
+    @example("\u0130stanbul a\u00b2 x\u00a0y _a_ a_b \u2160\u2161 \u0660\u0661 \u00bd")
+    @example("x\x1cy\u3000z\x85w 12\u00b3 \u0663\u0664")
+    @settings(max_examples=1000, deadline=None)
+    def test_equals_per_character_oracle(self, sentence):
+        assert tokenize(sentence) == tokenize_oracle(sentence)
+
 
 class TestCanonicalizeRole:
     @pytest.mark.parametrize(
@@ -194,7 +222,8 @@ class TestBuildCorpus:
         assert build_corpus(triples) == [["real", "words"]]
 
     def test_labeled_and_unlabeled_pooled(self):
-        labeled = self.triple("a", ["alpha beta"]).with_label(RelevanceLabel.RELEVANT)
+        labeled = self.triple("a", ["alpha beta"])
+        labeled = dataclasses.replace(labeled, label=RelevanceLabel.RELEVANT)
         unlabeled = self.triple("b", ["gamma delta"])
         assert build_corpus([labeled, unlabeled]) == [
             ["alpha", "beta"],

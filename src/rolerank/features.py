@@ -19,37 +19,34 @@ from .corpus import tokenize
 from .embedding import ZERO_NORM_EPS, EmbeddingModel
 
 
+def context_vector(sentences: Sequence[str], model: EmbeddingModel) -> np.ndarray:
+    """The unnormalized sum of one context's in-vocabulary token vectors.
+
+    One gather and one axis-0 sum: for two or more rows numpy adds them in
+    order, so the total equals a token-by-token running sum bit for bit.
+    ``featurize`` calls this once per context, which is also the span the
+    benchmark's tracer times as ``features.context_vector``.
+    """
+    index = model.vocab.index
+    known = [i for s in sentences for i in map(index.get, tokenize(s)) if i is not None]
+    return model.input_vectors[known].sum(axis=0) if known else np.zeros(model.dim)
+
+
 def featurize(
     contexts: Sequence[Sequence[str]], model: EmbeddingModel
 ) -> tuple[np.ndarray, np.ndarray]:
     """Return (X, nonzero): one unit-norm row per context, and the (n,)
     bool mask of rows whose sum had norm > 1e-12 (the others are zero).
 
-    Each context's token ids, in token order, fill one row of a padded id
-    matrix whose pad id points at an all-zero row. The columns are added
-    one at a time, so every row's total is a token-by-token running sum
-    (adding the zero pad is exact) while only n x d floats are live. The
-    norm is taken row by row with ``np.linalg.norm``: the vectorised
+    The norm is taken row by row with ``np.linalg.norm``: the vectorised
     ``axis=1`` norm can differ in the last bit.
     """
     if not model.finalized:
         raise ValueError("featurize requires a finalized model")
-    index, n, d = model.vocab.index, len(contexts), model.dim
-    ids = [
-        [i for s in sentences for i in map(index.get, tokenize(s)) if i is not None]
-        for sentences in contexts
-    ]
-    width = max([1, *map(len, ids)])
-    table = np.vstack([model.input_vectors, np.zeros((1, d))])
-    padded = np.full((n, width), len(table) - 1, dtype=np.intp)
-    for row, known in zip(padded, ids):
-        row[: len(known)] = known
-    totals = table[padded[:, 0]]
-    for j in range(1, width):
-        totals += table[padded[:, j]]
-    X = np.zeros((n, d))
-    nonzero = np.zeros(n, dtype=bool)
-    for i, total in enumerate(totals):
+    X = np.zeros((len(contexts), model.dim))
+    nonzero = np.zeros(len(contexts), dtype=bool)
+    for i, sentences in enumerate(contexts):
+        total = context_vector(sentences, model)
         norm = float(np.linalg.norm(total))
         if norm > ZERO_NORM_EPS:
             X[i] = total / norm

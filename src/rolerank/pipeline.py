@@ -85,12 +85,13 @@ def train_role_models(
     skipped: list[tuple[str, str]] = []
     for role in sorted(by_role):
         ordered = sorted(by_role[role], key=lambda t: t.id)
-        trainable = [t for t in ordered if binarize_label(t.label) is not None]
+        pairs = [(t, b) for t in ordered if (b := binarize_label(t.label)) is not None]
+        trainable = [t for t, _ in pairs]
         X, nonzero = featurize([t.sentences for t in trainable], embedding)
         for triple, keep in zip(trainable, nonzero):
             if not keep:
                 logger.info("dropping all-OOV training triple %s", triple.id)
-        y = np.array([binarize_label(t.label) for t in trainable], dtype=np.int64)[nonzero]
+        y = np.array([b for _, b in pairs], dtype=np.int64)[nonzero]
         if not len(y):
             skipped.append((role, SKIP_NO_TRAINABLE))
             continue

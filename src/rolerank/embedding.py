@@ -1,14 +1,22 @@
 """Skip-gram word embeddings with negative sampling, trained from scratch.
 
 For every center word an effective window is drawn uniformly from
-[1, window]. One sentence is one update step, after the gather / score /
-scatter restructuring of Ji et al. 2016 ("Parallelizing Word2Vec in
-Shared and Distributed Memory"): every in-window (center, context) pair
-of the sentence is scored against k sampled negative words with the
+[1, window]. Training follows both halves of Ji et al. 2016
+("Parallelizing Word2Vec in Shared and Distributed Memory"). Negatives
+are shared: each epoch draws one row of k negative words per center (a
+token with at least one in-window context), and every (center, context)
+pair of that center uses it. Steps are gather / score / scatter: one
+sentence is one step, every pair of the sentence is scored with the
 vectors as they stood before the step, and the gradients are summed per
 row and applied at once. The learning rate decays linearly over the
 total number of pairs. Vectors are finalized onto the unit hypersphere
 before any querying; the default dimensionality is 30.
+
+Negatives come from the ``negatives`` substream in token order, filling
+slots row-major. A draw equal to any of its center's in-window context
+words is redrawn, row-major over the rejected slots, until none is left.
+A center whose context words cover the whole vocabulary keeps its
+draws, since no word could replace them.
 
 All randomness is driven by the config seed through named substreams
 (init / window / subsample / negatives), which makes training
@@ -128,25 +136,31 @@ class UnigramSampler:
         return np.searchsorted(self._cum, draws, side="right")
 
 
-def _pair_core(centers: np.ndarray, outs: np.ndarray):
-    """Loss and gradients for P positive pairs against stacked outputs.
+def _sgns_terms(centers, contexts, owner, negatives, lr):
+    """Loss and lr-weighted gradients for t centers that share negatives.
 
-    ``centers`` is (P, d) and ``outs`` is (P, 1 + k, d): for each pair, row
-    0 is the context vector and rows 1.. are its negatives. Returns (loss
-    per pair, grad wrt each center, grad wrt each output row). The loss is
-    -log sigmoid(u_ctx . v) - sum_j log sigmoid(-u_negj . v); with the
-    context score sign-flipped it collapses to sum logaddexp(0, t), and
-    sigmoid(t) = exp(t - logaddexp(0, t)) keeps everything overflow-free.
-    Each pair's results depend on that pair's rows alone.
+    ``centers`` is (t, d), ``negatives`` (t, k, d) and ``contexts`` (p, d);
+    pair i joins context i to center ``owner[i]`` with weight ``lr[i]``. A
+    pair's loss is -log sigmoid(u_ctx . v) - sum_j log sigmoid(-u_negj . v)
+    over its center's negatives; sigmoid(s) = exp(s - logaddexp(0, s))
+    keeps it overflow-free. Returns the loss per pair and lr * the gradient
+    wrt each pair's center and context; a center's shared negatives take
+    their gradient once, times the sum of its pairs' weights. Gradients
+    are scaled after they are formed, so weight 1 gives the plain gradient.
     """
-    scores = np.einsum("pd,pjd->pj", centers, outs)
-    scores[:, 0] = -scores[:, 0]
-    ell = np.logaddexp(0.0, scores)
-    coeff = np.exp(scores - ell)  # d loss / d score, up to the sign of column 0
-    coeff[:, 0] = -coeff[:, 0]
-    grad_centers = np.einsum("pj,pjd->pd", coeff, outs)
-    grad_outs = coeff[:, :, None] * centers[:, None, :]
-    return ell.sum(axis=1), grad_centers, grad_outs
+    at_pair = centers[owner]
+    pos = np.einsum("pd,pd->p", at_pair, contexts)
+    neg = np.einsum("td,tkd->tk", centers, negatives)
+    pos_loss = np.logaddexp(0.0, -pos)
+    neg_loss = np.logaddexp(0.0, neg)
+    pos_coeff = -np.exp(-pos - pos_loss)  # d loss / d pos
+    neg_coeff = np.exp(neg - neg_loss)  # d loss / d neg
+    neg_pull = np.einsum("tk,tkd->td", neg_coeff, negatives)
+    weight = np.bincount(owner, weights=lr, minlength=len(centers))
+    grad_centers = lr[:, None] * (pos_coeff[:, None] * contexts + neg_pull[owner])
+    grad_contexts = lr[:, None] * (pos_coeff[:, None] * at_pair)
+    grad_negatives = weight[:, None, None] * (neg_coeff[:, :, None] * centers[:, None, :])
+    return pos_loss + neg_loss.sum(axis=1)[owner], grad_centers, grad_contexts, grad_negatives
 
 
 def pair_loss_and_gradients(
@@ -172,8 +186,10 @@ def pair_loss_and_gradients(
             raise ValueError(
                 f"dimension mismatch: center has shape {center.shape}, got {v.shape}"
             )
-    loss, grad_center, grad_outs = _pair_core(center[None], np.stack(rows)[None])
-    return float(loss[0]), grad_center[0], grad_outs[0, 0], grad_outs[0, 1:]
+    loss, grad_center, grad_context, grad_negatives = _sgns_terms(
+        center[None], rows[0][None], np.zeros(1, dtype=np.intp), np.stack(negatives)[None], np.ones(1)
+    )
+    return float(loss[0]), grad_center[0], grad_context[0], grad_negatives[0]
 
 
 def _keep_probabilities(vocab: Vocabulary, threshold: float) -> np.ndarray:
@@ -184,22 +200,20 @@ def _keep_probabilities(vocab: Vocabulary, threshold: float) -> np.ndarray:
     return np.minimum(keep, 1.0)
 
 
-def _epoch_layouts(
-    encoded: list[np.ndarray], config: EmbeddingConfig, keep: np.ndarray | None
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Per epoch, the effective sentences as flat (ids, left, right, lengths).
+def _epoch_layouts(encoded: list[np.ndarray], config: EmbeddingConfig, keep: np.ndarray | None):
+    """Yield, per epoch, the effective sentences as flat (ids, left, right, lengths).
 
     ``ids`` holds the kept tokens of every non-empty sentence back to
     back, ``left``/``right`` how many in-window context words each token
     has on either side, and ``lengths`` the sentence lengths. Each epoch
     draws the subsampling and window substreams once, in a fixed order,
-    so a config always yields the same layouts.
+    from substreams made afresh for every call, so a config always yields
+    the same layouts and only one epoch's layout is held at a time.
     """
     tokens = np.concatenate(encoded)
     sentence_of = np.repeat(np.arange(len(encoded)), [len(s) for s in encoded])
     win_rng = make_rng(config.seed, "window")
     sub_rng = make_rng(config.seed, "subsample") if keep is not None else None
-    layouts = []
     for _ in range(config.epochs):
         ids, sentence = tokens, sentence_of
         if sub_rng is not None:
@@ -211,39 +225,55 @@ def _epoch_layouts(
         windows = win_rng.integers(1, config.window + 1, size=len(ids))
         left = np.minimum(pos, windows)
         right = np.minimum(np.repeat(lengths, lengths) - 1 - pos, windows)
-        layouts.append((ids, left, right, lengths))
-    return layouts
+        yield ids, left, right, lengths
 
 
-def _sentence_pairs(ids: np.ndarray, left: np.ndarray, right: np.ndarray):
-    """(centers, contexts) word ids of every pair in one sentence.
+def _shared_negatives(sampler, rng, ids, left, right, k: int) -> np.ndarray:
+    """(T, k) negative word ids for the epoch's T tokens that have a context.
+
+    Row i belongs to the i-th such token in token order, and all of its
+    pairs share it. Slots are filled row-major from ``rng``; a draw equal
+    to any of its center's in-window context words is redrawn (again
+    row-major over the rejected slots) until none is left, except for a
+    center whose context words cover the whole vocabulary. Every other
+    center has a word left to draw, so the loop ends.
+    """
+    window = int(max(left.max(initial=0), right.max(initial=0)))
+
+    def in_window(at, words):
+        """Whether each word is an in-window context of the token at ``at``."""
+        hit = np.zeros(np.broadcast(at, words).shape, dtype=bool)
+        for offset in range(1, window + 1):
+            hit |= (left[at] >= offset) & (ids.take(at - offset, mode="clip") == words)
+            hit |= (right[at] >= offset) & (ids.take(at + offset, mode="clip") == words)
+        return hit
+
+    centers = np.flatnonzero(left + right)
+    vocab_size = len(sampler.probabilities)
+    covered = np.zeros(len(centers), dtype=bool)
+    if vocab_size <= 2 * window:  # only then can the contexts cover the vocabulary
+        covered = in_window(centers[:, None], np.arange(vocab_size)).all(axis=1)
+    negatives = sampler.sample_n(rng, len(centers) * k).reshape(-1, k)
+    redraw = np.flatnonzero(in_window(centers[:, None], negatives) & ~covered[:, None])
+    flat = negatives.reshape(-1)
+    while len(redraw):
+        flat[redraw] = sampler.sample_n(rng, len(redraw))
+        redraw = redraw[in_window(centers[redraw // k], flat[redraw])]
+    return negatives
+
+
+def _pairs(left: np.ndarray, right: np.ndarray):
+    """(center, context) token positions of every in-window pair.
 
     Center-major: pairs run by center position, then context position.
     """
     counts = left + right
-    center_at = np.repeat(np.arange(len(ids)), counts)
-    context_at = np.arange(len(center_at)) - np.repeat(np.cumsum(counts) - counts + left, counts)
-    context_at += context_at >= 0  # skip the center itself
-    context_at += center_at
-    return ids[center_at], ids[context_at]
-
-
-def _draw_negatives(sampler, rng, contexts: np.ndarray, k: int) -> np.ndarray:
-    """(P, k) negatives for P pairs from the ``negatives`` substream.
-
-    Slots are filled row-major; a draw equal to its pair's context is
-    redrawn (again row-major over the rejected slots) until none is left,
-    except with a one-word vocabulary, where it cannot be avoided.
-    ``Generator.random`` yields the same values however its draws are
-    chunked, so successive calls read one unbroken stream.
-    """
-    negatives = sampler.sample_n(rng, len(contexts) * k).reshape(-1, k)
-    if len(sampler.probabilities) > 1:
-        rejected = negatives == contexts[:, None]
-        while rejected.any():
-            negatives[rejected] = sampler.sample_n(rng, int(np.count_nonzero(rejected)))
-            rejected = negatives == contexts[:, None]
-    return negatives
+    center = np.repeat(np.arange(len(counts)), counts)
+    context = np.arange(len(center))
+    context -= np.repeat(np.cumsum(counts) - counts + left, counts)
+    context += context >= 0  # skip the center itself
+    context += center
+    return center, context
 
 
 def _subtract_rows(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
@@ -258,20 +288,61 @@ def _subtract_rows(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray) ->
     matrix[rows[first]] -= np.add.reduceat(updates[order], first, axis=0)
 
 
+def _train_epoch(weights, ids, left, right, lengths, negatives, lr) -> float:
+    """Take one epoch's sentence steps on ``weights`` in place.
+
+    ``negatives`` holds the output rows of the epoch's shared negatives
+    (see ``_shared_negatives``) and ``lr`` the rates of its pairs in
+    order. Returns the sum of the pair losses. The epoch's pair arrays
+    live only in this call, so one epoch's are freed before the next's.
+    """
+    vocab_size, dim = len(weights) // 2, weights.shape[1]
+    owners, contexts = _pairs(left, right)
+    contexts = ids.take(contexts)
+    contexts += vocab_size
+    ends = np.cumsum(lengths)
+    pair_ends = np.cumsum(left + right)[ends - 1]
+    loss_sum, start, pair_start, row = 0.0, 0, 0, 0
+    for end, pair_end in zip(ends.tolist(), pair_ends.tolist()):
+        if pair_start == pair_end:  # a one-word sentence has no pairs
+            start = end
+            continue
+        centers = ids[start:end]
+        owner = owners[pair_start:pair_end] - start
+        context_rows = contexts[pair_start:pair_end]
+        shared = negatives[row:row + len(centers)]
+        loss, grad_centers, grad_contexts, grad_negatives = _sgns_terms(
+            weights[centers], weights[context_rows], owner, weights[shared], lr[pair_start:pair_end]
+        )
+        _subtract_rows(
+            weights,
+            np.concatenate((centers[owner], context_rows, shared.ravel())),
+            np.concatenate((grad_centers, grad_contexts, grad_negatives.reshape(-1, dim))),
+        )
+        loss_sum += loss.sum()
+        start, pair_start, row = end, pair_end, row + len(centers)
+    return loss_sum
+
+
 def train_skipgram(
     corpus: Sequence[Sequence[str]], config: EmbeddingConfig
 ) -> EmbeddingModel:
     """Train a (non-finalized) skip-gram model over the pooled corpus.
 
-    One sentence is one update step. Every (center, context) pair of the
-    sentence is scored against its k negatives using the vectors as they
-    stood before the step; the pair at global index i gets learning rate
-    lr_initial - (lr_initial - lr_final) * i / (total_pairs - 1). Each
-    pair contributes lr * gradient to its center's input row and to its
-    context's and negatives' output rows. The contributions to one row are
-    ordered by pair, and within a pair context first, then negatives in
-    draw order; they are reduced with np.add.reduceat and subtracted once.
-    The run is bit-reproducible for a fixed seed.
+    Each epoch first draws its shared negatives (``_shared_negatives``).
+    Then one sentence is one update step, scored with the vectors as they
+    stood before the step. The pair at global index i gets learning rate
+    lr_initial - (lr_initial - lr_final) * i / (total_pairs - 1). A pair's
+    loss is its positive term plus its center's negative term, so the
+    center's input row takes lr * the pair's center gradient and the
+    context's output row lr * the context gradient. Each shared
+    negative's output row takes the center's negative gradient once,
+    scaled by the sum of the rates of the center's pairs, which equals
+    what each pair would add; ``epoch_losses`` holds each epoch's mean
+    per-pair loss. The contributions to an input row are ordered by pair;
+    those to an output row by pair as a context, then by (center, slot)
+    as a negative. Each row's are reduced with np.add.reduceat and
+    subtracted once. The run is bit-reproducible for a fixed seed.
     """
     vocab = build_vocabulary(corpus, config.min_count)
     encoded = []
@@ -284,43 +355,28 @@ def train_skipgram(
 
     vocab_size, dim, k = len(vocab), config.dim, config.negatives
     # input vectors are rows [0, V), output vectors rows [V, 2V) of one
-    # matrix, so a step is one gather and one scatter
+    # matrix, so a step is one scatter
     weights = np.zeros((2 * vocab_size, dim))
     weights[:vocab_size] = (make_rng(config.seed, "init").random((vocab_size, dim)) - 0.5) / dim
     sampler = UnigramSampler(vocab, config.unigram_power)
     neg_rng = make_rng(config.seed, "negatives")
     keep = _keep_probabilities(vocab, config.subsample) if config.subsample > 0 else None
 
-    layouts = _epoch_layouts(encoded, config, keep)
-    total_pairs = sum(int(left.sum() + right.sum()) for _, left, right, _ in layouts)
+    total_pairs = sum(
+        int(left.sum() + right.sum()) for _, left, right, _ in _epoch_layouts(encoded, config, keep)
+    )
     lr_span = config.lr_initial - config.lr_final
     denom = max(total_pairs - 1, 1)
     losses = []
     pair_index = 0
-    for ids, left, right, lengths in layouts:
-        loss_sum = 0.0
-        start, first_pair = 0, pair_index
-        for end in np.cumsum(lengths).tolist():
-            center, context = _sentence_pairs(ids[start:end], left[start:end], right[start:end])
-            start = end
-            n = len(center)
-            if n == 0:
-                continue
-            rows = np.empty((n, k + 2), dtype=np.intp)
-            rows[:, 0] = center
-            rows[:, 1] = context + vocab_size
-            rows[:, 2:] = _draw_negatives(sampler, neg_rng, context, k) + vocab_size
-            vectors = weights[rows]
-            loss, grad_center, grad_outs = _pair_core(vectors[:, 0], vectors[:, 1:])
-            lr = config.lr_initial - lr_span * (np.arange(pair_index, pair_index + n) / denom)
-            updates = np.empty_like(vectors)
-            np.multiply(lr[:, None], grad_center, out=updates[:, 0])
-            np.multiply(lr[:, None, None], grad_outs, out=updates[:, 1:])
-            _subtract_rows(weights, rows.ravel(), updates.reshape(-1, dim))
-            loss_sum += loss.sum()
-            pair_index += n
-        n_pairs = pair_index - first_pair
+    for ids, left, right, lengths in _epoch_layouts(encoded, config, keep):
+        negatives = _shared_negatives(sampler, neg_rng, ids, left, right, k)
+        negatives += vocab_size  # output rows
+        n_pairs = int(left.sum() + right.sum())
+        lr = config.lr_initial - lr_span * (np.arange(pair_index, pair_index + n_pairs) / denom)
+        loss_sum = _train_epoch(weights, ids, left, right, lengths, negatives, lr)
         losses.append(float(loss_sum / n_pairs) if n_pairs else 0.0)
+        pair_index += n_pairs
 
     return EmbeddingModel(
         vocab=vocab,

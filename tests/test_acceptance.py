@@ -23,6 +23,7 @@ from rolerank.embedding import (
     nearest_neighbors,
     pair_loss_and_gradients,
     train_skipgram,
+    _sgns_terms,
 )
 from rolerank.evaluation import GainMap, evaluate, ndcg, split_train_test
 from rolerank.features import featurize
@@ -82,6 +83,40 @@ def test_c1_gradient_correctness():
             assert rel.max() < 1e-4, f"d={d} k={k}: max rel err {rel.max():.2e}"
             checked += 1
     assert checked >= 100
+    elapsed_under(t0, 5.0)
+
+
+def test_shared_negative_gradients_match_finite_differences():
+    """One center, four contexts sharing k=3 negatives: the lr-weighted
+    gradients the trainer applies match central finite differences of
+    sum_i lr_i * loss_i (rel err < 1e-4), for the center, each context and
+    each negative."""
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(104)
+    eps = 1e-5
+    p, k = 4, 3
+    owner = np.zeros(p, dtype=np.intp)
+    for d in (2, 5, 30):
+        for _ in range(5):
+            vectors = rng.normal(scale=1 / math.sqrt(d), size=(1 + p + k, d))
+            lr = rng.uniform(0.5, 1.5, size=p)
+
+            def loss_at(v):
+                loss = _sgns_terms(v[:1], v[1:1 + p], owner, v[None, 1 + p:], lr)[0]
+                return float(lr @ loss)
+
+            _, g_centers, g_contexts, g_negatives = _sgns_terms(
+                vectors[:1], vectors[1:1 + p], owner, vectors[None, 1 + p:], lr
+            )
+            analytic = np.concatenate([g_centers.sum(axis=0), g_contexts.ravel(), g_negatives.ravel()])
+            numeric = np.empty_like(analytic)
+            for pos, (row, comp) in enumerate(np.ndindex(vectors.shape)):
+                bump = np.zeros_like(vectors)
+                bump[row, comp] = eps
+                numeric[pos] = (loss_at(vectors + bump) - loss_at(vectors - bump)) / (2 * eps)
+            scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
+            rel = np.abs(analytic - numeric) / scale
+            assert rel.max() < 1e-4, f"d={d}: max rel err {rel.max():.2e}"
     elapsed_under(t0, 5.0)
 
 

@@ -230,6 +230,25 @@ class TestTrain:
         manifest = json.loads((out / "models" / "manifest.json").read_text())
         assert ["guarantor", "single-class"] in manifest["skipped"]
 
+    def test_verbose_logs_all_oov_triple(self, workspace, capsys):
+        tmp, labeled, _, config = workspace
+        out = tmp / "oov-run"
+        assert run("train-embeddings", "--data", labeled, "--config", config, "--out", out) == 0
+        with_oov = tmp / "with-oov.jsonl"
+        with_oov.write_text(labeled.read_text() + json.dumps({
+            "id": "oov-1", "head": "H", "role": "affiliate", "tail": "T",
+            "sentences": ["qqunseen zzunseen"], "label": "RELEVANT",
+        }) + "\n")
+        train = ("train", "--labeled", with_oov, "--embeddings", out / "embeddings.txt",
+                 "--config", config, "--out", out)
+        capsys.readouterr()
+        assert run(*train) == 0
+        assert "all-OOV" not in capsys.readouterr().err
+        assert run(*train, "-v") == 0
+        err = capsys.readouterr().err
+        assert "dropping all-OOV training triple oov-1" in err
+        assert "role affiliate: 1 all-OOV triples excluded" in err
+
     def test_zero_trainable_roles_exit_nonzero(self, workspace):
         tmp, labeled, _, config = workspace
         neutral_only = tmp / "neutral.jsonl"

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -248,22 +249,50 @@ class TestTrainSkipgram:
     def test_negatives_never_equal_their_context(self, monkeypatch):
         from rolerank import embedding
 
-        draw = embedding._draw_negatives
+        draw = embedding._shared_negatives
         drawn = []
 
-        def recording(sampler, rng, contexts, k):
-            negatives = draw(sampler, rng, contexts, k)
-            drawn.append((contexts.copy(), negatives.copy()))
+        def recording(sampler, rng, ids, left, right, k):
+            negatives = draw(sampler, rng, ids, left, right, k)
+            drawn.append((ids.copy(), left.copy(), right.copy(), negatives.copy()))
             return negatives
 
-        monkeypatch.setattr(embedding, "_draw_negatives", recording)
-        corpus = [["a", "b", "a", "b", "b"]] * 20
-        train_skipgram(corpus, EmbeddingConfig(dim=4, negatives=5, epochs=2, seed=3))
-        assert len(drawn) == 40
-        for contexts, negatives in drawn:
-            assert negatives.shape == (len(contexts), 5)
-            # two words: every negative must be the word that is not the context
-            assert np.array_equal(negatives, np.repeat(1 - contexts[:, None], 5, axis=1))
+        monkeypatch.setattr(embedding, "_shared_negatives", recording)
+        corpus = [["a", "b", "a", "c", "b", "c", "a"], ["c", "a"], ["b"]] * 20
+        config = EmbeddingConfig(dim=4, window=2, negatives=5, epochs=2, seed=3)
+        model = train_skipgram(corpus, config)
+        assert len(drawn) == config.epochs
+        vocab = set(range(len(model.vocab)))
+        covered = avoided = 0
+        for ids, left, right, negatives in drawn:
+            centers = [i for i in range(len(ids)) if left[i] + right[i] > 0]
+            # one row per token with a context, in token order
+            assert negatives.shape == (len(centers), 5)
+            for i, row in zip(centers, negatives):
+                contexts = {int(ids[j]) for j in range(i - left[i], i + right[i] + 1) if j != i}
+                if contexts == vocab:
+                    covered += 1
+                else:
+                    assert not contexts & set(row.tolist())
+                    avoided += 1
+        assert covered and avoided
+
+    def test_contexts_covering_the_vocabulary_terminate(self):
+        # a center whose context words are the whole vocabulary cannot avoid
+        # them; redrawing its negatives would never end
+        def hung(signum, frame):
+            raise TimeoutError("train_skipgram did not return within 30 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            for corpus in ([["a", "b", "a", "b"]], [["a", "b", "c", "a", "b", "c"]]):
+                model = train_skipgram(corpus, EmbeddingConfig(window=5))
+                assert np.all(np.isfinite(model.input_vectors))
+                assert np.all(np.isfinite(model.output_vectors))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_one_word_vocabulary_trains(self):
         corpus = [["solo", "solo", "solo"]] * 3
@@ -282,11 +311,16 @@ class TestTrainerMatchesPairOperation:
     def test_two_word_corpus_replay(self):
         """One sentence is one step of pair_loss_and_gradients updates.
 
-        Replays the RNG substreams by hand for a one-sentence corpus: every
-        pair's gradients come from the vectors before the step, and each
-        row's lr-scaled contributions, in pair order (center, then context,
-        then negatives in draw order), are reduced with np.add.reduceat and
-        subtracted once. The final matrices must match bitwise.
+        Replays the RNG substreams by hand for a one-sentence corpus. Each
+        center draws k negatives that all of its pairs share; every pair's
+        gradients come from the vectors before the step, with its center's
+        shared negatives. A center's input row takes each pair's lr-scaled
+        center gradient in pair order. An output row takes each pair's
+        lr-scaled context gradient in pair order, then each shared
+        negative's gradient, scaled once by the sum of its center's pair
+        rates, in (center, slot) order. Each row's contributions are
+        reduced with np.add.reduceat and subtracted once; the final
+        matrices must match bitwise.
         """
         from collections import defaultdict
 
@@ -304,36 +338,43 @@ class TestTrainerMatchesPairOperation:
         inp = (make_rng(config.seed, "init").random((len(vocab), config.dim)) - 0.5) / config.dim
         out = np.zeros((len(vocab), config.dim))
         windows = make_rng(config.seed, "window").integers(1, config.window + 1, size=n)
-        pairs = [
-            (sentence[i], sentence[j])
+        contexts = [
+            [sentence[j] for j in range(max(0, i - windows[i]), min(n, i + windows[i] + 1))
+             if j != i]
             for i in range(n)
-            for j in range(max(0, i - windows[i]), min(n, i + windows[i] + 1))
-            if j != i
         ]
+        pairs = [(i, context) for i in range(n) for context in contexts[i]]
 
-        # slots fill row-major; rejected slots are redrawn row-major
+        # one row of k per center, filled row-major; a draw equal to any of
+        # the center's context words is redrawn, row-major over the rejected
+        # slots, unless those words cover the vocabulary
         stream = iter(UnigramSampler(vocab, config.unigram_power).sample_n(
             make_rng(config.seed, "negatives"), 10_000).tolist())
-        negatives = [[next(stream) for _ in range(k)] for _ in pairs]
+        negatives = [[next(stream) for _ in range(k)] for _ in range(n)]
         while True:
-            rejected = [(p, s) for p, (_, context) in enumerate(pairs)
-                        for s in range(k) if negatives[p][s] == context]
+            rejected = [(i, s) for i in range(n) for s in range(k)
+                        if len(set(contexts[i])) < len(vocab)
+                        and negatives[i][s] in contexts[i]]
             if not rejected:
                 break
-            for p, s in rejected:
-                negatives[p][s] = next(stream)
+            for i, s in rejected:
+                negatives[i][s] = next(stream)
 
         to_input, to_output = defaultdict(list), defaultdict(list)
-        for pair_index, ((center, context), negs) in enumerate(zip(pairs, negatives)):
+        rates, negative_grads = defaultdict(list), {}
+        for pair_index, (i, context) in enumerate(pairs):
             lr = config.lr_initial - (config.lr_initial - config.lr_final) * (
                 pair_index / (len(pairs) - 1))
             _, g_center, g_context, g_negs = pair_loss_and_gradients(
-                inp[center], out[context], [out[m] for m in negs]
+                inp[sentence[i]], out[context], [out[m] for m in negatives[i]]
             )
-            to_input[center].append(lr * g_center)
+            to_input[sentence[i]].append(lr * g_center)
             to_output[context].append(lr * g_context)
-            for m, g in zip(negs, g_negs):
-                to_output[m].append(lr * g)
+            rates[i].append(lr)
+            negative_grads[i] = g_negs  # the same for every pair of the center
+        for i in range(n):
+            for m, g in zip(negatives[i], negative_grads[i]):
+                to_output[m].append(sum(rates[i]) * g)
         assert max(len(v) for v in to_input.values()) > 1
         assert max(len(v) for v in to_output.values()) > 1
         for matrix, contributions in ((inp, to_input), (out, to_output)):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import re
 import sys
 from dataclasses import dataclass
@@ -381,10 +380,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
     parser.add_argument("--out", default="out", help="output directory (default ./out)")
-    parser.add_argument(
-        "-v", "--verbose", action="store_true",
-        help="also log progress notes (INFO) to stderr; by default only warnings",
-    )
 
 
 def _positive_int(text: str) -> int:
@@ -470,13 +465,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # the package's log records go to this run's stderr; the handler and
-    # level are undone on return, so repeated in-process runs do not stack
-    log = logging.getLogger("rolerank")
-    handler = logging.StreamHandler(sys.stderr)
-    previous_level = log.level
-    log.addHandler(handler)
-    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
     except (InputError, OSError) as exc:
@@ -485,9 +473,6 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    finally:
-        log.removeHandler(handler)
-        log.setLevel(previous_level)
 
 
 def entrypoint() -> None:

@@ -88,9 +88,10 @@ def train_role_models(
         pairs = [(t, b) for t in ordered if (b := binarize_label(t.label)) is not None]
         trainable = [t for t, _ in pairs]
         X, nonzero = featurize([t.sentences for t in trainable], embedding)
-        for triple, keep in zip(trainable, nonzero):
-            if not keep:
-                logger.info("dropping all-OOV training triple %s", triple.id)
+        if not nonzero.all():
+            dropped = [t.id for t, keep in zip(trainable, nonzero) if not keep]
+            logger.warning("role %s: %d all-OOV training triples excluded: %s",
+                           role, len(dropped), ", ".join(dropped))
         y = np.array([b for _, b in pairs], dtype=np.int64)[nonzero]
         if not len(y):
             skipped.append((role, SKIP_NO_TRAINABLE))
@@ -105,8 +106,6 @@ def train_role_models(
             continue
         role_config = replace(forest_config, seed=derive_seed(forest_config.seed, role))
         classifiers[role] = train_forest(X[nonzero], y, role_config, role=role)
-        if len(trainable) > len(y):
-            logger.info("role %s: %d all-OOV triples excluded", role, len(trainable) - len(y))
     if not classifiers:
         raise ValueError("no role has enough labeled data to train a classifier")
     return ModelBundle(embedding=embedding, classifiers=classifiers, skipped_roles=skipped)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 
 import pytest
 
@@ -230,7 +231,7 @@ class TestTrain:
         manifest = json.loads((out / "models" / "manifest.json").read_text())
         assert ["guarantor", "single-class"] in manifest["skipped"]
 
-    def test_verbose_logs_all_oov_triple(self, workspace, capsys):
+    def test_all_oov_triple_warned(self, workspace, caplog):
         tmp, labeled, _, config = workspace
         out = tmp / "oov-run"
         assert run("train-embeddings", "--data", labeled, "--config", config, "--out", out) == 0
@@ -239,15 +240,10 @@ class TestTrain:
             "id": "oov-1", "head": "H", "role": "affiliate", "tail": "T",
             "sentences": ["qqunseen zzunseen"], "label": "RELEVANT",
         }) + "\n")
-        train = ("train", "--labeled", with_oov, "--embeddings", out / "embeddings.txt",
-                 "--config", config, "--out", out)
-        capsys.readouterr()
-        assert run(*train) == 0
-        assert "all-OOV" not in capsys.readouterr().err
-        assert run(*train, "-v") == 0
-        err = capsys.readouterr().err
-        assert "dropping all-OOV training triple oov-1" in err
-        assert "role affiliate: 1 all-OOV triples excluded" in err
+        assert run("train", "--labeled", with_oov, "--embeddings", out / "embeddings.txt",
+                   "--config", config, "--out", out) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["role affiliate: 1 all-OOV training triples excluded: oov-1"]
 
     def test_zero_trainable_roles_exit_nonzero(self, workspace):
         tmp, labeled, _, config = workspace

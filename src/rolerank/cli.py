@@ -30,7 +30,9 @@ from pathlib import Path
 
 from . import embedding as emb
 from . import evaluation, forest, pipeline
-from .corpus import ContextualTriple, InputError, TripleParseError, build_corpus, load_triples, open_text
+from .corpus import (
+    ContextualTriple, InputError, TripleParseError, build_corpus, load_triples, open_atomic, open_text,
+)
 from .seeds import derive_seed
 
 DEFAULT_SEED = 42
@@ -262,7 +264,7 @@ def _stage_train(labeled, model, run: RunConfig, out_dir: Path) -> pipeline.Mode
         "roles": role_files,
         "skipped": [[role, reason] for role, reason in bundle.skipped_roles],
     }
-    with open(models_dir / "manifest.json", "w", encoding="utf-8") as f:
+    with open_atomic(models_dir / "manifest.json") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
     print(f"trained roles: {', '.join(sorted(bundle.classifiers))}")
@@ -278,7 +280,7 @@ def _stage_score(triples, bundle, out_dir: Path, per_role: bool = False) -> None
         scored = sorted(scored, key=lambda s: (s.triple.role, -s.score, s.triple.id))
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "scores.jsonl"
-    with open(out_path, "w", encoding="utf-8") as f:
+    with open_atomic(out_path) as f:
         pipeline.write_scored(scored, f)
     print(f"scored {len(scored)} triples -> {out_path}")
 
@@ -295,9 +297,9 @@ def _stage_evaluate(labeled, model, run: RunConfig, fractions, out_dir: Path) ->
             bundle, test, threshold=run.threshold, gains=run.gains
         )
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "report.json", "w", encoding="utf-8") as f:
+    with open_atomic(out_dir / "report.json") as f:
         evaluation.write_reports_json(runs, f)
-    with open(out_dir / "report.csv", "w", encoding="utf-8") as f:
+    with open_atomic(out_dir / "report.csv") as f:
         evaluation.write_reports_csv(runs, f)
     for fraction in sorted(runs):
         aggregate = runs[fraction].aggregate

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import enum
 import json
+import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 NUM_TOKEN = "<num>"
@@ -172,6 +174,24 @@ def open_text(path) -> Iterator[IO[str]]:
             yield f
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+@contextmanager
+def open_atomic(path) -> Iterator[IO[str]]:
+    """``path`` opened for writing UTF-8 text that appears whole or not at all.
+
+    Writes go to a temporary file in the same directory, which replaces
+    ``path`` (``os.replace``) only when the block ends without an
+    exception; otherwise it is removed and ``path`` keeps what it held.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # left only by a write that did not finish
 
 
 def load_triples(path) -> list[ContextualTriple]:

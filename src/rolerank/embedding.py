@@ -6,11 +6,14 @@ For every center word an effective window is drawn uniformly from
 are shared: each epoch draws one row of k negative words per center (a
 token with at least one in-window context), and every (center, context)
 pair of that center uses it. Steps are gather / score / scatter: one
-sentence is one step, every pair of the sentence is scored with the
-vectors as they stood before the step, and the gradients are summed per
-row and applied at once. The learning rate decays linearly over the
-total number of pairs. Vectors are finalized onto the unit hypersphere
-before any querying; the default dimensionality is 30.
+sentence is one step, scored with the vectors as they stood before it.
+A step gathers the sentence's distinct input rows and distinct output
+rows once, scores every pair and every shared negative as an entry of
+one score block, sums the entries' rate-weighted sigmoid coefficients
+into one coefficient matrix, and applies it to all of its rows in one
+subtract. The learning rate decays linearly over the total number of
+pairs. Vectors are finalized onto the unit hypersphere before any
+querying; the default dimensionality is 30.
 
 Negatives come from the ``negatives`` substream in token order, filling
 slots row-major. A draw equal to any of its center's in-window context
@@ -32,12 +35,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import open_text
+from .corpus import open_atomic, open_text
 from .seeds import make_rng
 
 logger = logging.getLogger(__name__)
 
 ZERO_NORM_EPS = 1e-12
+UNIT_NORM_TOL = 1e-6  # how far a loaded vector's norm may be from 1
 
 
 @dataclass(frozen=True)
@@ -136,31 +140,31 @@ class UnigramSampler:
         return np.searchsorted(self._cum, draws, side="right")
 
 
-def _sgns_terms(centers, contexts, owner, negatives, lr):
-    """Loss and lr-weighted gradients for t centers that share negatives.
+def _sgns_step(vectors, n_in, flat, sign, rate, mult):
+    """Loss and rate-weighted gradients of one step over its distinct rows.
 
-    ``centers`` is (t, d), ``negatives`` (t, k, d) and ``contexts`` (p, d);
-    pair i joins context i to center ``owner[i]`` with weight ``lr[i]``. A
-    pair's loss is -log sigmoid(u_ctx . v) - sum_j log sigmoid(-u_negj . v)
-    over its center's negatives; sigmoid(s) = exp(s - logaddexp(0, s))
-    keeps it overflow-free. Returns the loss per pair and lr * the gradient
-    wrt each pair's center and context; a center's shared negatives take
-    their gradient once, times the sum of its pairs' weights. Gradients
-    are scaled after they are formed, so weight 1 gives the plain gradient.
+    ``vectors`` holds the step's n_in distinct input rows, then its
+    distinct output rows. Each positive pair and each shared negative is
+    one entry of the (n_in, n_out) score block, at flat position ``flat``;
+    its score s is the dot product of its two rows. The entry's loss is
+    log(1 + exp(sign * s)), sign -1 for a positive pair and +1 for a
+    negative; its derivative uses sigmoid(x) = exp(x - logaddexp(0, x)),
+    which cannot overflow. ``mult`` counts the pairs that take the entry's
+    loss. Each entry's d loss / d s times its ``rate`` is summed, in entry
+    order, into one (n_in, n_out) coefficient matrix B by np.bincount.
+    Returns the mult-weighted loss sum and the rows' gradients: B @ outputs
+    for the input rows, then B.T @ inputs for the output rows. The products
+    are einsums because a BLAS gemm maps OpenBLAS buffers into RSS.
     """
-    at_pair = centers[owner]
-    pos = np.einsum("pd,pd->p", at_pair, contexts)
-    neg = np.einsum("td,tkd->tk", centers, negatives)
-    pos_loss = np.logaddexp(0.0, -pos)
-    neg_loss = np.logaddexp(0.0, neg)
-    pos_coeff = -np.exp(-pos - pos_loss)  # d loss / d pos
-    neg_coeff = np.exp(neg - neg_loss)  # d loss / d neg
-    neg_pull = np.einsum("tk,tkd->td", neg_coeff, negatives)
-    weight = np.bincount(owner, weights=lr, minlength=len(centers))
-    grad_centers = lr[:, None] * (pos_coeff[:, None] * contexts + neg_pull[owner])
-    grad_contexts = lr[:, None] * (pos_coeff[:, None] * at_pair)
-    grad_negatives = weight[:, None, None] * (neg_coeff[:, :, None] * centers[:, None, :])
-    return pos_loss + neg_loss.sum(axis=1)[owner], grad_centers, grad_contexts, grad_negatives
+    inputs, outputs = vectors[:n_in], vectors[n_in:]
+    signed = np.einsum("id,od->io", inputs, outputs).take(flat) * sign
+    loss = np.logaddexp(0.0, signed)
+    coeff = np.bincount(flat, sign * rate * np.exp(signed - loss), n_in * len(outputs))
+    coeff = coeff.reshape(n_in, len(outputs))
+    grad = np.concatenate(
+        (np.einsum("io,od->id", coeff, outputs), np.einsum("io,id->od", coeff, inputs))
+    )
+    return float(np.dot(mult, loss)), grad  # a vector dot: BLAS level 1, no gemm buffers
 
 
 def pair_loss_and_gradients(
@@ -186,10 +190,13 @@ def pair_loss_and_gradients(
             raise ValueError(
                 f"dimension mismatch: center has shape {center.shape}, got {v.shape}"
             )
-    loss, grad_center, grad_context, grad_negatives = _sgns_terms(
-        center[None], rows[0][None], np.zeros(1, dtype=np.intp), np.stack(negatives)[None], np.ones(1)
+    k = len(negatives)
+    sign = np.ones(1 + k)
+    sign[0] = -1.0
+    loss, grad = _sgns_step(
+        np.stack([center] + rows), 1, np.arange(1 + k), sign, np.ones(1 + k), np.ones(1 + k)
     )
-    return float(loss[0]), grad_center[0], grad_context[0], grad_negatives[0]
+    return loss, grad[0], grad[1], grad[2:]
 
 
 def _keep_probabilities(vocab: Vocabulary, threshold: float) -> np.ndarray:
@@ -203,12 +210,13 @@ def _keep_probabilities(vocab: Vocabulary, threshold: float) -> np.ndarray:
 def _epoch_layouts(encoded: list[np.ndarray], config: EmbeddingConfig, keep: np.ndarray | None):
     """Yield, per epoch, the effective sentences as flat (ids, left, right, lengths).
 
-    ``ids`` holds the kept tokens of every non-empty sentence back to
-    back, ``left``/``right`` how many in-window context words each token
-    has on either side, and ``lengths`` the sentence lengths. Each epoch
-    draws the subsampling and window substreams once, in a fixed order,
-    from substreams made afresh for every call, so a config always yields
-    the same layouts and only one epoch's layout is held at a time.
+    ``ids`` holds the kept tokens of every sentence that keeps at least
+    two back to back (a one-word sentence has no pairs), ``left`` and
+    ``right`` how many in-window context words each token has on either
+    side, and ``lengths`` the sentence lengths. Each epoch draws the
+    subsampling and window substreams once, in a fixed order, from
+    substreams made afresh for every call, so a config always yields the
+    same layouts and only one epoch's layout is held at a time.
     """
     tokens = np.concatenate(encoded)
     sentence_of = np.repeat(np.arange(len(encoded)), [len(s) for s in encoded])
@@ -220,23 +228,24 @@ def _epoch_layouts(encoded: list[np.ndarray], config: EmbeddingConfig, keep: np.
             kept = sub_rng.random(len(tokens)) < keep[tokens]
             ids, sentence = tokens[kept], sentence_of[kept]
         lengths = np.bincount(sentence)
-        lengths = lengths[lengths > 0]
-        pos = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         windows = win_rng.integers(1, config.window + 1, size=len(ids))
+        paired = lengths[sentence] > 1  # a one-word sentence has no pairs
+        ids, windows, lengths = ids[paired], windows[paired], lengths[lengths > 1]
+        pos = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         left = np.minimum(pos, windows)
         right = np.minimum(np.repeat(lengths, lengths) - 1 - pos, windows)
         yield ids, left, right, lengths
 
 
 def _shared_negatives(sampler, rng, ids, left, right, k: int) -> np.ndarray:
-    """(T, k) negative word ids for the epoch's T tokens that have a context.
+    """(T, k) negative word ids for the epoch's T tokens, which all have a context.
 
-    Row i belongs to the i-th such token in token order, and all of its
-    pairs share it. Slots are filled row-major from ``rng``; a draw equal
-    to any of its center's in-window context words is redrawn (again
-    row-major over the rejected slots) until none is left, except for a
-    center whose context words cover the whole vocabulary. Every other
-    center has a word left to draw, so the loop ends.
+    Row i belongs to token i, and all of its pairs share it. Slots are
+    filled row-major from ``rng``; a draw equal to any of its center's
+    in-window context words is redrawn (again row-major over the rejected
+    slots) until none is left, except for a center whose context words
+    cover the whole vocabulary. Every other center has a word left to
+    draw, so the loop ends.
     """
     window = int(max(left.max(initial=0), right.max(initial=0)))
 
@@ -248,7 +257,7 @@ def _shared_negatives(sampler, rng, ids, left, right, k: int) -> np.ndarray:
             hit |= (right[at] >= offset) & (ids.take(at + offset, mode="clip") == words)
         return hit
 
-    centers = np.flatnonzero(left + right)
+    centers = np.arange(len(ids))
     vocab_size = len(sampler.probabilities)
     covered = np.zeros(len(centers), dtype=bool)
     if vocab_size <= 2 * window:  # only then can the contexts cover the vocabulary
@@ -276,16 +285,50 @@ def _pairs(left: np.ndarray, right: np.ndarray):
     return center, context
 
 
-def _subtract_rows(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
-    """matrix[rows] -= updates, with the updates to a repeated row summed.
+STEP_BLOCK = 64  # sentences laid out per _block_steps call; bounds its arrays, not the result
 
-    A stable argsort groups each row's updates in their original order;
-    np.add.reduceat reduces every group and the sum is subtracted once.
+
+def _block_steps(ids, left, right, lengths, negatives, lr, vocab_size: int):
+    """Lay out the sentence steps of a block of sentences for ``_sgns_step``.
+
+    Takes the block's tokens, sentence lengths, negative output rows and
+    pair rates. A step's rows are its sentence's distinct input rows, then
+    its distinct output rows, each ascending; its entries are its pairs in
+    pair order, then its centers' shared negatives in (center, slot) order.
+    Returns the steps' rows back to back, the per-step (first row, first
+    output row, end row, first entry, end entry), and the entries' flat
+    index, sign, rate and loss multiplicity, grouped by step.
     """
-    order = np.argsort(rows, kind="stable")
-    rows = rows[order]
-    first = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-    matrix[rows[first]] -= np.add.reduceat(updates[order], first, axis=0)
+    k, span = negatives.shape[1], 2 * vocab_size
+    owner, context = _pairs(left, right)
+    n_pairs, n_tokens = len(owner), len(ids)
+    sentence = np.repeat(np.arange(len(lengths)), lengths)
+    center = np.concatenate((owner, np.repeat(np.arange(n_tokens), k)))  # per entry
+    step = sentence[center]
+    # a key is step * span + row, so each step's input rows (< V) sort first
+    outputs = np.concatenate((ids[context] + vocab_size, negatives.ravel()))
+    keys, at = np.unique(
+        np.concatenate((sentence * span + ids, step * span + outputs)), return_inverse=True
+    )
+    rows = keys % span
+    n_rows = np.bincount(keys // span)
+    n_in = np.bincount(keys[rows < vocab_size] // span, minlength=len(lengths))
+    row_starts = np.cumsum(n_rows) - n_rows
+    out_starts = row_starts + n_in
+    flat = (at[center] - row_starts[step]) * (n_rows - n_in)[step]
+    flat += at[n_tokens:] - out_starts[step]
+    sign = np.ones(len(flat))
+    sign[:n_pairs] = -1.0
+    rate = np.concatenate((lr, np.repeat(np.bincount(owner, lr, n_tokens), k)))
+    mult = np.concatenate((np.ones(n_pairs), np.repeat(left + right, k)))
+    order = np.argsort(step, kind="stable")
+    n_entries = np.bincount(step)
+    entry_starts = np.cumsum(n_entries) - n_entries
+    bounds = zip(
+        row_starts.tolist(), out_starts.tolist(), (row_starts + n_rows).tolist(),
+        entry_starts.tolist(), (entry_starts + n_entries).tolist(),
+    )
+    return rows, bounds, flat[order], sign[order], rate[order], mult[order]
 
 
 def _train_epoch(weights, ids, left, right, lengths, negatives, lr) -> float:
@@ -293,34 +336,28 @@ def _train_epoch(weights, ids, left, right, lengths, negatives, lr) -> float:
 
     ``negatives`` holds the output rows of the epoch's shared negatives
     (see ``_shared_negatives``) and ``lr`` the rates of its pairs in
-    order. Returns the sum of the pair losses. The epoch's pair arrays
-    live only in this call, so one epoch's are freed before the next's.
+    order. Returns the sum of the pair losses. Steps are laid out
+    STEP_BLOCK sentences at a time (``_block_steps``), so the arrays the
+    steps read stay small whatever the corpus size.
     """
-    vocab_size, dim = len(weights) // 2, weights.shape[1]
-    owners, contexts = _pairs(left, right)
-    contexts = ids.take(contexts)
-    contexts += vocab_size
-    ends = np.cumsum(lengths)
-    pair_ends = np.cumsum(left + right)[ends - 1]
-    loss_sum, start, pair_start, row = 0.0, 0, 0, 0
-    for end, pair_end in zip(ends.tolist(), pair_ends.tolist()):
-        if pair_start == pair_end:  # a one-word sentence has no pairs
-            start = end
-            continue
-        centers = ids[start:end]
-        owner = owners[pair_start:pair_end] - start
-        context_rows = contexts[pair_start:pair_end]
-        shared = negatives[row:row + len(centers)]
-        loss, grad_centers, grad_contexts, grad_negatives = _sgns_terms(
-            weights[centers], weights[context_rows], owner, weights[shared], lr[pair_start:pair_end]
+    vocab_size = len(weights) // 2
+    loss_sum, t0, p0 = 0.0, 0, 0
+    for first in range(0, len(lengths), STEP_BLOCK):
+        block = lengths[first:first + STEP_BLOCK]
+        t1 = t0 + int(block.sum())
+        p1 = p0 + int(left[t0:t1].sum() + right[t0:t1].sum())
+        rows, bounds, flat, sign, rate, mult = _block_steps(
+            ids[t0:t1], left[t0:t1], right[t0:t1], block, negatives[t0:t1], lr[p0:p1], vocab_size
         )
-        _subtract_rows(
-            weights,
-            np.concatenate((centers[owner], context_rows, shared.ravel())),
-            np.concatenate((grad_centers, grad_contexts, grad_negatives.reshape(-1, dim))),
-        )
-        loss_sum += loss.sum()
-        start, pair_start, row = end, pair_end, row + len(centers)
+        for r0, r_out, r1, e0, e1 in bounds:
+            step_rows = rows[r0:r1]
+            vectors = weights[step_rows]
+            loss, grad = _sgns_step(
+                vectors, r_out - r0, flat[e0:e1], sign[e0:e1], rate[e0:e1], mult[e0:e1]
+            )
+            weights[step_rows] = vectors - grad
+            loss_sum += loss
+        t0, p0 = t1, p1
     return loss_sum
 
 
@@ -333,16 +370,19 @@ def train_skipgram(
     Then one sentence is one update step, scored with the vectors as they
     stood before the step. The pair at global index i gets learning rate
     lr_initial - (lr_initial - lr_final) * i / (total_pairs - 1). A pair's
-    loss is its positive term plus its center's negative term, so the
-    center's input row takes lr * the pair's center gradient and the
-    context's output row lr * the context gradient. Each shared
-    negative's output row takes the center's negative gradient once,
-    scaled by the sum of the rates of the center's pairs, which equals
-    what each pair would add; ``epoch_losses`` holds each epoch's mean
-    per-pair loss. The contributions to an input row are ordered by pair;
-    those to an output row by pair as a context, then by (center, slot)
-    as a negative. Each row's are reduced with np.add.reduceat and
-    subtracted once. The run is bit-reproducible for a fixed seed.
+    loss is its positive term plus its center's negative term;
+    ``epoch_losses`` holds each epoch's mean per-pair loss.
+
+    A step gathers its sentence's distinct input rows G_in and distinct
+    output rows G_out (each ascending) and computes their scores as one
+    block G_in G_out^T (``_sgns_step``). Each pair is an entry of it with
+    the pair's rate. Each of a center's shared negatives is an entry with
+    the sum of the rates of the center's pairs, which equals what each
+    pair would add, and its loss counts once per pair. The entries' d loss
+    / d score times their rates are summed, pairs in pair order and then
+    negatives in (center, slot) order, into one coefficient matrix B; the
+    input rows take B G_out and the output rows B^T G_in, in one subtract.
+    The run is bit-reproducible for a fixed seed.
     """
     vocab = build_vocabulary(corpus, config.min_count)
     encoded = []
@@ -355,7 +395,7 @@ def train_skipgram(
 
     vocab_size, dim, k = len(vocab), config.dim, config.negatives
     # input vectors are rows [0, V), output vectors rows [V, 2V) of one
-    # matrix, so a step is one scatter
+    # matrix, so a step is one gather and one scatter
     weights = np.zeros((2 * vocab_size, dim))
     weights[:vocab_size] = (make_rng(config.seed, "init").random((vocab_size, dim)) - 0.5) / dim
     sampler = UnigramSampler(vocab, config.unigram_power)
@@ -445,7 +485,7 @@ def save_embedding(model: EmbeddingModel, path) -> None:
     """Write a finalized model in the text format: header, one word per line."""
     if not model.finalized:
         raise ValueError("only finalized models are persisted")
-    with open(path, "w", encoding="utf-8") as f:
+    with open_atomic(path) as f:
         f.write(f"{len(model.vocab)} {model.dim}\n")
         for i, word in enumerate(model.vocab.words):
             floats = " ".join(repr(float(x)) for x in model.input_vectors[i])
@@ -455,8 +495,9 @@ def save_embedding(model: EmbeddingModel, path) -> None:
 def load_embedding(path) -> EmbeddingModel:
     """Load a finalized model written by save_embedding.
 
-    Validates the header counts, per-line arity and that every value is a
-    finite number. Counts are not stored in the format, so loaded models
+    Validates the header counts, per-line arity, that every value is a
+    finite number and that every vector has unit norm (within
+    UNIT_NORM_TOL). Counts are not stored in the format, so loaded models
     are query-only (they can back feature extraction and neighbor queries
     but not further training).
     """
@@ -470,6 +511,7 @@ def load_embedding(path) -> EmbeddingModel:
             raise ValueError(f"{path}: header must be two integers") from None
         words: list[str] = []
         rows: list[np.ndarray] = []
+        line_nos: list[int] = []
         index: dict[str, int] = {}
         for line_no, line in enumerate(f, start=2):
             parts = line.split()
@@ -491,12 +533,22 @@ def load_embedding(path) -> EmbeddingModel:
             if not np.isfinite(row).all():
                 raise ValueError(f"{path}: line {line_no}: non-finite value")
             rows.append(row)
+            line_nos.append(line_no)
     if len(words) != expected_v:
         raise ValueError(f"{path}: header claims {expected_v} words, found {len(words)}")
+    vectors = np.vstack(rows) if rows else np.zeros((0, dim))
+    norms = np.linalg.norm(vectors, axis=1)
+    off_unit = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
+    if len(off_unit):
+        first = off_unit[0]
+        raise ValueError(
+            f"{path}: line {line_nos[first]}: vector norm {norms[first]:.9g} is not 1 "
+            f"(tolerance {UNIT_NORM_TOL:g})"
+        )
     vocab = Vocabulary(words=tuple(words), counts={}, index=index)
     return EmbeddingModel(
         vocab=vocab,
-        input_vectors=np.vstack(rows) if rows else np.zeros((0, dim)),
+        input_vectors=vectors,
         output_vectors=None,
         finalized=True,
     )

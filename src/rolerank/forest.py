@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import open_atomic
 from .seeds import make_rng
 
 
@@ -354,7 +355,7 @@ def classifier_from_json(text: str) -> RoleClassifier:
 
 
 def save_classifier(classifier: RoleClassifier, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with open_atomic(path) as f:
         f.write(classifier_to_json(classifier) + "\n")
 
 

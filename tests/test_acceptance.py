@@ -23,7 +23,7 @@ from rolerank.embedding import (
     nearest_neighbors,
     pair_loss_and_gradients,
     train_skipgram,
-    _sgns_terms,
+    _sgns_step,
 )
 from rolerank.evaluation import GainMap, evaluate, ndcg, split_train_test
 from rolerank.features import featurize
@@ -87,28 +87,27 @@ def test_c1_gradient_correctness():
 
 
 def test_shared_negative_gradients_match_finite_differences():
-    """One center, four contexts sharing k=3 negatives: the lr-weighted
-    gradients the trainer applies match central finite differences of
-    sum_i lr_i * loss_i (rel err < 1e-4), for the center, each context and
-    each negative."""
+    """One center, four contexts sharing k=3 negatives, as one step of the
+    trainer's kernel: the lr-weighted gradients it applies match central
+    finite differences of sum_i lr_i * loss_i (rel err < 1e-4), for the
+    center, each context and each negative. That objective is the kernel's
+    loss with each entry's loss counted by its rate."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(104)
     eps = 1e-5
     p, k = 4, 3
-    owner = np.zeros(p, dtype=np.intp)
+    flat = np.arange(p + k)  # one input row against p context and k negative rows
+    sign = np.repeat([-1.0, 1.0], [p, k])
     for d in (2, 5, 30):
         for _ in range(5):
             vectors = rng.normal(scale=1 / math.sqrt(d), size=(1 + p + k, d))
             lr = rng.uniform(0.5, 1.5, size=p)
+            rate = np.concatenate((lr, np.full(k, lr.sum())))
 
             def loss_at(v):
-                loss = _sgns_terms(v[:1], v[1:1 + p], owner, v[None, 1 + p:], lr)[0]
-                return float(lr @ loss)
+                return _sgns_step(v, 1, flat, sign, rate, rate)[0]
 
-            _, g_centers, g_contexts, g_negatives = _sgns_terms(
-                vectors[:1], vectors[1:1 + p], owner, vectors[None, 1 + p:], lr
-            )
-            analytic = np.concatenate([g_centers.sum(axis=0), g_contexts.ravel(), g_negatives.ravel()])
+            analytic = _sgns_step(vectors, 1, flat, sign, rate, np.ones(p + k))[1].ravel()
             numeric = np.empty_like(analytic)
             for pos, (row, comp) in enumerate(np.ndindex(vectors.shape)):
                 bump = np.zeros_like(vectors)

@@ -245,6 +245,23 @@ class TestTrain:
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert warnings == ["role affiliate: 1 all-OOV training triples excluded: oov-1"]
 
+    def test_interrupted_manifest_write_keeps_the_old_manifest(self, trained, monkeypatch):
+        _, labeled, _, config, out = trained
+        manifest = out / "models" / "manifest.json"
+        before = manifest.read_text()
+
+        def interrupted(obj, f, **kwargs):
+            f.write('{"roles": ')
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(json, "dump", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run("train", "--labeled", labeled, "--embeddings", out / "embeddings.txt",
+                "--config", config, "--out", out)
+        assert manifest.read_text() == before
+        assert sorted(p.name for p in manifest.parent.iterdir()) == [
+            "affiliate.json", "manifest.json", "trustee.json"]
+
     def test_zero_trainable_roles_exit_nonzero(self, workspace):
         tmp, labeled, _, config = workspace
         neutral_only = tmp / "neutral.jsonl"
@@ -371,6 +388,21 @@ class TestScore:
         assert code == 1
         err = capsys.readouterr().err
         assert f"{path}: line 3: non-finite value" in err
+        assert not (tmp_path / "scores.jsonl").exists()
+
+    def test_off_unit_embedding_named(self, trained, tmp_path, capsys):
+        _, labeled, _, _, out = trained
+        path = out / "embeddings.txt"
+        lines = path.read_text().splitlines()
+        word, _, rest = lines[2].partition(" ")
+        lines[2] = " ".join([word] + [repr(2 * float(x)) for x in rest.split()])
+        path.write_text("\n".join(lines) + "\n")
+        code = run("score", "--triples", labeled, "--models", out / "models",
+                   "--embeddings", path, "--out", tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{path}: line 3: vector norm 2 is not 1" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "scores.jsonl").exists()
 
 

@@ -218,6 +218,20 @@ class TestTrainSkipgram:
         assert np.array_equal(m1.input_vectors, m2.input_vectors)
         assert np.array_equal(m1.output_vectors, m2.output_vectors)
 
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_step_block_size_does_not_change_the_result(self, monkeypatch, block):
+        from rolerank import embedding
+
+        # subsampling leaves some sentences with one word, which have no step
+        corpus = clique_corpus(sentences_per_clique=60)
+        config = EmbeddingConfig(dim=6, epochs=2, seed=8, subsample=1e-2)
+        expected = train_skipgram(corpus, config)
+        monkeypatch.setattr(embedding, "STEP_BLOCK", block)
+        model = train_skipgram(corpus, config)
+        assert np.array_equal(model.input_vectors, expected.input_vectors)
+        assert np.array_equal(model.output_vectors, expected.output_vectors)
+        assert model.epoch_losses == expected.epoch_losses
+
     def test_cliques_cluster(self):
         corpus = clique_corpus(sentences_per_clique=300)
         model = finalize(train_skipgram(corpus, EmbeddingConfig(dim=10, epochs=10, seed=3)))
@@ -307,82 +321,151 @@ class TestTrainSkipgram:
         assert "rare" not in model.vocab
 
 
+def replay_first_epoch(corpus, config):
+    """Replay the substreams of a first epoch without subsampling by hand.
+
+    Returns the vocabulary and, per sentence with a pair, its word ids, the
+    context words of each token in pair order and each token's k shared
+    negatives. Windows are drawn for every token, one-word sentences
+    included; negatives fill one row of k per token with a context, in
+    token order and row-major, and a draw equal to any of its center's
+    context words is redrawn, row-major over the rejected slots of the
+    whole epoch, unless those words cover the vocabulary.
+    """
+    from rolerank.embedding import UnigramSampler, build_vocabulary
+    from rolerank.seeds import make_rng
+
+    vocab = build_vocabulary(corpus)
+    encoded = [[vocab.index[w] for w in sentence] for sentence in corpus]
+    windows = iter(make_rng(config.seed, "window").integers(
+        1, config.window + 1, size=sum(map(len, encoded))).tolist())
+    steps = []
+    for sentence in encoded:
+        n = len(sentence)
+        spans = [next(windows) for _ in range(n)]
+        if n > 1:
+            contexts = [[sentence[j] for j in range(max(0, i - spans[i]), min(n, i + spans[i] + 1))
+                         if j != i] for i in range(n)]
+            steps.append((sentence, contexts))
+    stream = iter(UnigramSampler(vocab, config.unigram_power).sample_n(
+        make_rng(config.seed, "negatives"), 100_000).tolist())
+    rows = [(contexts[i], [next(stream) for _ in range(config.negatives)])
+            for _, contexts in steps for i in range(len(contexts))]
+    while True:
+        rejected = [(contexts, row, s) for contexts, row in rows for s in range(len(row))
+                    if len(set(contexts)) < len(vocab) and row[s] in contexts]
+        if not rejected:
+            break
+        for _, row, s in rejected:
+            row[s] = next(stream)
+    negatives = iter(row for _, row in rows)
+    return vocab, [(sentence, contexts, [next(negatives) for _ in sentence])
+                   for sentence, contexts in steps]
+
+
+def initial_vectors(vocab, config):
+    from rolerank.seeds import make_rng
+
+    inp = (make_rng(config.seed, "init").random((len(vocab), config.dim)) - 0.5) / config.dim
+    return inp, np.zeros((len(vocab), config.dim))
+
+
+def pair_rates(config, n_pairs):
+    return [config.lr_initial - (config.lr_initial - config.lr_final) * (i / (n_pairs - 1))
+            for i in range(n_pairs)]
+
+
 class TestTrainerMatchesPairOperation:
     def test_two_word_corpus_replay(self):
-        """One sentence is one step of pair_loss_and_gradients updates.
+        """One sentence is one step over its distinct rows, replayed by hand.
 
-        Replays the RNG substreams by hand for a one-sentence corpus. Each
-        center draws k negatives that all of its pairs share; every pair's
-        gradients come from the vectors before the step, with its center's
-        shared negatives. A center's input row takes each pair's lr-scaled
-        center gradient in pair order. An output row takes each pair's
-        lr-scaled context gradient in pair order, then each shared
-        negative's gradient, scaled once by the sum of its center's pair
-        rates, in (center, slot) order. Each row's contributions are
-        reduced with np.add.reduceat and subtracted once; the final
-        matrices must match bitwise.
+        The step gathers the sentence's distinct input rows G_in and
+        distinct output rows G_out, each ascending, and scores them as one
+        block. Its entries are the pairs in pair order (sign -1, the pair's
+        rate), then each center's shared negatives in (center, slot) order
+        (sign +1, the sum of the center's pair rates). Each entry's
+        rate * sign * sigmoid(sign * score) is added into its cell of a
+        coefficient matrix B in entry order; the input rows take B G_out
+        and the output rows B^T G_in. The final matrices must match bitwise.
         """
-        from collections import defaultdict
-
-        from rolerank.embedding import UnigramSampler, build_vocabulary
-        from rolerank.seeds import make_rng
+        from collections import Counter
 
         config = EmbeddingConfig(dim=4, window=2, negatives=2, epochs=1,
                                  lr_initial=0.1, lr_final=0.05, seed=77)
-        corpus = [["a", "b", "a", "c"]]
+        # the second step scores against the output rows the first one moved
+        corpus = [["a", "b", "a", "c"], ["c", "a", "b", "a"]]
         model = train_skipgram(corpus, config)
 
-        vocab = build_vocabulary(corpus)
-        sentence = [vocab.index[w] for w in corpus[0]]
-        n, k = len(sentence), config.negatives
-        inp = (make_rng(config.seed, "init").random((len(vocab), config.dim)) - 0.5) / config.dim
-        out = np.zeros((len(vocab), config.dim))
-        windows = make_rng(config.seed, "window").integers(1, config.window + 1, size=n)
-        contexts = [
-            [sentence[j] for j in range(max(0, i - windows[i]), min(n, i + windows[i] + 1))
-             if j != i]
-            for i in range(n)
-        ]
-        pairs = [(i, context) for i in range(n) for context in contexts[i]]
+        vocab, steps = replay_first_epoch(corpus, config)
+        inp, out = initial_vectors(vocab, config)
+        rates = iter(pair_rates(config, sum(len(c) for _, contexts, _ in steps for c in contexts)))
+        per_input_row, per_output_row = [], []
+        for sentence, contexts, negatives in steps:
+            pairs = [(i, context, next(rates))
+                     for i in range(len(sentence)) for context in contexts[i]]
+            entries = [(sentence[i], context, -1.0, lr) for i, context, lr in pairs]
+            for i, row in enumerate(negatives):
+                center_rate = sum(lr for j, _, lr in pairs if j == i)
+                entries += [(sentence[i], m, 1.0, center_rate) for m in row]
+            in_rows = sorted(set(sentence))
+            out_rows = sorted({m for _, m, _, _ in entries})
+            cells = [(in_rows.index(w), out_rows.index(m)) for w, m, _, _ in entries]
+            sign = np.array([e[2] for e in entries])
+            rate = np.array([e[3] for e in entries])
+            g_in, g_out = inp[in_rows], out[out_rows]
+            scores = np.einsum("id,od->io", g_in, g_out)
+            signed = np.array([scores[cell] for cell in cells]) * sign
+            coefficients = rate * sign * np.exp(signed - np.logaddexp(0.0, signed))
+            b = np.zeros((len(in_rows), len(out_rows)))
+            for cell, c in zip(cells, coefficients):
+                b[cell] += c
+            inp[in_rows] = g_in - np.einsum("io,od->id", b, g_out)
+            out[out_rows] = g_out - np.einsum("io,id->od", b, g_in)
+            per_input_row += Counter(i for i, _ in cells).values()
+            per_output_row += Counter(o for _, o in cells).values()
 
-        # one row of k per center, filled row-major; a draw equal to any of
-        # the center's context words is redrawn, row-major over the rejected
-        # slots, unless those words cover the vocabulary
-        stream = iter(UnigramSampler(vocab, config.unigram_power).sample_n(
-            make_rng(config.seed, "negatives"), 10_000).tolist())
-        negatives = [[next(stream) for _ in range(k)] for _ in range(n)]
-        while True:
-            rejected = [(i, s) for i in range(n) for s in range(k)
-                        if len(set(contexts[i])) < len(vocab)
-                        and negatives[i][s] in contexts[i]]
-            if not rejected:
-                break
-            for i, s in rejected:
-                negatives[i][s] = next(stream)
-
-        to_input, to_output = defaultdict(list), defaultdict(list)
-        rates, negative_grads = defaultdict(list), {}
-        for pair_index, (i, context) in enumerate(pairs):
-            lr = config.lr_initial - (config.lr_initial - config.lr_final) * (
-                pair_index / (len(pairs) - 1))
-            _, g_center, g_context, g_negs = pair_loss_and_gradients(
-                inp[sentence[i]], out[context], [out[m] for m in negatives[i]]
-            )
-            to_input[sentence[i]].append(lr * g_center)
-            to_output[context].append(lr * g_context)
-            rates[i].append(lr)
-            negative_grads[i] = g_negs  # the same for every pair of the center
-        for i in range(n):
-            for m, g in zip(negatives[i], negative_grads[i]):
-                to_output[m].append(sum(rates[i]) * g)
-        assert max(len(v) for v in to_input.values()) > 1
-        assert max(len(v) for v in to_output.values()) > 1
-        for matrix, contributions in ((inp, to_input), (out, to_output)):
-            for row, updates in contributions.items():
-                matrix[row] = matrix[row] - np.add.reduceat(np.stack(updates), [0], axis=0)[0]
-
+        assert max(per_input_row) > 1
+        assert max(per_output_row) > 1
         assert np.array_equal(model.input_vectors, inp)
         assert np.array_equal(model.output_vectors, out)
+
+    def test_epoch_matches_per_pair_reference(self):
+        """One epoch on several sentences with repeated words equals the
+        per-pair update: pair_loss_and_gradients for every pair with the
+        vectors before its step, the center and context gradients times the
+        pair's rate, each shared negative's gradient once per center times
+        the sum of its pair rates, summed per row and subtracted at the end
+        of the step. Only the summation order differs, so rtol 1e-12."""
+        config = EmbeddingConfig(dim=5, window=3, negatives=3, epochs=1, seed=91)
+        corpus = [["a", "b", "a", "c", "d", "a", "b"], ["c", "c", "e"], ["d"],
+                  ["e", "a", "b", "a"], ["b", "d"]] * 3
+        model = train_skipgram(corpus, config)
+
+        vocab, steps = replay_first_epoch(corpus, config)
+        inp, out = initial_vectors(vocab, config)
+        rates = iter(pair_rates(config, sum(len(c) for _, contexts, _ in steps for c in contexts)))
+        loss_sum, n_pairs = 0.0, 0
+        for sentence, contexts, negatives in steps:
+            grad_in, grad_out = np.zeros_like(inp), np.zeros_like(out)
+            for i, word in enumerate(sentence):
+                center_rates = 0.0
+                for context in contexts[i]:
+                    lr = next(rates)
+                    loss, g_center, g_context, g_negatives = pair_loss_and_gradients(
+                        inp[word], out[context], out[negatives[i]])
+                    grad_in[word] += lr * g_center
+                    grad_out[context] += lr * g_context
+                    center_rates += lr
+                    loss_sum += loss
+                    n_pairs += 1
+                for m, g in zip(negatives[i], g_negatives):  # the same for each pair of i
+                    grad_out[m] += center_rates * g
+            inp -= grad_in
+            out -= grad_out
+
+        np.testing.assert_allclose(model.input_vectors, inp, rtol=1e-12)
+        np.testing.assert_allclose(model.output_vectors, out, rtol=1e-12)
+        assert model.epoch_losses[0] == pytest.approx(loss_sum / n_pairs, rel=1e-12)
 
 
 class TestFinalize:
@@ -478,9 +561,16 @@ class TestPersistence:
 
     def test_header_and_arity(self, tmp_path):
         path = tmp_path / "emb.txt"
-        path.write_text("2 3\nw 0.1 0.2 0.3\nv 0.4 0.5 0.6\n")
+        path.write_text("2 3\nw 0.6 0.8 0\nv 0 0 -1\n")
         model = load_embedding(path)
         assert model.vocab.words == ("w", "v")
+
+        # a norm off 1 by more than the C2 tolerance names its line
+        path.write_text("3 2\nw 0.6 0.8\n\nv 0.6 0.8000013\nu 0 3\n")
+        with pytest.raises(ValueError, match=r"line 4: vector norm 1\.0000010\d* is not 1"):
+            load_embedding(path)
+        path.write_text("1 2\nw 0.6 0.800000799\n")
+        assert load_embedding(path).vocab.words == ("w",)
 
         path.write_text("junk\n")
         with pytest.raises(ValueError, match="header"):
@@ -506,6 +596,24 @@ class TestPersistence:
         path.write_text("1 2\nw 0.1 abc\n")
         with pytest.raises(ValueError, match="line 2: non-numeric"):
             load_embedding(path)
+
+    def test_interrupted_save_leaves_no_partial_file(self, tmp_path):
+        class Interrupted:  # reading the third vector is interrupted
+            shape = (3, 2)
+
+            def __getitem__(self, i):
+                if i == 2:
+                    raise KeyboardInterrupt
+                return np.array([0.6, 0.8])
+
+        path = tmp_path / "emb.txt"
+        path.write_text("1 2\nold 0.6 0.8\n")
+        model = make_model(["a", "b", "c"], np.zeros((3, 2)))
+        model.input_vectors = Interrupted()
+        with pytest.raises(KeyboardInterrupt):
+            save_embedding(model, path)
+        assert path.read_text() == "1 2\nold 0.6 0.8\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_unfinalized_not_persisted(self, tmp_path):
         model = make_model(["w"], np.ones((1, 2)), finalized=False)

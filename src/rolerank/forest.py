@@ -5,10 +5,18 @@ greedy splits; at every node a random subset of features is considered
 and the best Gini-decrease threshold (midpoints between consecutive
 distinct values) is chosen. Leaves store the positive-class fraction of
 the samples that reached them, and the forest's score is the mean leaf
-fraction over trees, read as a probability in [0, 1]. A node's split
-search is one batch of numpy calls over the sorted (samples, candidate
-features) block: a float pass shortlists the cuts near the best ratio
-over all candidates and exact integer arithmetic settles the winner.
+fraction over trees, read as a probability in [0, 1].
+
+A forest's trees grow in lockstep rounds. Each tree keeps its own RNG,
+bootstrap draw and depth-first stack, so its draws and node order are
+those of growing it alone; in each round every unfinished tree writes
+leaves until it reaches a node that needs a split search, and all of
+the round's such nodes are searched together. X is ranked once per
+column; each (node, candidate feature) column becomes one group of a
+single sort over integer keys (group, rank, label), a segmented cumulative
+sum gives the positives left of every cut, a float pass shortlists each
+node's cuts near its best ratio and exact integer arithmetic settles
+the winner.
 
 A forest is the struct-of-arrays layout of scikit-learn's ``Tree``: the
 nodes of all trees, in preorder, as arrays ``feature``, ``threshold``,
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -79,6 +88,139 @@ class RoleClassifier:
     value: np.ndarray
 
 
+# Most (sample, feature) entries one batched split search sorts at once;
+# a round's nodes are searched in chunks of this size, and a node larger
+# than it is searched alone.
+SPLIT_BLOCK = 1 << 14
+
+
+def _sort_codes(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's per-column rank with its label, and the sorted columns.
+
+    Returns ``codes`` (n, d), ``rank << 1 | label``, and ``S``, X sorted
+    column by column. Equal values share the rank of their first
+    occurrence in S, so ``S[rank[i, f], f] == X[i, f]`` and two samples'
+    values differ exactly when their ranks do.
+    """
+    n, d = X.shape
+    order = np.argsort(X, axis=0, kind="stable")
+    S = np.take_along_axis(X, order, axis=0)
+    first = np.ones((n, d), dtype=bool)
+    first[1:] = S[1:] != S[:-1]
+    run_start = np.maximum.accumulate(np.where(first, np.arange(n)[:, None], 0), axis=0)
+    codes = np.empty((n, d), dtype=np.int64)
+    np.put_along_axis(codes, order, run_start << 1, axis=0)
+    return codes | y[:, None], S
+
+
+def _split_chunk(X, codes, S, samples, nodes, min_samples_leaf):
+    """Split each (start, stop, candidates) node of one chunk; see _split_batch."""
+    n_all, d = X.shape
+    starts = np.array([start for start, _, _ in nodes])
+    sizes = np.array([stop for _, stop, _ in nodes]) - starts
+    candidates = np.sort(np.array([features for *_, features in nodes]), axis=1)
+    m = candidates.shape[1]
+    row_start = np.cumsum(sizes) - sizes
+    row_node = np.repeat(np.arange(len(nodes)), sizes)
+    at = np.arange(len(row_node)) + np.repeat(starts - row_start, sizes)
+    rows = samples[at]
+    # group node * m + j is the node's j-th lowest candidate feature, so the
+    # groups of a node run feature by feature; one sort orders every group
+    # by rank, and the label rides in the lowest bit
+    shift = n_all.bit_length() + 1
+    keys = (row_node[:, None] * m + np.arange(m)) << shift
+    keys |= codes.take(rows[:, None] * d + candidates[row_node])
+    if (len(nodes) * m) << shift <= np.iinfo(np.int32).max:
+        keys = keys.astype(np.int32)  # sorts twice as fast
+    keys = np.sort(keys, axis=None)
+
+    # per entry, as exact float64 counts: samples and positives on either
+    # side of the cut after it (a group's last entry has nr == 0)
+    group_size = np.repeat(sizes, m)
+    group_end = np.cumsum(group_size)
+    group_start = group_end - group_size
+    cum = np.concatenate(([0.0], np.cumsum(keys & 1, dtype=np.float64)))
+    entry = np.arange(1.0, len(keys) + 1.0)
+    nl = entry - np.repeat(group_start.astype(np.float64), group_size)
+    nr = np.repeat(group_end.astype(np.float64), group_size) - entry
+    pl = cum[1:] - np.repeat(cum[group_start], group_size)
+    pr = np.repeat(cum[group_end], group_size) - cum[1:]
+    # a cut needs distinct ranks on its two sides; the next group's first
+    # key never counts, as nr == 0 there
+    step = keys >> 1
+    cut = np.append(step[:-1] != step[1:], False) & (nr >= min_samples_leaf)
+    cut &= nl >= min_samples_leaf
+    # 2 * (pl^2/nl + pr^2/nr) + n - 2 * pos is the decrease's monotone ratio
+    # t / (nl * nr); the float only shortlists, within rounding of each
+    # node's maximum
+    q = np.where(cut, pl * pl / nl + pr * pr / np.maximum(nr, 1.0), 0.0)
+    node_max = np.maximum.reduceat(q, row_start * m)
+    shortlist = np.flatnonzero(cut & (q >= np.repeat(node_max * (1.0 - 1e-12), sizes * m)))
+
+    # each node's best as the exact fraction N / (n^2 * D); decrease > 0 iff
+    # N > 0. The shortlist runs node by node, then feature, then threshold,
+    # and strict > keeps the first among true ties
+    best: dict[int, tuple[int, int, int, int]] = {}
+    node = np.searchsorted(row_start * m, shortlist, "right") - 1
+    counts = (x[shortlist].astype(np.int64).tolist() for x in (nl, nr, pl, pr))
+    for i, b, a, c, e, f in zip(shortlist.tolist(), node.tolist(), *counts):
+        n, pos, denom = a + c, e + f, a * c
+        t = (e**2 + (a - e) ** 2) * c + (f**2 + (c - f) ** 2) * a
+        numer = n * t - (pos**2 + (n - pos) ** 2) * denom
+        if numer > 0 and (b not in best or numer * best[b][1] > best[b][0] * denom):
+            best[b] = numer, denom, n, i
+    splits: list = [None] * len(nodes)
+    if not best:
+        return splits
+    node = np.array(list(best))
+    won = np.array([i for *_, i in best.values()])
+    features = np.zeros(len(nodes), dtype=np.int64)
+    thresholds = np.full(len(nodes), np.inf)  # a node without a split keeps its order
+    f = features[node] = candidates[node, (won - row_start[node] * m) // sizes[node]]
+    rank = (1 << (shift - 1)) - 1
+    thresholds[node] = (S[step[won] & rank, f] + S[step[won + 1] & rank, f]) / 2.0
+    # the children are those of ``x <= threshold``, as predict routes them
+    goes_left = X.take(rows * d + features[row_node]) <= thresholds[row_node]
+    n_left = np.add.reduceat(goes_left, row_start, dtype=np.int64)
+    pos_left = np.add.reduceat(goes_left * (codes[rows, 0] & 1), row_start)
+    samples[at] = rows[np.argsort(row_node * 2 + ~goes_left, kind="stable")]
+    for b, (numer, denom, n, _) in best.items():
+        splits[b] = (int(features[b]), float(thresholds[b]), numer / (n * n * denom),
+                     int(n_left[b]), int(pos_left[b]))
+    return splits
+
+
+def _split_batch(X, codes, S, samples, nodes, min_samples_leaf):
+    """Split many nodes, one batched search per SPLIT_BLOCK entries.
+
+    ``codes`` and ``S`` come from ``_sort_codes(X, y)``. Each node is
+    (start, stop, candidate features): its samples are the rows
+    ``samples[start:stop]`` of X, and every node has the same number of
+    candidates. Returns per node None or (feature, threshold, Gini
+    decrease, samples left, positives left), with ``best_split``'s rules;
+    a split node's range of ``samples`` is reordered to hold its left
+    child's samples, then its right child's, each in their former order.
+
+    Each (node, feature) column is one group of a single sort over integer
+    keys (group, rank, label), which orders every group by value at once;
+    a segmented cumulative sum of the labels gives the positives left of
+    each cut. Split quality is settled in exact integer arithmetic over the
+    class counts: a float ratio shortlists each node's cuts within rounding
+    of its maximum, and exact cross-multiplication picks the winner. The
+    threshold is the midpoint of the two sorted values around the cut.
+    """
+    entries = [(stop - start) * len(features) for start, stop, features in nodes]
+    splits, first = [], 0
+    while first < len(nodes):
+        end, total = first + 1, entries[first]
+        while end < len(nodes) and total + entries[end] <= SPLIT_BLOCK:
+            total += entries[end]
+            end += 1
+        splits += _split_chunk(X, codes, S, samples, nodes[first:end], min_samples_leaf)
+        first = end
+    return splits
+
+
 def best_split(
     X: np.ndarray,
     y: np.ndarray,
@@ -91,78 +233,39 @@ def best_split(
     samples with value <= threshold go left. Returns None when no split
     gives a positive impurity decrease (pure node, or conflicting labels
     on identical feature vectors). Ties prefer the lower feature index,
-    then the lower threshold.
-
-    The candidate columns, sorted by index, form one (n, m) block that is
-    sorted column by column with one stable argsort; one cumulative sum
-    gives the positives left of every cut. Split quality is settled in
-    exact integer arithmetic over the class counts (the decrease is a
-    ratio of integers for fixed n), so mathematically tied candidates stay
-    tied instead of drifting apart by float rounding: a float ratio
-    shortlists the cuts within rounding of the block's maximum, and exact
-    cross-multiplication over the shortlist, walked feature by feature,
-    picks the winner.
+    then the lower threshold. This is the one-node call of the batched
+    search that grows forests (``_split_batch``).
     """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
     n = len(y)
     if n == 0 or len(candidate_features) == 0:
         raise ValueError("best_split needs samples and candidate features")
-    features = np.sort(np.asarray(candidate_features, dtype=np.int64))
-    block = X[:, features]  # column j is feature features[j]
-    order = np.argsort(block, axis=0, kind="stable")
-    xs = np.take_along_axis(block, order, axis=0)
-    # row i cuts between sorted samples i and i + 1: nl = i + 1 go left
-    pl = np.cumsum(y[order], axis=0)[:-1]
-    nl = np.arange(1, n, dtype=np.int64)[:, None]
-    nr = n - nl
-    cut = (xs[:-1] < xs[1:]) & (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
-    if not cut.any():
-        return None
-    total_pos = int(y.sum())
-    pr = total_pos - pl
-    t = (pl**2 + (nl - pl) ** 2) * nr + (pr**2 + (nr - pr) ** 2) * nl
-    # the decrease is monotone in t / (nl * nr) and every real cut's ratio
-    # is > 0; the float ratio only shortlists, within rounding of the max
-    ratio = np.where(cut, t / (nl * nr), 0.0)
-    cols, rows = np.nonzero((ratio >= ratio.max() * (1.0 - 1e-12)).T)  # feature-major
-
-    # overall best as the exact fraction N / (n^2 * D); decrease > 0 iff N > 0
-    parent_sq = total_pos**2 + (n - total_pos) ** 2
-    best_numer, best_denom, best = 0, 1, None
-    for j, i in zip(cols.tolist(), rows.tolist()):
-        denom = (i + 1) * (n - i - 1)
-        numer = n * int(t[i, j]) - parent_sq * denom
-        # exact fraction comparison; strict > keeps the first (lowest
-        # feature, lowest threshold) among true ties
-        if numer > 0 and numer * best_denom > best_numer * denom:
-            best_numer, best_denom, best = numer, denom, (i, j)
-    if best is None:
-        return None
-    i, j = best
-    return int(features[j]), float((xs[i, j] + xs[i + 1, j]) / 2.0), best_numer / (n * n * best_denom)
+    node = (0, n, np.asarray(candidate_features, dtype=np.int64))
+    split = _split_batch(X, *_sort_codes(X, y), np.arange(n), [node], min_samples_leaf)[0]
+    return None if split is None else split[:3]
 
 
-def _grow(
-    X: np.ndarray,
-    y: np.ndarray,
-    rng: np.random.Generator,
-    config: ForestConfig,
-    m: int,
-    nodes: list[list],
-) -> None:
-    """Append one tree's [feature, threshold, left, right, value] rows.
+def _preorder(start, stop, pos, rng, d, m, config, nodes):
+    """Grow one tree in preorder, as a generator of its split searches.
 
-    The stack holds (samples, labels, depth, parent) with the right child
-    pushed before the left, so nodes (and their ``rng`` draws) come in
-    preorder: a left child is its parent's next node, and a right child
-    fills in its parent's ``right``.
+    A node is a range [start, stop) of the forest's sample buffer holding
+    ``pos`` positives. For each node that needs a split search the tree
+    draws its candidate features and yields (start, stop, features); it is
+    sent back that node's ``_split_batch`` result. Each node appends its
+    [feature, threshold, left, right, value] row to ``nodes``, with child
+    indices local to the tree. The stack holds (start, stop, positives,
+    depth, parent) with the right child pushed before the left, so nodes
+    (and their ``rng`` draws) come in preorder: a left child is its
+    parent's next node, and a right child fills in its parent's ``right``.
     """
-    stack = [(X, y, 0, -1)]
+    stack = [(start, stop, pos, 0, -1)]
     while stack:
-        X, y, depth, parent = stack.pop()
+        start, stop, pos, depth, parent = stack.pop()
+        node = len(nodes) // 5
         if parent >= 0:
-            nodes[parent][3] = len(nodes)
-        n = len(y)
-        pos = int(y.sum())
+            nodes[5 * parent + 3] = node
+        n = stop - start
         split = None
         if not (
             pos == 0
@@ -170,16 +273,24 @@ def _grow(
             or (config.max_depth is not None and depth >= config.max_depth)
             or n < 2 * config.min_samples_leaf
         ):
-            features = rng.choice(X.shape[1], size=m, replace=False)
-            split = best_split(X, y, features, config.min_samples_leaf)
-        if split is None:
-            nodes.append([-1, 0.0, -1, -1, pos / n])
+            split = yield start, stop, rng.choice(d, size=m, replace=False)
+        # a midpoint that rounds onto the upper of two adjacent floats can
+        # send every sample left; such a node stays a leaf
+        if split is None or split[3] == n:
+            nodes.extend((-1, 0.0, -1, -1, pos / n))
             continue
-        f, t, _ = split
-        mask = X[:, f] <= t
-        stack.append((X[~mask], y[~mask], depth + 1, len(nodes)))
-        stack.append((X[mask], y[mask], depth + 1, -1))
-        nodes.append([f, t, len(nodes) + 1, -1, 0.0])
+        f, t, _, n_left, pos_left = split
+        stack.append((start + n_left, stop, pos - pos_left, depth + 1, node))
+        stack.append((start, start + n_left, pos_left, depth + 1, -1))
+        nodes.extend((f, t, node + 1, -1, 0.0))
+
+
+def _resume(tree, split):
+    """The tree's next split request, or None once the tree is complete."""
+    try:
+        return tree.send(split)
+    except StopIteration:
+        return None
 
 
 def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str = "") -> RoleClassifier:
@@ -187,13 +298,27 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
 
     Callers are expected to present samples in a canonical order (the
     pipeline sorts by triple id) so that training is invariant to input
-    file order. Requires at least one sample of each class.
+    file order. Requires at least one sample of each class and finite
+    features.
+
+    The trees grow in lockstep rounds. Each keeps its own RNG, bootstrap
+    draw and depth-first stack (``_preorder``), so its draws and nodes
+    are those of growing it alone; a node is a range of one buffer that
+    holds every tree's bootstrap rows. In a round every unfinished tree
+    writes leaves until it reaches a node that needs a split search, and
+    all of the round's such nodes are split by one batched search
+    (``_split_batch``) over the per-column ranks of X, computed once.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("X must be (n, d) with one label per row")
     n, d = X.shape
+    bad = np.argwhere(~np.isfinite(X))
+    if len(bad):
+        row, column = bad[0].tolist()
+        raise ValueError(f"feature at row {row}, column {column} is {X[row, column]}; "
+                         "features must be finite")
     pos = int(y.sum())
     if pos == 0 or pos == n:
         raise ValueError(
@@ -204,23 +329,42 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
         raise ValueError(f"features_per_split exceeds feature count {d}")
     m = config.features_per_split or min(d, math.ceil(math.sqrt(d)))
 
-    nodes: list[list] = []
-    roots = []
+    codes, S = _sort_codes(X, y)
+    samples = np.empty(config.n_trees * n, dtype=np.int64)
+    trees, requests = [], []
     for t in range(config.n_trees):
         rng = make_rng(config.seed, f"tree{t}")
-        bootstrap = rng.integers(0, n, size=n)
-        roots.append(len(nodes))
-        _grow(X[bootstrap], y[bootstrap], rng, config, m, nodes)
+        start, stop = t * n, (t + 1) * n
+        # int64, the default: a draw of another dtype is another stream
+        samples[start:stop] = rng.integers(0, n, size=n)
+        trees.append(array("d"))
+        pos_root = int(y[samples[start:stop]].sum())
+        tree = _preorder(start, stop, pos_root, rng, d, m, config, trees[-1])
+        if (request := _resume(tree, None)) is not None:
+            requests.append((tree, request))
+    while requests:
+        nodes = [request for _, request in requests]
+        splits = _split_batch(X, codes, S, samples, nodes, config.min_samples_leaf)
+        requests = [
+            (tree, request)
+            for (tree, _), split in zip(requests, splits)
+            if (request := _resume(tree, split)) is not None
+        ]
+
+    sizes = [len(nodes) // 5 for nodes in trees]
+    table = np.concatenate([np.frombuffer(nodes).reshape(-1, 5) for nodes in trees])
+    del trees
+    roots = np.cumsum([0] + sizes[:-1])
+    offset = np.repeat(roots, sizes)  # tree-local child indices become forest-wide
+    for k in (2, 3):
+        table[:, k] = np.where(table[:, k] >= 0, table[:, k] + offset, -1)
     return RoleClassifier(
         role=role,
         config=config,
         training_size=(pos, n - pos),
         n_features=d,
-        roots=np.array(roots, dtype=np.int64),
-        **{
-            name: np.array(column, dtype=dtype)
-            for (name, dtype), column in zip(NODE_ARRAYS.items(), zip(*nodes))
-        },
+        roots=roots,
+        **{name: table[:, k].astype(dtype) for k, (name, dtype) in enumerate(NODE_ARRAYS.items())},
     )
 
 
@@ -250,17 +394,24 @@ def predict_proba(classifier: RoleClassifier, x: np.ndarray) -> float | np.ndarr
     return float(scores[0]) if x.ndim == 1 else scores
 
 
-def classifier_to_json(classifier: RoleClassifier) -> str:
+def _json_parts(classifier: RoleClassifier):
+    """The model JSON in pieces: the header, then one array at a time, so
+    that only one node array is a list of Python numbers at once."""
     cfg = classifier.config
-    payload = {
+    header = {
         "role": classifier.role,
         "config": {field.name: getattr(cfg, field.name) for field in fields(ForestConfig)},
         "training_size": list(classifier.training_size),
         "n_features": classifier.n_features,
-        "roots": classifier.roots.tolist(),
-        **{name: getattr(classifier, name).tolist() for name in NODE_ARRAYS},
     }
-    return json.dumps(payload, separators=(",", ":"))
+    yield json.dumps(header, separators=(",", ":"))[:-1]
+    for name in ("roots", *NODE_ARRAYS):
+        yield f',"{name}":' + json.dumps(getattr(classifier, name).tolist(), separators=(",", ":"))
+    yield "}"
+
+
+def classifier_to_json(classifier: RoleClassifier) -> str:
+    return "".join(_json_parts(classifier))
 
 
 def _int(value, name: str, optional: bool = False) -> int | None:
@@ -356,7 +507,8 @@ def classifier_from_json(text: str) -> RoleClassifier:
 
 def save_classifier(classifier: RoleClassifier, path) -> None:
     with open_atomic(path) as f:
-        f.write(classifier_to_json(classifier) + "\n")
+        f.writelines(_json_parts(classifier))
+        f.write("\n")
 
 
 def load_classifier(path) -> RoleClassifier:

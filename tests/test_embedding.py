@@ -431,15 +431,23 @@ class TestTrainerMatchesPairOperation:
 
     def test_epoch_matches_per_pair_reference(self):
         """One epoch on several sentences with repeated words equals the
-        per-pair update: pair_loss_and_gradients for every pair with the
-        vectors before its step, the center and context gradients times the
-        pair's rate, each shared negative's gradient once per center times
-        the sum of its pair rates, summed per row and subtracted at the end
-        of the step. Only the summation order differs, so rtol 1e-12."""
+        per-pair update in closed form, written here independently of the
+        trainer's kernel: for a center c, context o and negatives n_j with
+        sigma the logistic function, the pair's loss is -log sigma(c.o) -
+        sum_j log sigma(-c.n_j), and its gradients are (sigma(c.o) - 1) o +
+        sum_j sigma(c.n_j) n_j for c, (sigma(c.o) - 1) c for o and
+        sigma(c.n_j) c for each n_j. Every pair uses the vectors before its
+        step; the center and context gradients are taken times the pair's
+        rate, each shared negative's gradient once per center times the sum
+        of its pair rates, summed per row and subtracted at the end of the
+        step. Only the summation order differs, so rtol 1e-12."""
         config = EmbeddingConfig(dim=5, window=3, negatives=3, epochs=1, seed=91)
         corpus = [["a", "b", "a", "c", "d", "a", "b"], ["c", "c", "e"], ["d"],
                   ["e", "a", "b", "a"], ["b", "d"]] * 3
         model = train_skipgram(corpus, config)
+
+        def sigmoid(x):
+            return 1.0 / (1.0 + np.exp(-x))
 
         vocab, steps = replay_first_epoch(corpus, config)
         inp, out = initial_vectors(vocab, config)
@@ -448,18 +456,19 @@ class TestTrainerMatchesPairOperation:
         for sentence, contexts, negatives in steps:
             grad_in, grad_out = np.zeros_like(inp), np.zeros_like(out)
             for i, word in enumerate(sentence):
+                center, negs = inp[word], out[negatives[i]]
+                neg_sigma = sigmoid(negs @ center)
                 center_rates = 0.0
                 for context in contexts[i]:
                     lr = next(rates)
-                    loss, g_center, g_context, g_negatives = pair_loss_and_gradients(
-                        inp[word], out[context], out[negatives[i]])
-                    grad_in[word] += lr * g_center
-                    grad_out[context] += lr * g_context
+                    pos_sigma = sigmoid(center @ out[context])
+                    grad_in[word] += lr * ((pos_sigma - 1.0) * out[context] + neg_sigma @ negs)
+                    grad_out[context] += lr * (pos_sigma - 1.0) * center
                     center_rates += lr
-                    loss_sum += loss
+                    loss_sum += -np.log(pos_sigma) - np.log(1.0 - neg_sigma).sum()
                     n_pairs += 1
-                for m, g in zip(negatives[i], g_negatives):  # the same for each pair of i
-                    grad_out[m] += center_rates * g
+                # the same for each pair of i
+                np.add.at(grad_out, negatives[i], center_rates * np.outer(neg_sigma, center))
             inp -= grad_in
             out -= grad_out
 

@@ -7,8 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rolerank import forest
 from rolerank.forest import (
     ForestConfig,
+    _sort_codes,
+    _split_batch,
     best_split,
     classifier_from_json,
     classifier_to_json,
@@ -104,6 +107,25 @@ def split_cases(draw):
     return X.astype(np.float64), y, features, draw(st.integers(1, 3))
 
 
+@st.composite
+def split_batches(draw):
+    """1-5 nodes as row subsets (with repeats, as bootstraps have) of one
+    tie-heavy integer-grid X, each with its own candidate features (the
+    same number per node), one leaf floor of 1-3 and a chunk size."""
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 6))
+    X = draw(arrays(np.int64, (n, d), elements=st.integers(0, draw(st.integers(0, 4)))))
+    y = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    m = draw(st.integers(1, d))
+    nodes = draw(st.lists(
+        st.tuples(st.lists(st.integers(0, n - 1), min_size=1, max_size=25),
+                  st.lists(st.integers(0, d - 1), min_size=m, max_size=m)),
+        min_size=1, max_size=5,
+    ))
+    block = draw(st.sampled_from([1, 20, 1 << 30]))
+    return X.astype(np.float64), y, nodes, draw(st.integers(1, 3)), block
+
+
 class TestBestSplit:
     def test_hand_computed_gini(self):
         X = np.array([[0.1], [0.9]])
@@ -172,6 +194,31 @@ class TestBestSplit:
         expected = best_split_oracle(X, y, features, min_samples_leaf)
         assert best_split(X, y, features, min_samples_leaf) == expected
 
+    @given(split_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_batch_equals_per_feature_oracle(self, case):
+        """Each node's split is the oracle's, and its range of samples now
+        holds the rows with x <= threshold, then the others, in order."""
+        X, y, nodes, min_samples_leaf, block = case
+        samples = np.concatenate([rows for rows, _ in nodes])
+        stops = np.cumsum([len(rows) for rows, _ in nodes]).tolist()
+        batch = [(stop - len(rows), stop, np.array(features))
+                 for (rows, features), stop in zip(nodes, stops)]
+        saved, forest.SPLIT_BLOCK = forest.SPLIT_BLOCK, block
+        try:
+            splits = _split_batch(X, *_sort_codes(X, y), samples, batch, min_samples_leaf)
+        finally:
+            forest.SPLIT_BLOCK = saved
+        for (rows, features), (start, stop, _), split in zip(nodes, batch, splits):
+            expected = best_split_oracle(X[rows], y[rows], features, min_samples_leaf)
+            assert (split and split[:3]) == expected
+            rows = np.array(rows)
+            if split is not None:
+                left = X[rows, split[0]] <= split[1]
+                assert split[3:] == (left.sum(), y[rows[left]].sum())
+                rows = np.concatenate([rows[left], rows[~left]])
+            assert samples[start:stop].tolist() == rows.tolist()
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             best_split(np.zeros((0, 1)), np.zeros(0, dtype=int), [0])
@@ -227,6 +274,25 @@ class TestTrainForest:
         assert classifier.n_features == 2
         assert classifier.training_size == (20, 20)
         assert classifier.role == "issuer"
+
+    @pytest.mark.parametrize("bad, name", [(np.nan, "nan"), (-np.inf, "-inf")])
+    def test_non_finite_features_rejected(self, bad, name):
+        X, y = xor_dataset(n_per_cluster=5)
+        X[7, 1] = bad
+        X[9, 0] = bad  # a later row: the first bad cell is named
+        with pytest.raises(ValueError, match=f"row 7, column 1 is {name}; features must be finite"):
+            train_forest(X, y, ForestConfig(n_trees=2, seed=0))
+
+    def test_midpoint_rounding_onto_upper_value_makes_a_leaf(self):
+        # the midpoint of these adjacent floats rounds to the upper one, so
+        # the only cut sends every sample left; growing it would never end
+        low, high = 1 + 2.0**-52, 1 + 2.0**-51
+        assert (low + high) / 2 == high
+        X = np.array([[low]] * 5 + [[high]] * 5)
+        y = np.array([0] * 5 + [1] * 5)
+        classifier = train_forest(X, y, ForestConfig(n_trees=3, seed=1))
+        assert classifier.roots.tolist() == [0, 1, 2]
+        assert np.all(classifier.left == -1)
 
     def test_features_per_split_bounds(self):
         X, y = xor_dataset(n_per_cluster=5)
@@ -312,6 +378,15 @@ def test_golden_forest(data, config, nodes, scores):
         assert hashlib.sha256(classifier_to_json(classifier).encode()).hexdigest() == scores
     else:
         assert [predict_proba(classifier, x) for x in GOLDEN_PROBES] == scores
+
+
+@pytest.mark.parametrize("block", [1, 1 << 30])
+@pytest.mark.parametrize("data, config, nodes, digest", GOLDEN[2:])  # the sha256-pinned cases
+def test_split_block_does_not_change_a_tree(monkeypatch, block, data, config, nodes, digest):
+    """One node per chunk or a whole round in one chunk: the same forests."""
+    monkeypatch.setattr(forest, "SPLIT_BLOCK", block)
+    classifier = train_forest(*flipped_dataset(**data), config)
+    assert hashlib.sha256(classifier_to_json(classifier).encode()).hexdigest() == digest
 
 
 def traverse_oracle(payload: dict, root: int, x: np.ndarray) -> float:

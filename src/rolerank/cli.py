@@ -24,7 +24,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
 
@@ -50,6 +50,10 @@ class RunConfig:
     gains: evaluation.GainMap = evaluation.GainMap()
     seed: int = DEFAULT_SEED
 
+    def __post_init__(self):
+        if not 0 <= self.threshold <= 1:
+            raise ValueError("threshold must lie in [0, 1]")
+
 
 class ConfigError(InputError):
     pass
@@ -61,34 +65,22 @@ def _cast_optional_int(text: str):
     return int(text)
 
 
-_CONFIG_CASTS = {
-    "seed": int,
-    "threshold": float,
-    "embedding.dim": int,
-    "embedding.window": int,
-    "embedding.negatives": int,
-    "embedding.epochs": int,
-    "embedding.lr_initial": float,
-    "embedding.lr_final": float,
-    "embedding.min_count": int,
-    "embedding.unigram_power": float,
-    "embedding.subsample": float,
-    "embedding.seed": int,
-    "forest.n_trees": int,
-    "forest.max_depth": _cast_optional_int,
-    "forest.min_samples_leaf": int,
-    "forest.features_per_split": _cast_optional_int,
-    "forest.seed": int,
-    "gains.highly_relevant": float,
-    "gains.relevant": float,
-    "gains.neutral": float,
-    "gains.irrelevant": float,
+# config file section -> the dataclass whose fields are its keys; the
+# top-level keys are RunConfig's other fields. A key casts its value like
+# its field's default: int, float, or an optional int for a None default.
+_SECTIONS = {"embedding": emb.EmbeddingConfig, "forest": forest.ForestConfig, "gains": evaluation.GainMap}
+_CASTS = {int: int, float: float, type(None): _cast_optional_int}
+_CONFIG_KEYS = {
+    (f"{section}.{f.name}" if section else f.name): _CASTS[type(f.default)]
+    for section, cls in [("", RunConfig), *_SECTIONS.items()]
+    for f in fields(cls) if f.name not in _SECTIONS
 }
 
 
 def parse_config_file(path) -> dict:
-    """Parse the flat ``key = value`` format ('#' starts a comment)."""
+    """Parse the flat ``key = value`` format ('#' starts a comment; each key once)."""
     values = {}
+    set_on = {}
     with open_text(path) as f:
         for line_no, line in enumerate(f, start=1):
             line = line.split("#", 1)[0].strip()
@@ -96,67 +88,41 @@ def parse_config_file(path) -> dict:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}: line {line_no}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in _CONFIG_CASTS:
+            key, raw = (part.strip() for part in line.split("=", 1))
+            if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}: line {line_no}: unknown key {key!r}")
+            if key in set_on:
+                raise ConfigError(f"{path}: line {line_no}: {key!r} already set on line {set_on[key]}")
+            set_on[key] = line_no
             try:
-                values[key] = _CONFIG_CASTS[key](raw)
+                values[key] = _CONFIG_KEYS[key](raw)
             except ValueError:
-                raise ConfigError(
-                    f"{path}: line {line_no}: bad value {raw!r} for {key!r}"
-                ) from None
+                raise ConfigError(f"{path}: line {line_no}: bad value {raw!r} for {key!r}") from None
     return values
 
 
 def build_run_config(config_path, seed_override: int | None) -> RunConfig:
-    """Resolve file values, CLI overrides, and derived per-stage seeds.
+    """Build each section's dataclass from its keys in the file, then RunConfig.
 
-    Stage seeds default to blake2b-derived children of the master seed
-    ("embedding" / "forest" tags) unless the config sets them explicitly.
+    Unset keys take the dataclass defaults, and ``--seed`` beats the file's
+    master seed. An unset stage seed derives from the master seed through
+    the section's tag ("embedding" / "forest"). A value a dataclass rejects
+    raises ``ConfigError`` naming the config file.
     """
     values = parse_config_file(config_path) if config_path else {}
-    seed = seed_override if seed_override is not None else values.get("seed", DEFAULT_SEED)
-
-    def pick(key, default):
-        return values.get(key, default)
-
+    if seed_override is not None:
+        values["seed"] = seed_override
+    seed = values.get("seed", DEFAULT_SEED)
     try:
-        embedding_config = emb.EmbeddingConfig(
-            dim=pick("embedding.dim", 30),
-            window=pick("embedding.window", 5),
-            negatives=pick("embedding.negatives", 5),
-            epochs=pick("embedding.epochs", 20),
-            lr_initial=pick("embedding.lr_initial", 0.025),
-            lr_final=pick("embedding.lr_final", 0.0001),
-            min_count=pick("embedding.min_count", 1),
-            unigram_power=pick("embedding.unigram_power", 0.75),
-            subsample=pick("embedding.subsample", 0.0),
-            seed=pick("embedding.seed", derive_seed(seed, "embedding")),
-        )
-        forest_config = forest.ForestConfig(
-            n_trees=pick("forest.n_trees", 100),
-            max_depth=pick("forest.max_depth", None),
-            min_samples_leaf=pick("forest.min_samples_leaf", 1),
-            features_per_split=pick("forest.features_per_split", None),
-            seed=pick("forest.seed", derive_seed(seed, "forest")),
-        )
-        gains = evaluation.GainMap(
-            highly_relevant=pick("gains.highly_relevant", 3.0),
-            relevant=pick("gains.relevant", 2.0),
-            neutral=pick("gains.neutral", 1.0),
-            irrelevant=pick("gains.irrelevant", 0.0),
-        )
+        for section, cls in _SECTIONS.items():
+            prefix = f"{section}."
+            given = {k[len(prefix):]: values.pop(k) for k in list(values) if k.startswith(prefix)}
+            if "seed" in cls.__dataclass_fields__:
+                given.setdefault("seed", derive_seed(seed, section))
+            values[section] = cls(**given)
+        return RunConfig(**values)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return RunConfig(
-        embedding=embedding_config,
-        forest=forest_config,
-        threshold=pick("threshold", 0.5),
-        gains=gains,
-        seed=seed,
-    )
+        raise ConfigError(f"{config_path}: {exc}") from None
 
 
 def _load_many(paths) -> list[list[ContextualTriple]]:

@@ -29,6 +29,7 @@ bit-reproducible.
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -77,10 +78,15 @@ class EmbeddingConfig:
             raise ValueError("dim must be >= 2")
         if self.window < 1 or self.negatives < 1 or self.epochs < 1 or self.min_count < 1:
             raise ValueError("window, negatives, epochs and min_count must be >= 1")
+        if not all(map(math.isfinite, (self.lr_initial, self.lr_final, self.subsample))):
+            raise ValueError("lr_initial, lr_final and subsample must be finite")
         if not 0 < self.lr_final < self.lr_initial:
             raise ValueError("need 0 < lr_final < lr_initial")
         if self.subsample < 0:
             raise ValueError("subsample must be >= 0")
+        # 0 = uniform, 1 = unigram; the bound keeps count ** power finite
+        if not 0 <= self.unigram_power <= 1:
+            raise ValueError("unigram_power must lie in [0, 1]")
 
 
 @dataclass
@@ -432,11 +438,18 @@ def finalize(model: EmbeddingModel) -> EmbeddingModel:
 
     A vector with (near-)zero norm is replaced by the first basis vector
     and the word is recorded in ``zero_replaced``; output vectors are
-    dropped. The input model must not already be finalized.
+    dropped. The input model must not already be finalized, and a
+    non-finite vector (training diverged) raises ``ValueError``.
     """
     if model.finalized:
         raise ValueError("model is already finalized")
     vectors = np.array(model.input_vectors, dtype=np.float64, copy=True)
+    diverged = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if diverged.size:
+        raise ValueError(
+            f"training diverged: the vector of {model.vocab.words[diverged[0]]!r} is not finite "
+            "(try a lower embedding.lr_initial)"
+        )
     norms = np.linalg.norm(vectors, axis=1)
     zero_rows = np.flatnonzero(norms <= ZERO_NORM_EPS)
     zero_words = tuple(model.vocab.words[i] for i in zero_rows)

@@ -37,6 +37,10 @@ class GainMap:
             raise ValueError("gains must satisfy highly_relevant > relevant > neutral > irrelevant")
         if self.irrelevant < 0:
             raise ValueError("gains must be nonnegative")
+        # with the order and sign checks, this bound keeps every gain finite,
+        # and 2 ** gain and a DCG sum over fewer than 2**511 items too
+        if not self.highly_relevant <= 512:
+            raise ValueError("gains must be at most 512")
 
     def for_label(self, label: RelevanceLabel) -> float:
         return {

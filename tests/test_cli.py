@@ -1,11 +1,27 @@
 import dataclasses
 import json
 import logging
+import math
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from rolerank.cli import build_run_config, main, parse_config_file
+from rolerank import embedding as emb
+from rolerank.cli import _CONFIG_KEYS, ConfigError, build_run_config, main, parse_config_file
 from synth import make_labeled_triples, triples_to_jsonl
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# a config value's text: an int, a float (nan, +-inf and 1e308 included) or short text
+CONFIG_VALUES = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "none", "auto"]),
+    st.text(alphabet="abe019.-+ ", max_size=6),
+)
 
 
 @pytest.fixture()
@@ -123,13 +139,63 @@ class TestConfig:
         path.write_text("embedding.seed = 123\n")
         assert build_run_config(path, None).embedding.seed == 123
 
-    def test_invalid_config_value_rejected(self, tmp_path):
+    @pytest.mark.parametrize("lines", [
+        "embedding.unigram_power = nan",
+        "embedding.unigram_power = inf",
+        "embedding.unigram_power = 1000",
+        "gains.highly_relevant = 2000",
+        "threshold = nan",
+        "threshold = 7",
+        "embedding.subsample = nan",
+        "embedding.lr_initial = inf",
+        "embedding.epochs = 0",
+        "embedding.dim = 8\nembedding.dim = 9",
+    ])
+    def test_invalid_config_value_rejected(self, workspace, capsys, lines):
+        tmp, labeled, _, _ = workspace
+        path = tmp / "bad.cfg"
+        path.write_text(lines + "\n")
+        out = tmp / "out"
+        assert run("pipeline", "--labeled", labeled, "--fractions", "0.5",
+                   "--config", path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "Traceback" not in err
+        assert not (out / "embeddings.txt").exists()
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("embedding.epochs = 0\n")
-        (tmp_path / "d.jsonl").write_text("")
-        assert run(
-            "train-embeddings", "--data", tmp_path / "d.jsonl", "--config", path
-        ) == 2
+        path.write_text("forest.n_trees = 5\n# again\nforest.n_trees = 6\n")
+        with pytest.raises(ConfigError, match=r"c\.cfg: line 3: 'forest.n_trees' already set on line 1"):
+            parse_config_file(path)
+
+    def test_readme_block_is_the_defaults(self, tmp_path):
+        section = README.read_text(encoding="utf-8").split("## Configuration\n", 1)[1]
+        block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        # every key but the derived stage seeds is documented
+        assert set(parse_config_file(path)) == set(_CONFIG_KEYS) - {"embedding.seed", "forest.seed"}
+        assert build_run_config(path, None) == build_run_config(None, None)
+
+    @given(st.lists(st.tuples(st.sampled_from(sorted(_CONFIG_KEYS)), CONFIG_VALUES), max_size=6))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_config_file_is_valid_or_named(self, tmp_path, lines):
+        path = tmp_path / "fuzz.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in lines))
+        try:
+            run_config = build_run_config(path, None)
+        except ConfigError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return
+        for part in (run_config, run_config.embedding, run_config.forest, run_config.gains):
+            for field in dataclasses.fields(part):
+                value = getattr(part, field.name)
+                assert not isinstance(value, float) or math.isfinite(value), field.name
+        assert 0 <= run_config.embedding.unigram_power <= 1
+        assert 0 <= run_config.threshold <= 1
+        assert run_config.gains.highly_relevant <= 512
 
 
 class TestNonUtf8Input:
@@ -166,6 +232,21 @@ class TestTrainEmbeddings:
         run("train-embeddings", "--data", labeled, "--config", config, "--out", out1)
         run("train-embeddings", "--data", labeled, "--config", config, "--out", out2)
         assert (out1 / "embeddings.txt").read_bytes() == (out2 / "embeddings.txt").read_bytes()
+
+    def test_diverged_training_writes_nothing(self, workspace, capsys, monkeypatch):
+        tmp, labeled, _, config = workspace
+        train = emb.train_skipgram
+
+        def diverged(corpus, embedding_config):
+            model = train(corpus, embedding_config)
+            model.input_vectors[1] = np.nan
+            return model
+
+        monkeypatch.setattr(emb, "train_skipgram", diverged)
+        out = tmp / "out"
+        assert run("train-embeddings", "--data", labeled, "--config", config, "--out", out) == 1
+        assert "training diverged" in capsys.readouterr().err
+        assert not (out / "embeddings.txt").exists()
 
     def test_unreadable_path_exit_2(self, tmp_path):
         assert run("train-embeddings", "--data", tmp_path / "missing.jsonl") == 2

@@ -202,6 +202,11 @@ class TestEmbeddingConfig:
             {"lr_initial": 0.01, "lr_final": 0.02},
             {"min_count": 0},
             {"subsample": -0.1},
+            {"subsample": math.nan},
+            {"lr_initial": math.inf},
+            {"unigram_power": -0.5},
+            {"unigram_power": 1.5},
+            {"unigram_power": math.nan},
         ],
     )
     def test_invalid(self, kwargs):
@@ -497,6 +502,14 @@ class TestFinalize:
         out = finalize(make_model(["dead", "live"], vectors, finalized=False))
         assert out.input_vectors[0] == pytest.approx([1.0, 0.0, 0.0])
         assert out.zero_replaced == ("dead",)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        vectors = np.ones((3, 2))
+        vectors[1, 0] = bad
+        vectors[2, 1] = bad
+        with pytest.raises(ValueError, match="training diverged: the vector of 'b' is not finite"):
+            finalize(make_model(["a", "b", "c"], vectors, finalized=False))
 
     def test_double_finalize_rejected(self):
         model = finalize(make_model(["w"], np.ones((1, 3)), finalized=False))

@@ -53,6 +53,12 @@ class TestGainMap:
         with pytest.raises(ValueError):
             GainMap(irrelevant=-1.0)
 
+    def test_bounded_above(self):
+        assert GainMap(highly_relevant=512.0).highly_relevant == 512.0
+        for top in (513.0, math.inf):
+            with pytest.raises(ValueError, match="at most 512"):
+                GainMap(highly_relevant=top)
+
 
 class TestSplitTrainTest:
     def balanced(self, n=100, role="issuer"):

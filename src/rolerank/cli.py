@@ -430,17 +430,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (error type, exit code, message prefix); the first type an error is an
+# instance of wins, so InputError comes before ValueError, its base
+_EXIT_CODES = (
+    (InputError, EXIT_USAGE, ""),
+    (OSError, EXIT_USAGE, ""),
+    (ValueError, EXIT_FAILURE, ""),
+    (KeyError, EXIT_FAILURE, ""),
+    # a valid but huge size key, such as embedding.dim or forest.n_trees
+    (MemoryError, EXIT_FAILURE, "out of memory: "),
+)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    except tuple(kind for kind, _, _ in _EXIT_CODES) as exc:
+        code, prefix = next((c, p) for kind, c, p in _EXIT_CODES if isinstance(exc, kind))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 def entrypoint() -> None:

@@ -10,10 +10,12 @@ sentence is one step, scored with the vectors as they stood before it.
 A step gathers the sentence's distinct input rows and distinct output
 rows once, scores every pair and every shared negative as an entry of
 one score block, sums the entries' rate-weighted sigmoid coefficients
-into one coefficient matrix, and applies it to all of its rows in one
-subtract. The learning rate decays linearly over the total number of
-pairs. Vectors are finalized onto the unit hypersphere before any
-querying; the default dimensionality is 30.
+into one coefficient matrix, and updates its gathered rows from it
+before one scatter. The score block and both gradient products are BLAS
+gemms, the level-3 form Ji et al. build each step on. The learning rate
+decays linearly over the total number of pairs. Vectors are finalized
+onto the unit hypersphere before any querying; the default
+dimensionality is 30.
 
 Negatives come from the ``negatives`` substream in token order, filling
 slots row-major. A draw equal to any of its center's in-window context
@@ -23,7 +25,9 @@ draws, since no word could replace them.
 
 All randomness is driven by the config seed through named substreams
 (init / window / subsample / negatives), which makes training
-bit-reproducible.
+bit-reproducible on one machine and numpy build, whatever the number of
+BLAS threads. It is not reproducible across CPU kernels, whose SIMD
+paths sum in different orders.
 """
 
 from __future__ import annotations
@@ -159,18 +163,19 @@ def _sgns_step(vectors, n_in, flat, sign, rate, mult):
     loss. Each entry's d loss / d s times its ``rate`` is summed, in entry
     order, into one (n_in, n_out) coefficient matrix B by np.bincount.
     Returns the mult-weighted loss sum and the rows' gradients: B @ outputs
-    for the input rows, then B.T @ inputs for the output rows. The products
-    are einsums because a BLAS gemm maps OpenBLAS buffers into RSS.
+    for the input rows, then B.T @ inputs for the output rows, each written
+    into its slice of one array. The score block and both products are
+    BLAS gemms.
     """
     inputs, outputs = vectors[:n_in], vectors[n_in:]
-    signed = np.einsum("id,od->io", inputs, outputs).take(flat) * sign
+    signed = (inputs @ outputs.T).take(flat) * sign
     loss = np.logaddexp(0.0, signed)
     coeff = np.bincount(flat, sign * rate * np.exp(signed - loss), n_in * len(outputs))
     coeff = coeff.reshape(n_in, len(outputs))
-    grad = np.concatenate(
-        (np.einsum("io,od->id", coeff, outputs), np.einsum("io,id->od", coeff, inputs))
-    )
-    return float(np.dot(mult, loss)), grad  # a vector dot: BLAS level 1, no gemm buffers
+    grad = np.empty_like(vectors)
+    np.matmul(coeff, outputs, out=grad[:n_in])
+    np.matmul(coeff.T, inputs, out=grad[n_in:])
+    return float(np.dot(mult, loss)), grad
 
 
 def pair_loss_and_gradients(
@@ -357,11 +362,12 @@ def _train_epoch(weights, ids, left, right, lengths, negatives, lr) -> float:
         )
         for r0, r_out, r1, e0, e1 in bounds:
             step_rows = rows[r0:r1]
-            vectors = weights[step_rows]
+            vectors = weights.take(step_rows, axis=0)
             loss, grad = _sgns_step(
                 vectors, r_out - r0, flat[e0:e1], sign[e0:e1], rate[e0:e1], mult[e0:e1]
             )
-            weights[step_rows] = vectors - grad
+            vectors -= grad
+            weights[step_rows] = vectors
             loss_sum += loss
         t0, p0 = t1, p1
     return loss_sum
@@ -387,8 +393,9 @@ def train_skipgram(
     pair would add, and its loss counts once per pair. The entries' d loss
     / d score times their rates are summed, pairs in pair order and then
     negatives in (center, slot) order, into one coefficient matrix B; the
-    input rows take B G_out and the output rows B^T G_in, in one subtract.
-    The run is bit-reproducible for a fixed seed.
+    input rows take B G_out and the output rows B^T G_in, subtracted in
+    place on the gathered rows before they are scattered back. The run is
+    bit-reproducible for a fixed seed on one machine and numpy build.
     """
     vocab = build_vocabulary(corpus, config.min_count)
     encoded = []

@@ -251,6 +251,19 @@ class TestTrainEmbeddings:
     def test_unreadable_path_exit_2(self, tmp_path):
         assert run("train-embeddings", "--data", tmp_path / "missing.jsonl") == 2
 
+    def test_huge_dim_exits_1_without_traceback(self, workspace, capsys):
+        """A dim whose (2V, dim) matrix outgrows any address space (several
+        hundred PiB here) is valid config, but numpy refuses the allocation
+        at once: that MemoryError is a named exit, not a traceback."""
+        tmp, labeled, _, config = workspace
+        config.write_text(config.read_text().replace("dim = 8", "dim = 1000000000000000"))
+        out = tmp / "out"
+        assert run("train-embeddings", "--data", labeled, "--config", config, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ")
+        assert "Traceback" not in err
+        assert not (out / "embeddings.txt").exists()
+
     def test_parse_error_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": "a"}\n')

@@ -223,6 +223,43 @@ class TestTrainSkipgram:
         assert np.array_equal(m1.input_vectors, m2.input_vectors)
         assert np.array_equal(m1.output_vectors, m2.output_vectors)
 
+    def test_blas_thread_count_does_not_change_the_result(self):
+        """The step's products are BLAS gemms, which OpenBLAS may split
+        across threads; a seed's vectors and losses must not depend on it.
+        Three children train one corpus at dim 30 and dim 300 with
+        OPENBLAS_NUM_THREADS 1, 2 and unset, and their bytes must match."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import rolerank
+
+        script = (
+            "import hashlib, numpy as np\n"
+            "from rolerank.embedding import EmbeddingConfig, train_skipgram\n"
+            "rng = np.random.default_rng(5)\n"
+            "corpus = [[f'w{i}' for i in rng.integers(0, 40, 12)] for _ in range(150)]\n"
+            "for dim in (30, 300):\n"
+            "    model = train_skipgram(corpus, EmbeddingConfig(dim=dim, epochs=2, seed=4))\n"
+            "    print(hashlib.sha256(model.input_vectors.tobytes()).hexdigest(),\n"
+            "          [x.hex() for x in model.epoch_losses])\n"
+        )
+        src = str(Path(rolerank.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2", None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert len(outputs[0].splitlines()) == 2
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
     @pytest.mark.parametrize("block", [1, 7])
     def test_step_block_size_does_not_change_the_result(self, monkeypatch, block):
         from rolerank import embedding
@@ -391,7 +428,9 @@ class TestTrainerMatchesPairOperation:
         (sign +1, the sum of the center's pair rates). Each entry's
         rate * sign * sigmoid(sign * score) is added into its cell of a
         coefficient matrix B in entry order; the input rows take B G_out
-        and the output rows B^T G_in. The final matrices must match bitwise.
+        and the output rows B^T G_in. The products are taken with ``@``, as
+        the trainer takes them, since an einsum sums in another order. The
+        final matrices must match bitwise.
         """
         from collections import Counter
 
@@ -418,14 +457,14 @@ class TestTrainerMatchesPairOperation:
             sign = np.array([e[2] for e in entries])
             rate = np.array([e[3] for e in entries])
             g_in, g_out = inp[in_rows], out[out_rows]
-            scores = np.einsum("id,od->io", g_in, g_out)
+            scores = g_in @ g_out.T
             signed = np.array([scores[cell] for cell in cells]) * sign
             coefficients = rate * sign * np.exp(signed - np.logaddexp(0.0, signed))
             b = np.zeros((len(in_rows), len(out_rows)))
             for cell, c in zip(cells, coefficients):
                 b[cell] += c
-            inp[in_rows] = g_in - np.einsum("io,od->id", b, g_out)
-            out[out_rows] = g_out - np.einsum("io,id->od", b, g_in)
+            inp[in_rows] = g_in - b @ g_out
+            out[out_rows] = g_out - b.T @ g_in
             per_input_row += Counter(i for i, _ in cells).values()
             per_output_row += Counter(o for _, o in cells).values()
 

@@ -21,6 +21,7 @@ artifacts (no timestamps are ever written into them).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 import sys
@@ -154,29 +155,41 @@ def _is_string_pair(entry) -> bool:
     return isinstance(entry, list) and len(entry) == 2 and all(isinstance(s, str) for s in entry)
 
 
-def _load_models(models_dir: Path, embedding_model: emb.EmbeddingModel) -> pipeline.ModelBundle:
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _load_models(models_dir: Path, embeddings_path) -> pipeline.ModelBundle:
+    """The embeddings and the models a manifest lists, if trained on those embeddings."""
+    embedding_model = emb.load_embedding(embeddings_path)
     manifest_path = models_dir / "manifest.json"
+    embeddings_sha256 = _sha256(embeddings_path)
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
         if not isinstance(manifest, dict):
             raise ValueError("not a JSON object")
         roles = manifest.get("roles")
-        if not isinstance(roles, dict) or not roles or not all(
-            isinstance(name, str) for name in roles.values()
-        ):
+        if not isinstance(roles, dict) or not roles:
             raise ValueError("'roles' must map at least one role name to a file name")
+        for name in roles.values():  # a plain name: no separator, so no other directory
+            if not (isinstance(name, str) and Path(name).name == name and (models_dir / name).is_file()):
+                raise ValueError(f"'roles' lists {name!r}, not the plain name of a file in {models_dir}")
         skipped = manifest.get("skipped", [])
         if not isinstance(skipped, list) or not all(map(_is_string_pair, skipped)):
             raise ValueError("'skipped' must hold [role, reason] string pairs")
-    except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8 and bad JSON
+        if manifest.get("embeddings_sha256") != embeddings_sha256:
+            raise ValueError(f"'embeddings_sha256' is missing or is not the sha256 of {embeddings_path}")
+    # ValueError covers bad UTF-8 and bad JSON; RecursionError too deep a nesting
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValueError(f"cannot read model manifest {manifest_path}: {exc}") from None
     classifiers = {}
     for role, name in roles.items():
         classifier = forest.load_classifier(models_dir / name)
         if classifier.role != role:
             raise ValueError(
-                f"{models_dir / name}: manifest says role {role!r}, file says {classifier.role!r}"
+                f"{manifest_path} says {models_dir / name} holds role {role!r}; "
+                f"it holds {classifier.role!r}"
             )
         if classifier.n_features != embedding_model.dim:
             raise ValueError(
@@ -216,7 +229,7 @@ def _stage_embeddings(triples, run: RunConfig, out_dir: Path) -> emb.EmbeddingMo
     return model
 
 
-def _stage_train(labeled, model, run: RunConfig, out_dir: Path) -> pipeline.ModelBundle:
+def _stage_train(labeled, model, embeddings_path, run: RunConfig, out_dir: Path) -> pipeline.ModelBundle:
     bundle = pipeline.train_role_models(labeled, model, run.forest)
     models_dir = out_dir / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
@@ -226,7 +239,7 @@ def _stage_train(labeled, model, run: RunConfig, out_dir: Path) -> pipeline.Mode
         role_files[role] = _safe_filename(role, taken)
         forest.save_classifier(bundle.classifiers[role], models_dir / role_files[role])
     manifest = {
-        "embedding_dim": model.dim,
+        "embeddings_sha256": _sha256(embeddings_path),
         "roles": role_files,
         "skipped": [[role, reason] for role, reason in bundle.skipped_roles],
     }
@@ -286,13 +299,13 @@ def cmd_train(args) -> int:
     run = build_run_config(args.config, args.seed)
     labeled = load_triples(args.labeled)
     model = emb.load_embedding(args.embeddings)
-    _stage_train(labeled, model, run, Path(args.out))
+    _stage_train(labeled, model, args.embeddings, run, Path(args.out))
     return EXIT_OK
 
 
 def cmd_score(args) -> int:
-    model = emb.load_embedding(args.embeddings)
-    bundle = _load_models(Path(args.models), model)
+    build_run_config(args.config, args.seed)  # scoring reads no key, but a bad file is named
+    bundle = _load_models(Path(args.models), args.embeddings)
     triples = load_triples(args.triples)
     _stage_score(triples, bundle, Path(args.out), per_role=args.per_role)
     return EXIT_OK
@@ -338,7 +351,7 @@ def cmd_pipeline(args) -> int:
     to_score = load_triples(args.score_file) if args.score_file else files[-1] or labeled
     out_dir = Path(args.out)
     model = _stage_embeddings(chain(*files), run, out_dir)
-    bundle = _stage_train(labeled, model, run, out_dir)
+    bundle = _stage_train(labeled, model, out_dir / "embeddings.txt", run, out_dir)
     _stage_score(to_score, bundle, out_dir)
     _stage_evaluate(labeled, model, run, fractions, out_dir)
     return EXIT_OK
@@ -413,7 +426,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("words", nargs="+", help="seed keywords")
     p.add_argument("--embeddings", required=True)
     p.add_argument("-k", type=_positive_int, default=3, help="neighbors per word (default 3)")
-    _add_common(p)
     p.set_defaults(func=cmd_neighbors)
 
     p = sub.add_parser("pipeline", help="run every stage into one output directory")

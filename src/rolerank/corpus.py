@@ -154,8 +154,8 @@ def parse_triples(lines: Iterable[str]) -> list[ContextualTriple]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TripleParseError(f"invalid JSON ({exc.msg})", line_no) from None
+        except (ValueError, RecursionError) as exc:  # bad JSON, a too-long int, deep nesting
+            raise TripleParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line_no) from None
         if not isinstance(obj, dict):
             raise TripleParseError("record must be a JSON object", line_no)
         triple = _parse_record(obj, line_no)

@@ -527,8 +527,10 @@ def load_embedding(path) -> EmbeddingModel:
             raise ValueError(f"{path}: header must be '<vocab_size> <dim>'")
         try:
             expected_v, dim = int(header[0]), int(header[1])
+            if dim < 1:
+                raise ValueError
         except ValueError:
-            raise ValueError(f"{path}: header must be two integers") from None
+            raise ValueError(f"{path}: header must be two integers, the second (dim) >= 1") from None
         words: list[str] = []
         rows: list[np.ndarray] = []
         line_nos: list[int] = []
@@ -557,7 +559,8 @@ def load_embedding(path) -> EmbeddingModel:
     if len(words) != expected_v:
         raise ValueError(f"{path}: header claims {expected_v} words, found {len(words)}")
     vectors = np.vstack(rows) if rows else np.zeros((0, dim))
-    norms = np.linalg.norm(vectors, axis=1)
+    with np.errstate(over="ignore"):  # a huge value's square: an inf norm, refused below
+        norms = np.linalg.norm(vectors, axis=1)
     off_unit = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
     if len(off_unit):
         first = off_unit[0]

@@ -61,17 +61,13 @@ class PRFResult:
     recall_defined: bool = True
 
 
-@dataclass(frozen=True)
-class EvalReport:
+@dataclass(frozen=True, kw_only=True)
+class EvalReport(PRFResult):
+    """One role's (or the aggregate's) P/R/F1 plus its NDCG."""
+
     role: str
-    precision: float
-    recall: float
-    f1: float
     ndcg: float
     threshold: float
-    counts: tuple[int, int, int, int]
-    precision_defined: bool = True
-    recall_defined: bool = True
     ndcg_defined: bool = True
 
 
@@ -193,86 +189,54 @@ def ndcg(
     return dcg(gain_values, cutoff) / idcg
 
 
-def _report(
-    role: str,
-    prf: PRFResult,
-    ndcg_value: float,
-    ndcg_defined: bool,
-    threshold: float,
-) -> EvalReport:
-    return EvalReport(
-        role=role,
-        precision=prf.precision,
-        recall=prf.recall,
-        f1=prf.f1,
-        ndcg=ndcg_value,
-        threshold=threshold,
-        counts=prf.counts,
-        precision_defined=prf.precision_defined,
-        recall_defined=prf.recall_defined,
-        ndcg_defined=ndcg_defined,
-    )
-
-
 def evaluate(
     bundle: ModelBundle,
     test: Sequence[ContextualTriple],
     threshold: float = 0.5,
     gains: GainMap = GainMap(),
 ) -> EvalRun:
-    """Score and rank the test triples per role, then compute the metrics.
+    """Score and rank the test triples in one pass, then compute the metrics per role.
 
-    P/R/F1 cover the binarizable labels only; NDCG covers all four
-    grades. Roles without a trained classifier still appear (their
-    triples score 0.0). The aggregate micro-averages the confusion counts
-    and macro-averages NDCG over roles.
+    ``rank`` orders by (-score, id), so each role's share of the ranking
+    is that role ranked alone. P/R/F1 cover the binarizable labels only;
+    NDCG covers all four grades. Roles without a trained classifier still
+    appear (their triples score 0.0). The aggregate micro-averages the
+    confusion counts and macro-averages NDCG over roles.
     """
-    by_role: dict[str, list[ContextualTriple]] = {}
     for triple in test:
         if triple.label is None:
             raise ValueError(f"test triple {triple.id!r} has no label")
-        by_role.setdefault(triple.role, []).append(triple)
+    by_role: dict[str, list[ScoredTriple]] = {}
+    for item in rank(score_triples(test, bundle)):
+        by_role.setdefault(item.triple.role, []).append(item)
 
     per_role: dict[str, EvalReport] = {}
-    totals = [0, 0, 0, 0]
-    ndcg_values = []
-    all_defined = True
     for role in sorted(by_role):
-        ranked = rank(score_triples(by_role[role], bundle))
+        ranked = by_role[role]
         binarizable = [s for s in ranked if binarize_label(s.triple.label) is not None]
         prf = precision_recall_f1(binarizable, threshold)
-        ndcg_defined = any(gains.for_label(s.triple.label) > 0 for s in ranked)
-        ndcg_value = ndcg([s.triple for s in ranked], gains)
-        per_role[role] = _report(role, prf, ndcg_value, ndcg_defined, threshold)
-        totals = [a + b for a, b in zip(totals, prf.counts)]
-        ndcg_values.append(ndcg_value)
-        all_defined = all_defined and ndcg_defined
+        per_role[role] = EvalReport(
+            role=role,
+            ndcg=ndcg([s.triple for s in ranked], gains),
+            threshold=threshold,
+            ndcg_defined=any(gains.for_label(s.triple.label) > 0 for s in ranked),
+            **vars(prf),
+        )
 
-    ndcg_mean = sum(ndcg_values) / len(ndcg_values) if ndcg_values else 1.0
-    aggregate = _report(
-        AGGREGATE_ROLE, _prf_from_counts(*totals), ndcg_mean, all_defined, threshold
+    reports = per_role.values()
+    totals = [sum(r.counts[i] for r in reports) for i in range(4)]
+    aggregate = EvalReport(
+        role=AGGREGATE_ROLE,
+        ndcg=sum(r.ndcg for r in reports) / len(reports) if reports else 1.0,
+        threshold=threshold,
+        ndcg_defined=all(r.ndcg_defined for r in reports),
+        **vars(_prf_from_counts(*totals)),
     )
     return EvalRun(per_role=per_role, aggregate=aggregate)
 
 
 def _report_to_obj(report: EvalReport) -> dict:
-    return {
-        "role": report.role,
-        "precision": report.precision,
-        "recall": report.recall,
-        "f1": report.f1,
-        "ndcg": report.ndcg,
-        "threshold": report.threshold,
-        "counts": {
-            "tp": report.counts[0],
-            "fp": report.counts[1],
-            "fn": report.counts[2],
-            "tn": report.counts[3],
-        },
-        "precision_defined": report.precision_defined,
-        "recall_defined": report.recall_defined,
-        "ndcg_defined": report.ndcg_defined,
-    }
+    return {**vars(report), "counts": dict(zip(("tp", "fp", "fn", "tn"), report.counts))}
 
 
 def write_reports_json(runs: Mapping[float, EvalRun], out: IO[str]) -> None:

@@ -472,8 +472,8 @@ def _check_nodes(c: RoleClassifier) -> None:
 def classifier_from_json(text: str) -> RoleClassifier:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"corrupt classifier JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # bad JSON, a too-long int, deep nesting
+        raise ValueError(f"corrupt classifier JSON: {getattr(exc, 'msg', exc)}") from None
     if not isinstance(payload, dict):
         raise ValueError("classifier JSON must be an object")
     for key in ("role", "config", "training_size", "n_features", "roots", *NODE_ARRAYS):

@@ -66,38 +66,39 @@ def train_role_models(
 ) -> ModelBundle:
     """Train one forest per role over the context vectors of the labeled triples.
 
-    Per role: binarize labels (neutral dropped), featurize the trainable
-    triples in one call, drop the zero rows (all-OOV contexts), and train
-    on the survivors in canonical id order with a per-role seed derived
-    from the forest seed. Roles that end up with fewer than two samples
-    in either class are recorded as skipped instead of failing the run;
-    zero trainable roles is an error.
+    Binarize labels (neutral dropped), featurize every trainable triple in
+    one call in canonical id order, and group the rows by role. Per role:
+    drop the zero rows (all-OOV contexts) and train on the survivors with
+    a per-role seed derived from the forest seed. Roles that end up with
+    fewer than two samples in either class are recorded as skipped
+    instead of failing the run; zero trainable roles is an error.
     """
     if not embedding.finalized:
         raise ValueError("train_role_models requires a finalized embedding")
-    by_role: dict[str, list[ContextualTriple]] = {}
     for triple in labeled:
         if triple.label is None:
             raise ValueError(f"triple {triple.id!r} has no label")
-        by_role.setdefault(triple.role, []).append(triple)
+    trainable = sorted((t for t in labeled if binarize_label(t.label) is not None), key=lambda t: t.id)
+    X, nonzero = featurize([t.sentences for t in trainable], embedding)
+    y = np.array([binarize_label(t.label) for t in trainable], dtype=np.int64)
+    rows_by_role: dict[str, list[int]] = {t.role: [] for t in labeled}
+    for row, triple in enumerate(trainable):
+        rows_by_role[triple.role].append(row)
 
     classifiers: dict[str, RoleClassifier] = {}
     skipped: list[tuple[str, str]] = []
-    for role in sorted(by_role):
-        ordered = sorted(by_role[role], key=lambda t: t.id)
-        pairs = [(t, b) for t in ordered if (b := binarize_label(t.label)) is not None]
-        trainable = [t for t, _ in pairs]
-        X, nonzero = featurize([t.sentences for t in trainable], embedding)
-        if not nonzero.all():
-            dropped = [t.id for t, keep in zip(trainable, nonzero) if not keep]
+    for role in sorted(rows_by_role):
+        rows = rows_by_role[role]
+        dropped = [trainable[row].id for row in rows if not nonzero[row]]
+        if dropped:
             logger.warning("role %s: %d all-OOV training triples excluded: %s",
                            role, len(dropped), ", ".join(dropped))
-        y = np.array([b for _, b in pairs], dtype=np.int64)[nonzero]
-        if not len(y):
+        rows = [row for row in rows if nonzero[row]]
+        if not rows:
             skipped.append((role, SKIP_NO_TRAINABLE))
             continue
-        pos = int(y.sum())
-        neg = len(y) - pos
+        pos = int(y[rows].sum())
+        neg = len(rows) - pos
         if pos == 0 or neg == 0:
             skipped.append((role, SKIP_SINGLE_CLASS))
             continue
@@ -105,7 +106,7 @@ def train_role_models(
             skipped.append((role, SKIP_TOO_FEW))
             continue
         role_config = replace(forest_config, seed=derive_seed(forest_config.seed, role))
-        classifiers[role] = train_forest(X[nonzero], y, role_config, role=role)
+        classifiers[role] = train_forest(X[rows], y[rows], role_config, role=role)
     if not classifiers:
         raise ValueError("no role has enough labeled data to train a classifier")
     return ModelBundle(embedding=embedding, classifiers=classifiers, skipped_roles=skipped)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from rolerank import embedding as emb
@@ -469,6 +469,54 @@ class TestScore:
         assert "Traceback" not in err
         assert not (tmp_path / "scores.jsonl").exists()
 
+    @pytest.mark.parametrize("change", ["other embeddings", "no hash"])
+    def test_models_of_other_embeddings_refused(self, trained, tmp_path, capsys, change):
+        tmp, labeled, _, config, out = trained
+        embeddings, manifest = out / "embeddings.txt", out / "models" / "manifest.json"
+        if change == "no hash":
+            payload = json.loads(manifest.read_text())
+            del payload["embeddings_sha256"]
+            manifest.write_text(json.dumps(payload))
+        else:  # another run's embeddings of the same dimension
+            embeddings = tmp / "other" / "embeddings.txt"
+            assert run("train-embeddings", "--data", labeled, "--config", config,
+                       "--seed", 12, "--out", embeddings.parent) == 0
+        capsys.readouterr()
+        code = run("score", "--triples", labeled, "--models", out / "models",
+                   "--embeddings", embeddings, "--out", tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(manifest) in err and str(embeddings) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "scores.jsonl").exists()
+
+    @pytest.mark.parametrize("name", ["absolute", "../models/affiliate.json", "sub/affiliate.json",
+                                      ".", "..", ""])
+    def test_manifest_file_names_confined(self, trained, tmp_path, capsys, name):
+        _, labeled, _, _, out = trained
+        other = tmp_path / "other-run"
+        other.mkdir()
+        (other / "affiliate.json").write_bytes((out / "models" / "affiliate.json").read_bytes())
+        manifest = out / "models" / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["roles"]["affiliate"] = str(other / "affiliate.json") if name == "absolute" else name
+        manifest.write_text(json.dumps(payload))
+        code = run("score", "--triples", labeled, "--models", out / "models",
+                   "--embeddings", out / "embeddings.txt", "--out", tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"cannot read model manifest {manifest}: " in err and "not the plain name of a file" in err
+        assert not (tmp_path / "scores.jsonl").exists()
+
+    def test_missing_config_file_named(self, trained, tmp_path, capsys):
+        _, labeled, _, _, out = trained
+        missing = tmp_path / "missing.conf"
+        code = run("score", "--triples", labeled, "--models", out / "models",
+                   "--embeddings", out / "embeddings.txt", "--config", missing, "--out", tmp_path)
+        assert code == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not (tmp_path / "scores.jsonl").exists()
+
     @pytest.mark.parametrize("value", ["nan", "-inf"])
     def test_non_finite_embedding_named(self, trained, tmp_path, capsys, value):
         _, labeled, _, _, out = trained
@@ -498,6 +546,75 @@ class TestScore:
         assert f"{path}: line 3: vector norm 2 is not 1" in err
         assert "Traceback" not in err
         assert not (tmp_path / "scores.jsonl").exists()
+
+
+DEEP_LIST = b"[" * 200_000
+DEEP_OBJECT = b'{"a":' * 200_000
+# (position, bytes cut, bytes inserted); a position wraps round the file's length
+EDITS = st.tuples(st.integers(0, 1 << 16), st.integers(0, 8), st.binary(max_size=8))
+
+
+def loader_files(labeled, out):
+    return {"triples": labeled, "embeddings": out / "embeddings.txt",
+            "manifest": out / "models" / "manifest.json", "model": out / "models" / "affiliate.json"}
+
+
+def score_argv(labeled, out, target):
+    return ("score", "--triples", labeled, "--models", out / "models",
+            "--embeddings", out / "embeddings.txt", "--out", target)
+
+
+class TestLoaderInput:
+    @pytest.mark.parametrize("target, content, code", [
+        ("triples", DEEP_LIST, 2), ("manifest", DEEP_LIST, 1), ("model", DEEP_OBJECT, 1)],
+        ids=["triples", "manifest", "model"])
+    def test_deep_nesting_named(self, trained, tmp_path, capsys, target, content, code):
+        _, labeled, _, config, out = trained
+        path, new = loader_files(labeled, out)[target], tmp_path / "new"
+        path.write_bytes(content)
+        if target == "triples":
+            argv = ("train-embeddings", "--data", path, "--config", config, "--out", new)
+        else:
+            argv = score_argv(labeled, out, new)
+        assert run(*argv) == code
+        err = capsys.readouterr().err
+        assert (f"{path}: line 1: invalid JSON" if target == "triples" else str(path)) in err
+        assert "Traceback" not in err
+        assert not new.exists()
+
+    @given(target=st.sampled_from(["triples", "embeddings", "manifest", "model"]), edit=EDITS)
+    @example(target="triples", edit=(0, 1 << 30, DEEP_LIST))
+    @example(target="manifest", edit=(0, 1 << 30, DEEP_LIST))
+    @example(target="model", edit=(0, 1 << 30, DEEP_OBJECT))
+    @example(target="triples", edit=(0, 1 << 30, b'{"id": ' + b"1" * 5000 + b"}"))
+    @example(target="embeddings", edit=(0, 1 << 30, b"0 -1\n"))
+    @example(target="embeddings", edit=(0, 1 << 30, b"1 2\nword 1e300 1e300\n"))
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_file_exits_named(self, trained, tmp_path, capsys, target, edit):
+        """``score`` on a file with some bytes cut or inserted exits 1 or 2,
+        names the file and prints no traceback. An edit can leave a triples,
+        manifest or model file valid (a changed letter in a sentence, say),
+        and then the run may succeed; an edited embeddings.txt never does,
+        because its sha256 no longer matches the manifest."""
+        _, labeled, _, _, out = trained
+        path = loader_files(labeled, out)[target]
+        original = path.read_bytes()
+        pos, cut, insert = edit
+        pos %= len(original) + 1
+        mutated = original[:pos] + insert + original[pos + cut:]
+        assume(mutated != original)
+        path.write_bytes(mutated)
+        try:
+            code = run(*score_argv(labeled, out, tmp_path))
+        finally:
+            path.write_bytes(original)
+        err = capsys.readouterr().err
+        if code == 0 and target != "embeddings":
+            return
+        assert code in (1, 2), err
+        assert str(path) in err
+        assert "Traceback" not in err
 
 
 class TestEvaluateCommand:
@@ -544,6 +661,15 @@ class TestNeighbors:
         _, _, _, _, out = trained
         assert run("neighbors", "nope1", "nope2",
                    "--embeddings", out / "embeddings.txt") == 1
+
+    @pytest.mark.parametrize("flag, value", [("--config", "/nonexistent.conf"), ("--seed", "9"),
+                                             ("--out", "/nonexistent/dir")])
+    def test_stage_flags_rejected(self, trained, capsys, flag, value):
+        _, _, _, _, out = trained
+        with pytest.raises(SystemExit) as excinfo:
+            run("neighbors", "affiliatesig0", "--embeddings", out / "embeddings.txt", flag, value)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_k_zero_rejected(self, trained):
         _, _, _, _, out = trained

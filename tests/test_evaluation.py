@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rolerank import pipeline
 from rolerank.corpus import ContextualTriple, RelevanceLabel
 from rolerank.evaluation import (
     GainMap,
@@ -19,6 +20,7 @@ from rolerank.evaluation import (
     write_reports_csv,
     write_reports_json,
 )
+from rolerank.features import featurize
 from rolerank.forest import ForestConfig
 from rolerank.pipeline import ScoredTriple, train_role_models
 from synth import unit_vector_model
@@ -308,6 +310,20 @@ class TestEvaluate:
         mean = sum(r.ndcg for r in run.per_role.values()) / len(run.per_role)
         assert run.aggregate.ndcg == pytest.approx(mean)
 
+    def test_one_featurize_call(self, setup, monkeypatch):
+        model, labeled, bundle = setup
+        calls = []
+
+        def spy(contexts, embedding):
+            calls.append(len(contexts))
+            return featurize(contexts, embedding)
+
+        monkeypatch.setattr(pipeline, "featurize", spy)
+        extra = [triple("g-0", role="guarantor", label=L.RELEVANT, words="word0")]
+        run = evaluate(bundle, labeled + extra)
+        assert sorted(run.per_role) == ["guarantor", "issuer", "trustee"]
+        assert calls == [len(labeled)]  # the unknown role's triple is not featurized
+
     def test_unlabeled_test_triple_rejected(self, setup):
         _, _, bundle = setup
         with pytest.raises(ValueError, match="no label"):
@@ -321,7 +337,13 @@ class TestEvaluate:
         doc = json.loads(json_buf.getvalue())
         assert doc["fractions"][0]["fraction"] == 0.5
         assert "issuer" in doc["fractions"][0]["roles"]
-        assert doc["fractions"][0]["aggregate"]["role"] == "ALL"
+        aggregate = doc["fractions"][0]["aggregate"]
+        assert aggregate["role"] == "ALL"
+        assert set(aggregate) == {
+            "role", "precision", "recall", "f1", "ndcg", "threshold", "counts",
+            "precision_defined", "recall_defined", "ndcg_defined",
+        }
+        assert aggregate["counts"] == dict(zip(("tp", "fp", "fn", "tn"), runs[0.5].aggregate.counts))
 
         csv_buf = io.StringIO()
         write_reports_csv(runs, csv_buf)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from rolerank import pipeline
 from rolerank.corpus import ContextualTriple, RelevanceLabel
 from rolerank.features import featurize
 from rolerank.forest import ForestConfig, classifier_to_json, predict_proba
@@ -124,6 +125,23 @@ class TestTrainRoleModels:
             bundle.classifiers["issuer"].config.seed
             != bundle.classifiers["trustee"].config.seed
         )
+
+    def test_one_featurize_call(self, model, monkeypatch):
+        calls = []
+
+        def spy(contexts, embedding):
+            calls.append([sentences[0] for sentences in contexts])
+            return featurize(contexts, embedding)
+
+        monkeypatch.setattr(pipeline, "featurize", spy)
+        labeled = labeled_role("trustee", model, n=6) + labeled_role("issuer", model, n=6) + [
+            triple("extra-n", "issuer", "word0 word1", L.NEUTRAL),
+            triple("extra-oov", "issuer", "qqq zzz", L.RELEVANT),
+        ]
+        bundle = train_role_models(labeled, model, ForestConfig(n_trees=2, seed=1))
+        assert sorted(bundle.classifiers) == ["issuer", "trustee"]
+        trainable = sorted((t for t in labeled if t.label is not L.NEUTRAL), key=lambda t: t.id)
+        assert calls == [[t.sentences[0] for t in trainable]]
 
     def test_requires_finalized(self, model):
         import dataclasses

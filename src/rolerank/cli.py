@@ -160,7 +160,8 @@ def _sha256(path) -> str:
 
 
 def _load_models(models_dir: Path, embeddings_path) -> pipeline.ModelBundle:
-    """The embeddings and the models a manifest lists, if trained on those embeddings."""
+    """The embeddings and the models a manifest lists, if trained on those
+    embeddings and unchanged since (each file's sha256 as recorded)."""
     embedding_model = emb.load_embedding(embeddings_path)
     manifest_path = models_dir / "manifest.json"
     embeddings_sha256 = _sha256(embeddings_path)
@@ -172,6 +173,7 @@ def _load_models(models_dir: Path, embeddings_path) -> pipeline.ModelBundle:
         roles = manifest.get("roles")
         if not isinstance(roles, dict) or not roles:
             raise ValueError("'roles' must map at least one role name to a file name")
+        model_hashes = manifest.get("models_sha256")
         for name in roles.values():  # a plain name: no separator, so no other directory
             if not (isinstance(name, str) and Path(name).name == name and (models_dir / name).is_file()):
                 raise ValueError(f"'roles' lists {name!r}, not the plain name of a file in {models_dir}")
@@ -195,6 +197,11 @@ def _load_models(models_dir: Path, embeddings_path) -> pipeline.ModelBundle:
             raise ValueError(
                 f"{models_dir / name}: trained on {classifier.n_features}-d features, "
                 f"embedding has dimension {embedding_model.dim}"
+            )
+        # checked once the file validates, so that a malformed one is named with its fault
+        if not isinstance(model_hashes, dict) or model_hashes.get(role) != _sha256(models_dir / name):
+            raise ValueError(
+                f"{manifest_path}: 'models_sha256' is missing or lacks the sha256 of {models_dir / name}"
             )
         classifiers[role] = classifier
     return pipeline.ModelBundle(
@@ -240,6 +247,7 @@ def _stage_train(labeled, model, embeddings_path, run: RunConfig, out_dir: Path)
         forest.save_classifier(bundle.classifiers[role], models_dir / role_files[role])
     manifest = {
         "embeddings_sha256": _sha256(embeddings_path),
+        "models_sha256": {role: _sha256(models_dir / name) for role, name in role_files.items()},
         "roles": role_files,
         "skipped": [[role, reason] for role, reason in bundle.skipped_roles],
     }

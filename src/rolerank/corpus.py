@@ -97,8 +97,20 @@ def tokenize(sentence: str) -> list[str]:
     from both ends of each piece (internal ones such as "." in "j.p" or
     "&" in "at&t" survive), drops pieces that strip to nothing, and
     replaces pure-digit tokens with the ``<num>`` sentinel.
+
+    A piece that is all alphanumeric is its own token, so only the others
+    go through ``_WORD``; str.split and the regex's ``\\S`` agree on what
+    is whitespace.
     """
-    return [NUM_TOKEN if word.isdigit() else word for word in _WORD.findall(sentence.lower())]
+    tokens = []
+    for piece in sentence.lower().split():
+        if not piece.isalnum():
+            match = _WORD.search(piece)
+            if match is None:
+                continue
+            piece = match.group()
+        tokens.append(NUM_TOKEN if piece.isdigit() else piece)
+    return tokens
 
 
 def _parse_record(obj: dict, line_no: int) -> ContextualTriple:

@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import open_atomic, open_text
+from .corpus import NUM_TOKEN, open_atomic, open_text, tokenize
 from .seeds import make_rng
 
 logger = logging.getLogger(__name__)
@@ -515,11 +515,12 @@ def save_embedding(model: EmbeddingModel, path) -> None:
 def load_embedding(path) -> EmbeddingModel:
     """Load a finalized model written by save_embedding.
 
-    Validates the header counts, per-line arity, that every value is a
-    finite number and that every vector has unit norm (within
-    UNIT_NORM_TOL). Counts are not stored in the format, so loaded models
-    are query-only (they can back feature extraction and neighbor queries
-    but not further training).
+    Validates the header counts, per-line arity, that every word is one
+    ``tokenize`` can produce (lowercase, no edge punctuation, not all
+    digits), that every value is a finite number and that every vector
+    has unit norm (within UNIT_NORM_TOL). Counts are not stored in the
+    format, so loaded models are query-only (they can back feature
+    extraction and neighbor queries but not further training).
     """
     with open_text(path) as f:
         header = f.readline().split()
@@ -544,6 +545,8 @@ def load_embedding(path) -> EmbeddingModel:
                     f"{path}: line {line_no}: expected {dim + 1} fields, got {len(parts)}"
                 )
             word = parts[0]
+            if word != NUM_TOKEN and tokenize(word) != [word]:  # no context could ever use it
+                raise ValueError(f"{path}: line {line_no}: {word!r} is not a token tokenize can produce")
             if word in index:
                 raise ValueError(f"{path}: line {line_no}: duplicate word {word!r}")
             index[word] = len(words)

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from rolerank import embedding as emb
+from rolerank import forest
 from rolerank.cli import _CONFIG_KEYS, ConfigError, build_run_config, main, parse_config_file
 from synth import make_labeled_triples, triples_to_jsonl
 
@@ -490,6 +491,27 @@ class TestScore:
         assert "Traceback" not in err
         assert not (tmp_path / "scores.jsonl").exists()
 
+    @pytest.mark.parametrize("change", ["leaf value", "no hash"])
+    def test_edited_model_refused(self, trained, tmp_path, capsys, change):
+        _, labeled, _, _, out = trained
+        model, manifest = out / "models" / "affiliate.json", out / "models" / "manifest.json"
+        if change == "no hash":
+            payload = json.loads(manifest.read_text())
+            del payload["models_sha256"]["affiliate"]
+            manifest.write_text(json.dumps(payload))
+        else:  # a leaf flipped to the other class: the file still validates
+            doc = json.loads(model.read_text())
+            leaf = doc["left"].index(-1)
+            doc["value"][leaf] = 1.0 - doc["value"][leaf]
+            model.write_text(json.dumps(doc))
+            assert forest.load_classifier(model).value[leaf] == doc["value"][leaf]
+        code = run(*score_argv(labeled, out, tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(manifest) in err and str(model) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "scores.jsonl").exists()
+
     @pytest.mark.parametrize("name", ["absolute", "../models/affiliate.json", "sub/affiliate.json",
                                       ".", "..", ""])
     def test_manifest_file_names_confined(self, trained, tmp_path, capsys, name):
@@ -593,10 +615,10 @@ class TestLoaderInput:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_mutated_file_exits_named(self, trained, tmp_path, capsys, target, edit):
         """``score`` on a file with some bytes cut or inserted exits 1 or 2,
-        names the file and prints no traceback. An edit can leave a triples,
-        manifest or model file valid (a changed letter in a sentence, say),
-        and then the run may succeed; an edited embeddings.txt never does,
-        because its sha256 no longer matches the manifest."""
+        names the file and prints no traceback. An edit can leave a triples
+        or manifest file valid (a changed letter in a sentence, say), and
+        then the run may succeed; an edited embeddings.txt or model file
+        never does, because its sha256 no longer matches the manifest."""
         _, labeled, _, _, out = trained
         path = loader_files(labeled, out)[target]
         original = path.read_bytes()
@@ -610,7 +632,7 @@ class TestLoaderInput:
         finally:
             path.write_bytes(original)
         err = capsys.readouterr().err
-        if code == 0 and target != "embeddings":
+        if code == 0 and target not in ("embeddings", "model"):
             return
         assert code in (1, 2), err
         assert str(path) in err

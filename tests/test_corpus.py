@@ -165,6 +165,13 @@ class TestTokenize:
             assert token
             if token != "<num>":
                 assert token[0].isalnum() and token[-1].isalnum()
+                assert tokenize(token) == [token]  # so a trained vocabulary always loads
+
+    @given(st.lists(st.text(st.characters() | st.sampled_from(WHITESPACE + "\u03a3'"))))
+    @example(["a\u03a3", "\u03a3a"])
+    def test_joined_sentences_tokenize_alike(self, sentences):
+        """``featurize`` tokenizes a context's sentences joined by a space."""
+        assert tokenize(" ".join(sentences)) == [t for s in sentences for t in tokenize(s)]
 
     @given(st.text() | st.text(st.characters() | st.sampled_from(WHITESPACE)))
     @example("\u0130stanbul a\u00b2 x\u00a0y _a_ a_b \u2160\u2161 \u0660\u0661 \u00bd")

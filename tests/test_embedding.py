@@ -1,4 +1,5 @@
 import math
+import re
 import signal
 
 import numpy as np
@@ -657,6 +658,17 @@ class TestPersistence:
         path.write_text("1 2\nw 0.1 abc\n")
         with pytest.raises(ValueError, match="line 2: non-numeric"):
             load_embedding(path)
+
+    @pytest.mark.parametrize("word", ["Bank", "trustee,", "123", "(inc", "<NUM>"])
+    def test_word_tokenize_cannot_produce_refused(self, tmp_path, word):
+        """No context could ever reach such a word's vector: its triples
+        would all score the all-OOV fallback, so the file is refused."""
+        path = tmp_path / "emb.txt"
+        path.write_text(f"3 2\n<num> 0.6 0.8\nj.p 0 1\n{word} 1 0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 4: ")):
+            load_embedding(path)
+        path.write_text("3 2\n<num> 0.6 0.8\nj.p 0 1\nat&t's 1 0\n")
+        assert load_embedding(path).vocab.words == ("<num>", "j.p", "at&t's")
 
     def test_interrupted_save_leaves_no_partial_file(self, tmp_path):
         class Interrupted:  # reading the third vector is interrupted

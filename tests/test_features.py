@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import rolerank
-from rolerank.features import featurize
+from rolerank.corpus import NUM_TOKEN
+from rolerank.features import FEATURIZE_BLOCK, context_vector, featurize
 from synth import unit_vector_model
 
 
@@ -152,6 +154,73 @@ class TestContextVector:
         row, nonzero = one(["w0 w1"], model_of([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
         assert np.all(row == 0)
         assert not nonzero
+
+
+class TestBlockedSum:
+    """``featurize`` sums blocks of FEATURIZE_BLOCK contexts at once; each
+    row must equal the per-context reference bit for bit."""
+
+    def model(self, dim=30):
+        return unit_vector_model([f"word{i}" for i in range(40)] + [NUM_TOKEN], dim=dim, seed=5)
+
+    def contexts(self, n, seed):
+        rng = np.random.default_rng(seed)
+        contexts = []
+        for c in range(n):
+            sentences = []
+            for _ in range(rng.integers(1, 4)):
+                words = [f"word{i}" for i in rng.integers(0, 40, size=rng.integers(1, 12))]
+                words += ["2016", "Word3,", "(unknown)", "word7"] * int(rng.integers(0, 2))
+                rng.shuffle(words)
+                sentences.append(" ".join(words) + ".")
+            if c % 5 == 2:
+                sentences = ["nothing here is known", "at all"][: 1 + c % 2]
+            contexts.append(sentences)
+        return contexts
+
+    def reference(self, contexts, model):
+        """The rows and mask of ``context_vector`` / ``np.linalg.norm``, one context at a time."""
+        X = np.zeros((len(contexts), model.dim))
+        nonzero = np.zeros(len(contexts), dtype=bool)
+        for i, sentences in enumerate(contexts):
+            total = context_vector(sentences, model)
+            norm = float(np.linalg.norm(total))
+            if norm > 1e-12:
+                X[i], nonzero[i] = total / norm, True
+        return X, nonzero
+
+    @pytest.mark.parametrize("n", [0, 1, FEATURIZE_BLOCK - 1, FEATURIZE_BLOCK,
+                                   FEATURIZE_BLOCK + 1, 2 * FEATURIZE_BLOCK + 3])
+    def test_equals_context_vector_reference(self, n):
+        model = self.model()
+        contexts = self.contexts(n, seed=n)
+        if n:
+            contexts[-1] = ["word1 word1 word1", "40 word2 7", "word1 word3 word1"]
+        X, nonzero = featurize(contexts, model)
+        expected, expected_nonzero = self.reference(contexts, model)
+        assert X.shape == (n, model.dim) and X.tobytes() == expected.tobytes()
+        assert nonzero.tolist() == expected_nonzero.tolist()
+        if n > 2:
+            assert 0 < nonzero.sum() < n  # both all-OOV and known contexts were covered
+
+    @pytest.mark.parametrize("dim", [2, 5, 64, 100, 300])
+    def test_equals_reference_at_other_dims(self, dim):
+        model = self.model(dim)
+        contexts = self.contexts(FEATURIZE_BLOCK + 7, seed=dim)
+        assert featurize(contexts, model)[0].tobytes() == self.reference(contexts, model)[0].tobytes()
+
+    def test_peak_memory_bounded_by_output(self):
+        """Blocks bound the temporaries: an unblocked sum over 8,000
+        contexts peaked at ~27x its output, the blocked one at ~1.3x."""
+        model = self.model()
+        contexts = self.contexts(8000, seed=1)
+        tracemalloc.start()
+        try:
+            X, _ = featurize(contexts, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * X.nbytes, (peak, X.nbytes)
 
 
 def test_every_exported_name_resolves():

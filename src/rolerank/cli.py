@@ -140,6 +140,14 @@ def _load_many(paths) -> list[list[ContextualTriple]]:
     return loaded
 
 
+def _require_labels(triples: list[ContextualTriple], path) -> list[ContextualTriple]:
+    """The triples of a ``--labeled`` file, if every one has a label."""
+    for triple in triples:
+        if triple.label is None:
+            raise InputError(f"{path}: triple {triple.id!r} has no label")
+    return triples
+
+
 def _safe_filename(role: str, taken: set[str]) -> str:
     base = re.sub(r"[^a-z0-9._-]", "_", role) or "role"
     name = f"{base}.json"
@@ -210,18 +218,21 @@ def _load_models(models_dir: Path, embeddings_path) -> pipeline.ModelBundle:
 
 
 def _parse_fractions(text: str) -> list[float]:
-    fractions = []
+    """The fractions in order; each is told apart by its ``:g`` form, which
+    derives its split seed and labels its report rows."""
+    fractions = {}
     for piece in text.split(","):
         try:
             value = float(piece)
         except ValueError:
             raise ConfigError(f"bad fraction {piece!r}") from None
+        label = f"{value:g}"
         if not 0.0 < value < 1.0:
-            raise ConfigError(f"fraction {value:g} must lie strictly between 0 and 1")
-        fractions.append(value)
-    if not fractions:
-        raise ConfigError("at least one fraction is required")
-    return fractions
+            raise ConfigError(f"fraction {label} must lie strictly between 0 and 1")
+        if label in fractions:
+            raise ConfigError(f"fraction {label} is given twice")
+        fractions[label] = value
+    return list(fractions.values())
 
 
 def _stage_embeddings(triples, run: RunConfig, out_dir: Path) -> emb.EmbeddingModel:
@@ -240,7 +251,7 @@ def _stage_train(labeled, model, embeddings_path, run: RunConfig, out_dir: Path)
     bundle = pipeline.train_role_models(labeled, model, run.forest)
     models_dir = out_dir / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
-    taken: set[str] = set()
+    taken = {"manifest.json"}  # no role's model may overwrite the manifest
     role_files = {}
     for role in sorted(bundle.classifiers):
         role_files[role] = _safe_filename(role, taken)
@@ -305,7 +316,7 @@ def cmd_train_embeddings(args) -> int:
 
 def cmd_train(args) -> int:
     run = build_run_config(args.config, args.seed)
-    labeled = load_triples(args.labeled)
+    labeled = _require_labels(load_triples(args.labeled), args.labeled)
     model = emb.load_embedding(args.embeddings)
     _stage_train(labeled, model, args.embeddings, run, Path(args.out))
     return EXIT_OK
@@ -322,7 +333,7 @@ def cmd_score(args) -> int:
 def cmd_evaluate(args) -> int:
     run = build_run_config(args.config, args.seed)
     fractions = _parse_fractions(args.fractions)
-    labeled = load_triples(args.labeled)
+    labeled = _require_labels(load_triples(args.labeled), args.labeled)
     model = emb.load_embedding(args.embeddings)
     _stage_evaluate(labeled, model, run, fractions, Path(args.out))
     return EXIT_OK
@@ -354,7 +365,7 @@ def cmd_pipeline(args) -> int:
     run = build_run_config(args.config, args.seed)
     fractions = _parse_fractions(args.fractions)
     files = _load_many([args.labeled, args.unlabeled] if args.unlabeled else [args.labeled])
-    labeled = files[0]
+    labeled = _require_labels(files[0], args.labeled)
     # scored: the --score-file, else a non-empty unlabeled file, else the labeled one
     to_score = load_triples(args.score_file) if args.score_file else files[-1] or labeled
     out_dir = Path(args.out)

@@ -36,10 +36,9 @@ class InputError(ValueError):
 
 
 class TripleParseError(InputError):
-    """Raised for malformed triple records; carries the 1-based line number."""
+    """Raised for malformed triple records; the message names the 1-based line."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
@@ -77,15 +76,16 @@ def canonicalize_role(raw: str) -> str:
     """Reduce a role string to its lowercase singular form.
 
     "ies" becomes "y" (counterparties -> counterparty); otherwise a single
-    trailing "s" is dropped unless the word ends in "ss". Idempotent. A
-    role that would strip to the empty string is kept as-is, lowercased.
+    trailing "s" is dropped unless it follows another "s" or whitespace,
+    so "ss" and a lone "s" word stay. What is left never ends in "s" or
+    whitespace, so canonicalizing again changes nothing.
     """
     role = raw.strip().lower()
     if not role:
         raise ValueError("role must be a nonempty string")
     if role.endswith("ies"):
         return role[:-3] + "y"
-    if role.endswith("s") and not role.endswith("ss") and len(role) > 1:
+    if len(role) > 1 and role[-1] == "s" and role[-2] != "s" and not role[-2].isspace():
         return role[:-1]
     return role
 
@@ -138,14 +138,10 @@ def _parse_record(obj: dict, line_no: int) -> ContextualTriple:
             label = RelevanceLabel.parse(obj["label"])
         except ValueError as exc:
             raise TripleParseError(str(exc), line_no) from None
-    try:
-        role = canonicalize_role(obj["role"])
-    except ValueError as exc:
-        raise TripleParseError(str(exc), line_no) from None
     return ContextualTriple(
         id=obj["id"],
         head=obj["head"],
-        role=role,
+        role=canonicalize_role(obj["role"]),  # nonempty after strip, checked above
         tail=obj["tail"],
         sentences=tuple(sentences),
         label=label,
@@ -207,7 +203,7 @@ def open_atomic(path) -> Iterator[IO[str]]:
 
 
 def load_triples(path) -> list[ContextualTriple]:
-    """``parse_triples`` over a file; its errors name the file and keep ``line``."""
+    """``parse_triples`` over a file; its errors name the file and the line."""
     with open_text(path) as f:
         try:
             return parse_triples(f)

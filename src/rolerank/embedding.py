@@ -99,19 +99,22 @@ class EmbeddingModel:
 
     ``output_vectors`` (the context-side matrix) exists only while
     training; ``finalize`` drops it and renormalizes every word vector to
-    unit length.
+    unit length, so a model is finalized exactly when it has none.
     """
 
     vocab: Vocabulary
     input_vectors: np.ndarray
     output_vectors: np.ndarray | None = None
-    finalized: bool = False
     epoch_losses: tuple[float, ...] = ()
     zero_replaced: tuple[str, ...] = ()
 
     @property
     def dim(self) -> int:
         return self.input_vectors.shape[1]
+
+    @property
+    def finalized(self) -> bool:
+        return self.output_vectors is None
 
 
 def build_vocabulary(corpus: Sequence[Sequence[str]], min_count: int = 1) -> Vocabulary:
@@ -435,7 +438,6 @@ def train_skipgram(
         vocab=vocab,
         input_vectors=weights[:vocab_size],
         output_vectors=weights[vocab_size:],
-        finalized=False,
         epoch_losses=tuple(losses),
     )
 
@@ -470,8 +472,6 @@ def finalize(model: EmbeddingModel) -> EmbeddingModel:
     return EmbeddingModel(
         vocab=model.vocab,
         input_vectors=vectors,
-        output_vectors=None,
-        finalized=True,
         epoch_losses=model.epoch_losses,
         zero_replaced=zero_words,
     )
@@ -572,10 +572,5 @@ def load_embedding(path) -> EmbeddingModel:
             f"(tolerance {UNIT_NORM_TOL:g})"
         )
     vocab = Vocabulary(words=tuple(words), counts={}, index=index)
-    return EmbeddingModel(
-        vocab=vocab,
-        input_vectors=vectors,
-        output_vectors=None,
-        finalized=True,
-    )
+    return EmbeddingModel(vocab=vocab, input_vectors=vectors)
 

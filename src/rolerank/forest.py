@@ -252,7 +252,9 @@ def _preorder(start, stop, pos, rng, d, m, config, nodes):
     A node is a range [start, stop) of the forest's sample buffer holding
     ``pos`` positives. For each node that needs a split search the tree
     draws its candidate features and yields (start, stop, features); it is
-    sent back that node's ``_split_batch`` result. Each node appends its
+    sent back that node's ``_split_batch`` result. Once the tree is
+    complete it yields None, so a driver takes ``next(tree)`` and then
+    ``tree.send(split)`` until it sees None. Each node appends its
     [feature, threshold, left, right, value] row to ``nodes``, with child
     indices local to the tree. The stack holds (start, stop, positives,
     depth, parent) with the right child pushed before the left, so nodes
@@ -283,14 +285,7 @@ def _preorder(start, stop, pos, rng, d, m, config, nodes):
         stack.append((start + n_left, stop, pos - pos_left, depth + 1, node))
         stack.append((start, start + n_left, pos_left, depth + 1, -1))
         nodes.extend((f, t, node + 1, -1, 0.0))
-
-
-def _resume(tree, split):
-    """The tree's next split request, or None once the tree is complete."""
-    try:
-        return tree.send(split)
-    except StopIteration:
-        return None
+    yield None
 
 
 def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str = "") -> RoleClassifier:
@@ -340,7 +335,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
         trees.append(array("d"))
         pos_root = int(y[samples[start:stop]].sum())
         tree = _preorder(start, stop, pos_root, rng, d, m, config, trees[-1])
-        if (request := _resume(tree, None)) is not None:
+        if (request := next(tree)) is not None:
             requests.append((tree, request))
     while requests:
         nodes = [request for _, request in requests]
@@ -348,7 +343,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
         requests = [
             (tree, request)
             for (tree, _), split in zip(requests, splits)
-            if (request := _resume(tree, split)) is not None
+            if (request := tree.send(split)) is not None
         ]
 
     sizes = [len(nodes) // 5 for nodes in trees]
@@ -490,13 +485,18 @@ def classifier_from_json(text: str) -> RoleClassifier:
         if key not in config_obj:
             raise ValueError(f"config missing {key!r}")
         _int(config_obj[key], f"config {key!r}", optional=default is None)
+    if not isinstance(payload["role"], str):
+        raise ValueError(f"'role' must be a string, got {payload['role']!r}")
     size = payload["training_size"]
     if not isinstance(size, list) or len(size) != 2:
         raise ValueError("'training_size' must be a [positives, negatives] list")
+    size = tuple(_int(v, "'training_size'") for v in size)
+    if min(size) < 0:
+        raise ValueError(f"'training_size' counts must be >= 0, got {list(size)}")
     classifier = RoleClassifier(
         role=payload["role"],
         config=ForestConfig(**config_obj),
-        training_size=tuple(_int(v, "'training_size'") for v in size),
+        training_size=size,
         n_features=_int(payload["n_features"], "'n_features'"),
         roots=_number_array(payload["roots"], "roots", np.int64),
         **{name: _number_array(payload[name], name, dtype) for name, dtype in NODE_ARRAYS.items()},

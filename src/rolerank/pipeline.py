@@ -73,8 +73,6 @@ def train_role_models(
     fewer than two samples in either class are recorded as skipped
     instead of failing the run; zero trainable roles is an error.
     """
-    if not embedding.finalized:
-        raise ValueError("train_role_models requires a finalized embedding")
     for triple in labeled:
         if triple.label is None:
             raise ValueError(f"triple {triple.id!r} has no label")

@@ -22,8 +22,6 @@ def derive_seed(master: int, tag: str) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-def make_rng(seed: int, tag: str | None = None) -> np.random.Generator:
-    """PCG64 generator for ``seed``, optionally derived through ``tag``."""
-    if tag is not None:
-        seed = derive_seed(seed, tag)
-    return np.random.Generator(np.random.PCG64(seed))
+def make_rng(seed: int, tag: str) -> np.random.Generator:
+    """PCG64 generator for the seed derived from (``seed``, ``tag``)."""
+    return np.random.Generator(np.random.PCG64(derive_seed(seed, tag)))

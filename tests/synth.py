@@ -121,7 +121,7 @@ def unit_vector_model(words: list[str], dim: int = 8, seed: int = 0) -> Embeddin
         counts={w: 1 for w in words},
         index={w: i for i, w in enumerate(words)},
     )
-    return EmbeddingModel(vocab=vocab, input_vectors=vectors, finalized=True)
+    return EmbeddingModel(vocab=vocab, input_vectors=vectors)
 
 
 def parse_jsonl_lines(lines: list[str]):

@@ -91,6 +91,10 @@ MODEL_EDITS = {
     "deeper than max_depth": (
         lambda p: dict(p, config=dict(p["config"], max_depth=1)), "deeper than config.max_depth"),
     "training_size not a list": (lambda p: dict(p, training_size=7), "'training_size'"),
+    "negative training_size": (
+        lambda p: dict(p, training_size=[-5, 7]), "'training_size' counts must be >= 0"),
+    "role a number": (lambda p: dict(p, role=123), "'role' must be a string"),
+    "role a list": (lambda p: dict(p, role=["x"]), "'role' must be a string"),
     "payload not an object": (lambda p: [p], "must be an object"),
 }
 
@@ -308,6 +312,39 @@ class TestTrain:
         manifest = json.loads((out / "models" / "manifest.json").read_text())
         assert list(manifest["roles"]) == ["affiliate"]
 
+    def test_role_files_never_the_manifest(self, workspace):
+        # "manifests" canonicalizes to "manifest"; "a b" and "a_b" both sanitize to "a_b"
+        tmp, _, _, config = workspace
+        labeled = tmp / "roles.jsonl"
+        triples_to_jsonl(
+            make_labeled_triples(roles=("manifests", "a b", "a_b"), n_per_role=30, seed=5), labeled
+        )
+        out, staged = tmp / "roles-run", tmp / "roles-score"
+        assert run("pipeline", "--labeled", labeled, "--fractions", "0.5",
+                   "--config", config, "--out", out) == 0
+        files = json.loads((out / "models" / "manifest.json").read_text())["roles"]
+        assert sorted(files) == ["a b", "a_b", "manifest"]
+        assert len(set(files.values())) == 3 and "manifest.json" not in files.values()
+        assert run("score", "--triples", labeled, "--models", out / "models",
+                   "--embeddings", out / "embeddings.txt", "--out", staged) == 0
+        assert (staged / "scores.jsonl").read_bytes() == (out / "scores.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "pipeline"])
+    def test_unlabeled_triple_in_labeled_file_exit_2(self, trained, tmp_path, capsys, command):
+        _, labeled, _, config, out = trained
+        rows = labeled.read_text().splitlines()
+        row = json.loads(rows[3])
+        del row["label"]
+        rows[3] = json.dumps(row)
+        partly = tmp_path / "partly.jsonl"
+        partly.write_text("\n".join(rows) + "\n")
+        target = tmp_path / "out"
+        inputs = [] if command == "pipeline" else ["--embeddings", out / "embeddings.txt"]
+        assert run(command, "--labeled", partly, *inputs,
+                   "--config", config, "--out", target) == 2
+        assert f"{partly}: triple {row['id']!r} has no label" in capsys.readouterr().err
+        assert not target.exists()  # so pipeline trained no embeddings
+
     def test_single_class_role_skipped_exit_zero(self, workspace, capsys):
         tmp, labeled, _, config = workspace
         mixed = tmp / "mixed.jsonl"
@@ -442,6 +479,20 @@ class TestScore:
         err = capsys.readouterr().err
         assert f"{path}: " in err and message in err
         assert "Traceback" not in err
+        assert not (tmp_path / "scores.jsonl").exists()
+
+    def test_swapped_roles_named(self, trained, tmp_path, capsys):
+        _, labeled, _, _, out = trained
+        path = out / "models" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        roles = manifest["roles"]
+        manifest["roles"] = {"affiliate": roles["trustee"], "trustee": roles["affiliate"]}
+        path.write_text(json.dumps(manifest))
+        code = run("score", "--triples", labeled, "--models", out / "models",
+                   "--embeddings", out / "embeddings.txt", "--out", tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{path} says {out / 'models' / 'trustee.json'} holds role 'affiliate'" in err
         assert not (tmp_path / "scores.jsonl").exists()
 
     @pytest.mark.parametrize(
@@ -653,6 +704,14 @@ class TestEvaluateCommand:
         _, labeled, _, config, out = trained
         assert run("evaluate", "--labeled", labeled, "--embeddings", out / "embeddings.txt",
                    "--fractions", "1.0", "--config", config, "--out", out) == 2
+
+    @pytest.mark.parametrize("fractions, repeated", [("0.5,0.5", "0.5"), ("0.1,0.9,0.10", "0.1")])
+    def test_repeated_fraction_exit_2(self, trained, tmp_path, capsys, fractions, repeated):
+        _, labeled, _, config, out = trained
+        assert run("evaluate", "--labeled", labeled, "--embeddings", out / "embeddings.txt",
+                   "--fractions", fractions, "--config", config, "--out", tmp_path) == 2
+        assert f"fraction {repeated} is given twice" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_same_seed_identical_reports(self, trained):
         tmp, labeled, _, config, out = trained

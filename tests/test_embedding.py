@@ -23,13 +23,15 @@ from synth import clique_corpus
 
 
 def make_model(words, vectors, finalized=True):
+    """A model of these rows; an unfinalized one also has (zero) output vectors."""
     vectors = np.asarray(vectors, dtype=np.float64)
     vocab = Vocabulary(
         words=tuple(words),
         counts={w: 1 for w in words},
         index={w: i for i, w in enumerate(words)},
     )
-    return EmbeddingModel(vocab=vocab, input_vectors=vectors, finalized=finalized)
+    outputs = None if finalized else np.zeros_like(vectors)
+    return EmbeddingModel(vocab=vocab, input_vectors=vectors, output_vectors=outputs)
 
 
 class TestBuildVocabulary:

@@ -114,7 +114,7 @@ class TestContextVector:
 
     def test_requires_finalized(self):
         model = self.model()
-        model.finalized = False
+        model.output_vectors = np.zeros_like(model.input_vectors)
         with pytest.raises(ValueError):
             featurize([["word1"]], model)
 

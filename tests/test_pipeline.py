@@ -146,7 +146,7 @@ class TestTrainRoleModels:
     def test_requires_finalized(self, model):
         import dataclasses
 
-        raw = dataclasses.replace(model, finalized=False)
+        raw = dataclasses.replace(model, output_vectors=np.zeros_like(model.input_vectors))
         with pytest.raises(ValueError, match="finalized"):
             train_role_models([], raw, ForestConfig(seed=1))
 

@@ -56,12 +56,8 @@ class RunConfig:
             raise ValueError("threshold must lie in [0, 1]")
 
 
-class ConfigError(InputError):
-    pass
-
-
 def _cast_optional_int(text: str):
-    if text.lower() in ("none", "auto", "unlimited"):
+    if text.lower() in ("none", "auto"):
         return None
     return int(text)
 
@@ -88,17 +84,17 @@ def parse_config_file(path) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}: line {line_no}: expected 'key = value'")
+                raise InputError(f"{path}: line {line_no}: expected 'key = value'")
             key, raw = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}: line {line_no}: unknown key {key!r}")
+                raise InputError(f"{path}: line {line_no}: unknown key {key!r}")
             if key in set_on:
-                raise ConfigError(f"{path}: line {line_no}: {key!r} already set on line {set_on[key]}")
+                raise InputError(f"{path}: line {line_no}: {key!r} already set on line {set_on[key]}")
             set_on[key] = line_no
             try:
                 values[key] = _CONFIG_KEYS[key](raw)
             except ValueError:
-                raise ConfigError(f"{path}: line {line_no}: bad value {raw!r} for {key!r}") from None
+                raise InputError(f"{path}: line {line_no}: bad value {raw!r} for {key!r}") from None
     return values
 
 
@@ -108,7 +104,7 @@ def build_run_config(config_path, seed_override: int | None) -> RunConfig:
     Unset keys take the dataclass defaults, and ``--seed`` beats the file's
     master seed. An unset stage seed derives from the master seed through
     the section's tag ("embedding" / "forest"). A value a dataclass rejects
-    raises ``ConfigError`` naming the config file.
+    raises ``InputError`` naming the config file.
     """
     values = parse_config_file(config_path) if config_path else {}
     if seed_override is not None:
@@ -123,7 +119,7 @@ def build_run_config(config_path, seed_override: int | None) -> RunConfig:
             values[section] = cls(**given)
         return RunConfig(**values)
     except ValueError as exc:
-        raise ConfigError(f"{config_path}: {exc}") from None
+        raise InputError(f"{config_path}: {exc}") from None
 
 
 def _load_many(paths) -> list[list[ContextualTriple]]:
@@ -146,6 +142,15 @@ def _require_labels(triples: list[ContextualTriple], path) -> list[ContextualTri
         if triple.label is None:
             raise InputError(f"{path}: triple {triple.id!r} has no label")
     return triples
+
+
+def _check_features_per_split(run: RunConfig, config_path, dim: int) -> None:
+    """Refuse a ``forest.features_per_split`` above ``dim``, the forests' feature count."""
+    if (run.forest.features_per_split or 0) > dim:
+        raise InputError(
+            f"{config_path}: 'forest.features_per_split' = {run.forest.features_per_split} "
+            f"exceeds the embedding dimension {dim}"
+        )
 
 
 def _safe_filename(role: str, taken: set[str]) -> str:
@@ -225,12 +230,12 @@ def _parse_fractions(text: str) -> list[float]:
         try:
             value = float(piece)
         except ValueError:
-            raise ConfigError(f"bad fraction {piece!r}") from None
+            raise InputError(f"bad fraction {piece!r}") from None
         label = f"{value:g}"
         if not 0.0 < value < 1.0:
-            raise ConfigError(f"fraction {label} must lie strictly between 0 and 1")
+            raise InputError(f"fraction {label} must lie strictly between 0 and 1")
         if label in fractions:
-            raise ConfigError(f"fraction {label} is given twice")
+            raise InputError(f"fraction {label} is given twice")
         fractions[label] = value
     return list(fractions.values())
 
@@ -239,10 +244,9 @@ def _stage_embeddings(triples, run: RunConfig, out_dir: Path) -> emb.EmbeddingMo
     model = emb.finalize(emb.train_skipgram(build_corpus(triples), run.embedding))
     out_dir.mkdir(parents=True, exist_ok=True)
     emb.save_embedding(model, out_dir / "embeddings.txt")
-    final_loss = model.epoch_losses[-1] if model.epoch_losses else float("nan")
     print(f"vocabulary size: {len(model.vocab)}")
     print(f"epochs: {run.embedding.epochs}")
-    print(f"final mean loss: {final_loss:.6f}")
+    print(f"final mean loss: {model.epoch_losses[-1]:.6f}")
     print(f"wrote {out_dir / 'embeddings.txt'}")
     return model
 
@@ -318,6 +322,7 @@ def cmd_train(args) -> int:
     run = build_run_config(args.config, args.seed)
     labeled = _require_labels(load_triples(args.labeled), args.labeled)
     model = emb.load_embedding(args.embeddings)
+    _check_features_per_split(run, args.config, model.dim)
     _stage_train(labeled, model, args.embeddings, run, Path(args.out))
     return EXIT_OK
 
@@ -335,6 +340,7 @@ def cmd_evaluate(args) -> int:
     fractions = _parse_fractions(args.fractions)
     labeled = _require_labels(load_triples(args.labeled), args.labeled)
     model = emb.load_embedding(args.embeddings)
+    _check_features_per_split(run, args.config, model.dim)
     _stage_evaluate(labeled, model, run, fractions, Path(args.out))
     return EXIT_OK
 
@@ -363,6 +369,7 @@ def cmd_neighbors(args) -> int:
 def cmd_pipeline(args) -> int:
     """train-embeddings, train, score and evaluate chained into one directory."""
     run = build_run_config(args.config, args.seed)
+    _check_features_per_split(run, args.config, run.embedding.dim)
     fractions = _parse_fractions(args.fractions)
     files = _load_many([args.labeled, args.unlabeled] if args.unlabeled else [args.labeled])
     labeled = _require_labels(files[0], args.labeled)
@@ -467,7 +474,6 @@ _EXIT_CODES = (
     (InputError, EXIT_USAGE, ""),
     (OSError, EXIT_USAGE, ""),
     (ValueError, EXIT_FAILURE, ""),
-    (KeyError, EXIT_FAILURE, ""),
     # a valid but huge size key, such as embedding.dim or forest.n_trees
     (MemoryError, EXIT_FAILURE, "out of memory: "),
 )

@@ -4,8 +4,8 @@ Precision/recall/F1 are computed for the positive class at a score
 threshold (default 0.5). NDCG uses the standard exponential-gain form
 (2^gain - 1) / log2(rank + 1) with graded gains that preserve the
 required order highly relevant > relevant > neutral > irrelevant.
-Undefined metrics (no predicted positives, no positive gain) are
-reported as flagged conventional values rather than omitted.
+Undefined metrics (no predicted positives, no positive gain, no test
+triple) are reported as flagged conventional values rather than omitted.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import IO, Mapping, Sequence
 
 from .corpus import ContextualTriple, RelevanceLabel
@@ -43,12 +44,7 @@ class GainMap:
             raise ValueError("gains must be at most 512")
 
     def for_label(self, label: RelevanceLabel) -> float:
-        return {
-            RelevanceLabel.HIGHLY_RELEVANT: self.highly_relevant,
-            RelevanceLabel.RELEVANT: self.relevant,
-            RelevanceLabel.NEUTRAL: self.neutral,
-            RelevanceLabel.IRRELEVANT: self.irrelevant,
-        }[label]
+        return getattr(self, label.name.lower())
 
 
 @dataclass(frozen=True)
@@ -82,6 +78,10 @@ def split_train_test(
 ) -> tuple[list[ContextualTriple], list[ContextualTriple]]:
     """Stratified split: ceil(fraction * n) of each (role, class) stratum trains.
 
+    The fraction is read as its shortest decimal form and the product is
+    exact, so 0.55 of 100 trains 55 (the float product, 55.00000000000001,
+    would take 56).
+
     Strata are keyed by role and binarized label (neutral its own
     stratum), ordered canonically by triple id, and shuffled by a
     per-stratum RNG derived from the seed, so the same seed always yields
@@ -89,6 +89,7 @@ def split_train_test(
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie strictly between 0 and 1")
+    exact = Fraction(str(fraction))
     strata: dict[tuple[str, int | None], list[ContextualTriple]] = {}
     for triple in labeled:
         if triple.label is None:
@@ -101,7 +102,7 @@ def split_train_test(
         members = sorted(members, key=lambda t: t.id)
         rng = make_rng(seed, f"{role}|{target}")
         order = rng.permutation(len(members))
-        take = math.ceil(fraction * len(members))
+        take = math.ceil(exact * len(members))
         for pos, idx in enumerate(order):
             (train if pos < take else test).append(members[idx])
     train.sort(key=lambda t: t.id)
@@ -121,7 +122,7 @@ def precision_recall_f1(
     tp = fp = fn = tn = 0
     for item in scored:
         if item.triple.label is None:
-            raise ValueError(f"triple {item.triple.id!r} has no gold label")
+            raise ValueError(f"triple {item.triple.id!r} has no label")
         gold = binarize_label(item.triple.label)
         if gold is None:
             raise ValueError(
@@ -156,37 +157,29 @@ def _prf_from_counts(tp: int, fp: int, fn: int, tn: int) -> PRFResult:
     )
 
 
-def dcg(gains: Sequence[float], cutoff: int | None = None) -> float:
-    limit = len(gains) if cutoff is None else min(len(gains), cutoff)
-    return sum(
-        (2.0 ** gains[i] - 1.0) / math.log2(i + 2) for i in range(limit)
-    )
+def dcg(gains: Sequence[float]) -> float:
+    return sum((2.0 ** gain - 1.0) / math.log2(i + 2) for i, gain in enumerate(gains))
 
 
-def ndcg(
-    ranking: Sequence[ContextualTriple],
-    gains: GainMap = GainMap(),
-    cutoff: int | None = None,
-) -> float:
+def ndcg(ranking: Sequence[ContextualTriple], gains: GainMap = GainMap()) -> float:
     """Normalized discounted cumulative gain of a ranked list of labeled triples.
 
-    DCG sums (2^gain - 1) / log2(position + 1) over the (optionally cut
-    off) ranking; the ideal DCG re-sorts the same gains in descending
-    order. A ranking with no positive gain anywhere has IDCG 0 and
-    returns 1.0 by convention.
+    DCG sums (2^gain - 1) / log2(position + 1) over the ranking; the ideal
+    DCG re-sorts the same gains in descending order. A ranking with no
+    positive gain anywhere has IDCG 0 and returns 1.0 by convention.
     """
     if not ranking:
         raise ValueError("ranking is empty")
     gain_values = []
     for triple in ranking:
         if triple.label is None:
-            raise ValueError(f"triple {triple.id!r} has no gold label")
+            raise ValueError(f"triple {triple.id!r} has no label")
         gain_values.append(gains.for_label(triple.label))
     ideal = sorted(gain_values, reverse=True)
-    idcg = dcg(ideal, cutoff)
+    idcg = dcg(ideal)
     if idcg == 0.0:
         return 1.0
-    return dcg(gain_values, cutoff) / idcg
+    return dcg(gain_values) / idcg
 
 
 def evaluate(
@@ -203,9 +196,6 @@ def evaluate(
     appear (their triples score 0.0). The aggregate micro-averages the
     confusion counts and macro-averages NDCG over roles.
     """
-    for triple in test:
-        if triple.label is None:
-            raise ValueError(f"test triple {triple.id!r} has no label")
     by_role: dict[str, list[ScoredTriple]] = {}
     for item in rank(score_triples(test, bundle)):
         by_role.setdefault(item.triple.role, []).append(item)
@@ -229,7 +219,7 @@ def evaluate(
         role=AGGREGATE_ROLE,
         ndcg=sum(r.ndcg for r in reports) / len(reports) if reports else 1.0,
         threshold=threshold,
-        ndcg_defined=all(r.ndcg_defined for r in reports),
+        ndcg_defined=bool(reports) and all(r.ndcg_defined for r in reports),
         **vars(_prf_from_counts(*totals)),
     )
     return EvalRun(per_role=per_role, aggregate=aggregate)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import logging
 import math
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from rolerank import embedding as emb
 from rolerank import forest
-from rolerank.cli import _CONFIG_KEYS, ConfigError, build_run_config, main, parse_config_file
+from rolerank.cli import _CONFIG_KEYS, build_run_config, main, parse_config_file
+from rolerank.corpus import InputError
 from synth import make_labeled_triples, triples_to_jsonl
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -96,6 +98,17 @@ MODEL_EDITS = {
     "role a number": (lambda p: dict(p, role=123), "'role' must be a string"),
     "role a list": (lambda p: dict(p, role=["x"]), "'role' must be a string"),
     "payload not an object": (lambda p: [p], "must be an object"),
+    "n_features missing": (
+        lambda p: {k: v for k, v in p.items() if k != "n_features"}, "missing 'n_features'"),
+    "config a list": (lambda p: dict(p, config=[]), "'config' must be an object"),
+    "child past int64": (
+        lambda p: edited(p, "left", first_split(p), 2**63), "'left' holds a number out of range"),
+    "value array short": (lambda p: dict(p, value=p["value"][:-1]), "node arrays differ in length"),
+    "roots not from 0": (
+        lambda p: dict(p, roots=[1, *p["roots"][1:]]), "roots must start at 0 and increase"),
+    "roots not increasing": (
+        lambda p: dict(p, roots=[0, p["roots"][2], p["roots"][1], *p["roots"][3:]]),
+        "roots must start at 0 and increase"),
 }
 
 
@@ -155,6 +168,7 @@ class TestConfig:
         "embedding.lr_initial = inf",
         "embedding.epochs = 0",
         "embedding.dim = 8\nembedding.dim = 9",
+        "embedding.dim 8",
     ])
     def test_invalid_config_value_rejected(self, workspace, capsys, lines):
         tmp, labeled, _, _ = workspace
@@ -168,10 +182,26 @@ class TestConfig:
         assert "Traceback" not in err
         assert not (out / "embeddings.txt").exists()
 
+    @pytest.mark.parametrize("command", ["train", "evaluate", "pipeline"])
+    def test_features_per_split_above_dim_exit_2(self, trained, tmp_path, capsys, command):
+        _, labeled, _, config, out = trained
+        path = tmp_path / "wide.cfg"
+        path.write_text(config.read_text() + "forest.features_per_split = 9\n")  # dim 8
+        inputs = ["--labeled", labeled]
+        if command != "pipeline":
+            inputs += ["--embeddings", out / "embeddings.txt"]
+        if command != "train":
+            inputs += ["--fractions", "0.5"]
+        target = tmp_path / "out"
+        assert run(command, *inputs, "--config", path, "--out", target) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: 'forest.features_per_split' = 9 exceeds the embedding dimension 8" in err
+        assert not target.exists()
+
     def test_repeated_key_names_both_lines(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("forest.n_trees = 5\n# again\nforest.n_trees = 6\n")
-        with pytest.raises(ConfigError, match=r"c\.cfg: line 3: 'forest.n_trees' already set on line 1"):
+        with pytest.raises(InputError, match=r"c\.cfg: line 3: 'forest.n_trees' already set on line 1"):
             parse_config_file(path)
 
     def test_readme_block_is_the_defaults(self, tmp_path):
@@ -191,7 +221,7 @@ class TestConfig:
         path.write_text("".join(f"{key} = {value}\n" for key, value in lines))
         try:
             run_config = build_run_config(path, None)
-        except ConfigError as exc:
+        except InputError as exc:
             assert str(exc).startswith(f"{path}: ")
             return
         for part in (run_config, run_config.embedding, run_config.forest, run_config.gains):
@@ -542,6 +572,25 @@ class TestScore:
         assert "Traceback" not in err
         assert not (tmp_path / "scores.jsonl").exists()
 
+    def test_models_of_other_dimension_refused(self, trained, tmp_path, capsys):
+        tmp, labeled, _, config, out = trained
+        narrow = tmp / "narrow.cfg"
+        narrow.write_text(config.read_text().replace("embedding.dim = 8", "embedding.dim = 6"))
+        embeddings = tmp / "narrow" / "embeddings.txt"
+        assert run("train-embeddings", "--data", labeled, "--config", narrow,
+                   "--out", embeddings.parent) == 0
+        manifest = out / "models" / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["embeddings_sha256"] = hashlib.sha256(embeddings.read_bytes()).hexdigest()
+        manifest.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run("score", "--triples", labeled, "--models", out / "models",
+                   "--embeddings", embeddings, "--out", tmp_path)
+        assert code == 1
+        model = out / "models" / "affiliate.json"
+        assert f"{model}: trained on 8-d features, embedding has dimension 6" in capsys.readouterr().err
+        assert not (tmp_path / "scores.jsonl").exists()
+
     @pytest.mark.parametrize("change", ["leaf value", "no hash"])
     def test_edited_model_refused(self, trained, tmp_path, capsys, change):
         _, labeled, _, _, out = trained
@@ -705,6 +754,13 @@ class TestEvaluateCommand:
         assert run("evaluate", "--labeled", labeled, "--embeddings", out / "embeddings.txt",
                    "--fractions", "1.0", "--config", config, "--out", out) == 2
 
+    def test_non_numeric_fraction_exit_2(self, trained, tmp_path, capsys):
+        _, labeled, _, config, out = trained
+        assert run("evaluate", "--labeled", labeled, "--embeddings", out / "embeddings.txt",
+                   "--fractions", "0.5,half", "--config", config, "--out", tmp_path) == 2
+        assert "bad fraction 'half'" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("fractions, repeated", [("0.5,0.5", "0.5"), ("0.1,0.9,0.10", "0.1")])
     def test_repeated_fraction_exit_2(self, trained, tmp_path, capsys, fractions, repeated):
         _, labeled, _, config, out = trained
@@ -787,6 +843,21 @@ class TestPipelineCommand:
                    "--fractions", "0.5", "--config", config, "--out", out) == 0
         rows = [json.loads(line) for line in (out / "scores.jsonl").read_text().splitlines()]
         assert len(rows) == 60  # the labeled file itself
+
+    def test_fraction_with_no_test_triple(self, workspace):
+        tmp, _, _, config = workspace
+        labeled = tmp / "small.jsonl"
+        # 10 per role: strata of 5, 3 and 2 triples, each trained whole at 0.9
+        triples_to_jsonl(make_labeled_triples(n_per_role=10, seed=3), labeled)
+        out = tmp / "small"
+        assert run("pipeline", "--labeled", labeled, "--fractions", "0.5,0.9",
+                   "--config", config, "--out", out) == 0
+        half, most = json.loads((out / "report.json").read_text())["fractions"]
+        assert half["roles"] and half["aggregate"]["ndcg_defined"]
+        assert most["roles"] == {}
+        assert most["aggregate"]["ndcg"] == 1.0 and not most["aggregate"]["ndcg_defined"]
+        rows = (out / "report.csv").read_text().splitlines()
+        assert [row for row in rows if ",0.9," in row] == [row for row in rows if row.startswith("ALL,0.9,")]
 
     def test_id_in_both_files_exit_2(self, workspace, capsys):
         tmp, labeled, unlabeled, config = workspace

@@ -109,6 +109,20 @@ class TestParseTriples:
         with pytest.raises(TripleParseError, match="sentences"):
             parse_triples([record(sentences=["ok", "   "])])
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (record(id="b", head="  "), "field 'head' must be a nonempty string"),
+            (record(id="b", tail=5), "field 'tail' must be a nonempty string"),
+            (record(id="b", label=3), "'label' must be a string"),
+            (json.dumps([record(id="b")]), "record must be a JSON object"),
+        ],
+        ids=["blank head", "tail a number", "label a number", "not an object"],
+    )
+    def test_malformed_record_names_line(self, line, message):
+        with pytest.raises(TripleParseError, match=f"line 2.*{message}"):
+            parse_triples([record(id="a"), line])
+
     def test_blank_lines_skipped(self):
         assert len(parse_triples(["", record(), "  "])) == 1
 

@@ -187,6 +187,10 @@ class TestPairLossAndGradients:
         with pytest.raises(ValueError, match="negative"):
             pair_loss_and_gradients(np.zeros(3), np.zeros(3), [])
 
+    def test_center_must_be_a_vector(self):
+        with pytest.raises(ValueError, match="center_vec must be a 1-d vector"):
+            pair_loss_and_gradients(np.zeros((1, 3)), np.zeros(3), [np.zeros(3)])
+
 
 class TestEmbeddingConfig:
     def test_defaults(self):
@@ -595,6 +599,10 @@ class TestNearestNeighbors:
             assert word not in [w for w, _ in neighbors]
             sims = [s for _, s in neighbors]
             assert sims == sorted(sims, reverse=True)
+
+    def test_k_zero_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            nearest_neighbors(self.geometry_model(), "a", 0)
 
     def test_oov_seed_named(self):
         with pytest.raises(KeyError, match="ghost"):

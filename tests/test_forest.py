@@ -267,6 +267,11 @@ class TestTrainForest:
         with pytest.raises(ValueError, match="both classes"):
             train_forest(X, np.ones(10, dtype=int), ForestConfig(n_trees=2, seed=0))
 
+    def test_one_label_per_row(self):
+        X, y = xor_dataset(n_per_cluster=5)
+        with pytest.raises(ValueError, match="one label per row"):
+            train_forest(X, y[:-1], ForestConfig(n_trees=1, seed=0))
+
     def test_shapes_recorded(self):
         X, y = xor_dataset(n_per_cluster=10)
         classifier = train_forest(X, y, ForestConfig(n_trees=7, seed=3), role="issuer")

@@ -246,6 +246,7 @@ def _stage_embeddings(triples, run: RunConfig, out_dir: Path) -> emb.EmbeddingMo
     emb.save_embedding(model, out_dir / "embeddings.txt")
     print(f"vocabulary size: {len(model.vocab)}")
     print(f"epochs: {run.embedding.epochs}")
+    print("epoch mean losses: " + " ".join(f"{loss:.6f}" for loss in model.epoch_losses))
     print(f"final mean loss: {model.epoch_losses[-1]:.6f}")
     print(f"wrote {out_dir / 'embeddings.txt'}")
     return model

@@ -5,17 +5,18 @@ For every center word an effective window is drawn uniformly from
 ("Parallelizing Word2Vec in Shared and Distributed Memory"). Negatives
 are shared: each epoch draws one row of k negative words per center (a
 token with at least one in-window context), and every (center, context)
-pair of that center uses it. Steps are gather / score / scatter: one
-sentence is one step, scored with the vectors as they stood before it.
-A step gathers the sentence's distinct input rows and distinct output
-rows once, scores every pair and every shared negative as an entry of
-one score block, sums the entries' rate-weighted sigmoid coefficients
-into one coefficient matrix, and updates its gathered rows from it
-before one scatter. The score block and both gradient products are BLAS
-gemms, the level-3 form Ji et al. build each step on. The learning rate
-decays linearly over the total number of pairs. Vectors are finalized
-onto the unit hypersphere before any querying; the default
-dimensionality is 30.
+pair of that center uses it. Steps are gather / score / scatter: a step
+is SENTENCES_PER_STEP consecutive sentences that each have a pair,
+scored with the vectors as they stood before it (minibatch SGD from one
+snapshot). A step gathers its sentences' distinct input rows and
+distinct output rows once, scores every pair and every shared negative
+as an entry of one score block, sums the entries' rate-weighted sigmoid
+coefficients into one coefficient matrix, and updates its gathered rows
+from it before one scatter. The score block and both gradient products
+are BLAS gemms, the level-3 form Ji et al. build each step on. The
+learning rate decays linearly over the total number of pairs. Vectors
+are finalized onto the unit hypersphere before any querying; the
+default dimensionality is 30.
 
 Negatives come from the ``negatives`` substream in token order, filling
 slots row-major. A draw equal to any of its center's in-window context
@@ -299,15 +300,17 @@ def _pairs(left: np.ndarray, right: np.ndarray):
     return center, context
 
 
-STEP_BLOCK = 64  # sentences laid out per _block_steps call; bounds its arrays, not the result
+SENTENCES_PER_STEP = 4  # consecutive paired sentences scored from one snapshot per step
+STEP_BLOCK = 16  # steps laid out per _block_steps call; bounds its arrays, not the result
 
 
 def _block_steps(ids, left, right, lengths, negatives, lr, vocab_size: int):
-    """Lay out the sentence steps of a block of sentences for ``_sgns_step``.
+    """Lay out the steps of a block of sentences for ``_sgns_step``.
 
     Takes the block's tokens, sentence lengths, negative output rows and
-    pair rates. A step's rows are its sentence's distinct input rows, then
-    its distinct output rows, each ascending; its entries are its pairs in
+    pair rates. Sentence i belongs to step i // SENTENCES_PER_STEP. A
+    step's rows are its sentences' distinct input rows, then their
+    distinct output rows, each ascending; its entries are its pairs in
     pair order, then its centers' shared negatives in (center, slot) order.
     Returns the steps' rows back to back, the per-step (first row, first
     output row, end row, first entry, end entry), and the entries' flat
@@ -316,17 +319,18 @@ def _block_steps(ids, left, right, lengths, negatives, lr, vocab_size: int):
     k, span = negatives.shape[1], 2 * vocab_size
     owner, context = _pairs(left, right)
     n_pairs, n_tokens = len(owner), len(ids)
-    sentence = np.repeat(np.arange(len(lengths)), lengths)
+    n_steps = -(-len(lengths) // SENTENCES_PER_STEP)
+    token_step = np.repeat(np.arange(len(lengths)) // SENTENCES_PER_STEP, lengths)
     center = np.concatenate((owner, np.repeat(np.arange(n_tokens), k)))  # per entry
-    step = sentence[center]
+    step = token_step[center]
     # a key is step * span + row, so each step's input rows (< V) sort first
     outputs = np.concatenate((ids[context] + vocab_size, negatives.ravel()))
     keys, at = np.unique(
-        np.concatenate((sentence * span + ids, step * span + outputs)), return_inverse=True
+        np.concatenate((token_step * span + ids, step * span + outputs)), return_inverse=True
     )
     rows = keys % span
     n_rows = np.bincount(keys // span)
-    n_in = np.bincount(keys[rows < vocab_size] // span, minlength=len(lengths))
+    n_in = np.bincount(keys[rows < vocab_size] // span, minlength=n_steps)
     row_starts = np.cumsum(n_rows) - n_rows
     out_starts = row_starts + n_in
     flat = (at[center] - row_starts[step]) * (n_rows - n_in)[step]
@@ -346,18 +350,21 @@ def _block_steps(ids, left, right, lengths, negatives, lr, vocab_size: int):
 
 
 def _train_epoch(weights, ids, left, right, lengths, negatives, lr) -> float:
-    """Take one epoch's sentence steps on ``weights`` in place.
+    """Take one epoch's steps on ``weights`` in place.
 
     ``negatives`` holds the output rows of the epoch's shared negatives
     (see ``_shared_negatives``) and ``lr`` the rates of its pairs in
     order. Returns the sum of the pair losses. Steps are laid out
-    STEP_BLOCK sentences at a time (``_block_steps``), so the arrays the
-    steps read stay small whatever the corpus size.
+    STEP_BLOCK whole steps, SENTENCES_PER_STEP sentences each, at a time
+    (``_block_steps``), so the arrays the steps read stay small whatever
+    the corpus size, and the block size does not change which sentences
+    share a step.
     """
     vocab_size = len(weights) // 2
     loss_sum, t0, p0 = 0.0, 0, 0
-    for first in range(0, len(lengths), STEP_BLOCK):
-        block = lengths[first:first + STEP_BLOCK]
+    block_size = STEP_BLOCK * SENTENCES_PER_STEP
+    for first in range(0, len(lengths), block_size):
+        block = lengths[first:first + block_size]
         t1 = t0 + int(block.sum())
         p1 = p0 + int(left[t0:t1].sum() + right[t0:t1].sum())
         rows, bounds, flat, sign, rate, mult = _block_steps(
@@ -382,13 +389,18 @@ def train_skipgram(
     """Train a (non-finalized) skip-gram model over the pooled corpus.
 
     Each epoch first draws its shared negatives (``_shared_negatives``).
-    Then one sentence is one update step, scored with the vectors as they
-    stood before the step. The pair at global index i gets learning rate
+    Then SENTENCES_PER_STEP consecutive sentences that each have a pair
+    are one update step, scored with the vectors as they stood before the
+    step (minibatch SGD; the epoch's last step may be short). The pair at
+    global index i gets learning rate
     lr_initial - (lr_initial - lr_final) * i / (total_pairs - 1). A pair's
     loss is its positive term plus its center's negative term;
-    ``epoch_losses`` holds each epoch's mean per-pair loss.
+    ``epoch_losses`` holds each epoch's mean per-pair loss. Training starts
+    at all-zero scores, whose loss is (1 + negatives) * ln 2, since the
+    output vectors start at zero; a last epoch whose mean loss is above
+    that (or nan) diverged, and raises ``ValueError``.
 
-    A step gathers its sentence's distinct input rows G_in and distinct
+    A step gathers its sentences' distinct input rows G_in and distinct
     output rows G_out (each ascending) and computes their scores as one
     block G_in G_out^T (``_sgns_step``). Each pair is an entry of it with
     the pair's rate. Each of a center's shared negatives is an entry with
@@ -425,14 +437,23 @@ def train_skipgram(
     denom = max(total_pairs - 1, 1)
     losses = []
     pair_index = 0
-    for ids, left, right, lengths in _epoch_layouts(encoded, config, keep):
-        negatives = _shared_negatives(sampler, neg_rng, ids, left, right, k)
-        negatives += vocab_size  # output rows
-        n_pairs = int(left.sum() + right.sum())
-        lr = config.lr_initial - lr_span * (np.arange(pair_index, pair_index + n_pairs) / denom)
-        loss_sum = _train_epoch(weights, ids, left, right, lengths, negatives, lr)
-        losses.append(float(loss_sum / n_pairs) if n_pairs else 0.0)
-        pair_index += n_pairs
+    # a diverging run overflows to inf and nan; the loss check below names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ids, left, right, lengths in _epoch_layouts(encoded, config, keep):
+            negatives = _shared_negatives(sampler, neg_rng, ids, left, right, k)
+            negatives += vocab_size  # output rows
+            n_pairs = int(left.sum() + right.sum())
+            lr = config.lr_initial - lr_span * (np.arange(pair_index, pair_index + n_pairs) / denom)
+            loss_sum = _train_epoch(weights, ids, left, right, lengths, negatives, lr)
+            losses.append(float(loss_sum / n_pairs) if n_pairs else 0.0)
+            pair_index += n_pairs
+    bound = (1 + k) * math.log(2)  # the loss of all-zero scores, where training starts
+    if not losses[-1] <= bound:  # a nan loss fails too
+        raise ValueError(
+            f"training diverged: final mean loss {losses[-1]:.6g} is not at most "
+            f"(1 + negatives) * ln 2 = {bound:.6g}, the loss training starts from "
+            "(try a lower embedding.lr_initial)"
+        )
 
     return EmbeddingModel(
         vocab=vocab,

@@ -291,6 +291,26 @@ def test_c8_semantic_clustering_cliques():
     elapsed_under(t0, 60.0)
 
 
+def test_three_times_the_default_rate_stays_under_the_divergence_bound():
+    """A step scores SENTENCES_PER_STEP sentences from one snapshot, so a
+    larger step diverges at a lower rate. At three times the default
+    lr_initial, the C7 corpus and the C8 clique corpus, trained as C7 and
+    C8 train them, end under (1 + k) ln 2, the loss they start from. C8 is
+    the hard case: its sentences come clique by clique, so every word of a
+    step repeats in each of its sentences. With 8 sentences per step both
+    diverge at this rate."""
+    t0 = time.perf_counter()
+    c7 = build_corpus(make_labeled_triples(n_per_role=400, seed=700))
+    c8 = clique_corpus(cliques=(("a", "b", "c"), ("x", "y", "z")), sentences_per_clique=500,
+                       seed=801)
+    lr_initial = 3 * EmbeddingConfig().lr_initial
+    for corpus, epochs, seed in ((c7, 6, 701), (c8, 12, 802)):
+        config = EmbeddingConfig(dim=30, epochs=epochs, seed=seed, lr_initial=lr_initial)
+        model = train_skipgram(corpus, config)
+        assert model.epoch_losses[-1] <= (1 + config.negatives) * np.log(2)
+    elapsed_under(t0, 30.0)
+
+
 def test_c9_pipeline_reproducibility(tmp_path):
     """The pipeline subcommand run twice with one seed is byte-identical."""
     labeled = make_labeled_triples(n_per_role=60, seed=900)

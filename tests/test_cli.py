@@ -3,6 +3,8 @@ import hashlib
 import json
 import logging
 import math
+import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +263,17 @@ class TestTrainEmbeddings:
         assert "final mean loss:" in captured
         assert (out / "embeddings.txt").exists()
 
+    def test_prints_each_epoch_loss(self, workspace, capsys):
+        tmp, labeled, _, config = workspace
+        config.write_text(config.read_text().replace("epochs = 2", "epochs = 3"))
+        out = tmp / "emb"
+        assert run("train-embeddings", "--data", labeled, "--config", config, "--out", out) == 0
+        lines = capsys.readouterr().out.splitlines()
+        curve = next(line for line in lines if line.startswith("epoch mean losses: "))
+        losses = [float(x) for x in curve.split(": ")[1].split()]
+        assert len(losses) == 3
+        assert f"final mean loss: {losses[-1]:.6f}" in lines
+
     def test_rerun_byte_identical(self, workspace):
         tmp, labeled, _, config = workspace
         out1, out2 = tmp / "e1", tmp / "e2"
@@ -282,6 +295,33 @@ class TestTrainEmbeddings:
         assert run("train-embeddings", "--data", labeled, "--config", config, "--out", out) == 1
         assert "training diverged" in capsys.readouterr().err
         assert not (out / "embeddings.txt").exists()
+
+    @pytest.mark.parametrize("command", ["train-embeddings", "pipeline"])
+    def test_finite_blow_up_exits_1_writing_nothing(self, workspace, command):
+        """At embedding.lr_initial = 1 the run blows up to a finite loss far
+        above the bound. It is refused with a named error, and stderr holds
+        nothing else: no numpy RuntimeWarning."""
+        import subprocess
+        import sys
+
+        import rolerank
+
+        tmp, labeled, _, config = workspace
+        config.write_text(config.read_text() + "embedding.lr_initial = 1.0\n")
+        out = tmp / "out"
+        data = "--data" if command == "train-embeddings" else "--labeled"
+        src = str(Path(rolerank.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-m", "rolerank.cli", command, data, str(labeled),
+             "--config", str(config), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert re.fullmatch(
+            r"error: training diverged: final mean loss \d\.\d+e\+\d+ is not at most "
+            r"\(1 \+ negatives\) \* ln 2 = 4\.15888, .*embedding\.lr_initial\)\n", done.stderr
+        ), done.stderr
+        assert not out.exists()
 
     def test_unreadable_path_exit_2(self, tmp_path):
         assert run("train-embeddings", "--data", tmp_path / "missing.jsonl") == 2

@@ -281,6 +281,31 @@ class TestTrainSkipgram:
         assert np.array_equal(model.output_vectors, expected.output_vectors)
         assert model.epoch_losses == expected.epoch_losses
 
+    @pytest.mark.parametrize("lr_initial, loss, finite", [(1.0, r"\d\.\d+e\+\d+", True),
+                                                          (100.0, "nan", False)],
+                             ids=["finite", "nan"])
+    def test_diverged_run_is_refused(self, monkeypatch, lr_initial, loss, finite):
+        """A last epoch whose mean loss is above (1 + k) ln 2, the loss of
+        the all-zero scores training starts from, diverged, also while every
+        vector stays finite. No numpy RuntimeWarning leaks on the way (this
+        suite turns one into an error)."""
+        from rolerank import embedding
+
+        train_epoch, vectors_finite = embedding._train_epoch, []
+
+        def recording(weights, *args):
+            loss_sum = train_epoch(weights, *args)
+            vectors_finite.append(bool(np.isfinite(weights).all()))
+            return loss_sum
+
+        monkeypatch.setattr(embedding, "_train_epoch", recording)
+        config = EmbeddingConfig(dim=6, epochs=2, seed=8, lr_initial=lr_initial)
+        message = (rf"training diverged: final mean loss {loss} is not at most "
+                   r"\(1 \+ negatives\) \* ln 2 = 4\.15888, .*embedding\.lr_initial")
+        with pytest.raises(ValueError, match=message):
+            train_skipgram(clique_corpus(sentences_per_clique=60), config)
+        assert vectors_finite[-1] == finite
+
     def test_cliques_cluster(self):
         corpus = clique_corpus(sentences_per_clique=300)
         model = finalize(train_skipgram(corpus, EmbeddingConfig(dim=10, epochs=10, seed=3)))
@@ -424,41 +449,60 @@ def pair_rates(config, n_pairs):
             for i in range(n_pairs)]
 
 
+def step_groups(sentences):
+    """The replayed sentences with a pair, SENTENCES_PER_STEP per step."""
+    from rolerank.embedding import SENTENCES_PER_STEP
+
+    return [sentences[i:i + SENTENCES_PER_STEP]
+            for i in range(0, len(sentences), SENTENCES_PER_STEP)]
+
+
 class TestTrainerMatchesPairOperation:
     def test_two_word_corpus_replay(self):
-        """One sentence is one step over its distinct rows, replayed by hand.
+        """A step of SENTENCES_PER_STEP sentences, replayed by hand.
 
-        The step gathers the sentence's distinct input rows G_in and
-        distinct output rows G_out, each ascending, and scores them as one
-        block. Its entries are the pairs in pair order (sign -1, the pair's
-        rate), then each center's shared negatives in (center, slot) order
-        (sign +1, the sum of the center's pair rates). Each entry's
-        rate * sign * sigmoid(sign * score) is added into its cell of a
-        coefficient matrix B in entry order; the input rows take B G_out
-        and the output rows B^T G_in. The products are taken with ``@``, as
-        the trainer takes them, since an einsum sums in another order. The
-        final matrices must match bitwise.
+        A step takes the next SENTENCES_PER_STEP sentences that have a pair
+        (the epoch's last step may take fewer), gathers their distinct
+        input rows G_in and distinct output rows G_out, each ascending, and
+        scores them as one block with the vectors from before the step.
+        Its entries are the pairs of all its sentences in pair order (sign
+        -1, the pair's rate), then each center's shared negatives in
+        (center, slot) order (sign +1, the sum of the center's pair rates).
+        Each entry's rate * sign * sigmoid(sign * score) is added into its
+        cell of a coefficient matrix B in entry order; the input rows take
+        B G_out and the output rows B^T G_in. The products are taken with
+        ``@``, as the trainer takes them, since an einsum sums in another
+        order. The final matrices must match bitwise.
         """
         from collections import Counter
 
         config = EmbeddingConfig(dim=4, window=2, negatives=2, epochs=1,
                                  lr_initial=0.1, lr_final=0.05, seed=77)
-        # the second step scores against the output rows the first one moved
-        corpus = [["a", "b", "a", "c"], ["c", "a", "b", "a"]]
+        # "a" repeats across the sentences of the first step, so their rows
+        # merge; the one-word ["c"] has no pair and takes no place in a step;
+        # the last step is short and scores against the rows the first moved
+        corpus = [["a", "b", "a", "c"], ["c"], ["c", "a", "b", "a"], ["b", "c"],
+                  ["a", "b"], ["c", "b", "a"]]
         model = train_skipgram(corpus, config)
 
-        vocab, steps = replay_first_epoch(corpus, config)
+        vocab, sentences = replay_first_epoch(corpus, config)
+        steps = step_groups(sentences)
+        assert len(steps) > 1 and len(steps[0]) > len(steps[-1])
+        assert len(sentences) == len(corpus) - 1
         inp, out = initial_vectors(vocab, config)
-        rates = iter(pair_rates(config, sum(len(c) for _, contexts, _ in steps for c in contexts)))
+        rates = iter(pair_rates(
+            config, sum(len(c) for _, contexts, _ in sentences for c in contexts)))
         per_input_row, per_output_row = [], []
-        for sentence, contexts, negatives in steps:
-            pairs = [(i, context, next(rates))
+        for step in steps:
+            pairs = [((s, i), sentence[i], context, next(rates))
+                     for s, (sentence, contexts, _) in enumerate(step)
                      for i in range(len(sentence)) for context in contexts[i]]
-            entries = [(sentence[i], context, -1.0, lr) for i, context, lr in pairs]
-            for i, row in enumerate(negatives):
-                center_rate = sum(lr for j, _, lr in pairs if j == i)
-                entries += [(sentence[i], m, 1.0, center_rate) for m in row]
-            in_rows = sorted(set(sentence))
+            entries = [(word, context, -1.0, lr) for _, word, context, lr in pairs]
+            for s, (sentence, _, negatives) in enumerate(step):
+                for i, row in enumerate(negatives):
+                    center_rate = sum(lr for token, _, _, lr in pairs if token == (s, i))
+                    entries += [(sentence[i], m, 1.0, center_rate) for m in row]
+            in_rows = sorted({w for sentence, _, _ in step for w in sentence})
             out_rows = sorted({m for _, m, _, _ in entries})
             cells = [(in_rows.index(w), out_rows.index(m)) for w, m, _, _ in entries]
             sign = np.array([e[2] for e in entries])
@@ -487,10 +531,11 @@ class TestTrainerMatchesPairOperation:
         sigma the logistic function, the pair's loss is -log sigma(c.o) -
         sum_j log sigma(-c.n_j), and its gradients are (sigma(c.o) - 1) o +
         sum_j sigma(c.n_j) n_j for c, (sigma(c.o) - 1) c for o and
-        sigma(c.n_j) c for each n_j. Every pair uses the vectors before its
-        step; the center and context gradients are taken times the pair's
-        rate, each shared negative's gradient once per center times the sum
-        of its pair rates, summed per row and subtracted at the end of the
+        sigma(c.n_j) c for each n_j. A step is SENTENCES_PER_STEP sentences
+        with a pair, and every pair of a step uses the vectors before it;
+        the center and context gradients are taken times the pair's rate,
+        each shared negative's gradient once per center times the sum of
+        its pair rates, summed per row and subtracted at the end of the
         step. Only the summation order differs, so rtol 1e-12."""
         config = EmbeddingConfig(dim=5, window=3, negatives=3, epochs=1, seed=91)
         corpus = [["a", "b", "a", "c", "d", "a", "b"], ["c", "c", "e"], ["d"],
@@ -500,26 +545,28 @@ class TestTrainerMatchesPairOperation:
         def sigmoid(x):
             return 1.0 / (1.0 + np.exp(-x))
 
-        vocab, steps = replay_first_epoch(corpus, config)
+        vocab, sentences = replay_first_epoch(corpus, config)
         inp, out = initial_vectors(vocab, config)
-        rates = iter(pair_rates(config, sum(len(c) for _, contexts, _ in steps for c in contexts)))
+        rates = iter(pair_rates(
+            config, sum(len(c) for _, contexts, _ in sentences for c in contexts)))
         loss_sum, n_pairs = 0.0, 0
-        for sentence, contexts, negatives in steps:
+        for step in step_groups(sentences):
             grad_in, grad_out = np.zeros_like(inp), np.zeros_like(out)
-            for i, word in enumerate(sentence):
-                center, negs = inp[word], out[negatives[i]]
-                neg_sigma = sigmoid(negs @ center)
-                center_rates = 0.0
-                for context in contexts[i]:
-                    lr = next(rates)
-                    pos_sigma = sigmoid(center @ out[context])
-                    grad_in[word] += lr * ((pos_sigma - 1.0) * out[context] + neg_sigma @ negs)
-                    grad_out[context] += lr * (pos_sigma - 1.0) * center
-                    center_rates += lr
-                    loss_sum += -np.log(pos_sigma) - np.log(1.0 - neg_sigma).sum()
-                    n_pairs += 1
-                # the same for each pair of i
-                np.add.at(grad_out, negatives[i], center_rates * np.outer(neg_sigma, center))
+            for sentence, contexts, negatives in step:
+                for i, word in enumerate(sentence):
+                    center, negs = inp[word], out[negatives[i]]
+                    neg_sigma = sigmoid(negs @ center)
+                    center_rates = 0.0
+                    for context in contexts[i]:
+                        lr = next(rates)
+                        pos_sigma = sigmoid(center @ out[context])
+                        grad_in[word] += lr * ((pos_sigma - 1.0) * out[context] + neg_sigma @ negs)
+                        grad_out[context] += lr * (pos_sigma - 1.0) * center
+                        center_rates += lr
+                        loss_sum += -np.log(pos_sigma) - np.log(1.0 - neg_sigma).sum()
+                        n_pairs += 1
+                    # the same for each pair of i
+                    np.add.at(grad_out, negatives[i], center_rates * np.outer(neg_sigma, center))
             inp -= grad_in
             out -= grad_out
 

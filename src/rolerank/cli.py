@@ -295,7 +295,12 @@ def _stage_evaluate(labeled, model, run: RunConfig, fractions, out_dir: Path) ->
         train, test = evaluation.split_train_test(
             labeled, fraction, derive_seed(split_seed, f"{fraction:g}")
         )
-        bundle = pipeline.train_role_models(train, model, run.forest)
+        try:
+            bundle = pipeline.train_role_models(train, model, run.forest)
+        except ValueError as exc:
+            raise ValueError(f"fraction {fraction:g}: {exc}") from None
+        for role, reason in bundle.skipped_roles:
+            print(f"fraction {fraction:g}: skipped role {role!r}: {reason}")
         runs[fraction] = evaluation.evaluate(
             bundle, test, threshold=run.threshold, gains=run.gains
         )

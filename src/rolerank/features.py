@@ -11,7 +11,6 @@ False mask entry, so callers choose their own fallback.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -44,32 +43,28 @@ def featurize(
     """Return (X, nonzero): one unit-norm row per context, and the (n,)
     bool mask of rows whose sum had norm > 1e-12 (the others are zero).
 
-    Each block of FEATURIZE_BLOCK whole contexts is summed by one
-    ``np.bincount`` over (row, column) keys, which adds each row's tokens
-    in order from 0.0, as ``context_vector`` does. ``np.add.reduceat``
-    would not: it does not add along axis 0 in order. The norms are
-    ``sqrt(vecdot)``, the same ddot as a per-row ``np.linalg.norm``; the
-    vectorised ``axis=1`` norm can differ in the last bit.
+    Each block of FEATURIZE_BLOCK whole contexts is mapped to ids by
+    ``Vocabulary.encode``, as ``train_skipgram`` maps its corpus, and summed
+    by one ``np.bincount`` over (row, column) keys, which adds each row's
+    tokens in order from 0.0, as ``context_vector`` does.
+    ``np.add.reduceat`` would not: it does not add along axis 0 in order.
+    The norms are ``sqrt(vecdot)``, the same ddot as a per-row
+    ``np.linalg.norm``; the vectorised ``axis=1`` norm can differ in the
+    last bit.
     """
     if not model.finalized:
         raise ValueError("featurize requires a finalized model")
     n, d = len(contexts), model.dim
-    get, vectors = model.vocab.index.get, model.input_vectors
     X = np.empty((n, d))
     columns = np.arange(d)
     for start in range(0, n, FEATURIZE_BLOCK):
         block = contexts[start:start + FEATURIZE_BLOCK]
-        ids, lengths = [], []  # every token's id (-1 if unknown); tokens per context
-        for sentences in block:
-            tokens = tokenize(" ".join(sentences))  # no token spans whitespace
-            ids += map(get, tokens, repeat(-1))
-            lengths.append(len(tokens))
-        ids = np.array(ids, dtype=np.intp)
-        known = ids >= 0
-        rows = np.repeat(np.arange(len(block)), lengths)[known]
+        # no token spans whitespace, so a context tokenizes as one string
+        ids, lengths = model.vocab.encode(tokenize(" ".join(sentences)) for sentences in block)
+        rows = np.repeat(np.arange(len(block)), lengths)[ids >= 0]
         keys = (rows[:, None] * d + columns).ravel()
         X[start:start + len(block)] = np.bincount(
-            keys, weights=vectors[ids[known]].ravel(), minlength=len(block) * d
+            keys, weights=model.input_vectors[ids[ids >= 0]].ravel(), minlength=len(block) * d
         ).reshape(len(block), d)
     norms = np.sqrt(np.vecdot(X, X))
     nonzero = norms > ZERO_NORM_EPS

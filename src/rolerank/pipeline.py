@@ -71,7 +71,8 @@ def train_role_models(
     drop the zero rows (all-OOV contexts) and train on the survivors with
     a per-role seed derived from the forest seed. Roles that end up with
     fewer than two samples in either class are recorded as skipped
-    instead of failing the run; zero trainable roles is an error.
+    instead of failing the run; zero trainable roles is an error that
+    names each role's reason.
     """
     for triple in labeled:
         if triple.label is None:
@@ -106,7 +107,8 @@ def train_role_models(
         role_config = replace(forest_config, seed=derive_seed(forest_config.seed, role))
         classifiers[role] = train_forest(X[rows], y[rows], role_config, role=role)
     if not classifiers:
-        raise ValueError("no role has enough labeled data to train a classifier")
+        reasons = "".join(f"; skipped role {role!r}: {reason}" for role, reason in skipped)
+        raise ValueError(f"no role has enough labeled data to train a classifier{reasons}")
     return ModelBundle(embedding=embedding, classifiers=classifiers, skipped_roles=skipped)
 
 

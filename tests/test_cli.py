@@ -274,6 +274,21 @@ class TestTrainEmbeddings:
         assert len(losses) == 3
         assert f"final mean loss: {losses[-1]:.6f}" in lines
 
+    @pytest.mark.parametrize("seed", [4, 7])
+    def test_one_epoch_run_just_above_its_start_is_kept(self, tmp_path, capsys, seed):
+        """One epoch on three triples per role ends a few 1e-6 above
+        (1 + k) ln 2, where it started, without diverging; it is kept."""
+        labeled, config = tmp_path / "labeled.jsonl", tmp_path / "cfg"
+        triples_to_jsonl(make_labeled_triples(n_per_role=3, seed=2), labeled)
+        config.write_text("embedding.epochs = 1\n")
+        out = tmp_path / "emb"
+        assert run("train-embeddings", "--data", labeled, "--config", config,
+                   "--seed", seed, "--out", out) == 0
+        final = next(line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("final mean loss: "))
+        assert 6 * math.log(2) < float(final.split(": ")[1]) < 6 * math.log(2) * 1.0001
+        assert (out / "embeddings.txt").exists()
+
     def test_rerun_byte_identical(self, workspace):
         tmp, labeled, _, config = workspace
         out1, out2 = tmp / "e1", tmp / "e2"
@@ -809,6 +824,46 @@ class TestEvaluateCommand:
         assert f"fraction {repeated} is given twice" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    def test_no_trainable_role_names_the_fraction_and_reasons(self, tmp_path, capsys):
+        """The full set trains, but a tenth of ten triples per role leaves
+        one irrelevant triple per role: the error names the fraction and
+        each role's reason, and no report is written."""
+        labeled, config = tmp_path / "labeled.jsonl", tmp_path / "cfg"
+        triples_to_jsonl(make_labeled_triples(n_per_role=10, seed=3), labeled)
+        config.write_text("embedding.dim = 8\nembedding.epochs = 2\nforest.n_trees = 5\n")
+        out = tmp_path / "out"
+        assert run("pipeline", "--labeled", labeled, "--config", config,
+                   "--fractions", "0.1,0.5", "--out", out) == 1
+        captured = capsys.readouterr()
+        assert "trained roles: affiliate, issuer, trustee" in captured.out
+        reasons = "".join(f"; skipped role {role!r}: fewer than 2 samples in a class"
+                          for role in ("affiliate", "issuer", "trustee"))
+        assert captured.err == (
+            f"error: fraction 0.1: no role has enough labeled data to train a classifier{reasons}\n"
+        )
+        assert not (out / "report.json").exists()
+
+    def test_role_skipped_in_a_fraction_is_printed(self, tmp_path, capsys):
+        """Six guarantor triples beside 40 per role: at fraction 0.5 the
+        guarantor forest is never trained, and stdout says so."""
+        labeled, config = tmp_path / "labeled.jsonl", tmp_path / "cfg"
+        triples_to_jsonl(
+            make_labeled_triples(roles=("affiliate", "trustee"), n_per_role=40, seed=5)
+            + make_labeled_triples(roles=("guarantor",), n_per_role=6, seed=6),
+            labeled,
+        )
+        config.write_text("embedding.dim = 8\nembedding.epochs = 2\nforest.n_trees = 5\n")
+        out = tmp_path / "out"
+        assert run("train-embeddings", "--data", labeled, "--config", config, "--out", out) == 0
+        capsys.readouterr()
+        assert run("evaluate", "--labeled", labeled, "--embeddings", out / "embeddings.txt",
+                   "--fractions", "0.5", "--config", config, "--out", out) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "fraction 0.5: skipped role 'guarantor': fewer than 2 samples in a class"
+        assert lines[1].startswith("fraction 0.5: P=")
+        report = json.loads((out / "report.json").read_text())
+        assert report["fractions"][0]["roles"]["guarantor"]["f1"] == 0.0
+
     def test_same_seed_identical_reports(self, trained):
         tmp, labeled, _, config, out = trained
         o1, o2 = tmp / "r1", tmp / "r2"
@@ -928,3 +983,14 @@ class TestPipelineCommand:
         for name in ["embeddings.txt", "scores.jsonl", "report.json", "report.csv",
                      *(f"models/{m}" for m in models)]:
             assert (staged / name).read_bytes() == (chained / name).read_bytes(), name
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
+    """README's "Library use" block runs as written next to a labeled.jsonl."""
+    section = README.read_text(encoding="utf-8").split("## Library use\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    triples_to_jsonl(make_labeled_triples(n_per_role=20, seed=12), tmp_path / "labeled.jsonl")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("EvalReport(") and len(lines) == 6

@@ -1,10 +1,16 @@
+import hashlib
 import math
+import random
 import re
 import signal
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
+
+from rolerank.corpus import build_corpus
 
 from rolerank.embedding import (
     EmbeddingConfig,
@@ -19,7 +25,7 @@ from rolerank.embedding import (
     save_embedding,
     train_skipgram,
 )
-from synth import clique_corpus
+from synth import clique_corpus, make_labeled_triples
 
 
 def make_model(words, vectors, finalized=True):
@@ -56,6 +62,23 @@ class TestBuildVocabulary:
     def test_nothing_survives_rejected(self):
         with pytest.raises(ValueError, match="min_count"):
             build_vocabulary([["a", "b"]], min_count=3)
+
+
+class TestEncode:
+    @given(
+        corpus=st.lists(st.lists(st.sampled_from("abcdef"), max_size=6), min_size=1, max_size=8),
+        queries=st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=6), max_size=8),
+        min_count=st.integers(1, 3),
+    )
+    def test_equals_a_per_token_lookup(self, corpus, queries, min_count):
+        try:
+            vocab = build_vocabulary(corpus, min_count)
+        except ValueError:  # no word is frequent enough
+            return
+        ids, lengths = vocab.encode(queries)
+        assert ids.dtype == lengths.dtype == np.intp
+        assert ids.tolist() == [vocab.index.get(w, -1) for q in queries for w in q]
+        assert lengths.tolist() == [len(q) for q in queries]
 
 
 class TestUnigramSampler:
@@ -393,6 +416,54 @@ class TestTrainSkipgram:
         corpus = [["common", "common", "rare"]]
         model = train_skipgram(corpus, EmbeddingConfig(dim=4, epochs=1, min_count=2, seed=1))
         assert "rare" not in model.vocab
+
+    def test_epoch_layouts_are_pinned(self, monkeypatch):
+        """Each epoch's (ids, left, right, lengths), as ``_train_epoch`` takes
+        them, hashed as little-endian int64. The corpus draws 80 words by a
+        Zipf law, so min_count = 3 drops the rare ones and subsampling thins
+        the frequent ones: sentences of 0 and 1 words, before and after, are
+        filtered out. The arrays are integers, so the pin holds on any CPU."""
+        from rolerank import embedding
+
+        rng = np.random.default_rng(11)
+        words = [f"w{i}" for i in range(80)]
+        p = 1 / np.arange(1, 81) ** 1.2
+        corpus = [[str(w) for w in rng.choice(words, size=rng.integers(0, 8), p=p / p.sum())]
+                  for _ in range(300)]
+        vocab = build_vocabulary(corpus, 3)
+        known = [sum(w in vocab for w in sentence) for sentence in corpus]
+        assert len(vocab) == 50 and known.count(0) > 0 and known.count(1) > 0
+
+        train_epoch, digests = embedding._train_epoch, []
+
+        def recording(weights, ids, left, right, lengths, *rest):
+            digest = hashlib.sha256()
+            for array in (ids, left, right, lengths):
+                digest.update(np.asarray(array, dtype="<i8").tobytes())
+            digests.append(digest.hexdigest())
+            return train_epoch(weights, ids, left, right, lengths, *rest)
+
+        monkeypatch.setattr(embedding, "_train_epoch", recording)
+        config = EmbeddingConfig(dim=4, window=3, epochs=3, min_count=3, subsample=1e-2, seed=5)
+        train_skipgram(corpus, config)
+        assert digests == [
+            "1aa24d8f06d686166125bdb6d9aaab3b5ea4499ed74ffb30410277c6c56a7df2",
+            "195fce966f6b69913ca999188b24e6867e4115441828a07a524766cac68dcf95",
+            "d3615cb6295b294589089af581bcb37d15eaf4fd54914410d9985efd0e278812",
+        ]
+
+    def test_shuffled_c7_loss_falls_every_epoch(self):
+        """Read as built, the C7 corpus comes grouped by role (all of one
+        role's sentences, then the next role's), and its epoch loss bottoms
+        out at epoch 3-4 and rises again while the rate decays.
+        ``epoch_losses`` is the online loss of each step, taken before its
+        update. Shuffled, the same sentences give a loss that falls every
+        epoch, so the rise comes from the order, not from the loss or the
+        update."""
+        corpus = build_corpus(make_labeled_triples(n_per_role=400, seed=700))
+        random.Random(701).shuffle(corpus)
+        losses = train_skipgram(corpus, EmbeddingConfig(epochs=6, seed=701)).epoch_losses
+        assert all(later <= earlier for earlier, later in zip(losses, losses[1:])), losses
 
 
 def replay_first_epoch(corpus, config):

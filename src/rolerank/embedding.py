@@ -5,24 +5,32 @@ For every center word an effective window is drawn uniformly from
 ("Parallelizing Word2Vec in Shared and Distributed Memory"). Negatives
 are shared: each epoch draws one row of k negative words per center (a
 token with at least one in-window context), and every (center, context)
-pair of that center uses it. Steps are gather / score / scatter: a step
-is SENTENCES_PER_STEP consecutive sentences that each have a pair,
-scored with the vectors as they stood before it (minibatch SGD from one
-snapshot). A step gathers its sentences' distinct input rows and
-distinct output rows once, scores every pair and every shared negative
-as an entry of one score block, sums the entries' rate-weighted sigmoid
-coefficients into one coefficient matrix, and updates its gathered rows
-from it before one scatter. The score block and both gradient products
-are BLAS gemms, the level-3 form Ji et al. build each step on. The
-learning rate decays linearly over the total number of pairs. Vectors
-are finalized onto the unit hypersphere before any querying; the
-default dimensionality is 30.
+pair of that center uses it. Negatives come from the ``negatives``
+substream in token order, filling slots row-major. A draw equal to any
+of its center's in-window context words is redrawn, row-major over the
+rejected slots, until none is left. A center whose context words cover
+the whole vocabulary keeps its draws, since no word could replace them.
 
-Negatives come from the ``negatives`` substream in token order, filling
-slots row-major. A draw equal to any of its center's in-window context
-words is redrawn, row-major over the rejected slots, until none is left.
-A center whose context words cover the whole vocabulary keeps its
-draws, since no word could replace them.
+Steps are gather / score / scatter. A step is SENTENCES_PER_STEP
+consecutive sentences that each have a pair (the epoch's last step may
+hold fewer), scored with the vectors as they stood before it (minibatch
+SGD from one snapshot). It gathers its sentences' distinct input rows
+G_in and distinct output rows G_out, each ascending, and scores them as
+one block G_in G_out^T. Its entries are cells of that block: first its
+pairs in pair order, then its centers' shared negatives in (center,
+slot) order. An entry of score s has loss log(1 + exp(-s)) if it is a
+pair and log(1 + exp(s)) if it is a negative. A pair's rate is its
+learning rate: the pair at global index i (over all epochs) gets
+lr_initial - (lr_initial - lr_final) * i / (total_pairs - 1). A shared
+negative's rate is the sum of its center's pair rates, which equals
+what each pair would add, and its loss counts once per pair. The
+entries' d loss / d score times their rates are summed, in entry order,
+into one coefficient matrix B; the input rows take B G_out and the
+output rows B^T G_in, subtracted in place on the gathered rows before
+one scatter. The score block and both gradient products are BLAS gemms,
+the level-3 form Ji et al. build each step on. Vectors are finalized
+onto the unit hypersphere before any querying; the default
+dimensionality is 30.
 
 All randomness is driven by the config seed through named substreams
 (init / window / subsample / negatives), which makes training
@@ -166,28 +174,23 @@ class UnigramSampler:
         return np.searchsorted(self._cum, draws, side="right")
 
 
-def _sgns_step(vectors, n_in, flat, sign, rate, mult):
+def _sgns_step(vectors, n_in, n_pos, flat, rate, mult):
     """Loss and rate-weighted gradients of one step over its distinct rows.
 
-    ``vectors`` holds the step's n_in distinct input rows, then its
-    distinct output rows. Each positive pair and each shared negative is
-    one entry of the (n_in, n_out) score block, at flat position ``flat``;
-    its score s is the dot product of its two rows. The entry's loss is
-    log(1 + exp(sign * s)), sign -1 for a positive pair and +1 for a
-    negative; its derivative uses sigmoid(x) = exp(x - logaddexp(0, x)),
-    which cannot overflow. ``mult`` counts the pairs that take the entry's
-    loss. Each entry's d loss / d s times its ``rate`` is summed, in entry
-    order, into one (n_in, n_out) coefficient matrix B by np.bincount.
-    Returns the mult-weighted loss sum and the rows' gradients: B @ outputs
-    for the input rows, then B.T @ inputs for the output rows, each written
-    into its slice of one array. The score block and both products are
-    BLAS gemms.
+    ``vectors`` holds the step's n_in input rows, then its output rows.
+    Entry i sits at flat position ``flat[i]`` of the score block, and the
+    first ``n_pos`` entries are pairs. ``mult`` counts the pairs that take
+    an entry's loss. Returns the mult-weighted loss sum and the gradients
+    of ``vectors``, row for row. sigmoid(x) = exp(x - logaddexp(0, x))
+    cannot overflow.
     """
     inputs, outputs = vectors[:n_in], vectors[n_in:]
-    signed = (inputs @ outputs.T).take(flat) * sign
+    signed = (inputs @ outputs.T).take(flat)
+    signed[:n_pos] *= -1.0
     loss = np.logaddexp(0.0, signed)
-    coeff = np.bincount(flat, sign * rate * np.exp(signed - loss), n_in * len(outputs))
-    coeff = coeff.reshape(n_in, len(outputs))
+    coeff = rate * np.exp(signed - loss)
+    coeff[:n_pos] *= -1.0
+    coeff = np.bincount(flat, coeff, n_in * len(outputs)).reshape(n_in, len(outputs))
     grad = np.empty_like(vectors)
     np.matmul(coeff, outputs, out=grad[:n_in])
     np.matmul(coeff.T, inputs, out=grad[n_in:])
@@ -217,12 +220,8 @@ def pair_loss_and_gradients(
             raise ValueError(
                 f"dimension mismatch: center has shape {center.shape}, got {v.shape}"
             )
-    k = len(negatives)
-    sign = np.ones(1 + k)
-    sign[0] = -1.0
-    loss, grad = _sgns_step(
-        np.stack([center] + rows), 1, np.arange(1 + k), sign, np.ones(1 + k), np.ones(1 + k)
-    )
+    ones = np.ones(len(rows))
+    loss, grad = _sgns_step(np.stack([center] + rows), 1, 1, np.arange(len(rows)), ones, ones)
     return loss, grad[0], grad[1], grad[2:]
 
 
@@ -321,18 +320,14 @@ def _block_steps(ids, left, right, lengths, negatives, lr, vocab_size: int):
     """Lay out the steps of a block of sentences for ``_sgns_step``.
 
     Takes the block's tokens, sentence lengths, negative output rows and
-    pair rates. Sentence i belongs to step i // SENTENCES_PER_STEP. A
-    step's rows are its sentences' distinct input rows, then their
-    distinct output rows, each ascending; its entries are its pairs in
-    pair order, then its centers' shared negatives in (center, slot) order.
+    pair rates; sentence i belongs to step i // SENTENCES_PER_STEP.
     Returns the steps' rows back to back, the per-step (first row, first
-    output row, end row, first entry, end entry), and the entries' flat
-    index, sign, rate and loss multiplicity, grouped by step.
+    output row, end row, first entry, end entry, pair count), and the
+    entries' flat index, rate and loss multiplicity, grouped by step.
     """
     k, span = negatives.shape[1], 2 * vocab_size
     owner, context = _pairs(left, right)
     n_pairs, n_tokens = len(owner), len(ids)
-    n_steps = -(-len(lengths) // SENTENCES_PER_STEP)
     token_step = np.repeat(np.arange(len(lengths)) // SENTENCES_PER_STEP, lengths)
     center = np.concatenate((owner, np.repeat(np.arange(n_tokens), k)))  # per entry
     step = token_step[center]
@@ -343,35 +338,32 @@ def _block_steps(ids, left, right, lengths, negatives, lr, vocab_size: int):
     )
     rows = keys % span
     n_rows = np.bincount(keys // span)
-    n_in = np.bincount(keys[rows < vocab_size] // span, minlength=n_steps)
+    n_in = np.bincount(keys[rows < vocab_size] // span, minlength=len(n_rows))
     row_starts = np.cumsum(n_rows) - n_rows
     out_starts = row_starts + n_in
     flat = (at[center] - row_starts[step]) * (n_rows - n_in)[step]
     flat += at[n_tokens:] - out_starts[step]
-    sign = np.ones(len(flat))
-    sign[:n_pairs] = -1.0
     rate = np.concatenate((lr, np.repeat(np.bincount(owner, lr, n_tokens), k)))
     mult = np.concatenate((np.ones(n_pairs), np.repeat(left + right, k)))
-    order = np.argsort(step, kind="stable")
+    order = np.argsort(step, kind="stable")  # keeps each step's pairs first
     n_entries = np.bincount(step)
     entry_starts = np.cumsum(n_entries) - n_entries
     bounds = zip(
         row_starts.tolist(), out_starts.tolist(), (row_starts + n_rows).tolist(),
         entry_starts.tolist(), (entry_starts + n_entries).tolist(),
+        np.bincount(step[:n_pairs]).tolist(),
     )
-    return rows, bounds, flat[order], sign[order], rate[order], mult[order]
+    return rows, bounds, flat[order], rate[order], mult[order]
 
 
 def _train_epoch(weights, ids, left, right, lengths, negatives, lr) -> float:
     """Take one epoch's steps on ``weights`` in place.
 
     ``negatives`` holds the output rows of the epoch's shared negatives
-    (see ``_shared_negatives``) and ``lr`` the rates of its pairs in
-    order. Returns the sum of the pair losses. Steps are laid out
-    STEP_BLOCK whole steps, SENTENCES_PER_STEP sentences each, at a time
-    (``_block_steps``), so the arrays the steps read stay small whatever
-    the corpus size, and the block size does not change which sentences
-    share a step.
+    and ``lr`` the rates of its pairs in order. Returns the sum of the
+    pair losses. Steps are laid out STEP_BLOCK at a time, so the arrays
+    the steps read stay small whatever the corpus size; the block size
+    does not change which sentences share a step.
     """
     vocab_size = len(weights) // 2
     loss_sum, t0, p0 = 0.0, 0, 0
@@ -380,14 +372,14 @@ def _train_epoch(weights, ids, left, right, lengths, negatives, lr) -> float:
         block = lengths[first:first + block_size]
         t1 = t0 + int(block.sum())
         p1 = p0 + int(left[t0:t1].sum() + right[t0:t1].sum())
-        rows, bounds, flat, sign, rate, mult = _block_steps(
+        rows, bounds, flat, rate, mult = _block_steps(
             ids[t0:t1], left[t0:t1], right[t0:t1], block, negatives[t0:t1], lr[p0:p1], vocab_size
         )
-        for r0, r_out, r1, e0, e1 in bounds:
+        for r0, r_out, r1, e0, e1, n_pos in bounds:
             step_rows = rows[r0:r1]
             vectors = weights.take(step_rows, axis=0)
             loss, grad = _sgns_step(
-                vectors, r_out - r0, flat[e0:e1], sign[e0:e1], rate[e0:e1], mult[e0:e1]
+                vectors, r_out - r0, n_pos, flat[e0:e1], rate[e0:e1], mult[e0:e1]
             )
             vectors -= grad
             weights[step_rows] = vectors
@@ -402,33 +394,25 @@ def train_skipgram(
     """Train a (non-finalized) skip-gram model over the pooled corpus.
 
     ``Vocabulary.encode`` maps the corpus to ids, as ``featurize`` maps its
-    contexts. Each epoch first draws its shared negatives
-    (``_shared_negatives``). Then SENTENCES_PER_STEP consecutive sentences
-    that each have a pair are one update step, scored with the vectors as
-    they stood before the step (minibatch SGD; the epoch's last step may be
-    short). The pair at global index i gets learning rate
-    lr_initial - (lr_initial - lr_final) * i / (total_pairs - 1). A pair's
-    loss is its positive term plus its center's negative term;
-    ``epoch_losses`` holds each epoch's mean per-pair loss. Training starts
-    at all-zero scores, whose loss is (1 + negatives) * ln 2, since the
-    output vectors start at zero; a last epoch whose mean loss is above
-    that by more than DIVERGENCE_MARGIN (or nan) diverged, and raises
-    ``ValueError``.
-
-    A step gathers its sentences' distinct input rows G_in and distinct
-    output rows G_out (each ascending) and computes their scores as one
-    block G_in G_out^T (``_sgns_step``). Each pair is an entry of it with
-    the pair's rate. Each of a center's shared negatives is an entry with
-    the sum of the rates of the center's pairs, which equals what each
-    pair would add, and its loss counts once per pair. The entries' d loss
-    / d score times their rates are summed, pairs in pair order and then
-    negatives in (center, slot) order, into one coefficient matrix B; the
-    input rows take B G_out and the output rows B^T G_in, subtracted in
-    place on the gathered rows before they are scattered back. The run is
-    bit-reproducible for a fixed seed on one machine and numpy build.
+    contexts. A pair's loss is its positive term plus its center's
+    negative term, and ``epoch_losses`` holds each epoch's mean per-pair
+    loss. Raises ``ValueError`` for a corpus with no (center, context)
+    pair in any epoch, and for a run that diverged: training starts at
+    all-zero scores, whose loss is (1 + negatives) * ln 2, since the
+    output vectors start at zero, and a last epoch whose mean loss is
+    above that by more than DIVERGENCE_MARGIN (or nan) diverged.
     """
     vocab = build_vocabulary(corpus, config.min_count)
     encoded = vocab.encode(corpus)
+    keep = _keep_probabilities(vocab, config.subsample) if config.subsample > 0 else None
+    layouts = _epoch_layouts(*encoded, config, keep)
+    total_pairs = sum(int(left.sum() + right.sum()) for _, left, right, _ in layouts)
+    if not total_pairs:
+        raise ValueError(
+            "no (center, context) pair to train on: no sentence has two words left after "
+            f"embedding.min_count = {config.min_count} and embedding.subsample = "
+            f"{config.subsample:g}"
+        )
 
     vocab_size, dim, k = len(vocab), config.dim, config.negatives
     # input vectors are rows [0, V), output vectors rows [V, 2V) of one
@@ -437,10 +421,6 @@ def train_skipgram(
     weights[:vocab_size] = (make_rng(config.seed, "init").random((vocab_size, dim)) - 0.5) / dim
     sampler = UnigramSampler(vocab, config.unigram_power)
     neg_rng = make_rng(config.seed, "negatives")
-    keep = _keep_probabilities(vocab, config.subsample) if config.subsample > 0 else None
-
-    layouts = _epoch_layouts(*encoded, config, keep)
-    total_pairs = sum(int(left.sum() + right.sum()) for _, left, right, _ in layouts)
     lr_span = config.lr_initial - config.lr_final
     denom = max(total_pairs - 1, 1)
     losses = []

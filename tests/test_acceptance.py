@@ -97,7 +97,6 @@ def test_shared_negative_gradients_match_finite_differences():
     eps = 1e-5
     p, k = 4, 3
     flat = np.arange(p + k)  # one input row against p context and k negative rows
-    sign = np.repeat([-1.0, 1.0], [p, k])
     for d in (2, 5, 30):
         for _ in range(5):
             vectors = rng.normal(scale=1 / math.sqrt(d), size=(1 + p + k, d))
@@ -105,9 +104,9 @@ def test_shared_negative_gradients_match_finite_differences():
             rate = np.concatenate((lr, np.full(k, lr.sum())))
 
             def loss_at(v):
-                return _sgns_step(v, 1, flat, sign, rate, rate)[0]
+                return _sgns_step(v, 1, p, flat, rate, rate)[0]
 
-            analytic = _sgns_step(vectors, 1, flat, sign, rate, np.ones(p + k))[1].ravel()
+            analytic = _sgns_step(vectors, 1, p, flat, rate, np.ones(p + k))[1].ravel()
             numeric = np.empty_like(analytic)
             for pos, (row, comp) in enumerate(np.ndindex(vectors.shape)):
                 bump = np.zeros_like(vectors)
@@ -312,7 +311,18 @@ def test_three_times_the_default_rate_stays_under_the_divergence_bound():
 
 
 def test_c9_pipeline_reproducibility(tmp_path):
-    """The pipeline subcommand run twice with one seed is byte-identical."""
+    """The pipeline subcommand run with one seed is byte-identical: twice
+    in this process, and once in each of two child processes under
+    PYTHONHASHSEED 1 and 2. The children's stdout, with the output
+    directory replaced, must match too: the epoch losses and per-fraction
+    lines are printed, not stored."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rolerank
+
     labeled = make_labeled_triples(n_per_role=60, seed=900)
     labeled_path = tmp_path / "labeled.jsonl"
     triples_to_jsonl(labeled, labeled_path)
@@ -320,21 +330,35 @@ def test_c9_pipeline_reproducibility(tmp_path):
     config_path.write_text(
         "seed = 31\nembedding.dim = 12\nembedding.epochs = 3\nforest.n_trees = 20\n"
     )
+    argv = ["pipeline", "--labeled", str(labeled_path), "--config", str(config_path),
+            "--fractions", "0.1,0.5,0.9", "--out"]
 
     outputs = []
     for run_dir in ("first", "second"):
         out = tmp_path / run_dir
-        code = main([
-            "pipeline", "--labeled", str(labeled_path), "--config", str(config_path),
-            "--fractions", "0.1,0.5,0.9", "--out", str(out),
-        ])
-        assert code == 0
+        assert main(argv + [str(out)]) == 0
         outputs.append(out)
+    src = str(Path(rolerank.__file__).resolve().parent.parent)
+    stdouts = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hash{hash_seed}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-m", "rolerank.cli", *argv, str(out)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        stdouts.append(done.stdout.replace(str(out), "<out>"))
+        outputs.append(out)
+    assert stdouts[0] == stdouts[1]
 
-    first, second = outputs
-    names = ["embeddings.txt", "scores.jsonl", "report.json", "report.csv",
-             "models/manifest.json"]
-    names += [f"models/{p.name}" for p in (first / "models").glob("*.json")
-              if p.name != "manifest.json"]
-    for name in names:
-        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    def artifacts(out):
+        return sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+
+    first = outputs[0]
+    names = artifacts(first)
+    assert {"embeddings.txt", "scores.jsonl", "report.json", "report.csv",
+            "models/manifest.json"} < set(names)
+    for other in outputs[1:]:
+        assert artifacts(other) == names, other.name
+        for name in names:
+            assert (first / name).read_bytes() == (other / name).read_bytes(), (other.name, name)

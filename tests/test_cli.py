@@ -338,6 +338,26 @@ class TestTrainEmbeddings:
         ), done.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("contexts, settings", [
+        ((["Hello."], ["World."]), ""),
+        ((["alpha beta gamma delta"], ["alpha epsilon"]), "embedding.min_count = 2\n"),
+    ], ids=["one-word", "min_count"])
+    def test_corpus_without_a_pair_exits_1_writing_nothing(self, tmp_path, capsys, contexts,
+                                                           settings):
+        """Without a (center, context) pair the vectors would stay at their
+        init; the run is refused instead of reporting a loss of 0."""
+        data, config, out = tmp_path / "data.jsonl", tmp_path / "cfg", tmp_path / "out"
+        data.write_text("".join(
+            json.dumps({"id": f"t{i}", "head": "h", "role": "trustee", "tail": "t",
+                        "sentences": sentences}) + "\n"
+            for i, sentences in enumerate(contexts)))
+        config.write_text(settings)
+        assert run("train-embeddings", "--data", data, "--config", config, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no (center, context) pair to train on: ")
+        assert "embedding.min_count" in err and "embedding.subsample" in err
+        assert not out.exists()
+
     def test_unreadable_path_exit_2(self, tmp_path):
         assert run("train-embeddings", "--data", tmp_path / "missing.jsonl") == 2
 

@@ -340,15 +340,13 @@ class TestTrainSkipgram:
         model = train_skipgram(corpus, EmbeddingConfig(dim=10, epochs=8, seed=5))
         assert model.epoch_losses[-1] < model.epoch_losses[0]
 
-    def test_init_distribution(self):
-        # one-word sentences produce no pairs, so vectors keep their init
-        corpus = [["solo"]] * 4
-        config = EmbeddingConfig(dim=25, epochs=1, seed=8)
-        model = train_skipgram(corpus, config)
-        vectors = model.input_vectors
-        assert np.abs(vectors).max() <= 0.5 / config.dim
-        assert np.all(model.output_vectors == 0)
-        assert model.epoch_losses == (0.0,)
+    def test_corpus_without_a_pair_is_refused(self):
+        """One-word sentences have no (center, context) pair: training would
+        leave the vectors at their init and report a loss of 0."""
+        message = (r"no \(center, context\) pair to train on: .*embedding\.min_count = 1 "
+                   r"and embedding\.subsample = 0")
+        with pytest.raises(ValueError, match=message):
+            train_skipgram([["solo"]] * 4, EmbeddingConfig(dim=25, epochs=1, seed=8))
 
     def test_subsampling_smoke(self):
         corpus = clique_corpus(sentences_per_clique=100)
@@ -425,11 +423,7 @@ class TestTrainSkipgram:
         filtered out. The arrays are integers, so the pin holds on any CPU."""
         from rolerank import embedding
 
-        rng = np.random.default_rng(11)
-        words = [f"w{i}" for i in range(80)]
-        p = 1 / np.arange(1, 81) ** 1.2
-        corpus = [[str(w) for w in rng.choice(words, size=rng.integers(0, 8), p=p / p.sum())]
-                  for _ in range(300)]
+        corpus = zipf_corpus()
         vocab = build_vocabulary(corpus, 3)
         known = [sum(w in vocab for w in sentence) for sentence in corpus]
         assert len(vocab) == 50 and known.count(0) > 0 and known.count(1) > 0
@@ -452,6 +446,39 @@ class TestTrainSkipgram:
             "d3615cb6295b294589089af581bcb37d15eaf4fd54914410d9985efd0e278812",
         ]
 
+    @pytest.mark.parametrize("case, expected", [
+        ("zipf", "2d3b5ccff463937a41bbc3aaa42c5f4e5331df23f57951f3367fb3328b77cd7d"),
+        ("c7", "d52f14fb70bacd477f3bcfac16ab4ba9fdf550f9375d19bcbb3a85ab239d1e96"),
+    ], ids=["zipf", "c7"])
+    def test_step_layouts_are_pinned(self, monkeypatch, case, expected):
+        """Every step's (n_in, n_pos, flat, rate, mult), as ``_sgns_step``
+        takes them, hashed as little-endian int64 and float64, on the Zipf
+        corpus at min_count = 3 and subsample = 1e-2 and on C7 as C7 trains
+        it. They come from the integer layout and the rate schedule, with
+        no BLAS in between, so the pin holds on any CPU. The digests were
+        recorded when the kernel still took a sign per entry, with n_pos
+        its count of -1 signs and those entries checked to come first."""
+        from rolerank import embedding
+
+        if case == "zipf":
+            corpus = zipf_corpus()
+            config = EmbeddingConfig(dim=4, window=3, epochs=3, min_count=3, subsample=1e-2, seed=5)
+        else:
+            corpus = build_corpus(make_labeled_triples(n_per_role=400, seed=700))
+            config = EmbeddingConfig(dim=30, epochs=6, seed=701)
+        step, digest = embedding._sgns_step, hashlib.sha256()
+
+        def recording(vectors, n_in, n_pos, flat, rate, mult):
+            digest.update(np.array([n_in, n_pos], dtype="<i8").tobytes())
+            digest.update(np.asarray(flat, dtype="<i8").tobytes())
+            digest.update(np.asarray(rate, dtype="<f8").tobytes())
+            digest.update(np.asarray(mult, dtype="<f8").tobytes())
+            return step(vectors, n_in, n_pos, flat, rate, mult)
+
+        monkeypatch.setattr(embedding, "_sgns_step", recording)
+        train_skipgram(corpus, config)
+        assert digest.hexdigest() == expected
+
     def test_shuffled_c7_loss_falls_every_epoch(self):
         """Read as built, the C7 corpus comes grouped by role (all of one
         role's sentences, then the next role's), and its epoch loss bottoms
@@ -464,6 +491,15 @@ class TestTrainSkipgram:
         random.Random(701).shuffle(corpus)
         losses = train_skipgram(corpus, EmbeddingConfig(epochs=6, seed=701)).epoch_losses
         assert all(later <= earlier for earlier, later in zip(losses, losses[1:])), losses
+
+
+def zipf_corpus():
+    """300 sentences of 0 to 7 words drawn from 80 words by a Zipf law."""
+    rng = np.random.default_rng(11)
+    words = [f"w{i}" for i in range(80)]
+    p = 1 / np.arange(1, 81) ** 1.2
+    return [[str(w) for w in rng.choice(words, size=rng.integers(0, 8), p=p / p.sum())]
+            for _ in range(300)]
 
 
 def replay_first_epoch(corpus, config):

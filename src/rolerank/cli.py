@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, fields
@@ -247,7 +248,9 @@ def _stage_embeddings(triples, run: RunConfig, out_dir: Path) -> emb.EmbeddingMo
     print(f"vocabulary size: {len(model.vocab)}")
     print(f"epochs: {run.embedding.epochs}")
     print("epoch mean losses: " + " ".join(f"{loss:.6f}" for loss in model.epoch_losses))
-    print(f"final mean loss: {model.epoch_losses[-1]:.6f}")
+    # nan marks an epoch without a pair: train_skipgram refuses a nan from a diverged run
+    final = [loss for loss in model.epoch_losses if not math.isnan(loss)][-1]
+    print(f"final mean loss: {final:.6f}")
     print(f"wrote {out_dir / 'embeddings.txt'}")
     return model
 
@@ -279,8 +282,8 @@ def _stage_train(labeled, model, embeddings_path, run: RunConfig, out_dir: Path)
 
 def _stage_score(triples, bundle, out_dir: Path, per_role: bool = False) -> None:
     scored = pipeline.rank(pipeline.score_triples(triples, bundle))
-    if per_role:
-        scored = sorted(scored, key=lambda s: (s.triple.role, -s.score, s.triple.id))
+    if per_role:  # a stable sort keeps rank's order within each role
+        scored = sorted(scored, key=lambda s: s.triple.role)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "scores.jsonl"
     with open_atomic(out_path) as f:

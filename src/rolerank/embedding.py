@@ -313,78 +313,68 @@ def _pairs(left: np.ndarray, right: np.ndarray):
 
 
 SENTENCES_PER_STEP = 4  # consecutive paired sentences scored from one snapshot per step
-STEP_BLOCK = 16  # steps laid out per _block_steps call; bounds its arrays, not the result
+STEP_BLOCK = 16  # steps _steps lays out at a time; bounds its arrays, not the result
 
 
-def _block_steps(ids, left, right, lengths, negatives, lr, vocab_size: int):
-    """Lay out the steps of a block of sentences for ``_sgns_step``.
+def _steps(ids, left, right, lengths, negatives, lr, vocab_size: int):
+    """Yield one epoch's steps as (rows, n_in, n_pos, flat, rate, mult).
 
-    Takes the block's tokens, sentence lengths, negative output rows and
-    pair rates; sentence i belongs to step i // SENTENCES_PER_STEP.
-    Returns the steps' rows back to back, the per-step (first row, first
-    output row, end row, first entry, end entry, pair count), and the
-    entries' flat index, rate and loss multiplicity, grouped by step.
+    Takes the epoch's layout, its (T, k) shared negative word ids and the
+    rates of its pairs in order; sentence i belongs to step
+    i // SENTENCES_PER_STEP. ``rows`` are the step's distinct rows of the
+    stacked matrix, its n_in input rows first, and the rest is what
+    ``_sgns_step`` takes. Steps are laid out STEP_BLOCK at a time, so the
+    arrays stay small whatever the corpus size; the block size does not
+    change which sentences share a step.
     """
     k, span = negatives.shape[1], 2 * vocab_size
-    owner, context = _pairs(left, right)
-    n_pairs, n_tokens = len(owner), len(ids)
-    token_step = np.repeat(np.arange(len(lengths)) // SENTENCES_PER_STEP, lengths)
-    center = np.concatenate((owner, np.repeat(np.arange(n_tokens), k)))  # per entry
-    step = token_step[center]
-    # a key is step * span + row, so each step's input rows (< V) sort first
-    outputs = np.concatenate((ids[context] + vocab_size, negatives.ravel()))
-    keys, at = np.unique(
-        np.concatenate((token_step * span + ids, step * span + outputs)), return_inverse=True
-    )
-    rows = keys % span
-    n_rows = np.bincount(keys // span)
-    n_in = np.bincount(keys[rows < vocab_size] // span, minlength=len(n_rows))
-    row_starts = np.cumsum(n_rows) - n_rows
-    out_starts = row_starts + n_in
-    flat = (at[center] - row_starts[step]) * (n_rows - n_in)[step]
-    flat += at[n_tokens:] - out_starts[step]
-    rate = np.concatenate((lr, np.repeat(np.bincount(owner, lr, n_tokens), k)))
-    mult = np.concatenate((np.ones(n_pairs), np.repeat(left + right, k)))
-    order = np.argsort(step, kind="stable")  # keeps each step's pairs first
-    n_entries = np.bincount(step)
-    entry_starts = np.cumsum(n_entries) - n_entries
-    bounds = zip(
-        row_starts.tolist(), out_starts.tolist(), (row_starts + n_rows).tolist(),
-        entry_starts.tolist(), (entry_starts + n_entries).tolist(),
-        np.bincount(step[:n_pairs]).tolist(),
-    )
-    return rows, bounds, flat[order], rate[order], mult[order]
-
-
-def _train_epoch(weights, ids, left, right, lengths, negatives, lr) -> float:
-    """Take one epoch's steps on ``weights`` in place.
-
-    ``negatives`` holds the output rows of the epoch's shared negatives
-    and ``lr`` the rates of its pairs in order. Returns the sum of the
-    pair losses. Steps are laid out STEP_BLOCK at a time, so the arrays
-    the steps read stay small whatever the corpus size; the block size
-    does not change which sentences share a step.
-    """
-    vocab_size = len(weights) // 2
-    loss_sum, t0, p0 = 0.0, 0, 0
     block_size = STEP_BLOCK * SENTENCES_PER_STEP
+    t0 = p0 = 0
     for first in range(0, len(lengths), block_size):
         block = lengths[first:first + block_size]
         t1 = t0 + int(block.sum())
-        p1 = p0 + int(left[t0:t1].sum() + right[t0:t1].sum())
-        rows, bounds, flat, rate, mult = _block_steps(
-            ids[t0:t1], left[t0:t1], right[t0:t1], block, negatives[t0:t1], lr[p0:p1], vocab_size
+        tokens = ids[t0:t1]
+        owner, context = _pairs(left[t0:t1], right[t0:t1])
+        n_pairs, n_tokens = len(owner), t1 - t0
+        token_step = np.repeat(np.arange(len(block)) // SENTENCES_PER_STEP, block)
+        center = np.concatenate((owner, np.repeat(np.arange(n_tokens), k)))  # per entry
+        step = token_step[center]
+        # a key is step * span + row, so each step's input rows (< V) sort first
+        outputs = np.concatenate((tokens[context], negatives[t0:t1].ravel())) + vocab_size
+        keys, at = np.unique(
+            np.concatenate((token_step * span + tokens, step * span + outputs)),
+            return_inverse=True,
         )
-        for r0, r_out, r1, e0, e1, n_pos in bounds:
-            step_rows = rows[r0:r1]
-            vectors = weights.take(step_rows, axis=0)
-            loss, grad = _sgns_step(
-                vectors, r_out - r0, n_pos, flat[e0:e1], rate[e0:e1], mult[e0:e1]
-            )
-            vectors -= grad
-            weights[step_rows] = vectors
-            loss_sum += loss
-        t0, p0 = t1, p1
+        rows = keys % span
+        n_rows = np.bincount(keys // span)
+        n_in = np.bincount(keys[rows < vocab_size] // span, minlength=len(n_rows))
+        row_starts = np.cumsum(n_rows) - n_rows
+        flat = (at[center] - row_starts[step]) * (n_rows - n_in)[step]
+        flat += at[n_tokens:] - (row_starts + n_in)[step]
+        lr_block = lr[p0:p0 + n_pairs]
+        rate = np.concatenate((lr_block, np.repeat(np.bincount(owner, lr_block, n_tokens), k)))
+        mult = np.concatenate((np.ones(n_pairs), np.repeat(left[t0:t1] + right[t0:t1], k)))
+        order = np.argsort(step, kind="stable")  # keeps each step's pairs first
+        flat, rate, mult = flat[order], rate[order], mult[order]
+        r0 = e0 = 0
+        for r1, n, e1, n_pos in zip(
+            np.cumsum(n_rows).tolist(), n_in.tolist(), np.cumsum(np.bincount(step)).tolist(),
+            np.bincount(step[:n_pairs]).tolist(),
+        ):
+            yield rows[r0:r1], n, n_pos, flat[e0:e1], rate[e0:e1], mult[e0:e1]
+            r0, e0 = r1, e1
+        t0, p0 = t1, p0 + n_pairs
+
+
+def _train_epoch(weights, ids, left, right, lengths, negatives, lr) -> float:
+    """Take one epoch's ``_steps`` on ``weights`` in place; return the sum of its pair losses."""
+    loss_sum = 0.0
+    for rows, *step in _steps(ids, left, right, lengths, negatives, lr, len(weights) // 2):
+        vectors = weights.take(rows, axis=0)
+        loss, grad = _sgns_step(vectors, *step)
+        vectors -= grad
+        weights[rows] = vectors
+        loss_sum += loss
     return loss_sum
 
 
@@ -396,18 +386,19 @@ def train_skipgram(
     ``Vocabulary.encode`` maps the corpus to ids, as ``featurize`` maps its
     contexts. A pair's loss is its positive term plus its center's
     negative term, and ``epoch_losses`` holds each epoch's mean per-pair
-    loss. Raises ``ValueError`` for a corpus with no (center, context)
-    pair in any epoch, and for a run that diverged: training starts at
-    all-zero scores, whose loss is (1 + negatives) * ln 2, since the
-    output vectors start at zero, and a last epoch whose mean loss is
-    above that by more than DIVERGENCE_MARGIN (or nan) diverged.
+    loss, nan for an epoch that subsampling left without a pair. Raises
+    ``ValueError`` for a corpus with no (center, context) pair in any
+    epoch, and for a run that diverged: training starts at all-zero
+    scores, whose loss is (1 + negatives) * ln 2, since the output vectors
+    start at zero, and a last epoch with a pair whose mean loss is above
+    that by more than DIVERGENCE_MARGIN (or nan) diverged.
     """
     vocab = build_vocabulary(corpus, config.min_count)
     encoded = vocab.encode(corpus)
     keep = _keep_probabilities(vocab, config.subsample) if config.subsample > 0 else None
     layouts = _epoch_layouts(*encoded, config, keep)
-    total_pairs = sum(int(left.sum() + right.sum()) for _, left, right, _ in layouts)
-    if not total_pairs:
+    epoch_pairs = [int(left.sum() + right.sum()) for _, left, right, _ in layouts]
+    if not any(epoch_pairs):
         raise ValueError(
             "no (center, context) pair to train on: no sentence has two words left after "
             f"embedding.min_count = {config.min_count} and embedding.subsample = "
@@ -422,23 +413,24 @@ def train_skipgram(
     sampler = UnigramSampler(vocab, config.unigram_power)
     neg_rng = make_rng(config.seed, "negatives")
     lr_span = config.lr_initial - config.lr_final
-    denom = max(total_pairs - 1, 1)
+    denom = max(sum(epoch_pairs) - 1, 1)
     losses = []
     pair_index = 0
     # a diverging run overflows to inf and nan; the loss check below names it
     with np.errstate(over="ignore", invalid="ignore"):
-        for ids, left, right, lengths in _epoch_layouts(*encoded, config, keep):
+        for n_pairs, (ids, left, right, lengths) in zip(
+            epoch_pairs, _epoch_layouts(*encoded, config, keep)
+        ):
             negatives = _shared_negatives(sampler, neg_rng, ids, left, right, k)
-            negatives += vocab_size  # output rows
-            n_pairs = int(left.sum() + right.sum())
             lr = config.lr_initial - lr_span * (np.arange(pair_index, pair_index + n_pairs) / denom)
             loss_sum = _train_epoch(weights, ids, left, right, lengths, negatives, lr)
-            losses.append(float(loss_sum / n_pairs) if n_pairs else 0.0)
+            losses.append(loss_sum / n_pairs if n_pairs else math.nan)
             pair_index += n_pairs
+    final = [loss for loss, n_pairs in zip(losses, epoch_pairs) if n_pairs][-1]
     bound = (1 + k) * math.log(2)  # the loss of all-zero scores, where training starts
-    if not losses[-1] <= bound * (1 + DIVERGENCE_MARGIN):  # a nan loss fails too
+    if not final <= bound * (1 + DIVERGENCE_MARGIN):  # a nan loss fails too
         raise ValueError(
-            f"training diverged: final mean loss {losses[-1]:.6g} is not at most "
+            f"training diverged: final mean loss {final:.6g} is not at most "
             f"(1 + negatives) * ln 2 = {bound:.6g}, the loss training starts from, "
             f"plus {DIVERGENCE_MARGIN:.0%} (try a lower embedding.lr_initial)"
         )

@@ -289,6 +289,21 @@ class TestTrainEmbeddings:
         assert 6 * math.log(2) < float(final.split(": ")[1]) < 6 * math.log(2) * 1.0001
         assert (out / "embeddings.txt").exists()
 
+    def test_epoch_without_a_pair_prints_nan(self, tmp_path, capsys):
+        """With seed 24 subsampling leaves the second epoch of a two-word
+        corpus without a pair: it prints nan, and the final loss is the
+        first epoch's."""
+        data, config, out = tmp_path / "data.jsonl", tmp_path / "cfg", tmp_path / "out"
+        data.write_text("".join(
+            json.dumps({"id": f"t{i}", "head": "h", "role": "trustee", "tail": "t",
+                        "sentences": ["a b."]}) + "\n" for i in range(20)))
+        config.write_text("embedding.seed = 24\nembedding.epochs = 2\n"
+                          "embedding.subsample = 0.001\nembedding.dim = 4\n")
+        assert run("train-embeddings", "--data", data, "--config", config, "--out", out) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "epoch mean losses: 4.158883 nan" in lines
+        assert "final mean loss: 4.158883" in lines
+
     def test_rerun_byte_identical(self, workspace):
         tmp, labeled, _, config = workspace
         out1, out2 = tmp / "e1", tmp / "e2"
@@ -527,12 +542,15 @@ class TestScore:
         tmp, labeled, _, config, out = trained
         assert run("score", "--triples", labeled, "--models", out / "models",
                    "--embeddings", out / "embeddings.txt", "--out", out, "--per-role") == 0
-        rows = [json.loads(line) for line in (out / "scores.jsonl").read_text().splitlines()]
-        roles = [r["role"] for r in rows]
+        per_role = [json.loads(line) for line in (out / "scores.jsonl").read_text().splitlines()]
+        roles = [r["role"] for r in per_role]
         assert roles == sorted(roles)
+        assert run("score", "--triples", labeled, "--models", out / "models",
+                   "--embeddings", out / "embeddings.txt", "--out", out) == 0
+        ranked = [json.loads(line) for line in (out / "scores.jsonl").read_text().splitlines()]
         for role in set(roles):
-            block = [r["score"] for r in rows if r["role"] == role]
-            assert block == sorted(block, reverse=True)
+            block = [r for r in per_role if r["role"] == role]
+            assert block == [r for r in ranked if r["role"] == role]
 
     def test_empty_input(self, trained, tmp_path):
         _, _, _, _, out = trained

@@ -290,7 +290,7 @@ class TestTrainSkipgram:
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
 
-    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("block", [1, 7, 10**9])
     def test_step_block_size_does_not_change_the_result(self, monkeypatch, block):
         from rolerank import embedding
 
@@ -328,6 +328,31 @@ class TestTrainSkipgram:
         with pytest.raises(ValueError, match=message):
             train_skipgram(clique_corpus(sentences_per_clique=60), config)
         assert vectors_finite[-1] == finite
+
+    @pytest.mark.parametrize("seed, empty", [(24, 1), (7, 0)])
+    def test_epoch_without_a_pair_has_no_mean_loss(self, seed, empty):
+        """Subsampling can leave an epoch of a two-word corpus without a
+        pair; its mean loss is nan, not 0."""
+        config = EmbeddingConfig(dim=4, epochs=2, subsample=1e-3, seed=seed)
+        losses = train_skipgram([["a", "b"]] * 20, config).epoch_losses
+        assert math.isnan(losses[empty])
+        assert losses[1 - empty] == pytest.approx(6 * math.log(2))
+
+    def test_divergence_is_read_from_the_last_epoch_with_a_pair(self, monkeypatch):
+        """A blown-up epoch followed by one without a pair still diverged."""
+        from rolerank import embedding
+
+        train_epoch, loss_sums = embedding._train_epoch, []
+
+        def first_blown_up(*args):
+            loss_sums.append(train_epoch(*args) * (1e6 if not loss_sums else 1.0))
+            return loss_sums[-1]
+
+        monkeypatch.setattr(embedding, "_train_epoch", first_blown_up)
+        config = EmbeddingConfig(dim=4, epochs=2, subsample=1e-3, seed=24)
+        with pytest.raises(ValueError, match=r"training diverged: final mean loss 4\.15888e\+06 "):
+            train_skipgram([["a", "b"]] * 20, config)
+        assert loss_sums[1] == 0.0
 
     def test_cliques_cluster(self):
         corpus = clique_corpus(sentences_per_clique=300)

@@ -11,12 +11,13 @@ A forest's trees grow in lockstep rounds. Each tree keeps its own RNG,
 bootstrap draw and depth-first stack, so its draws and node order are
 those of growing it alone; in each round every unfinished tree writes
 leaves until it reaches a node that needs a split search, and all of
-the round's such nodes are searched together. X is ranked once per
-column; each (node, candidate feature) column becomes one group of a
-single sort over integer keys (group, rank, label), a segmented cumulative
-sum gives the positives left of every cut, a float pass shortlists each
-node's cuts near its best ratio and exact integer arithmetic settles
-the winner.
+the round's such nodes are searched together. A tree holds its draw's
+distinct rows weighted by draw count (scikit-learn's bootstrap sample
+weights). X is ranked once per column; each (node, candidate feature)
+column becomes one group of a single sort over integer keys (group,
+rank, label, draws), segmented cumulative sums give the draws and
+positives left of every cut, a float pass shortlists each node's cuts
+near its best ratio and exact integer arithmetic settles the winner.
 
 A forest is the struct-of-arrays layout of scikit-learn's ``Tree``: the
 nodes of all trees, in preorder, as arrays ``feature``, ``threshold``,
@@ -100,8 +101,10 @@ def _sort_codes(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``codes`` (n, d), ``rank << 1 | label``, and ``S``, X sorted
     column by column. Equal values share the rank of their first
     occurrence in S, so ``S[rank[i, f], f] == X[i, f]`` and two samples'
-    values differ exactly when their ranks do.
+    values differ exactly when their ranks do. Labels must be 0 or 1.
     """
+    if len(bad := np.flatnonzero((y != 0) & (y != 1))):
+        raise ValueError(f"label at row {bad[0]} is {y[bad[0]]}; labels must be 0 or 1")
     n, d = X.shape
     order = np.argsort(X, axis=0, kind="stable")
     S = np.take_along_axis(X, order, axis=0)
@@ -110,10 +113,10 @@ def _sort_codes(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     run_start = np.maximum.accumulate(np.where(first, np.arange(n)[:, None], 0), axis=0)
     codes = np.empty((n, d), dtype=np.int64)
     np.put_along_axis(codes, order, run_start << 1, axis=0)
-    return codes | y[:, None], S
+    return codes | y.astype(np.int64)[:, None], S
 
 
-def _split_chunk(X, codes, S, samples, nodes, min_samples_leaf):
+def _split_chunk(X, codes, S, samples, weights, nodes, min_samples_leaf):
     """Split each (start, stop, candidates) node of one chunk; see _split_batch."""
     n_all, d = X.shape
     starts = np.array([start for start, _, _ in nodes])
@@ -123,31 +126,33 @@ def _split_chunk(X, codes, S, samples, nodes, min_samples_leaf):
     row_start = np.cumsum(sizes) - sizes
     row_node = np.repeat(np.arange(len(nodes)), sizes)
     at = np.arange(len(row_node)) + np.repeat(starts - row_start, sizes)
-    rows = samples[at]
+    rows, draws = samples[at], weights[at]
     # group node * m + j is the node's j-th lowest candidate feature, so the
     # groups of a node run feature by feature; one sort orders every group
-    # by rank, and the label rides in the lowest bit
-    shift = n_all.bit_length() + 1
+    # by rank, with the label below the rank and the row's draws below it
+    low = int(draws.max()).bit_length()
+    shift = n_all.bit_length() + 1 + low
     keys = (row_node[:, None] * m + np.arange(m)) << shift
-    keys |= codes.take(rows[:, None] * d + candidates[row_node])
+    keys |= codes.take(rows[:, None] * d + candidates[row_node]) << low | draws[:, None]
     if (len(nodes) * m) << shift <= np.iinfo(np.int32).max:
         keys = keys.astype(np.int32)  # sorts twice as fast
     keys = np.sort(keys, axis=None)
 
-    # per entry, as exact float64 counts: samples and positives on either
-    # side of the cut after it (a group's last entry has nr == 0)
+    # per entry, as exact float64 counts of draws: samples and positives on
+    # either side of the cut after it (a group's last entry has nr == 0)
     group_size = np.repeat(sizes, m)
     group_end = np.cumsum(group_size)
     group_start = group_end - group_size
-    cum = np.concatenate(([0.0], np.cumsum(keys & 1, dtype=np.float64)))
-    entry = np.arange(1.0, len(keys) + 1.0)
-    nl = entry - np.repeat(group_start.astype(np.float64), group_size)
-    nr = np.repeat(group_end.astype(np.float64), group_size) - entry
-    pl = cum[1:] - np.repeat(cum[group_start], group_size)
-    pr = np.repeat(cum[group_end], group_size) - cum[1:]
-    # a cut needs distinct ranks on its two sides; the next group's first
-    # key never counts, as nr == 0 there
-    step = keys >> 1
+    drawn = keys & ((1 << low) - 1)
+    cum_n, cum_p = (np.concatenate(([0.0], np.cumsum(x, dtype=np.float64)))
+                    for x in (drawn, drawn * (keys >> low & 1)))
+    nl = cum_n[1:] - np.repeat(cum_n[group_start], group_size)
+    nr = np.repeat(cum_n[group_end], group_size) - cum_n[1:]
+    pl = cum_p[1:] - np.repeat(cum_p[group_start], group_size)
+    pr = np.repeat(cum_p[group_end], group_size) - cum_p[1:]
+    # a cut needs distinct ranks on its two sides, never between a row's
+    # draws; the next group's first key never counts, as nr == 0 there
+    step = keys >> (low + 1)
     cut = np.append(step[:-1] != step[1:], False) & (nr >= min_samples_leaf)
     cut &= nl >= min_samples_leaf
     # 2 * (pl^2/nl + pr^2/nr) + n - 2 * pos is the decrease's monotone ratio
@@ -177,36 +182,39 @@ def _split_chunk(X, codes, S, samples, nodes, min_samples_leaf):
     features = np.zeros(len(nodes), dtype=np.int64)
     thresholds = np.full(len(nodes), np.inf)  # a node without a split keeps its order
     f = features[node] = candidates[node, (won - row_start[node] * m) // sizes[node]]
-    rank = (1 << (shift - 1)) - 1
+    rank = (1 << n_all.bit_length()) - 1
     thresholds[node] = (S[step[won] & rank, f] + S[step[won + 1] & rank, f]) / 2.0
     # the children are those of ``x <= threshold``, as predict routes them
     goes_left = X.take(rows * d + features[row_node]) <= thresholds[row_node]
-    n_left = np.add.reduceat(goes_left, row_start, dtype=np.int64)
-    pos_left = np.add.reduceat(goes_left * (codes[rows, 0] & 1), row_start)
-    samples[at] = rows[np.argsort(row_node * 2 + ~goes_left, kind="stable")]
+    n_left = np.add.reduceat(goes_left * draws, row_start)
+    pos_left = np.add.reduceat(goes_left * draws * (codes[rows, 0] & 1), row_start)
+    rows_left = np.add.reduceat(goes_left, row_start, dtype=np.int64)
+    order = np.argsort(row_node * 2 + ~goes_left, kind="stable")
+    samples[at], weights[at] = rows[order], draws[order]
     for b, (numer, denom, n, _) in best.items():
         splits[b] = (int(features[b]), float(thresholds[b]), numer / (n * n * denom),
-                     int(n_left[b]), int(pos_left[b]))
+                     int(n_left[b]), int(pos_left[b]), int(rows_left[b]))
     return splits
 
 
-def _split_batch(X, codes, S, samples, nodes, min_samples_leaf):
+def _split_batch(X, codes, S, samples, weights, nodes, min_samples_leaf):
     """Split many nodes, one batched search per SPLIT_BLOCK entries.
 
     ``codes`` and ``S`` come from ``_sort_codes(X, y)``. Each node is
     (start, stop, candidate features): its samples are the rows
-    ``samples[start:stop]`` of X, and every node has the same number of
-    candidates. Returns per node None or (feature, threshold, Gini
-    decrease, samples left, positives left), with ``best_split``'s rules;
-    a split node's range of ``samples`` is reordered to hold its left
-    child's samples, then its right child's, each in their former order.
+    ``samples[start:stop]`` of X, drawn ``weights[start:stop]`` times
+    each, and every node has the same number of candidates. Counting draws,
+    it returns per node None or (feature, threshold, Gini decrease, draws
+    left, positives left, rows left), with ``best_split``'s rules on the
+    repeated rows; a split node's (row, weight) pairs are reordered to hold
+    its left child's, then its right child's, each in their former order.
 
     Each (node, feature) column is one group of a single sort over integer
-    keys (group, rank, label), which orders every group by value at once;
-    a segmented cumulative sum of the labels gives the positives left of
-    each cut. Split quality is settled in exact integer arithmetic over the
-    class counts: a float ratio shortlists each node's cuts within rounding
-    of its maximum, and exact cross-multiplication picks the winner. The
+    keys (group, rank, label, draws), which orders every group by value at
+    once; segmented cumulative sums of the draws and the positive draws
+    give the class counts left of each cut. Split quality is settled
+    exactly: a float ratio shortlists each node's cuts within rounding of
+    its maximum, and integer cross-multiplication picks the winner. The
     threshold is the midpoint of the two sorted values around the cut.
     """
     entries = [(stop - start) * len(features) for start, stop, features in nodes]
@@ -216,7 +224,7 @@ def _split_batch(X, codes, S, samples, nodes, min_samples_leaf):
         while end < len(nodes) and total + entries[end] <= SPLIT_BLOCK:
             total += entries[end]
             end += 1
-        splits += _split_chunk(X, codes, S, samples, nodes[first:end], min_samples_leaf)
+        splits += _split_chunk(X, codes, S, samples, weights, nodes[first:end], min_samples_leaf)
         first = end
     return splits
 
@@ -236,38 +244,39 @@ def best_split(
     then the lower threshold. This is the one-node call of the batched
     search that grows forests (``_split_batch``).
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    n = len(y)
-    if n == 0 or len(candidate_features) == 0:
-        raise ValueError("best_split needs samples and candidate features")
-    node = (0, n, np.asarray(candidate_features, dtype=np.int64))
-    split = _split_batch(X, *_sort_codes(X, y), np.arange(n), [node], min_samples_leaf)[0]
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
+    n, features = len(y), np.asarray(candidate_features, dtype=np.int64)
+    if X.ndim != 2 or len(X) != n or n == 0 or len(features) == 0:
+        raise ValueError("best_split needs (n, d) samples, one label per row and candidate features")
+    if len(bad := features[(features < 0) | (features >= X.shape[1])]):
+        raise ValueError(f"candidate feature {bad[0]} is outside [0, {X.shape[1]})")
+    split = _split_batch(X, *_sort_codes(X, y), np.arange(n), np.ones(n, dtype=np.int64),
+                         [(0, n, features)], min_samples_leaf)[0]
     return None if split is None else split[:3]
 
 
-def _preorder(start, stop, pos, rng, d, m, config, nodes):
+def _preorder(start, stop, n, pos, rng, d, m, config, nodes):
     """Grow one tree in preorder, as a generator of its split searches.
 
-    A node is a range [start, stop) of the forest's sample buffer holding
-    ``pos`` positives. For each node that needs a split search the tree
-    draws its candidate features and yields (start, stop, features); it is
-    sent back that node's ``_split_batch`` result. Once the tree is
-    complete it yields None, so a driver takes ``next(tree)`` and then
-    ``tree.send(split)`` until it sees None. Each node appends its
+    A node is a range [start, stop) of the forest's row and weight buffers
+    holding ``n`` draws, ``pos`` of them positive (leaf fractions and
+    ``min_samples_leaf`` count draws). For each node that needs a split
+    search the tree draws its candidate features and yields (start, stop,
+    features); it is sent back that node's ``_split_batch`` result. Once
+    the tree is complete it yields None, so a driver takes ``next(tree)``
+    and then ``tree.send(split)`` until it sees None. Each node appends its
     [feature, threshold, left, right, value] row to ``nodes``, with child
-    indices local to the tree. The stack holds (start, stop, positives,
-    depth, parent) with the right child pushed before the left, so nodes
-    (and their ``rng`` draws) come in preorder: a left child is its
-    parent's next node, and a right child fills in its parent's ``right``.
+    indices local to the tree. The stack holds (start, stop, draws,
+    positives, depth, parent) with the right child pushed before the left,
+    so nodes (and their ``rng`` draws) come in preorder: a left child is
+    its parent's next node, and a right child fills in its parent's ``right``.
     """
-    stack = [(start, stop, pos, 0, -1)]
+    stack = [(start, stop, n, pos, 0, -1)]
     while stack:
-        start, stop, pos, depth, parent = stack.pop()
+        start, stop, n, pos, depth, parent = stack.pop()
         node = len(nodes) // 5
         if parent >= 0:
             nodes[5 * parent + 3] = node
-        n = stop - start
         split = None
         if not (
             pos == 0
@@ -281,9 +290,9 @@ def _preorder(start, stop, pos, rng, d, m, config, nodes):
         if split is None or split[3] == n:
             nodes.extend((-1, 0.0, -1, -1, pos / n))
             continue
-        f, t, _, n_left, pos_left = split
-        stack.append((start + n_left, stop, pos - pos_left, depth + 1, node))
-        stack.append((start, start + n_left, pos_left, depth + 1, -1))
+        f, t, _, n_left, pos_left, rows_left = split
+        stack.append((start + rows_left, stop, n - n_left, pos - pos_left, depth + 1, node))
+        stack.append((start, start + rows_left, n_left, pos_left, depth + 1, -1))
         nodes.extend((f, t, node + 1, -1, 0.0))
     yield None
 
@@ -293,21 +302,22 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
 
     Callers are expected to present samples in a canonical order (the
     pipeline sorts by triple id) so that training is invariant to input
-    file order. Requires at least one sample of each class and finite
-    features.
+    file order. Requires labels 0 or 1, at least one sample of each class
+    and finite features.
 
     The trees grow in lockstep rounds. Each keeps its own RNG, bootstrap
     draw and depth-first stack (``_preorder``), so its draws and nodes
-    are those of growing it alone; a node is a range of one buffer that
-    holds every tree's bootstrap rows. In a round every unfinished tree
+    are those of growing it alone; a node is a range of two buffers that
+    hold every tree's distinct bootstrap rows and their draw counts (its
+    ``np.bincount``; the zero counts are its out-of-bag rows). In a round every unfinished tree
     writes leaves until it reaches a node that needs a split search, and
     all of the round's such nodes are split by one batched search
     (``_split_batch``) over the per-column ranks of X, computed once.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("X must be (n, d) with one label per row")
+    codes, S = _sort_codes(X, y)  # first, as it refuses a label other than 0 or 1
     n, d = X.shape
     bad = np.argwhere(~np.isfinite(X))
     if len(bad):
@@ -324,22 +334,22 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
         raise ValueError(f"features_per_split exceeds feature count {d}")
     m = config.features_per_split or min(d, math.ceil(math.sqrt(d)))
 
-    codes, S = _sort_codes(X, y)
-    samples = np.empty(config.n_trees * n, dtype=np.int64)
-    trees, requests = [], []
+    samples, weights = np.empty((2, config.n_trees * n), dtype=np.int64)
+    trees, requests, stop = [], [], 0
     for t in range(config.n_trees):
         rng = make_rng(config.seed, f"tree{t}")
-        start, stop = t * n, (t + 1) * n
         # int64, the default: a draw of another dtype is another stream
-        samples[start:stop] = rng.integers(0, n, size=n)
+        drawn = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        rows = np.flatnonzero(drawn)
+        start, stop = stop, stop + len(rows)
+        samples[start:stop], weights[start:stop] = rows, drawn[rows]
         trees.append(array("d"))
-        pos_root = int(y[samples[start:stop]].sum())
-        tree = _preorder(start, stop, pos_root, rng, d, m, config, trees[-1])
+        tree = _preorder(start, stop, n, int(drawn @ y), rng, d, m, config, trees[-1])
         if (request := next(tree)) is not None:
             requests.append((tree, request))
     while requests:
         nodes = [request for _, request in requests]
-        splits = _split_batch(X, codes, S, samples, nodes, config.min_samples_leaf)
+        splits = _split_batch(X, codes, S, samples, weights, nodes, config.min_samples_leaf)
         requests = [
             (tree, request)
             for (tree, _), split in zip(requests, splits)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from rolerank.forest import (
     save_classifier,
     train_forest,
 )
+from rolerank.seeds import make_rng
 
 
 def xor_dataset(n_per_cluster=50, noise=0.1, seed=17):
@@ -109,16 +111,18 @@ def split_cases(draw):
 
 @st.composite
 def split_batches(draw):
-    """1-5 nodes as row subsets (with repeats, as bootstraps have) of one
-    tie-heavy integer-grid X, each with its own candidate features (the
-    same number per node), one leaf floor of 1-3 and a chunk size."""
+    """1-5 nodes as (row, draw count) subsets of one tie-heavy integer-grid
+    X, each with its own candidate features (the same number per node),
+    one leaf floor of 1-3 and a chunk size. A node may hold a row twice;
+    most rows are drawn 1-4 times, one in 16 hundreds of times."""
     n = draw(st.integers(1, 30))
     d = draw(st.integers(1, 6))
     X = draw(arrays(np.int64, (n, d), elements=st.integers(0, draw(st.integers(0, 4)))))
     y = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
     m = draw(st.integers(1, d))
+    draws = st.integers(0, 15).flatmap(lambda k: st.integers(100, 999) if k == 15 else st.integers(1, 4))
     nodes = draw(st.lists(
-        st.tuples(st.lists(st.integers(0, n - 1), min_size=1, max_size=25),
+        st.tuples(st.lists(st.tuples(st.integers(0, n - 1), draws), min_size=1, max_size=25),
                   st.lists(st.integers(0, d - 1), min_size=m, max_size=m)),
         min_size=1, max_size=5,
     ))
@@ -196,34 +200,58 @@ class TestBestSplit:
 
     @given(split_batches())
     @settings(max_examples=200, deadline=None)
+    # 2 nodes x 2 candidates on 2^17 rows: a count of 700 or 900 takes the
+    # sort keys past int32 (4 << (18 + 1 + 10) > 2^31 - 1), counts below 8
+    # would not
+    @example(case=(
+        (np.arange(1 << 17)[:, None] * [1, 3] % 5).astype(np.float64), np.arange(1 << 17) % 2,
+        [([(0, 1), (1, 700), (2, 3), (3, 2), ((1 << 17) - 1, 1)], [0, 1]),
+         ([(4, 2), (5, 1), (6, 900), (7, 4), (8, 1)], [1, 0])],
+        2, 1 << 30,
+    ))
     def test_batch_equals_per_feature_oracle(self, case):
-        """Each node's split is the oracle's, and its range of samples now
-        holds the rows with x <= threshold, then the others, in order."""
+        """Each node's split is the oracle's on its rows repeated by their
+        draw counts, and its range of (row, count) pairs now holds those
+        with x <= threshold, then the others, in order."""
         X, y, nodes, min_samples_leaf, block = case
-        samples = np.concatenate([rows for rows, _ in nodes])
-        stops = np.cumsum([len(rows) for rows, _ in nodes]).tolist()
-        batch = [(stop - len(rows), stop, np.array(features))
-                 for (rows, features), stop in zip(nodes, stops)]
+        samples, weights = np.concatenate([pairs for pairs, _ in nodes]).T.copy()
+        stops = np.cumsum([len(pairs) for pairs, _ in nodes]).tolist()
+        batch = [(stop - len(pairs), stop, np.array(features))
+                 for (pairs, features), stop in zip(nodes, stops)]
         saved, forest.SPLIT_BLOCK = forest.SPLIT_BLOCK, block
         try:
-            splits = _split_batch(X, *_sort_codes(X, y), samples, batch, min_samples_leaf)
+            splits = _split_batch(X, *_sort_codes(X, y), samples, weights, batch, min_samples_leaf)
         finally:
             forest.SPLIT_BLOCK = saved
-        for (rows, features), (start, stop, _), split in zip(nodes, batch, splits):
-            expected = best_split_oracle(X[rows], y[rows], features, min_samples_leaf)
+        for (pairs, features), (start, stop, _), split in zip(nodes, batch, splits):
+            rows, draws = np.array(pairs).T
+            repeated = np.repeat(rows, draws)
+            expected = best_split_oracle(X[repeated], y[repeated], features, min_samples_leaf)
             assert (split and split[:3]) == expected
-            rows = np.array(rows)
             if split is not None:
                 left = X[rows, split[0]] <= split[1]
-                assert split[3:] == (left.sum(), y[rows[left]].sum())
-                rows = np.concatenate([rows[left], rows[~left]])
+                assert split[3:] == (draws[left].sum(), draws[left] @ y[rows[left]], left.sum())
+                rows, draws = (np.concatenate([a[left], a[~left]]) for a in (rows, draws))
             assert samples[start:stop].tolist() == rows.tolist()
+            assert weights[start:stop].tolist() == draws.tolist()
+
+    @pytest.mark.parametrize("features", [[-1], [2], [0, 5]])
+    def test_out_of_range_feature_rejected(self, features):
+        X = np.array([[0.1, 0.2], [0.9, 0.3]])
+        with pytest.raises(ValueError, match=rf"candidate feature {max(features, key=abs)} "
+                                             r"is outside \[0, 2\)"):
+            best_split(X, np.array([0, 1]), features)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             best_split(np.zeros((0, 1)), np.zeros(0, dtype=int), [0])
         with pytest.raises(ValueError):
             best_split(np.zeros((2, 1)), np.zeros(2, dtype=int), [])
+
+    @pytest.mark.parametrize("X", [np.zeros(3), np.zeros((2, 1))], ids=["1-d", "short"])
+    def test_malformed_shapes_rejected(self, X):
+        with pytest.raises(ValueError, match=r"\(n, d\) samples, one label per row"):
+            best_split(X, np.zeros(3, dtype=int), [0])
 
 
 class TestForestConfig:
@@ -287,6 +315,19 @@ class TestTrainForest:
         X[9, 0] = bad  # a later row: the first bad cell is named
         with pytest.raises(ValueError, match=f"row 7, column 1 is {name}; features must be finite"):
             train_forest(X, y, ForestConfig(n_trees=2, seed=0))
+
+    @pytest.mark.parametrize("bad", [2, 0.5])
+    def test_non_binary_labels_rejected(self, bad):
+        # a label of 2 used to train leaf fractions above 1, and 0.5 was
+        # truncated to 0
+        X, y = xor_dataset(n_per_cluster=5)
+        y = y.tolist()
+        y[7] = y[9] = bad  # a later row: the first bad label is named
+        message = re.escape(f"label at row 7 is {bad}; labels must be 0 or 1")
+        with pytest.raises(ValueError, match=message):
+            train_forest(X, y, ForestConfig(n_trees=2, seed=0))
+        with pytest.raises(ValueError, match=message):
+            best_split(X, y, [0])
 
     def test_midpoint_rounding_onto_upper_value_makes_a_leaf(self):
         # the midpoint of these adjacent floats rounds to the upper one, so
@@ -371,6 +412,15 @@ GOLDEN = [
         "ee60fe45182d14a5443f182b0796bfe6921eb58f30152fc0f282bd0b9273a3a3",
         id="flipped-leaf2-depth6",
     ),
+    # The shape of one role's forest in the train-noisy benchmark workload:
+    # 100 deep trees on 560 x 30; recorded on the search over every draw.
+    pytest.param(
+        {"flip": 0.2, "n": 560, "d": 30},
+        ForestConfig(n_trees=100, seed=7),
+        17984,
+        "b715e2e85251e599c5f2ec10690a8eeb4578e87949286b532ad24514c99d12f7",
+        id="train-noisy-shape",
+    ),
 ]
 
 
@@ -392,6 +442,29 @@ def test_split_block_does_not_change_a_tree(monkeypatch, block, data, config, no
     monkeypatch.setattr(forest, "SPLIT_BLOCK", block)
     classifier = train_forest(*flipped_dataset(**data), config)
     assert hashlib.sha256(classifier_to_json(classifier).encode()).hexdigest() == digest
+
+
+def test_trees_search_their_distinct_bootstrap_rows(monkeypatch):
+    """A tree's first split search spans one entry per distinct row of its
+    bootstrap draw, weighted by that row's draw count, not every draw."""
+    X, y = flipped_dataset(0.2)
+    config = ForestConfig(n_trees=8, seed=7)
+    split_batch, first_rounds = forest._split_batch, []
+
+    def spy(X, codes, S, samples, weights, nodes, min_samples_leaf):
+        if not first_rounds:
+            first_rounds.extend(sorted(zip(samples[a:b].tolist(), weights[a:b].tolist()))
+                                for a, b, _ in nodes)
+        return split_batch(X, codes, S, samples, weights, nodes, min_samples_leaf)
+
+    monkeypatch.setattr(forest, "_split_batch", spy)
+    train_forest(X, y, config)
+    assert len(first_rounds) == config.n_trees
+    for t, pairs in enumerate(first_rounds):
+        draw = make_rng(config.seed, f"tree{t}").integers(0, len(y), size=len(y))
+        rows, counts = np.unique(draw, return_counts=True)
+        assert len(rows) < 0.7 * len(y)
+        assert pairs == list(zip(rows.tolist(), counts.tolist()))
 
 
 def traverse_oracle(payload: dict, root: int, x: np.ndarray) -> float:

@@ -9,9 +9,10 @@ fraction over trees, read as a probability in [0, 1].
 
 A forest's trees grow in lockstep rounds. Each tree keeps its own RNG,
 bootstrap draw and depth-first stack, so its draws and node order are
-those of growing it alone; in each round every unfinished tree writes
-leaves until it reaches a node that needs a split search, and all of
-the round's such nodes are searched together. A tree holds its draw's
+those of growing it alone (its candidate sets drawn in blocks equal to
+per-node ``rng.choice``); in each round every unfinished tree writes
+leaves until it reaches a node that needs a split search, and all of the
+round's such nodes are searched together. A tree holds its draw's
 distinct rows weighted by draw count (scikit-learn's bootstrap sample
 weights). X is ranked once per column; each (node, candidate feature)
 column becomes one group of a single sort over integer keys (group,
@@ -32,6 +33,7 @@ feature index and lower threshold.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from array import array
@@ -93,6 +95,7 @@ class RoleClassifier:
 # a round's nodes are searched in chunks of this size, and a node larger
 # than it is searched alone.
 SPLIT_BLOCK = 1 << 14
+CANDIDATE_BLOCKS = (4, 8, 16, 32, 64)  # sets per block after a tree's first set; the last repeats
 
 
 def _sort_codes(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,20 +258,44 @@ def best_split(
     return None if split is None else split[:3]
 
 
-def _preorder(start, stop, n, pos, rng, d, m, config, nodes):
+def _candidate_sets(d, m):
+    """A function of a tree's RNG yielding successive ``rng.choice(d, m, replace=False)`` sets.
+
+    numpy draws a set by Floyd's algorithm from [0, j], j = d-m ... d-1, then shuffles it
+    from [0, i], i = m-1 ... 1; ``rng.integers`` over those bounds draws the same stream.
+    """
+    tile = np.tile(np.r_[d - m + 1:d + 1, m:1:-1], max(CANDIDATE_BLOCKS))  # largest block's bounds
+    def sets(rng):
+        yield rng.choice(d, size=m, replace=False)  # a shallow tree pays no block set-up
+        # past m = 24 numpy's loop outruns this one; its tail shuffle is not Floyd's algorithm
+        while m > 24 or d > 10000 and m > d // 50:
+            yield rng.choice(d, size=m, replace=False)
+        for block in itertools.chain(CANDIDATE_BLOCKS, itertools.repeat(CANDIDATE_BLOCKS[-1])):
+            for draws in rng.integers(0, tile[:block * (2 * m - 1)]).reshape(block, -1).tolist():
+                chosen = {}  # in draw order; a value drawn before is replaced by j
+                for j, v in zip(range(d - m, d), draws):
+                    chosen[j if v in chosen else v] = None
+                chosen = list(chosen)
+                for i, k in zip(range(m - 1, 0, -1), draws[m:]):
+                    chosen[i], chosen[k] = chosen[k], chosen[i]
+                yield chosen
+    return sets
+
+
+def _preorder(start, stop, n, pos, sets, config, nodes):
     """Grow one tree in preorder, as a generator of its split searches.
 
     A node is a range [start, stop) of the forest's row and weight buffers
     holding ``n`` draws, ``pos`` of them positive (leaf fractions and
     ``min_samples_leaf`` count draws). For each node that needs a split
-    search the tree draws its candidate features and yields (start, stop,
-    features); it is sent back that node's ``_split_batch`` result. Once
-    the tree is complete it yields None, so a driver takes ``next(tree)``
-    and then ``tree.send(split)`` until it sees None. Each node appends its
+    search the tree yields (start, stop, ``next(sets)``); it is sent back
+    that node's ``_split_batch`` result. Once the tree is complete it
+    yields None, so a driver takes ``next(tree)`` and then
+    ``tree.send(split)`` until it sees None. Each node appends its
     [feature, threshold, left, right, value] row to ``nodes``, with child
     indices local to the tree. The stack holds (start, stop, draws,
     positives, depth, parent) with the right child pushed before the left,
-    so nodes (and their ``rng`` draws) come in preorder: a left child is
+    so nodes (and their candidate sets) come in preorder: a left child is
     its parent's next node, and a right child fills in its parent's ``right``.
     """
     stack = [(start, stop, n, pos, 0, -1)]
@@ -284,7 +311,7 @@ def _preorder(start, stop, n, pos, rng, d, m, config, nodes):
             or (config.max_depth is not None and depth >= config.max_depth)
             or n < 2 * config.min_samples_leaf
         ):
-            split = yield start, stop, rng.choice(d, size=m, replace=False)
+            split = yield start, stop, next(sets)
         # a midpoint that rounds onto the upper of two adjacent floats can
         # send every sample left; such a node stays a leaf
         if split is None or split[3] == n:
@@ -305,20 +332,20 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
     file order. Requires labels 0 or 1, at least one sample of each class
     and finite features.
 
-    The trees grow in lockstep rounds. Each keeps its own RNG, bootstrap
-    draw and depth-first stack (``_preorder``), so its draws and nodes
-    are those of growing it alone; a node is a range of two buffers that
+    The trees grow in lockstep rounds (``_preorder``, ``_split_batch``), as
+    the module docstring describes; a node is a range of two buffers that
     hold every tree's distinct bootstrap rows and their draw counts (its
-    ``np.bincount``; the zero counts are its out-of-bag rows). In a round every unfinished tree
-    writes leaves until it reaches a node that needs a split search, and
-    all of the round's such nodes are split by one batched search
-    (``_split_batch``) over the per-column ranks of X, computed once.
+    ``np.bincount``; the zero counts are its out-of-bag rows). After the
+    bootstrap a tree's RNG draws only candidate sets, in blocks that equal
+    one ``rng.choice`` per searched node (``_candidate_sets``).
     """
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("X must be (n, d) with one label per row")
     codes, S = _sort_codes(X, y)  # first, as it refuses a label other than 0 or 1
     n, d = X.shape
+    if d == 0:
+        raise ValueError(f"X has {d} features; training needs at least one")
     bad = np.argwhere(~np.isfinite(X))
     if len(bad):
         row, column = bad[0].tolist()
@@ -332,7 +359,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
         )
     if config.features_per_split is not None and config.features_per_split > d:
         raise ValueError(f"features_per_split exceeds feature count {d}")
-    m = config.features_per_split or min(d, math.ceil(math.sqrt(d)))
+    draw_sets = _candidate_sets(d, config.features_per_split or min(d, math.ceil(math.sqrt(d))))
 
     samples, weights = np.empty((2, config.n_trees * n), dtype=np.int64)
     trees, requests, stop = [], [], 0
@@ -344,7 +371,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
         start, stop = stop, stop + len(rows)
         samples[start:stop], weights[start:stop] = rows, drawn[rows]
         trees.append(array("d"))
-        tree = _preorder(start, stop, n, int(drawn @ y), rng, d, m, config, trees[-1])
+        tree = _preorder(start, stop, n, int(drawn @ y), draw_sets(rng), config, trees[-1])
         if (request := next(tree)) is not None:
             requests.append((tree, request))
     while requests:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import re
 
@@ -300,6 +301,10 @@ class TestTrainForest:
         with pytest.raises(ValueError, match="one label per row"):
             train_forest(X, y[:-1], ForestConfig(n_trees=1, seed=0))
 
+    def test_no_features_rejected(self):
+        with pytest.raises(ValueError, match="X has 0 features; training needs at least one"):
+            train_forest(np.zeros((4, 0)), np.array([0, 1, 0, 1]), ForestConfig(n_trees=2))
+
     def test_shapes_recorded(self):
         X, y = xor_dataset(n_per_cluster=10)
         classifier = train_forest(X, y, ForestConfig(n_trees=7, seed=3), role="issuer")
@@ -442,6 +447,44 @@ def test_split_block_does_not_change_a_tree(monkeypatch, block, data, config, no
     monkeypatch.setattr(forest, "SPLIT_BLOCK", block)
     classifier = train_forest(*flipped_dataset(**data), config)
     assert hashlib.sha256(classifier_to_json(classifier).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("blocks", [(1,), (1 << 10,)], ids=["one-set-per-block", "one-block"])
+@pytest.mark.parametrize("data, config, nodes, digest", GOLDEN[2:])  # the sha256-pinned cases
+def test_candidate_blocks_do_not_change_a_tree(monkeypatch, blocks, data, config, nodes, digest):
+    """Candidate sets drawn one per block or all in one block: the same forests."""
+    monkeypatch.setattr(forest, "CANDIDATE_BLOCKS", blocks)
+    classifier = train_forest(*flipped_dataset(**data), config)
+    assert hashlib.sha256(classifier_to_json(classifier).encode()).hexdigest() == digest
+
+
+# NumPy promises no Generator stream across versions (NEP 19); this equality
+# was recorded on numpy 2.4.6, the version CI pins.
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.integers(1, 300).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, min(d, 40)))),
+    sets=st.integers(1, 150),
+)
+@example(seed=1, shape=(30, 1), sets=70)  # m = 1
+@example(seed=2, shape=(12, 12), sets=70)  # m = d
+@example(seed=3, shape=(2, 1), sets=20)  # d = 2
+@example(seed=4, shape=(2, 2), sets=20)
+@example(seed=5, shape=(20000, 500), sets=3)  # numpy's tail shuffle
+@example(seed=6, shape=(20000, 20), sets=14)  # Floyd's algorithm beyond d = 10000
+@example(seed=7, shape=(300, 300), sets=14)  # m > 24: rng.choice itself
+def test_candidate_sets_equal_successive_choice_calls(seed, shape, sets):
+    """The block draw yields the sets of successive ``rng.choice`` calls,
+    and once a block is used up both generators stand at the same state."""
+    d, m = shape
+    ends = itertools.accumulate(itertools.chain(
+        [1], forest.CANDIDATE_BLOCKS, itertools.repeat(forest.CANDIDATE_BLOCKS[-1])))
+    sets = next(end for end in ends if end >= sets)  # to the end of the block under way
+    blocks, plain = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = forest._candidate_sets(d, m)(blocks)
+    assert [list(next(drawn)) for _ in range(sets)] == [
+        plain.choice(d, size=m, replace=False).tolist() for _ in range(sets)]
+    assert blocks.random() == plain.random()
 
 
 def test_trees_search_their_distinct_bootstrap_rows(monkeypatch):

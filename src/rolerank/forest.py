@@ -264,12 +264,11 @@ def _candidate_sets(d, m):
     numpy draws a set by Floyd's algorithm from [0, j], j = d-m ... d-1, then shuffles it
     from [0, i], i = m-1 ... 1; ``rng.integers`` over those bounds draws the same stream.
     """
+    if d > 10000 and m > d // 50:  # numpy's tail shuffle is not Floyd's algorithm
+        return lambda rng: (rng.choice(d, size=m, replace=False) for _ in itertools.repeat(None))
     tile = np.tile(np.r_[d - m + 1:d + 1, m:1:-1], max(CANDIDATE_BLOCKS))  # largest block's bounds
     def sets(rng):
         yield rng.choice(d, size=m, replace=False)  # a shallow tree pays no block set-up
-        # past m = 24 numpy's loop outruns this one; its tail shuffle is not Floyd's algorithm
-        while m > 24 or d > 10000 and m > d // 50:
-            yield rng.choice(d, size=m, replace=False)
         for block in itertools.chain(CANDIDATE_BLOCKS, itertools.repeat(CANDIDATE_BLOCKS[-1])):
             for draws in rng.integers(0, tile[:block * (2 * m - 1)]).reshape(block, -1).tolist():
                 chosen = {}  # in draw order; a value drawn before is replaced by j

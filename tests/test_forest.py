@@ -472,7 +472,7 @@ def test_candidate_blocks_do_not_change_a_tree(monkeypatch, blocks, data, config
 @example(seed=4, shape=(2, 2), sets=20)
 @example(seed=5, shape=(20000, 500), sets=3)  # numpy's tail shuffle
 @example(seed=6, shape=(20000, 20), sets=14)  # Floyd's algorithm beyond d = 10000
-@example(seed=7, shape=(300, 300), sets=14)  # m > 24: rng.choice itself
+@example(seed=7, shape=(300, 300), sets=14)  # m = d, a long shuffle
 def test_candidate_sets_equal_successive_choice_calls(seed, shape, sets):
     """The block draw yields the sets of successive ``rng.choice`` calls,
     and once a block is used up both generators stand at the same state."""
@@ -485,6 +485,18 @@ def test_candidate_sets_equal_successive_choice_calls(seed, shape, sets):
     assert [list(next(drawn)) for _ in range(sets)] == [
         plain.choice(d, size=m, replace=False).tolist() for _ in range(sets)]
     assert blocks.random() == plain.random()
+
+
+def test_tail_shuffle_sets_build_no_block_bounds(monkeypatch):
+    """Where numpy takes its tail-shuffle path every set is a plain
+    ``rng.choice``, so no bounds tile (64 * (2m - 1) values) is built."""
+    def tile(*args):
+        raise AssertionError("np.tile called")
+    monkeypatch.setattr(forest.np, "tile", tile)
+    drawn = forest._candidate_sets(20000, 20000)(np.random.default_rng(8))
+    plain = np.random.default_rng(8)
+    for _ in range(3):
+        assert next(drawn).tolist() == plain.choice(20000, size=20000, replace=False).tolist()
 
 
 def test_trees_search_their_distinct_bootstrap_rows(monkeypatch):

@@ -15,7 +15,6 @@ from .corpus import (
     load_triples,
     parse_triples,
     tokenize,
-    write_triples,
 )
 from .embedding import (
     EmbeddingConfig,
@@ -101,5 +100,4 @@ __all__ = [
     "train_forest",
     "train_role_models",
     "train_skipgram",
-    "write_triples",
 ]

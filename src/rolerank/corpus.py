@@ -212,24 +212,6 @@ def load_triples(path) -> list[ContextualTriple]:
             raise
 
 
-def triple_to_json(triple: ContextualTriple) -> str:
-    obj = {
-        "id": triple.id,
-        "head": triple.head,
-        "role": triple.role,
-        "tail": triple.tail,
-        "sentences": list(triple.sentences),
-    }
-    if triple.label is not None:
-        obj["label"] = triple.label.value
-    return json.dumps(obj, ensure_ascii=False)
-
-
-def write_triples(triples: Iterable[ContextualTriple], out: IO[str]) -> None:
-    for triple in triples:
-        out.write(triple_to_json(triple) + "\n")
-
-
 def build_corpus(triples: Iterable[ContextualTriple]) -> list[list[str]]:
     """Tokenize every context sentence into one token list per sentence.
 

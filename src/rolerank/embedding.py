@@ -529,10 +529,10 @@ def load_embedding(path) -> EmbeddingModel:
             raise ValueError(f"{path}: header must be '<vocab_size> <dim>'")
         try:
             expected_v, dim = int(header[0]), int(header[1])
-            if dim < 1:
+            if min(expected_v, dim) < 1:
                 raise ValueError
         except ValueError:
-            raise ValueError(f"{path}: header must be two integers, the second (dim) >= 1") from None
+            raise ValueError(f"{path}: header must be two integers, each >= 1") from None
         words: list[str] = []
         rows: list[np.ndarray] = []
         line_nos: list[int] = []
@@ -562,7 +562,7 @@ def load_embedding(path) -> EmbeddingModel:
             line_nos.append(line_no)
     if len(words) != expected_v:
         raise ValueError(f"{path}: header claims {expected_v} words, found {len(words)}")
-    vectors = np.vstack(rows) if rows else np.zeros((0, dim))
+    vectors = np.vstack(rows)
     with np.errstate(over="ignore"):  # a huge value's square: an inf norm, refused below
         norms = np.linalg.norm(vectors, axis=1)
     off_unit = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)

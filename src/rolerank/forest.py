@@ -9,7 +9,7 @@ fraction over trees, read as a probability in [0, 1].
 
 A forest's trees grow in lockstep rounds. Each tree keeps its own RNG,
 bootstrap draw and depth-first stack, so its draws and node order are
-those of growing it alone (its candidate sets drawn in blocks equal to
+those of growing it alone (its candidate sets drawn in blocks match
 per-node ``rng.choice``); in each round every unfinished tree writes
 leaves until it reaches a node that needs a split search, and all of the
 round's such nodes are searched together. A tree holds its draw's
@@ -95,7 +95,7 @@ class RoleClassifier:
 # a round's nodes are searched in chunks of this size, and a node larger
 # than it is searched alone.
 SPLIT_BLOCK = 1 << 14
-CANDIDATE_BLOCKS = (4, 8, 16, 32, 64)  # sets per block after a tree's first set; the last repeats
+CANDIDATE_BLOCKS = (1, 4, 8, 16, 32, 64)  # candidate sets per block of a tree; the last repeats
 
 
 def _sort_codes(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,21 +263,19 @@ def _candidate_sets(d, m):
 
     numpy draws a set by Floyd's algorithm from [0, j], j = d-m ... d-1, then shuffles it
     from [0, i], i = m-1 ... 1; ``rng.integers`` over those bounds draws the same stream.
+    The shuffle's bounds are drawn, to stay on that stream, but not applied: the split
+    search sorts each set, so a set is yielded in Floyd's draw order.
     """
     if d > 10000 and m > d // 50:  # numpy's tail shuffle is not Floyd's algorithm
         return lambda rng: (rng.choice(d, size=m, replace=False) for _ in itertools.repeat(None))
     tile = np.tile(np.r_[d - m + 1:d + 1, m:1:-1], max(CANDIDATE_BLOCKS))  # largest block's bounds
     def sets(rng):
-        yield rng.choice(d, size=m, replace=False)  # a shallow tree pays no block set-up
         for block in itertools.chain(CANDIDATE_BLOCKS, itertools.repeat(CANDIDATE_BLOCKS[-1])):
             for draws in rng.integers(0, tile[:block * (2 * m - 1)]).reshape(block, -1).tolist():
                 chosen = {}  # in draw order; a value drawn before is replaced by j
                 for j, v in zip(range(d - m, d), draws):
                     chosen[j if v in chosen else v] = None
-                chosen = list(chosen)
-                for i, k in zip(range(m - 1, 0, -1), draws[m:]):
-                    chosen[i], chosen[k] = chosen[k], chosen[i]
-                yield chosen
+                yield list(chosen)
     return sets
 
 
@@ -336,7 +334,9 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
     hold every tree's distinct bootstrap rows and their draw counts (its
     ``np.bincount``; the zero counts are its out-of-bag rows). After the
     bootstrap a tree's RNG draws only candidate sets, in blocks that equal
-    one ``rng.choice`` per searched node (``_candidate_sets``).
+    one ``rng.choice`` per searched node (``_candidate_sets``); the shuffle's
+    bounds are drawn to stay on that stream but not applied, because the
+    split search sorts each set.
     """
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
@@ -529,11 +529,13 @@ def classifier_from_json(text: str) -> RoleClassifier:
     size = tuple(_int(v, "'training_size'") for v in size)
     if min(size) < 0:
         raise ValueError(f"'training_size' counts must be >= 0, got {list(size)}")
+    if (n_features := _int(payload["n_features"], "'n_features'")) < 1:
+        raise ValueError(f"'n_features' must be >= 1, got {n_features}")
     classifier = RoleClassifier(
         role=payload["role"],
         config=ForestConfig(**config_obj),
         training_size=size,
-        n_features=_int(payload["n_features"], "'n_features'"),
+        n_features=n_features,
         roots=_number_array(payload["roots"], "roots", np.int64),
         **{name: _number_array(payload[name], name, dtype) for name, dtype in NODE_ARRAYS.items()},
     )

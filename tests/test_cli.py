@@ -102,6 +102,7 @@ MODEL_EDITS = {
     "payload not an object": (lambda p: [p], "must be an object"),
     "n_features missing": (
         lambda p: {k: v for k, v in p.items() if k != "n_features"}, "missing 'n_features'"),
+    "n_features 0": (lambda p: dict(p, n_features=0), "'n_features' must be >= 1, got 0"),
     "config a list": (lambda p: dict(p, config=[]), "'config' must be an object"),
     "child past int64": (
         lambda p: edited(p, "left", first_split(p), 2**63), "'left' holds a number out of range"),

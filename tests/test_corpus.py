@@ -14,9 +14,8 @@ from rolerank.corpus import (
     canonicalize_role,
     parse_triples,
     tokenize,
-    triple_to_json,
-    write_triples,
 )
+from synth import triples_to_jsonl
 
 # Unicode whitespace that str.split() splits on, mixed into generated text
 WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u202f\u3000"
@@ -129,8 +128,7 @@ class TestParseTriples:
     def test_roundtrip(self, tmp_path):
         triples = parse_triples([record(id="a"), record(id="b", label="neutral")])
         path = tmp_path / "out.jsonl"
-        with open(path, "w") as f:
-            write_triples(triples, f)
+        triples_to_jsonl(triples, path)
         with open(path) as f:
             again = parse_triples(f)
         assert again == triples
@@ -258,8 +256,3 @@ class TestBuildCorpus:
     def test_order_stable(self):
         triples = [self.triple(str(i), [f"word{i}"]) for i in range(5)]
         assert build_corpus(triples) == [[f"word{i}"] for i in range(5)]
-
-
-def test_triple_to_json_omits_missing_label():
-    t = ContextualTriple(id="x", head="A", role="issuer", tail="B", sentences=("s",))
-    assert "label" not in json.loads(triple_to_json(t))

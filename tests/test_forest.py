@@ -473,17 +473,20 @@ def test_candidate_blocks_do_not_change_a_tree(monkeypatch, blocks, data, config
 @example(seed=5, shape=(20000, 500), sets=3)  # numpy's tail shuffle
 @example(seed=6, shape=(20000, 20), sets=14)  # Floyd's algorithm beyond d = 10000
 @example(seed=7, shape=(300, 300), sets=14)  # m = d, a long shuffle
+@example(seed=9, shape=(1, 1), sets=1)  # d = 1
+@example(seed=10, shape=(30, 6), sets=1)  # a tree with one split search
 def test_candidate_sets_equal_successive_choice_calls(seed, shape, sets):
     """The block draw yields the sets of successive ``rng.choice`` calls,
-    and once a block is used up both generators stand at the same state."""
+    in any order, and once a block is used up both generators stand at
+    the same state."""
     d, m = shape
     ends = itertools.accumulate(itertools.chain(
-        [1], forest.CANDIDATE_BLOCKS, itertools.repeat(forest.CANDIDATE_BLOCKS[-1])))
+        forest.CANDIDATE_BLOCKS, itertools.repeat(forest.CANDIDATE_BLOCKS[-1])))
     sets = next(end for end in ends if end >= sets)  # to the end of the block under way
     blocks, plain = np.random.default_rng(seed), np.random.default_rng(seed)
     drawn = forest._candidate_sets(d, m)(blocks)
-    assert [list(next(drawn)) for _ in range(sets)] == [
-        plain.choice(d, size=m, replace=False).tolist() for _ in range(sets)]
+    assert [sorted(next(drawn)) for _ in range(sets)] == [
+        sorted(plain.choice(d, size=m, replace=False).tolist()) for _ in range(sets)]
     assert blocks.random() == plain.random()
 
 
@@ -642,4 +645,12 @@ class TestPersistence:
             [0], [5, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.0, 0.0, 1.0]
         )
         with pytest.raises(ValueError, match="feature index"):
+            classifier_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("n_features", [0, -2])
+    def test_validation_feature_count(self, n_features):
+        """An all-leaf forest over no features is refused on load, not by a
+        division by zero in ``predict_proba``."""
+        payload = forest_payload([0], [-1], [0.0], [-1], [-1], [0.5], n_features=n_features)
+        with pytest.raises(ValueError, match=f"'n_features' must be >= 1, got {n_features}"):
             classifier_from_json(json.dumps(payload))

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -426,13 +427,62 @@ GOLDEN = [
         "b715e2e85251e599c5f2ec10690a8eeb4578e87949286b532ad24514c99d12f7",
         id="train-noisy-shape",
     ),
+    # Edge shapes of forest-wide growth, recorded before it on the
+    # per-tree generators: roots that are leaves (19 of 50 bootstraps miss
+    # the one positive), one tree, every feature a candidate, one level,
+    # and candidate sets on numpy's tail-shuffle path.
+    pytest.param(
+        {"flip": 0.0, "n": 6, "d": 3, "positives": 1},
+        ForestConfig(n_trees=50, seed=7),
+        152,
+        "bad20316e8af30703ce73f5b29dd8efe4b34eb3c0b19ec331a11db8d2db74a20",
+        id="leaf-roots",
+    ),
+    pytest.param(
+        {"flip": 0.2},
+        ForestConfig(n_trees=1, seed=7),
+        147,
+        "827178a2e7e026b862aebd01190db05e204fcd6184ab1476eba18e334bb6bb06",
+        id="one-tree",
+    ),
+    pytest.param(
+        {"flip": 0.2},
+        ForestConfig(n_trees=20, seed=7, features_per_split=6),
+        2426,
+        "ece7fd94d3bf6da9b6891df2cd162463dfa6422b74a20d49242b1f0f0c855e14",
+        id="m-equals-d",
+    ),
+    pytest.param(
+        {"flip": 0.2},
+        ForestConfig(n_trees=20, seed=7, max_depth=1),
+        60,
+        "9e7554650c93a90f0e87457d5399a02301f61686bf9aa23fc67dcf9d9a6724d1",
+        id="depth-1",
+    ),
+    pytest.param(
+        {"flip": 0.2, "n": 40, "d": 10001},
+        ForestConfig(n_trees=4, seed=7, features_per_split=201),
+        30,
+        "dc18aa94d3d2284d46311073d8f0defbc727d5eed9f6d82cc01f2fff5ca21080",
+        id="tail-shuffle",
+    ),
 ]
+
+
+def golden_dataset(data):
+    """A GOLDEN case's (X, y): ``flipped_dataset`` if it names a flip, else
+    ``xor_dataset``; ``positives`` relabels that many first rows 1, the rest 0."""
+    data = dict(data)
+    positives = data.pop("positives", None)
+    X, y = flipped_dataset(**data) if "flip" in data else xor_dataset(n_per_cluster=25, **data)
+    if positives is not None:
+        y = (np.arange(len(y)) < positives).astype(np.int64)
+    return X, y
 
 
 @pytest.mark.parametrize("data, config, nodes, scores", GOLDEN)
 def test_golden_forest(data, config, nodes, scores):
-    X, y = flipped_dataset(**data) if "flip" in data else xor_dataset(n_per_cluster=25, **data)
-    classifier = train_forest(X, y, config)
+    classifier = train_forest(*golden_dataset(data), config)
     assert len(classifier.feature) == nodes
     if isinstance(scores, str):
         assert hashlib.sha256(classifier_to_json(classifier).encode()).hexdigest() == scores
@@ -440,12 +490,28 @@ def test_golden_forest(data, config, nodes, scores):
         assert [predict_proba(classifier, x) for x in GOLDEN_PROBES] == scores
 
 
+def test_fit_memory_peak():
+    """``train_forest``'s tracemalloc peak on the train-noisy-shape golden
+    forest stays within 15% of the 4,746,203 bytes that growing each tree
+    as its own generator peaked at."""
+    data, config, _, _ = GOLDEN[4].values
+    X, y = golden_dataset(data)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        train_forest(X, y, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * 4_746_203
+
+
 @pytest.mark.parametrize("block", [1, 1 << 30])
 @pytest.mark.parametrize("data, config, nodes, digest", GOLDEN[2:])  # the sha256-pinned cases
 def test_split_block_does_not_change_a_tree(monkeypatch, block, data, config, nodes, digest):
     """One node per chunk or a whole round in one chunk: the same forests."""
     monkeypatch.setattr(forest, "SPLIT_BLOCK", block)
-    classifier = train_forest(*flipped_dataset(**data), config)
+    classifier = train_forest(*golden_dataset(data), config)
     assert hashlib.sha256(classifier_to_json(classifier).encode()).hexdigest() == digest
 
 
@@ -454,7 +520,7 @@ def test_split_block_does_not_change_a_tree(monkeypatch, block, data, config, no
 def test_candidate_blocks_do_not_change_a_tree(monkeypatch, blocks, data, config, nodes, digest):
     """Candidate sets drawn one per block or all in one block: the same forests."""
     monkeypatch.setattr(forest, "CANDIDATE_BLOCKS", blocks)
-    classifier = train_forest(*flipped_dataset(**data), config)
+    classifier = train_forest(*golden_dataset(data), config)
     assert hashlib.sha256(classifier_to_json(classifier).encode()).hexdigest() == digest
 
 

@@ -7,18 +7,19 @@ distinct values) is chosen. Leaves store the positive-class fraction of
 the samples that reached them, and the forest's score is the mean leaf
 fraction over trees, read as a probability in [0, 1].
 
-A forest's trees grow in lockstep rounds. Each tree keeps its own RNG,
-bootstrap draw and depth-first stack, so its draws and node order are
-those of growing it alone (its candidate sets drawn in blocks match
-per-node ``rng.choice``); in each round every unfinished tree writes
-leaves until it reaches a node that needs a split search, and all of the
-round's such nodes are searched together. A tree holds its draw's
-distinct rows weighted by draw count (scikit-learn's bootstrap sample
-weights). X is ranked once per column; each (node, candidate feature)
-column becomes one group of a single sort over integer keys (group,
-rank, label, draws), segmented cumulative sums give the draws and
-positives left of every cut, a float pass shortlists each node's cuts
-near its best ratio and exact integer arithmetic settles the winner.
+A forest's trees grow together, in rounds. Each tree keeps its own RNG
+and bootstrap draw and searches its nodes in preorder, so its draws and
+nodes are those of growing it alone (its candidate sets, drawn in blocks
+for all trees at once, match per-node ``rng.choice``). A node that needs
+a split search waits on its tree's row of one forest-wide stack; each
+round pops one node of every tree with one left and searches them all
+together. A tree holds its draw's distinct rows weighted by draw count
+(scikit-learn's bootstrap sample weights). X is ranked once per column;
+each (node, candidate feature) column becomes one group of a single sort
+over integer keys (group, rank, label, draws), segmented cumulative sums
+give the draws and positives left of every cut, a float pass shortlists
+each node's cuts near its best ratio and exact integer arithmetic
+settles the winner.
 
 A forest is the struct-of-arrays layout of scikit-learn's ``Tree``: the
 nodes of all trees, in preorder, as arrays ``feature``, ``threshold``,
@@ -36,7 +37,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from array import array
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -96,6 +96,7 @@ class RoleClassifier:
 # than it is searched alone.
 SPLIT_BLOCK = 1 << 14
 CANDIDATE_BLOCKS = (1, 4, 8, 16, 32, 64)  # candidate sets per block of a tree; the last repeats
+FLOYD_TABLE = 1 << 20  # most (set, value) cells of the membership table that checks Floyd's draws
 
 
 def _sort_codes(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,15 +120,14 @@ def _sort_codes(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes | y.astype(np.int64)[:, None], S
 
 
-def _split_chunk(X, codes, S, samples, weights, nodes, min_samples_leaf):
-    """Split each (start, stop, candidates) node of one chunk; see _split_batch."""
+def _split_chunk(X, codes, S, samples, weights, starts, stops, candidates, min_samples_leaf):
+    """Split the nodes of one chunk; see _split_batch."""
     n_all, d = X.shape
-    starts = np.array([start for start, _, _ in nodes])
-    sizes = np.array([stop for _, stop, _ in nodes]) - starts
-    candidates = np.sort(np.array([features for *_, features in nodes]), axis=1)
-    m = candidates.shape[1]
+    sizes = stops - starts
+    candidates = np.sort(candidates, axis=1)
+    k, m = candidates.shape
     row_start = np.cumsum(sizes) - sizes
-    row_node = np.repeat(np.arange(len(nodes)), sizes)
+    row_node = np.repeat(np.arange(k), sizes)
     at = np.arange(len(row_node)) + np.repeat(starts - row_start, sizes)
     rows, draws = samples[at], weights[at]
     # group node * m + j is the node's j-th lowest candidate feature, so the
@@ -137,7 +137,7 @@ def _split_chunk(X, codes, S, samples, weights, nodes, min_samples_leaf):
     shift = n_all.bit_length() + 1 + low
     keys = (row_node[:, None] * m + np.arange(m)) << shift
     keys |= codes.take(rows[:, None] * d + candidates[row_node]) << low | draws[:, None]
-    if (len(nodes) * m) << shift <= np.iinfo(np.int32).max:
+    if (k * m) << shift <= np.iinfo(np.int32).max:
         keys = keys.astype(np.int32)  # sorts twice as fast
     keys = np.sort(keys, axis=None)
 
@@ -177,40 +177,38 @@ def _split_chunk(X, codes, S, samples, weights, nodes, min_samples_leaf):
         numer = n * t - (pos**2 + (n - pos) ** 2) * denom
         if numer > 0 and (b not in best or numer * best[b][1] > best[b][0] * denom):
             best[b] = numer, denom, n, i
-    splits: list = [None] * len(nodes)
-    if not best:
-        return splits
-    node = np.array(list(best))
-    won = np.array([i for *_, i in best.values()])
-    features = np.zeros(len(nodes), dtype=np.int64)
-    thresholds = np.full(len(nodes), np.inf)  # a node without a split keeps its order
-    f = features[node] = candidates[node, (won - row_start[node] * m) // sizes[node]]
-    rank = (1 << n_all.bit_length()) - 1
-    thresholds[node] = (S[step[won] & rank, f] + S[step[won + 1] & rank, f]) / 2.0
+    feature = np.full(k, -1)
+    threshold = np.full(k, np.inf)  # a node without a split sends every row left
+    decrease = np.zeros(k)
+    if best:
+        node = np.array(list(best))
+        won = np.array([i for *_, i in best.values()])
+        f = feature[node] = candidates[node, (won - row_start[node] * m) // sizes[node]]
+        rank = (1 << n_all.bit_length()) - 1
+        threshold[node] = (S[step[won] & rank, f] + S[step[won + 1] & rank, f]) / 2.0
+        decrease[node] = [numer / (n * n * denom) for numer, denom, n, _ in best.values()]
     # the children are those of ``x <= threshold``, as predict routes them
-    goes_left = X.take(rows * d + features[row_node]) <= thresholds[row_node]
+    goes_left = X.take(rows * d + feature.clip(0)[row_node]) <= threshold[row_node]
     n_left = np.add.reduceat(goes_left * draws, row_start)
     pos_left = np.add.reduceat(goes_left * draws * (codes[rows, 0] & 1), row_start)
     rows_left = np.add.reduceat(goes_left, row_start, dtype=np.int64)
     order = np.argsort(row_node * 2 + ~goes_left, kind="stable")
     samples[at], weights[at] = rows[order], draws[order]
-    for b, (numer, denom, n, _) in best.items():
-        splits[b] = (int(features[b]), float(thresholds[b]), numer / (n * n * denom),
-                     int(n_left[b]), int(pos_left[b]), int(rows_left[b]))
-    return splits
+    return feature, threshold, decrease, n_left, pos_left, rows_left
 
 
-def _split_batch(X, codes, S, samples, weights, nodes, min_samples_leaf):
+def _split_batch(X, codes, S, samples, weights, starts, stops, candidates, min_samples_leaf):
     """Split many nodes, one batched search per SPLIT_BLOCK entries.
 
-    ``codes`` and ``S`` come from ``_sort_codes(X, y)``. Each node is
-    (start, stop, candidate features): its samples are the rows
-    ``samples[start:stop]`` of X, drawn ``weights[start:stop]`` times
-    each, and every node has the same number of candidates. Counting draws,
-    it returns per node None or (feature, threshold, Gini decrease, draws
-    left, positives left, rows left), with ``best_split``'s rules on the
-    repeated rows; a split node's (row, weight) pairs are reordered to hold
-    its left child's, then its right child's, each in their former order.
+    ``codes`` and ``S`` come from ``_sort_codes(X, y)``. Node i's samples
+    are the rows ``samples[starts[i]:stops[i]]`` of X, drawn
+    ``weights[starts[i]:stops[i]]`` times each, and ``candidates[i]`` are
+    its m candidate features. Counting draws, it returns per-node arrays
+    (feature, threshold, Gini decrease, draws left, positives left, rows
+    left), with ``best_split``'s rules on the repeated rows; a node without
+    a positive decrease has feature -1 and decrease 0.0 and sends all of its
+    rows left. A node's (row, weight) pairs are reordered to hold its left
+    child's, then its right child's, each in their former order.
 
     Each (node, feature) column is one group of a single sort over integer
     keys (group, rank, label, draws), which orders every group by value at
@@ -220,16 +218,15 @@ def _split_batch(X, codes, S, samples, weights, nodes, min_samples_leaf):
     its maximum, and integer cross-multiplication picks the winner. The
     threshold is the midpoint of the two sorted values around the cut.
     """
-    entries = [(stop - start) * len(features) for start, stop, features in nodes]
-    splits, first = [], 0
-    while first < len(nodes):
-        end, total = first + 1, entries[first]
-        while end < len(nodes) and total + entries[end] <= SPLIT_BLOCK:
-            total += entries[end]
-            end += 1
-        splits += _split_chunk(X, codes, S, samples, weights, nodes[first:end], min_samples_leaf)
+    before = np.append(0, np.cumsum((stops - starts) * candidates.shape[1]))  # entries before a node
+    parts, first = [], 0
+    while first < len(starts):
+        # the most nodes that fit in SPLIT_BLOCK entries, and at least one
+        end = max(first + 1, int(np.searchsorted(before, before[first] + SPLIT_BLOCK, "right")) - 1)
+        parts.append(_split_chunk(X, codes, S, samples, weights, starts[first:end], stops[first:end],
+                                  candidates[first:end], min_samples_leaf))
         first = end
-    return splits
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
 def best_split(
@@ -253,72 +250,57 @@ def best_split(
         raise ValueError("best_split needs (n, d) samples, one label per row and candidate features")
     if len(bad := features[(features < 0) | (features >= X.shape[1])]):
         raise ValueError(f"candidate feature {bad[0]} is outside [0, {X.shape[1]})")
-    split = _split_batch(X, *_sort_codes(X, y), np.arange(n), np.ones(n, dtype=np.int64),
-                         [(0, n, features)], min_samples_leaf)[0]
-    return None if split is None else split[:3]
+    feature, threshold, decrease = _split_batch(
+        X, *_sort_codes(X, y), np.arange(n), np.ones(n, dtype=np.int64), np.array([0]), np.array([n]),
+        features[None], min_samples_leaf)[:3]
+    return None if feature[0] < 0 else (int(feature[0]), float(threshold[0]), float(decrease[0]))
 
 
 def _candidate_sets(d, m):
-    """A function of a tree's RNG yielding successive ``rng.choice(d, m, replace=False)`` sets.
+    """A function that draws the next block of candidate sets for several trees.
 
-    numpy draws a set by Floyd's algorithm from [0, j], j = d-m ... d-1, then shuffles it
-    from [0, i], i = m-1 ... 1; ``rng.integers`` over those bounds draws the same stream.
-    The shuffle's bounds are drawn, to stay on that stream, but not applied: the split
-    search sorts each set, so a set is yielded in Floyd's draw order.
+    ``draw(rngs)`` returns a (len(rngs), block, m) array whose row i holds
+    ``rngs[i]``'s next ``block`` sets, equal to as many successive
+    ``rng.choice(d, size=m, replace=False)`` calls, so the RNGs must stand
+    at the same place in their streams of sets. Blocks follow
+    CANDIDATE_BLOCKS, the last repeating. numpy draws a set by Floyd's
+    algorithm from [0, j], j = d-m ... d-1, then shuffles it from [0, i],
+    i = m-1 ... 1; ``rng.integers`` over those bounds draws the same stream.
+    The shuffle's bounds are drawn, to stay on that stream, but not applied:
+    the split search sorts each set, so a set is in Floyd's draw order.
     """
     if d > 10000 and m > d // 50:  # numpy's tail shuffle is not Floyd's algorithm
-        return lambda rng: (rng.choice(d, size=m, replace=False) for _ in itertools.repeat(None))
+        return lambda rngs: np.array([[rng.choice(d, size=m, replace=False)] for rng in rngs])
+    blocks = itertools.chain(CANDIDATE_BLOCKS, itertools.repeat(CANDIDATE_BLOCKS[-1]))
     tile = np.tile(np.r_[d - m + 1:d + 1, m:1:-1], max(CANDIDATE_BLOCKS))  # largest block's bounds
-    def sets(rng):
-        for block in itertools.chain(CANDIDATE_BLOCKS, itertools.repeat(CANDIDATE_BLOCKS[-1])):
-            for draws in rng.integers(0, tile[:block * (2 * m - 1)]).reshape(block, -1).tolist():
-                chosen = {}  # in draw order; a value drawn before is replaced by j
-                for j, v in zip(range(d - m, d), draws):
-                    chosen[j if v in chosen else v] = None
-                yield list(chosen)
-    return sets
+
+    def draw(rngs):
+        block = next(blocks)
+        sets = np.empty((len(rngs), block, m), dtype=np.int64)
+        for i, rng in enumerate(rngs):
+            sets[i] = rng.integers(0, tile[:block * (2 * m - 1)]).reshape(block, -1)[:, :m]
+        # a value drawn before in its set is replaced by j; a (set, value)
+        # table answers that, filled and cleared FLOYD_TABLE cells at a time
+        flat = sets.reshape(-1, m)
+        chunk = max(1, FLOYD_TABLE // d)
+        seen = np.zeros((min(len(flat), chunk), d), dtype=bool)
+        for first in range(0, len(flat), chunk):
+            part = flat[first:first + chunk]
+            row = np.arange(len(part))
+            for j, v in zip(range(d - m, d), part.T):
+                v[seen[row, v]] = j
+                seen[row, v] = True
+            seen[row[:, None], part] = False
+        return sets
+    return draw
 
 
-def _preorder(start, stop, n, pos, sets, config, nodes):
-    """Grow one tree in preorder, as a generator of its split searches.
-
-    A node is a range [start, stop) of the forest's row and weight buffers
-    holding ``n`` draws, ``pos`` of them positive (leaf fractions and
-    ``min_samples_leaf`` count draws). For each node that needs a split
-    search the tree yields (start, stop, ``next(sets)``); it is sent back
-    that node's ``_split_batch`` result. Once the tree is complete it
-    yields None, so a driver takes ``next(tree)`` and then
-    ``tree.send(split)`` until it sees None. Each node appends its
-    [feature, threshold, left, right, value] row to ``nodes``, with child
-    indices local to the tree. The stack holds (start, stop, draws,
-    positives, depth, parent) with the right child pushed before the left,
-    so nodes (and their candidate sets) come in preorder: a left child is
-    its parent's next node, and a right child fills in its parent's ``right``.
-    """
-    stack = [(start, stop, n, pos, 0, -1)]
-    while stack:
-        start, stop, n, pos, depth, parent = stack.pop()
-        node = len(nodes) // 5
-        if parent >= 0:
-            nodes[5 * parent + 3] = node
-        split = None
-        if not (
-            pos == 0
-            or pos == n
-            or (config.max_depth is not None and depth >= config.max_depth)
-            or n < 2 * config.min_samples_leaf
-        ):
-            split = yield start, stop, next(sets)
-        # a midpoint that rounds onto the upper of two adjacent floats can
-        # send every sample left; such a node stays a leaf
-        if split is None or split[3] == n:
-            nodes.extend((-1, 0.0, -1, -1, pos / n))
-            continue
-        f, t, _, n_left, pos_left, rows_left = split
-        stack.append((start + rows_left, stop, n - n_left, pos - pos_left, depth + 1, node))
-        stack.append((start, start + rows_left, n_left, pos_left, depth + 1, -1))
-        nodes.extend((f, t, node + 1, -1, 0.0))
-    yield None
+def _needs_search(nodes, config):
+    """Which (id, start, stop, draws, positives, depth) node rows need a
+    split search: impure, above ``max_depth``, with draws for two leaves."""
+    draws, pos, depth = nodes[..., 3], nodes[..., 4], nodes[..., 5]
+    search = (pos > 0) & (pos < draws) & (draws >= 2 * config.min_samples_leaf)
+    return search if config.max_depth is None else search & (depth < config.max_depth)
 
 
 def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str = "") -> RoleClassifier:
@@ -329,14 +311,18 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
     file order. Requires labels 0 or 1, at least one sample of each class
     and finite features.
 
-    The trees grow in lockstep rounds (``_preorder``, ``_split_batch``), as
-    the module docstring describes; a node is a range of two buffers that
-    hold every tree's distinct bootstrap rows and their draw counts (its
-    ``np.bincount``; the zero counts are its out-of-bag rows). After the
-    bootstrap a tree's RNG draws only candidate sets, in blocks that equal
-    one ``rng.choice`` per searched node (``_candidate_sets``); the shuffle's
-    bounds are drawn to stay on that stream but not applied, because the
-    split search sorts each set.
+    The forest grows as the module docstring describes. A node is a range
+    of two buffers that hold every tree's distinct bootstrap rows and their
+    draw counts (its ``np.bincount``; the zero counts are its out-of-bag
+    rows). Nodes get ids as they are made, roots first, and each split
+    makes its two children; a child that needs a search goes on its tree's
+    row of one (trees, depth) stack, right below left, so each tree pops
+    its searches in preorder, one per round. Every live tree is thus at the
+    same search, and so at the same place in its stream of candidate sets,
+    which ``_candidate_sets`` draws a block at a time for all of them. Once
+    no tree has a search left, subtree sizes number each tree's nodes in
+    preorder: a left child follows its parent, and a right child follows
+    its left sibling's subtree.
     """
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
@@ -360,42 +346,86 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
         raise ValueError(f"features_per_split exceeds feature count {d}")
     draw_sets = _candidate_sets(d, config.features_per_split or min(d, math.ceil(math.sqrt(d))))
 
-    samples, weights = np.empty((2, config.n_trees * n), dtype=np.int64)
-    trees, requests, stop = [], [], 0
-    for t in range(config.n_trees):
-        rng = make_rng(config.seed, f"tree{t}")
+    trees = config.n_trees
+    samples, weights = np.empty((2, trees * n), dtype=np.int64)
+    rngs, bounds = [], np.zeros(trees + 1, dtype=np.int64)
+    for t in range(trees):
+        rngs.append(make_rng(config.seed, f"tree{t}"))
         # int64, the default: a draw of another dtype is another stream
-        drawn = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        drawn = np.bincount(rngs[t].integers(0, n, size=n), minlength=n)
         rows = np.flatnonzero(drawn)
-        start, stop = stop, stop + len(rows)
-        samples[start:stop], weights[start:stop] = rows, drawn[rows]
-        trees.append(array("d"))
-        tree = _preorder(start, stop, n, int(drawn @ y), draw_sets(rng), config, trees[-1])
-        if (request := next(tree)) is not None:
-            requests.append((tree, request))
-    while requests:
-        nodes = [request for _, request in requests]
-        splits = _split_batch(X, codes, S, samples, weights, nodes, config.min_samples_leaf)
-        requests = [
-            (tree, request)
-            for (tree, _), split in zip(requests, splits)
-            if (request := tree.send(split)) is not None
-        ]
+        bounds[t + 1] = bounds[t] + len(rows)
+        samples[bounds[t]:bounds[t + 1]], weights[bounds[t]:bounds[t + 1]] = rows, drawn[rows]
+    used = bounds[-1]
+    positives = np.add.reduceat(weights[:used] * (codes[samples[:used], 0] & 1), bounds[:-1])
+    # node rows are (id, start, stop, draws, positives, depth); root t is node t
+    roots = np.stack([np.arange(trees), bounds[:-1], bounds[1:], np.full(trees, n), positives,
+                      np.zeros(trees, dtype=np.int64)], axis=1)
+    stack, height = np.empty((trees, 8, 6), dtype=np.int64), np.zeros(trees, dtype=np.int64)
+    search = _needs_search(roots, config)
+    stack[search, 0], height[search] = roots[search], 1
+    values, splits = [positives / n], []
 
-    sizes = [len(nodes) // 5 for nodes in trees]
-    table = np.concatenate([np.frombuffer(nodes).reshape(-1, 5) for nodes in trees])
-    del trees
-    roots = np.cumsum([0] + sizes[:-1])
-    offset = np.repeat(roots, sizes)  # tree-local child indices become forest-wide
-    for k in (2, 3):
-        table[:, k] = np.where(table[:, k] >= 0, table[:, k] + offset, -1)
+    made, rounds, block_end = trees, 0, 0
+    while len(live := np.flatnonzero(height)):
+        if rounds == block_end:
+            sets, set_row = draw_sets([rngs[t] for t in live]), np.empty(trees, dtype=np.int64)
+            set_row[live] = np.arange(len(live))
+            block_start, block_end = rounds, rounds + sets.shape[1]
+        height[live] -= 1
+        nodes = stack[live, height[live]]
+        feature, threshold, _, n_left, pos_left, rows_left = _split_batch(
+            X, codes, S, samples, weights, nodes[:, 1], nodes[:, 2],
+            sets[set_row[live], rounds - block_start], config.min_samples_leaf)
+        rounds += 1
+        # no split, or a midpoint that rounds onto the upper of two adjacent
+        # floats, sends every draw left; such a node stays a leaf
+        split = n_left < nodes[:, 3]
+        parents, grown, k = nodes[split], live[split], int(split.sum())
+        kids = np.repeat(parents[:, None], 2, axis=1)  # (k, [left, right], node row)
+        kids[:, :, 0] = made + np.arange(2 * k).reshape(k, 2)
+        kids[:, 0, 2] = kids[:, 1, 1] = parents[:, 1] + rows_left[split]
+        kids[:, 0, 3], kids[:, 0, 4] = n_left[split], pos_left[split]
+        kids[:, 1, 3:5] -= kids[:, 0, 3:5]
+        kids[:, :, 5] += 1
+        made += 2 * k
+        splits.append((parents[:, 0], kids[:, 0, 0], feature[split], threshold[split]))
+        values.append((kids[:, :, 4] / kids[:, :, 3]).ravel())
+        search = _needs_search(kids, config)
+        if height.max() + 2 > stack.shape[1]:
+            stack = np.concatenate([stack, np.empty_like(stack)], axis=1)
+        for side in (1, 0):  # the right child below the left
+            t = grown[search[:, side]]
+            stack[t, height[t]] = kids[search[:, side], side]
+            height[t] += 1
+    del samples, weights, stack  # 10% of the fit's peak memory, which the numbering would add to
+
+    value = np.concatenate(values)
+    left, feature, threshold = np.full(made, -1), np.full(made, -1), np.zeros(made)
+    size = np.ones(made, dtype=np.int64)
+    # a node's descendants split in later rounds than it: subtree sizes sum
+    # up from the last round, and preorder places go down from the first
+    for parent, child, f, t in reversed(splits):
+        left[parent], feature[parent], threshold[parent], value[parent] = child, f, t, 0.0
+        size[parent] += size[child] + size[child + 1]
+    place = np.empty(made, dtype=np.int64)
+    place[:trees] = np.cumsum(size[:trees]) - size[:trees]
+    for parent, child, *_ in splits:
+        place[child] = place[parent] + 1
+        place[child + 1] = place[child] + size[child]
+    node = np.empty(made, dtype=np.int64)
+    node[place] = np.arange(made)  # the node at each place
     return RoleClassifier(
         role=role,
         config=config,
         training_size=(pos, n - pos),
         n_features=d,
-        roots=roots,
-        **{name: table[:, k].astype(dtype) for k, (name, dtype) in enumerate(NODE_ARRAYS.items())},
+        roots=place[:trees],
+        feature=feature[node],
+        threshold=threshold[node],
+        left=np.where(left >= 0, place[left], -1)[node],
+        right=np.where(left >= 0, place[left + 1], -1)[node],
+        value=value[node],
     )
 
 

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import re
 import tracemalloc
@@ -217,23 +216,26 @@ class TestBestSplit:
         with x <= threshold, then the others, in order."""
         X, y, nodes, min_samples_leaf, block = case
         samples, weights = np.concatenate([pairs for pairs, _ in nodes]).T.copy()
-        stops = np.cumsum([len(pairs) for pairs, _ in nodes]).tolist()
-        batch = [(stop - len(pairs), stop, np.array(features))
-                 for (pairs, features), stop in zip(nodes, stops)]
+        stops = np.cumsum([len(pairs) for pairs, _ in nodes])
+        starts = stops - [len(pairs) for pairs, _ in nodes]
+        candidates = np.array([features for _, features in nodes])
         saved, forest.SPLIT_BLOCK = forest.SPLIT_BLOCK, block
         try:
-            splits = _split_batch(X, *_sort_codes(X, y), samples, weights, batch, min_samples_leaf)
+            splits = _split_batch(X, *_sort_codes(X, y), samples, weights, starts, stops, candidates,
+                                  min_samples_leaf)
         finally:
             forest.SPLIT_BLOCK = saved
-        for (pairs, features), (start, stop, _), split in zip(nodes, batch, splits):
+        for (pairs, features), start, stop, *split in zip(nodes, starts, stops, *splits):
             rows, draws = np.array(pairs).T
             repeated = np.repeat(rows, draws)
             expected = best_split_oracle(X[repeated], y[repeated], features, min_samples_leaf)
-            assert (split and split[:3]) == expected
-            if split is not None:
-                left = X[rows, split[0]] <= split[1]
-                assert split[3:] == (draws[left].sum(), draws[left] @ y[rows[left]], left.sum())
-                rows, draws = (np.concatenate([a[left], a[~left]]) for a in (rows, draws))
+            feature, threshold, decrease, n_left, pos_left, rows_left = split
+            assert (None if feature < 0 else (feature, threshold, decrease)) == expected
+            # no split sends every row left and keeps the order
+            left = X[rows, feature] <= threshold if feature >= 0 else np.ones(len(rows), dtype=bool)
+            assert (n_left, pos_left, rows_left) == (draws[left].sum(), draws[left] @ y[rows[left]],
+                                                     left.sum())
+            rows, draws = (np.concatenate([a[left], a[~left]]) for a in (rows, draws))
             assert samples[start:stop].tolist() == rows.tolist()
             assert weights[start:stop].tolist() == draws.tolist()
 
@@ -530,42 +532,81 @@ def test_candidate_blocks_do_not_change_a_tree(monkeypatch, blocks, data, config
 @given(
     seed=st.integers(0, 2**32 - 1),
     shape=st.integers(1, 300).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, min(d, 40)))),
-    sets=st.integers(1, 150),
+    wanted=st.lists(st.integers(1, 150), min_size=1, max_size=4),
 )
-@example(seed=1, shape=(30, 1), sets=70)  # m = 1
-@example(seed=2, shape=(12, 12), sets=70)  # m = d
-@example(seed=3, shape=(2, 1), sets=20)  # d = 2
-@example(seed=4, shape=(2, 2), sets=20)
-@example(seed=5, shape=(20000, 500), sets=3)  # numpy's tail shuffle
-@example(seed=6, shape=(20000, 20), sets=14)  # Floyd's algorithm beyond d = 10000
-@example(seed=7, shape=(300, 300), sets=14)  # m = d, a long shuffle
-@example(seed=9, shape=(1, 1), sets=1)  # d = 1
-@example(seed=10, shape=(30, 6), sets=1)  # a tree with one split search
-def test_candidate_sets_equal_successive_choice_calls(seed, shape, sets):
-    """The block draw yields the sets of successive ``rng.choice`` calls,
-    in any order, and once a block is used up both generators stand at
-    the same state."""
+@example(seed=1, shape=(30, 1), wanted=[70])  # m = 1
+@example(seed=2, shape=(12, 12), wanted=[70, 5, 1])  # m = d
+@example(seed=3, shape=(2, 1), wanted=[20])  # d = 2
+@example(seed=4, shape=(2, 2), wanted=[20, 20])
+@example(seed=5, shape=(20000, 500), wanted=[3, 1])  # numpy's tail shuffle
+@example(seed=6, shape=(20000, 20), wanted=[14, 1])  # Floyd's algorithm beyond d = 10000
+@example(seed=7, shape=(300, 300), wanted=[14, 2])  # m = d, a long shuffle
+@example(seed=9, shape=(1, 1), wanted=[1])  # d = 1
+@example(seed=10, shape=(30, 6), wanted=[1, 1, 1])  # trees with one split search
+def test_candidate_sets_equal_successive_choice_calls(seed, shape, wanted):
+    """Blocks drawn for several trees at once hold each tree's sets of
+    successive ``rng.choice`` calls, in any order, while trees drop out
+    once they have ``wanted`` sets; after its last block a tree's RNG
+    stands where the ``rng.choice`` calls leave it."""
     d, m = shape
-    ends = itertools.accumulate(itertools.chain(
-        forest.CANDIDATE_BLOCKS, itertools.repeat(forest.CANDIDATE_BLOCKS[-1])))
-    sets = next(end for end in ends if end >= sets)  # to the end of the block under way
-    blocks, plain = np.random.default_rng(seed), np.random.default_rng(seed)
-    drawn = forest._candidate_sets(d, m)(blocks)
-    assert [sorted(next(drawn)) for _ in range(sets)] == [
-        sorted(plain.choice(d, size=m, replace=False).tolist()) for _ in range(sets)]
-    assert blocks.random() == plain.random()
+    rngs = [np.random.default_rng([seed, t]) for t in range(len(wanted))]
+    drawn = [[] for _ in wanted]
+    draw = forest._candidate_sets(d, m)
+    while live := [t for t, count in enumerate(wanted) if len(drawn[t]) < count]:
+        block = draw([rngs[t] for t in live])
+        assert block.shape[::2] == (len(live), m)
+        for t, sets in zip(live, block.tolist()):
+            drawn[t] += map(sorted, sets)
+    for t, rng in enumerate(rngs):
+        plain = np.random.default_rng([seed, t])
+        assert drawn[t] == [sorted(plain.choice(d, size=m, replace=False).tolist()) for _ in drawn[t]]
+        assert rng.random() == plain.random()
+
+
+@pytest.mark.parametrize("shape", [(30, 6), (1000, 48), (300, 300)])
+def test_floyd_table_chunks_do_not_change_sets(monkeypatch, shape):
+    """A membership table of one, three or every set at once: the same sets."""
+    d, m = shape
+    blocks = []
+    for rows in (1, 3, 1 << 20):
+        monkeypatch.setattr(forest, "FLOYD_TABLE", rows * d)
+        draw, rngs = forest._candidate_sets(d, m), [np.random.default_rng([11, t]) for t in range(3)]
+        blocks.append([draw(rngs).tolist() for _ in range(3)])
+    assert blocks[0] == blocks[1] == blocks[2]
+
+
+def test_floyd_table_memory_is_bounded():
+    """20 trees' 64-set block at d = 10000 would need a 12.8 MB (set, value)
+    table at once; filled a chunk of sets at a time it takes FLOYD_TABLE."""
+    draw, rngs = forest._candidate_sets(10000, 100), [np.random.default_rng(t) for t in range(20)]
+    for _ in forest.CANDIDATE_BLOCKS[:-1]:
+        draw(rngs)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        sets = draw(rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sets.shape == (20, 64, 100)
+    assert peak <= sets.nbytes + 2 * forest.FLOYD_TABLE
 
 
 def test_tail_shuffle_sets_build_no_block_bounds(monkeypatch):
     """Where numpy takes its tail-shuffle path every set is a plain
-    ``rng.choice``, so no bounds tile (64 * (2m - 1) values) is built."""
+    ``rng.choice``, one set per block, so no bounds tile (64 * (2m - 1)
+    values) is built."""
     def tile(*args):
         raise AssertionError("np.tile called")
     monkeypatch.setattr(forest.np, "tile", tile)
-    drawn = forest._candidate_sets(20000, 20000)(np.random.default_rng(8))
-    plain = np.random.default_rng(8)
+    draw = forest._candidate_sets(20000, 20000)
+    rngs = [np.random.default_rng(8), np.random.default_rng(9)]
+    plain = [np.random.default_rng(8), np.random.default_rng(9)]
     for _ in range(3):
-        assert next(drawn).tolist() == plain.choice(20000, size=20000, replace=False).tolist()
+        sets = draw(rngs)
+        assert sets.shape == (2, 1, 20000)
+        for drawn, rng in zip(sets, plain):
+            assert drawn[0].tolist() == rng.choice(20000, size=20000, replace=False).tolist()
 
 
 def test_trees_search_their_distinct_bootstrap_rows(monkeypatch):
@@ -575,11 +616,11 @@ def test_trees_search_their_distinct_bootstrap_rows(monkeypatch):
     config = ForestConfig(n_trees=8, seed=7)
     split_batch, first_rounds = forest._split_batch, []
 
-    def spy(X, codes, S, samples, weights, nodes, min_samples_leaf):
+    def spy(X, codes, S, samples, weights, starts, stops, *rest):
         if not first_rounds:
             first_rounds.extend(sorted(zip(samples[a:b].tolist(), weights[a:b].tolist()))
-                                for a, b, _ in nodes)
-        return split_batch(X, codes, S, samples, weights, nodes, min_samples_leaf)
+                                for a, b in zip(starts, stops))
+        return split_batch(X, codes, S, samples, weights, starts, stops, *rest)
 
     monkeypatch.setattr(forest, "_split_batch", spy)
     train_forest(X, y, config)

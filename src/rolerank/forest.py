@@ -9,11 +9,12 @@ fraction over trees, read as a probability in [0, 1].
 
 A forest's trees grow together, in rounds. Each tree keeps its own RNG
 and bootstrap draw and searches its nodes in preorder, so its draws and
-nodes are those of growing it alone (its candidate sets, drawn in blocks
-for all trees at once, match per-node ``rng.choice``). A node that needs
-a split search waits on its tree's row of one forest-wide stack; each
-round pops one node of every tree with one left and searches them all
-together. A tree holds its draw's distinct rows weighted by draw count
+nodes are those of growing it alone. A node that needs a split search
+waits on its tree's row of one forest-wide stack; each round pops one
+node of every tree with one left and searches them all together. Every
+live tree is thus at the same place in its stream of candidate sets, and
+one call draws the next CANDIDATE_BLOCK sets of each, equal to per-node
+``rng.choice``. A tree holds its draw's distinct rows weighted by draw count
 (scikit-learn's bootstrap sample weights). X is ranked once per column;
 each (node, candidate feature) column becomes one group of a single sort
 over integer keys (group, rank, label, draws), segmented cumulative sums
@@ -34,7 +35,6 @@ feature index and lower threshold.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -95,7 +95,7 @@ class RoleClassifier:
 # a round's nodes are searched in chunks of this size, and a node larger
 # than it is searched alone.
 SPLIT_BLOCK = 1 << 14
-CANDIDATE_BLOCKS = (1, 4, 8, 16, 32, 64)  # candidate sets per block of a tree; the last repeats
+CANDIDATE_BLOCK = 16  # candidate sets one draw takes from each tree's RNG
 FLOYD_TABLE = 1 << 20  # most (set, value) cells of the membership table that checks Floyd's draws
 
 
@@ -256,43 +256,38 @@ def best_split(
     return None if feature[0] < 0 else (int(feature[0]), float(threshold[0]), float(decrease[0]))
 
 
-def _candidate_sets(d, m):
-    """A function that draws the next block of candidate sets for several trees.
+def _candidate_sets(rngs, d, m):
+    """The next block of candidate sets of several trees, (len(rngs), block, m).
 
-    ``draw(rngs)`` returns a (len(rngs), block, m) array whose row i holds
-    ``rngs[i]``'s next ``block`` sets, equal to as many successive
-    ``rng.choice(d, size=m, replace=False)`` calls, so the RNGs must stand
-    at the same place in their streams of sets. Blocks follow
-    CANDIDATE_BLOCKS, the last repeating. numpy draws a set by Floyd's
-    algorithm from [0, j], j = d-m ... d-1, then shuffles it from [0, i],
-    i = m-1 ... 1; ``rng.integers`` over those bounds draws the same stream.
-    The shuffle's bounds are drawn, to stay on that stream, but not applied:
-    the split search sorts each set, so a set is in Floyd's draw order.
+    Row i holds ``rngs[i]``'s next ``block`` sets, equal to as many
+    successive ``rng.choice(d, size=m, replace=False)`` calls, so the RNGs
+    must stand at the same place in their streams of sets. A block is
+    CANDIDATE_BLOCK sets, drawn as numpy draws one: by Floyd's algorithm
+    from [0, j], j = d-m ... d-1, then a shuffle from [0, i], i = m-1 ... 1;
+    ``rng.integers`` over those bounds draws the same stream. The shuffle's
+    bounds are drawn, to stay on that stream, but not applied: the split
+    search sorts each set, so a set is in Floyd's draw order. Where numpy
+    takes its tail shuffle instead, a block is one ``rng.choice`` set.
     """
     if d > 10000 and m > d // 50:  # numpy's tail shuffle is not Floyd's algorithm
-        return lambda rngs: np.array([[rng.choice(d, size=m, replace=False)] for rng in rngs])
-    blocks = itertools.chain(CANDIDATE_BLOCKS, itertools.repeat(CANDIDATE_BLOCKS[-1]))
-    tile = np.tile(np.r_[d - m + 1:d + 1, m:1:-1], max(CANDIDATE_BLOCKS))  # largest block's bounds
-
-    def draw(rngs):
-        block = next(blocks)
-        sets = np.empty((len(rngs), block, m), dtype=np.int64)
-        for i, rng in enumerate(rngs):
-            sets[i] = rng.integers(0, tile[:block * (2 * m - 1)]).reshape(block, -1)[:, :m]
-        # a value drawn before in its set is replaced by j; a (set, value)
-        # table answers that, filled and cleared FLOYD_TABLE cells at a time
-        flat = sets.reshape(-1, m)
-        chunk = max(1, FLOYD_TABLE // d)
-        seen = np.zeros((min(len(flat), chunk), d), dtype=bool)
-        for first in range(0, len(flat), chunk):
-            part = flat[first:first + chunk]
-            row = np.arange(len(part))
-            for j, v in zip(range(d - m, d), part.T):
-                v[seen[row, v]] = j
-                seen[row, v] = True
-            seen[row[:, None], part] = False
-        return sets
-    return draw
+        return np.array([[rng.choice(d, size=m, replace=False)] for rng in rngs])
+    bounds = np.tile(np.r_[d - m + 1:d + 1, m:1:-1], CANDIDATE_BLOCK)
+    sets = np.empty((len(rngs), CANDIDATE_BLOCK, m), dtype=np.int64)
+    for i, rng in enumerate(rngs):
+        sets[i] = rng.integers(0, bounds).reshape(CANDIDATE_BLOCK, -1)[:, :m]
+    # a value drawn before in its set is replaced by j; a (set, value)
+    # table answers that, filled and cleared FLOYD_TABLE cells at a time
+    flat = sets.reshape(-1, m)
+    chunk = max(1, FLOYD_TABLE // d)
+    seen = np.zeros((min(len(flat), chunk), d), dtype=bool)
+    for first in range(0, len(flat), chunk):
+        part = flat[first:first + chunk]
+        row = np.arange(len(part))
+        for j, v in zip(range(d - m, d), part.T):
+            v[seen[row, v]] = j
+            seen[row, v] = True
+        seen[row[:, None], part] = False
+    return sets
 
 
 def _needs_search(nodes, config):
@@ -311,18 +306,13 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
     file order. Requires labels 0 or 1, at least one sample of each class
     and finite features.
 
-    The forest grows as the module docstring describes. A node is a range
-    of two buffers that hold every tree's distinct bootstrap rows and their
-    draw counts (its ``np.bincount``; the zero counts are its out-of-bag
-    rows). Nodes get ids as they are made, roots first, and each split
-    makes its two children; a child that needs a search goes on its tree's
-    row of one (trees, depth) stack, right below left, so each tree pops
-    its searches in preorder, one per round. Every live tree is thus at the
-    same search, and so at the same place in its stream of candidate sets,
-    which ``_candidate_sets`` draws a block at a time for all of them. Once
-    no tree has a search left, subtree sizes number each tree's nodes in
-    preorder: a left child follows its parent, and a right child follows
-    its left sibling's subtree.
+    A node is a row (id, start, stop, draws, positives, depth) whose range
+    of two buffers holds its tree's distinct bootstrap rows and their draw
+    counts (its ``np.bincount``; the zero counts are its out-of-bag rows).
+    Nodes get ids as they are made, roots first, and a split's children the
+    next two. Once no tree has a search left, subtree sizes number each
+    tree's nodes in preorder: a left child follows its parent, and a right
+    child follows its left sibling's subtree.
     """
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
@@ -344,7 +334,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
         )
     if config.features_per_split is not None and config.features_per_split > d:
         raise ValueError(f"features_per_split exceeds feature count {d}")
-    draw_sets = _candidate_sets(d, config.features_per_split or min(d, math.ceil(math.sqrt(d))))
+    m = config.features_per_split or math.ceil(math.sqrt(d))
 
     trees = config.n_trees
     samples, weights = np.empty((2, trees * n), dtype=np.int64)
@@ -365,18 +355,17 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
     search = _needs_search(roots, config)
     stack[search, 0], height[search] = roots[search], 1
     values, splits = [positives / n], []
+    sets = _candidate_sets(rngs, d, m)  # a leaf root's sets go unused; its RNG is not read again
 
-    made, rounds, block_end = trees, 0, 0
+    made, rounds = trees, 0
     while len(live := np.flatnonzero(height)):
-        if rounds == block_end:
-            sets, set_row = draw_sets([rngs[t] for t in live]), np.empty(trees, dtype=np.int64)
-            set_row[live] = np.arange(len(live))
-            block_start, block_end = rounds, rounds + sets.shape[1]
+        if rounds and rounds % sets.shape[1] == 0:
+            sets[live] = _candidate_sets([rngs[t] for t in live], d, m)
         height[live] -= 1
         nodes = stack[live, height[live]]
         feature, threshold, _, n_left, pos_left, rows_left = _split_batch(
             X, codes, S, samples, weights, nodes[:, 1], nodes[:, 2],
-            sets[set_row[live], rounds - block_start], config.min_samples_leaf)
+            sets[live, rounds % sets.shape[1]], config.min_samples_leaf)
         rounds += 1
         # no split, or a midpoint that rounds onto the upper of two adjacent
         # floats, sends every draw left; such a node stays a leaf

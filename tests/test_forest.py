@@ -517,13 +517,47 @@ def test_split_block_does_not_change_a_tree(monkeypatch, block, data, config, no
     assert hashlib.sha256(classifier_to_json(classifier).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("blocks", [(1,), (1 << 10,)], ids=["one-set-per-block", "one-block"])
+@pytest.mark.parametrize("block", [1, 1 << 10], ids=["one-set-per-block", "one-block"])
 @pytest.mark.parametrize("data, config, nodes, digest", GOLDEN[2:])  # the sha256-pinned cases
-def test_candidate_blocks_do_not_change_a_tree(monkeypatch, blocks, data, config, nodes, digest):
+def test_candidate_blocks_do_not_change_a_tree(monkeypatch, block, data, config, nodes, digest):
     """Candidate sets drawn one per block or all in one block: the same forests."""
-    monkeypatch.setattr(forest, "CANDIDATE_BLOCKS", blocks)
+    monkeypatch.setattr(forest, "CANDIDATE_BLOCK", block)
     classifier = train_forest(*golden_dataset(data), config)
     assert hashlib.sha256(classifier_to_json(classifier).encode()).hexdigest() == digest
+
+
+@st.composite
+def small_fits(draw):
+    """A small fit: up to 60 rows of up to 12 features on a coarse grid
+    (so values tie), both classes, and any forest config that fits it."""
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 12))
+    X = draw(arrays(np.float64, (n, d), elements=st.integers(-3, 3).map(float)))
+    y = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    y[:2] = 0, 1
+    config = ForestConfig(
+        n_trees=draw(st.integers(1, 8)),
+        max_depth=draw(st.none() | st.integers(1, 4)),
+        min_samples_leaf=draw(st.integers(1, 3)),
+        features_per_split=draw(st.integers(1, d)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return X, y, config
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_fits())
+def test_candidate_block_size_never_changes_a_tree(fit):
+    """One candidate set per draw or CANDIDATE_BLOCK of them: the same model."""
+    X, y, config = fit
+    models, saved = [], forest.CANDIDATE_BLOCK
+    try:
+        for block in (1, 16):
+            forest.CANDIDATE_BLOCK = block
+            models.append(classifier_to_json(train_forest(X, y, config)))
+    finally:
+        forest.CANDIDATE_BLOCK = saved
+    assert models[0] == models[1]
 
 
 # NumPy promises no Generator stream across versions (NEP 19); this equality
@@ -547,16 +581,17 @@ def test_candidate_sets_equal_successive_choice_calls(seed, shape, wanted):
     """Blocks drawn for several trees at once hold each tree's sets of
     successive ``rng.choice`` calls, in any order, while trees drop out
     once they have ``wanted`` sets; after its last block a tree's RNG
-    stands where the ``rng.choice`` calls leave it."""
+    stands where the ``rng.choice`` calls leave it. A block holds
+    CANDIDATE_BLOCK sets, or one on numpy's tail-shuffle path."""
     d, m = shape
+    block = 1 if d > 10000 and m > d // 50 else forest.CANDIDATE_BLOCK
     rngs = [np.random.default_rng([seed, t]) for t in range(len(wanted))]
     drawn = [[] for _ in wanted]
-    draw = forest._candidate_sets(d, m)
     while live := [t for t, count in enumerate(wanted) if len(drawn[t]) < count]:
-        block = draw([rngs[t] for t in live])
-        assert block.shape[::2] == (len(live), m)
-        for t, sets in zip(live, block.tolist()):
-            drawn[t] += map(sorted, sets)
+        sets = forest._candidate_sets([rngs[t] for t in live], d, m)
+        assert sets.shape == (len(live), block, m)
+        for t, tree_sets in zip(live, sets.tolist()):
+            drawn[t] += map(sorted, tree_sets)
     for t, rng in enumerate(rngs):
         plain = np.random.default_rng([seed, t])
         assert drawn[t] == [sorted(plain.choice(d, size=m, replace=False).tolist()) for _ in drawn[t]]
@@ -570,40 +605,37 @@ def test_floyd_table_chunks_do_not_change_sets(monkeypatch, shape):
     blocks = []
     for rows in (1, 3, 1 << 20):
         monkeypatch.setattr(forest, "FLOYD_TABLE", rows * d)
-        draw, rngs = forest._candidate_sets(d, m), [np.random.default_rng([11, t]) for t in range(3)]
-        blocks.append([draw(rngs).tolist() for _ in range(3)])
+        rngs = [np.random.default_rng([11, t]) for t in range(3)]
+        blocks.append([forest._candidate_sets(rngs, d, m).tolist() for _ in range(3)])
     assert blocks[0] == blocks[1] == blocks[2]
 
 
 def test_floyd_table_memory_is_bounded():
-    """20 trees' 64-set block at d = 10000 would need a 12.8 MB (set, value)
+    """20 trees' 16-set block at d = 10000 would need a 3.2 MB (set, value)
     table at once; filled a chunk of sets at a time it takes FLOYD_TABLE."""
-    draw, rngs = forest._candidate_sets(10000, 100), [np.random.default_rng(t) for t in range(20)]
-    for _ in forest.CANDIDATE_BLOCKS[:-1]:
-        draw(rngs)
+    rngs = [np.random.default_rng(t) for t in range(20)]
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        sets = draw(rngs)
+        sets = forest._candidate_sets(rngs, 10000, 100)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sets.shape == (20, 64, 100)
+    assert sets.shape == (20, 16, 100)
     assert peak <= sets.nbytes + 2 * forest.FLOYD_TABLE
 
 
 def test_tail_shuffle_sets_build_no_block_bounds(monkeypatch):
     """Where numpy takes its tail-shuffle path every set is a plain
-    ``rng.choice``, one set per block, so no bounds tile (64 * (2m - 1)
+    ``rng.choice``, one set per block, so no bounds tile (16 * (2m - 1)
     values) is built."""
     def tile(*args):
         raise AssertionError("np.tile called")
     monkeypatch.setattr(forest.np, "tile", tile)
-    draw = forest._candidate_sets(20000, 20000)
     rngs = [np.random.default_rng(8), np.random.default_rng(9)]
     plain = [np.random.default_rng(8), np.random.default_rng(9)]
     for _ in range(3):
-        sets = draw(rngs)
+        sets = forest._candidate_sets(rngs, 20000, 20000)
         assert sets.shape == (2, 1, 20000)
         for drawn, rng in zip(sets, plain):
             assert drawn[0].tolist() == rng.choice(20000, size=20000, replace=False).tolist()

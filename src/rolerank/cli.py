@@ -179,9 +179,9 @@ def _load_models(models_dir: Path, embeddings_path) -> pipeline.ModelBundle:
     embedding_model = emb.load_embedding(embeddings_path)
     manifest_path = models_dir / "manifest.json"
     embeddings_sha256 = _sha256(embeddings_path)
+    data = manifest_path.read_bytes()  # an OSError names the path and exits 2, as unreadable input
     try:
-        with open(manifest_path, "r", encoding="utf-8") as f:
-            manifest = json.load(f)
+        manifest = json.loads(data.decode("utf-8"))
         if not isinstance(manifest, dict):
             raise ValueError("not a JSON object")
         roles = manifest.get("roles")
@@ -197,7 +197,7 @@ def _load_models(models_dir: Path, embeddings_path) -> pipeline.ModelBundle:
         if manifest.get("embeddings_sha256") != embeddings_sha256:
             raise ValueError(f"'embeddings_sha256' is missing or is not the sha256 of {embeddings_path}")
     # ValueError covers bad UTF-8 and bad JSON; RecursionError too deep a nesting
-    except (OSError, ValueError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"cannot read model manifest {manifest_path}: {exc}") from None
     classifiers = {}
     for role, name in roles.items():

@@ -8,19 +8,20 @@ the samples that reached them, and the forest's score is the mean leaf
 fraction over trees, read as a probability in [0, 1].
 
 A forest's trees grow together, in rounds. Each tree keeps its own RNG
-and bootstrap draw and searches its nodes in preorder, so its draws and
-nodes are those of growing it alone. A node that needs a split search
-waits on its tree's row of one forest-wide stack; each round pops one
-node of every tree with one left and searches them all together. Every
-live tree is thus at the same place in its stream of candidate sets, and
-one call draws the next CANDIDATE_BLOCK sets of each, equal to per-node
-``rng.choice``. A tree holds its draw's distinct rows weighted by draw count
-(scikit-learn's bootstrap sample weights). X is ranked once per column;
-each (node, candidate feature) column becomes one group of a single sort
-over integer keys (group, rank, label, draws), segmented cumulative sums
-give the draws and positives left of every cut, a float pass shortlists
-each node's cuts near its best ratio and exact integer arithmetic
-settles the winner.
+and bootstrap, row t of one (trees, n) matrix of draw counts, and
+searches its nodes in preorder, so its draws and nodes are those of
+growing it alone. A node that needs a split search waits on its tree's
+row of one forest-wide stack; each round pops one node of every tree
+with one left and searches them all together. Every live tree is thus at
+the same place in its stream of candidate sets, and one call draws the
+next CANDIDATE_BLOCK sets of each, equal to per-node ``rng.choice``. A
+tree holds the rows it drew weighted by draw count (scikit-learn's
+bootstrap sample weights). X is ranked once per column; each (node,
+candidate feature) column becomes one group of a single sort over
+integer keys (group, rank, label, draws), segmented cumulative sums give
+the draws and positives left of every cut, a float pass shortlists each
+node's cuts near its best ratio and exact integer arithmetic settles the
+winner.
 
 A forest is the struct-of-arrays layout of scikit-learn's ``Tree``: the
 nodes of all trees, in preorder, as arrays ``feature``, ``threshold``,
@@ -306,13 +307,15 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
     file order. Requires labels 0 or 1, at least one sample of each class
     and finite features.
 
-    A node is a row (id, start, stop, draws, positives, depth) whose range
-    of two buffers holds its tree's distinct bootstrap rows and their draw
-    counts (its ``np.bincount``; the zero counts are its out-of-bag rows).
-    Nodes get ids as they are made, roots first, and a split's children the
-    next two. Once no tree has a search left, subtree sizes number each
-    tree's nodes in preorder: a left child follows its parent, and a right
-    child follows its left sibling's subtree.
+    Tree t's bootstrap is row t of ``drawn``, the (trees, n) matrix of
+    draw counts; its zeros are the tree's out-of-bag rows. A node is a row
+    (id, start, stop, draws, positives, depth) whose range of two buffers,
+    ``samples`` and ``weights``, holds the nonzero entries of its tree's
+    row: the rows drawn and their counts. Nodes get ids as they are made,
+    roots first, and a split's children the next two. Once no tree has a
+    search left, subtree sizes number each tree's nodes in preorder (a left
+    child follows its parent, a right child its left sibling's subtree),
+    and each node is written once, at its place.
     """
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
@@ -337,17 +340,17 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
     m = config.features_per_split or math.ceil(math.sqrt(d))
 
     trees = config.n_trees
-    samples, weights = np.empty((2, trees * n), dtype=np.int64)
-    rngs, bounds = [], np.zeros(trees + 1, dtype=np.int64)
-    for t in range(trees):
-        rngs.append(make_rng(config.seed, f"tree{t}"))
+    drawn = np.empty((trees, n), dtype=np.int64)  # first, so a huge n_trees fails at once
+    rngs = [make_rng(config.seed, f"tree{t}") for t in range(trees)]
+    for t, rng in enumerate(rngs):
         # int64, the default: a draw of another dtype is another stream
-        drawn = np.bincount(rngs[t].integers(0, n, size=n), minlength=n)
-        rows = np.flatnonzero(drawn)
-        bounds[t + 1] = bounds[t] + len(rows)
-        samples[bounds[t]:bounds[t + 1]], weights[bounds[t]:bounds[t + 1]] = rows, drawn[rows]
-    used = bounds[-1]
-    positives = np.add.reduceat(weights[:used] * (codes[samples[:used], 0] & 1), bounds[:-1])
+        drawn[t] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    flat = np.flatnonzero(drawn)  # t * n + i for each row i that tree t drew
+    weights = drawn.ravel()[flat]
+    bounds = np.searchsorted(flat, np.arange(trees + 1) * n)
+    positives = drawn @ (codes[:, 0] & 1)
+    samples = np.remainder(flat, n, out=flat)
+    del drawn
     # node rows are (id, start, stop, draws, positives, depth); root t is node t
     roots = np.stack([np.arange(trees), bounds[:-1], bounds[1:], np.full(trees, n), positives,
                       np.zeros(trees, dtype=np.int64)], axis=1)
@@ -387,34 +390,33 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
             t = grown[search[:, side]]
             stack[t, height[t]] = kids[search[:, side], side]
             height[t] += 1
-    del samples, weights, stack  # 10% of the fit's peak memory, which the numbering would add to
+    del samples, weights, stack  # 16% of the fit's peak on the train-noisy shape, 44% on 20,000 rows
 
-    value = np.concatenate(values)
-    left, feature, threshold = np.full(made, -1), np.full(made, -1), np.zeros(made)
     size = np.ones(made, dtype=np.int64)
     # a node's descendants split in later rounds than it: subtree sizes sum
     # up from the last round, and preorder places go down from the first
-    for parent, child, f, t in reversed(splits):
-        left[parent], feature[parent], threshold[parent], value[parent] = child, f, t, 0.0
+    for parent, child, *_ in reversed(splits):
         size[parent] += size[child] + size[child + 1]
-    place = np.empty(made, dtype=np.int64)
+    place, feature, left, right = np.full((4, made), -1)
     place[:trees] = np.cumsum(size[:trees]) - size[:trees]
-    for parent, child, *_ in splits:
-        place[child] = place[parent] + 1
-        place[child + 1] = place[child] + size[child]
-    node = np.empty(made, dtype=np.int64)
-    node[place] = np.arange(made)  # the node at each place
+    threshold, value = np.zeros(made), np.empty(made)
+    for parent, child, f, t in splits:
+        at = place[parent]
+        place[child], place[child + 1] = at + 1, at + 1 + size[child]
+        feature[at], threshold[at], left[at], right[at] = f, t, place[child], place[child + 1]
+    value[place] = np.concatenate(values)
+    value[left >= 0] = 0.0
     return RoleClassifier(
         role=role,
         config=config,
         training_size=(pos, n - pos),
         n_features=d,
         roots=place[:trees],
-        feature=feature[node],
-        threshold=threshold[node],
-        left=np.where(left >= 0, place[left], -1)[node],
-        right=np.where(left >= 0, place[left + 1], -1)[node],
-        value=value[node],
+        feature=feature,
+        threshold=threshold,
+        left=left,
+        right=right,
+        value=value,
     )
 
 

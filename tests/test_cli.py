@@ -415,6 +415,19 @@ class TestTrain:
         assert set(manifest["roles"]) == {"affiliate", "trustee"}
         assert (out / "models" / "affiliate.json").exists()
 
+    def test_huge_n_trees_exits_1_without_traceback(self, trained, capsys):
+        """forest.n_trees is allocated for before any tree's RNG is made, so
+        a count no machine can hold fails at once with a named exit."""
+        tmp, labeled, _, config, out = trained
+        config.write_text(config.read_text().replace("n_trees = 5", "n_trees = 1000000000000000"))
+        huge = tmp / "huge"
+        assert run("train", "--labeled", labeled, "--embeddings", out / "embeddings.txt",
+                   "--config", config, "--out", huge) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ")
+        assert "Traceback" not in err
+        assert not (huge / "models").exists()
+
     def test_plural_role_maps_to_canonical_file(self, workspace):
         tmp, labeled, _, config = workspace
         plural = tmp / "plural.jsonl"
@@ -644,6 +657,22 @@ class TestScore:
         assert f"cannot read model manifest {path}: " in err
         assert "Traceback" not in err
         assert not (tmp_path / "scores.jsonl").exists()
+
+    @pytest.mark.parametrize("models", ["missing", "empty"])
+    def test_unreadable_manifest_exits_2_naming_it(self, trained, tmp_path, capsys, models):
+        """A models directory that is not there, or holds no manifest, is
+        unreadable input like a missing --triples file: exit 2, not 1."""
+        _, labeled, _, _, out = trained
+        models_dir = tmp_path / "models"
+        if models == "empty":
+            models_dir.mkdir()
+        code = run("score", "--triples", labeled, "--models", models_dir,
+                   "--embeddings", out / "embeddings.txt", "--out", tmp_path / "scored")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(models_dir / "manifest.json") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "scored").exists()
 
     @pytest.mark.parametrize("change", ["other embeddings", "no hash"])
     def test_models_of_other_embeddings_refused(self, trained, tmp_path, capsys, change):

@@ -1,7 +1,9 @@
-"""Count the code, prose and blank lines of each module of src/rolerank.
+"""Count the lines of each module of src/rolerank: code, prose and blank.
 
 Prose is docstrings and comment-only lines; blank lines inside a
-docstring count as prose. Run from the repository root:
+docstring count as prose. The ``lines`` column is their sum, which is
+``wc -l`` for a module that ends in a newline. Run from the repository
+root:
 
     python tools/src_lines.py
 """
@@ -26,13 +28,13 @@ def counts(path: str) -> list[int]:
 
 
 def main() -> None:
-    print(f"{'code':>6} {'prose':>6} {'blank':>6}  (prose: docstrings and comment-only lines)")
+    print(f"{'lines':>6} {'code':>6} {'prose':>6} {'blank':>6}  (prose: docstrings and comment-only lines)")
     totals = [0, 0, 0]
     for path in sorted(glob.glob("src/rolerank/*.py")):
         module = counts(path)
         totals = [t + c for t, c in zip(totals, module)]
-        print(*(f"{c:6d}" for c in module), "", path)
-    print(*(f"{t:6d}" for t in totals), "", "total")
+        print(*(f"{c:6d}" for c in [sum(module), *module]), "", path)
+    print(*(f"{t:6d}" for t in [sum(totals), *totals]), "", "total")
 
 
 if __name__ == "__main__":

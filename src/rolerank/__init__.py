@@ -25,7 +25,6 @@ from .embedding import (
     finalize,
     load_embedding,
     nearest_neighbors,
-    pair_loss_and_gradients,
     save_embedding,
     train_skipgram,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "load_triples",
     "ndcg",
     "nearest_neighbors",
-    "pair_loss_and_gradients",
     "parse_triples",
     "precision_recall_f1",
     "predict_proba",

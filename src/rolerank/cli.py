@@ -255,8 +255,9 @@ def _stage_embeddings(triples, run: RunConfig, out_dir: Path) -> emb.EmbeddingMo
     return model
 
 
-def _stage_train(labeled, model, embeddings_path, run: RunConfig, out_dir: Path) -> pipeline.ModelBundle:
-    bundle = pipeline.train_role_models(labeled, model, run.forest)
+def _stage_train(labeled, model, embeddings_path, run: RunConfig, out_dir: Path,
+                 features=None) -> pipeline.ModelBundle:
+    bundle = pipeline.train_role_models(labeled, model, run.forest, features)
     models_dir = out_dir / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     taken = {"manifest.json"}  # no role's model may overwrite the manifest
@@ -280,8 +281,8 @@ def _stage_train(labeled, model, embeddings_path, run: RunConfig, out_dir: Path)
     return bundle
 
 
-def _stage_score(triples, bundle, out_dir: Path, per_role: bool = False) -> None:
-    scored = pipeline.rank(pipeline.score_triples(triples, bundle))
+def _stage_score(triples, bundle, out_dir: Path, per_role: bool = False, features=None) -> None:
+    scored = pipeline.rank(pipeline.score_triples(triples, bundle, features))
     if per_role:  # a stable sort keeps rank's order within each role
         scored = sorted(scored, key=lambda s: s.triple.role)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -291,7 +292,8 @@ def _stage_score(triples, bundle, out_dir: Path, per_role: bool = False) -> None
     print(f"scored {len(scored)} triples -> {out_path}")
 
 
-def _stage_evaluate(labeled, model, run: RunConfig, fractions, out_dir: Path) -> None:
+def _stage_evaluate(labeled, model, run: RunConfig, fractions, out_dir: Path, features) -> None:
+    """``features``: ``labeled`` featurized once, from which every fraction's split takes its rows."""
     split_seed = derive_seed(run.seed, "split")
     runs = {}
     for fraction in fractions:
@@ -299,13 +301,13 @@ def _stage_evaluate(labeled, model, run: RunConfig, fractions, out_dir: Path) ->
             labeled, fraction, derive_seed(split_seed, f"{fraction:g}")
         )
         try:
-            bundle = pipeline.train_role_models(train, model, run.forest)
+            bundle = pipeline.train_role_models(train, model, run.forest, features)
         except ValueError as exc:
             raise ValueError(f"fraction {fraction:g}: {exc}") from None
         for role, reason in bundle.skipped_roles:
             print(f"fraction {fraction:g}: skipped role {role!r}: {reason}")
         runs[fraction] = evaluation.evaluate(
-            bundle, test, threshold=run.threshold, gains=run.gains
+            bundle, test, threshold=run.threshold, gains=run.gains, features=features
         )
     out_dir.mkdir(parents=True, exist_ok=True)
     with open_atomic(out_dir / "report.json") as f:
@@ -350,7 +352,7 @@ def cmd_evaluate(args) -> int:
     labeled = _require_labels(load_triples(args.labeled), args.labeled)
     model = emb.load_embedding(args.embeddings)
     _check_features_per_split(run, args.config, model.dim)
-    _stage_evaluate(labeled, model, run, fractions, Path(args.out))
+    _stage_evaluate(labeled, model, run, fractions, Path(args.out), pipeline.featurize_triples(labeled, model))
     return EXIT_OK
 
 
@@ -386,9 +388,10 @@ def cmd_pipeline(args) -> int:
     to_score = load_triples(args.score_file) if args.score_file else files[-1] or labeled
     out_dir = Path(args.out)
     model = _stage_embeddings(chain(*files), run, out_dir)
-    bundle = _stage_train(labeled, model, out_dir / "embeddings.txt", run, out_dir)
-    _stage_score(to_score, bundle, out_dir)
-    _stage_evaluate(labeled, model, run, fractions, out_dir)
+    features = pipeline.featurize_triples(labeled, model)  # ids are unique, see _load_many
+    bundle = _stage_train(labeled, model, out_dir / "embeddings.txt", run, out_dir, features)
+    _stage_score(to_score, bundle, out_dir, features=features if to_score is labeled else None)
+    _stage_evaluate(labeled, model, run, fractions, out_dir, features)
     return EXIT_OK
 
 

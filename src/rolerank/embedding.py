@@ -32,6 +32,15 @@ the level-3 form Ji et al. build each step on. Vectors are finalized
 onto the unit hypersphere before any querying; the default
 dimensionality is 30.
 
+Steps are laid out STEP_BLOCK at a time, with no sort: a table over the
+2V rows marks the U rows a block reads, which come out ascending, each
+with its rank, and a second table marks the block's (step, rank) cells,
+at most STEP_BLOCK x U of them. Its marked cells are every step's
+distinct rows in (step, row) order, and each entry's cell gives its
+place among them. A negative draw takes its word through a guide table
+(``UnigramSampler``), which finds the word a binary search over the
+cumulative weights would.
+
 All randomness is driven by the config seed through named substreams
 (init / window / subsample / negatives), which makes training
 bit-reproducible on one machine and numpy build, whatever the number of
@@ -158,8 +167,19 @@ def build_vocabulary(corpus: Sequence[Sequence[str]], min_count: int = 1) -> Voc
     )
 
 
+SAMPLE_BLOCK = 1 << 14  # draws UnigramSampler searches at a time; bounds its temporaries
+
+
 class UnigramSampler:
-    """Draws word ordinals with probability proportional to count^power."""
+    """Draws word ordinals with probability proportional to count^power.
+
+    A draw x in [0, total) takes the first word whose cumulative weight
+    exceeds it, ``searchsorted(cum, x, side="right")``, found through a
+    guide table (Chen & Asau 1974; Devroye 1986, III.2.4): x falls in
+    bucket min(int(x * G / total), G - 1) of G = V buckets, whose guide
+    entry counts the cumulative weights in lower buckets, and the search
+    walks on from there. Bucketing is monotone, so no entry overshoots.
+    """
 
     def __init__(self, vocab: Vocabulary, power: float = 0.75):
         if not vocab.counts:
@@ -168,10 +188,28 @@ class UnigramSampler:
         weights = counts**power
         self._cum = np.cumsum(weights)
         self.probabilities = weights / self._cum[-1]
+        self._scale = len(weights) / self._cum[-1]
+        self._guide = np.searchsorted(self._bucket(self._cum), np.arange(len(weights)))
+
+    def _bucket(self, x: np.ndarray) -> np.ndarray:
+        return np.minimum((x * self._scale).astype(np.intp), len(self._cum) - 1)
+
+    def _search(self, draws: np.ndarray) -> np.ndarray:
+        """``searchsorted(cum, draws, side="right")`` for draws in [0, total)."""
+        found = self._guide[self._bucket(draws)]
+        walk = np.flatnonzero(self._cum[found] <= draws)
+        while len(walk):
+            found[walk] += 1
+            walk = walk[self._cum[found[walk]] <= draws[walk]]
+        return found
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        draws = rng.random(n) * self._cum[-1]
-        return np.searchsorted(self._cum, draws, side="right")
+        """n draws, SAMPLE_BLOCK at a time: the same doubles as one ``rng.random(n)``."""
+        found = np.empty(n, dtype=np.intp)
+        for start in range(0, n, SAMPLE_BLOCK):
+            draws = rng.random(min(n - start, SAMPLE_BLOCK)) * self._cum[-1]
+            found[start:start + len(draws)] = self._search(draws)
+        return found
 
 
 def _sgns_step(vectors, n_in, n_pos, flat, rate, mult):
@@ -195,34 +233,6 @@ def _sgns_step(vectors, n_in, n_pos, flat, rate, mult):
     np.matmul(coeff, outputs, out=grad[:n_in])
     np.matmul(coeff.T, inputs, out=grad[n_in:])
     return float(np.dot(mult, loss)), grad
-
-
-def pair_loss_and_gradients(
-    center_vec: np.ndarray,
-    context_vec: np.ndarray,
-    negative_vecs: Sequence[np.ndarray],
-):
-    """Negative-sampling loss and exact analytic gradients for one pair.
-
-    Returns (loss, grad_center, grad_context, grad_negatives) where
-    grad_negatives is a (k, d) array. Requires at least one negative and
-    uniform dimensionality.
-    """
-    center = np.asarray(center_vec, dtype=np.float64)
-    if center.ndim != 1:
-        raise ValueError("center_vec must be a 1-d vector")
-    negatives = [np.asarray(v, dtype=np.float64) for v in negative_vecs]
-    if not negatives:
-        raise ValueError("at least one negative vector is required")
-    rows = [np.asarray(context_vec, dtype=np.float64)] + negatives
-    for v in rows:
-        if v.shape != center.shape:
-            raise ValueError(
-                f"dimension mismatch: center has shape {center.shape}, got {v.shape}"
-            )
-    ones = np.ones(len(rows))
-    loss, grad = _sgns_step(np.stack([center] + rows), 1, 1, np.arange(len(rows)), ones, ones)
-    return loss, grad[0], grad[1], grad[2:]
 
 
 def _keep_probabilities(vocab: Vocabulary, threshold: float) -> np.ndarray:
@@ -327,8 +337,10 @@ def _steps(ids, left, right, lengths, negatives, lr, vocab_size: int):
     arrays stay small whatever the corpus size; the block size does not
     change which sentences share a step.
     """
-    k, span = negatives.shape[1], 2 * vocab_size
+    k = negatives.shape[1]
     block_size = STEP_BLOCK * SENTENCES_PER_STEP
+    # which of the 2V rows a block reads, and each one's rank among them
+    seen, rank = np.zeros(2 * vocab_size, dtype=bool), np.empty(2 * vocab_size, dtype=np.intp)
     t0 = p0 = 0
     for first in range(0, len(lengths), block_size):
         block = lengths[first:first + block_size]
@@ -339,15 +351,25 @@ def _steps(ids, left, right, lengths, negatives, lr, vocab_size: int):
         token_step = np.repeat(np.arange(len(block)) // SENTENCES_PER_STEP, block)
         center = np.concatenate((owner, np.repeat(np.arange(n_tokens), k)))  # per entry
         step = token_step[center]
-        # a key is step * span + row, so each step's input rows (< V) sort first
-        outputs = np.concatenate((tokens[context], negatives[t0:t1].ravel())) + vocab_size
-        keys, at = np.unique(
-            np.concatenate((token_step * span + tokens, step * span + outputs)),
-            return_inverse=True,
-        )
-        rows = keys % span
-        n_rows = np.bincount(keys // span)
-        n_in = np.bincount(keys[rows < vocab_size] // span, minlength=len(n_rows))
+        # the rows the block reads: its tokens' input rows, then its entries' output rows
+        read = np.concatenate((tokens, tokens[context], negatives[t0:t1].ravel()))
+        read[n_tokens:] += vocab_size
+        seen[read] = True
+        distinct = np.flatnonzero(seen)  # ascending, so the input rows (< V) come first
+        seen[distinct] = False
+        rank[distinct] = np.arange(len(distinct))
+        # a cell is step * U + rank, so the cells in use are the (step, row) keys in order
+        cells = np.concatenate((token_step, step)) * len(distinct) + rank[read]
+        used = np.zeros((token_step[-1] + 1) * len(distinct), dtype=bool)
+        used[cells] = True
+        keys = np.flatnonzero(used)
+        slot = np.empty(len(used), dtype=np.intp)  # each key's place among the keys
+        slot[keys] = np.arange(len(keys))
+        at = slot[cells]
+        key_step, key_rank = np.divmod(keys, len(distinct))
+        rows = distinct[key_rank]
+        n_rows = np.bincount(key_step)
+        n_in = np.bincount(key_step[rows < vocab_size], minlength=len(n_rows))
         row_starts = np.cumsum(n_rows) - n_rows
         flat = (at[center] - row_starts[step]) * (n_rows - n_in)[step]
         flat += at[n_tokens:] - (row_starts + n_in)[step]

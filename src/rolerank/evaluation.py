@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import IO, Mapping, Sequence
 
 from .corpus import ContextualTriple, RelevanceLabel
-from .pipeline import ModelBundle, ScoredTriple, binarize_label, rank, score_triples
+from .pipeline import Features, ModelBundle, ScoredTriple, binarize_label, rank, score_triples
 from .seeds import make_rng
 
 AGGREGATE_ROLE = "ALL"
@@ -187,6 +187,7 @@ def evaluate(
     test: Sequence[ContextualTriple],
     threshold: float = 0.5,
     gains: GainMap = GainMap(),
+    features: Features | None = None,
 ) -> EvalRun:
     """Score and rank the test triples in one pass, then compute the metrics per role.
 
@@ -194,10 +195,11 @@ def evaluate(
     is that role ranked alone. P/R/F1 cover the binarizable labels only;
     NDCG covers all four grades. Roles without a trained classifier still
     appear (their triples score 0.0). The aggregate micro-averages the
-    confusion counts and macro-averages NDCG over roles.
+    confusion counts and macro-averages NDCG over roles. ``features`` is
+    as in ``score_triples``.
     """
     by_role: dict[str, list[ScoredTriple]] = {}
-    for item in rank(score_triples(test, bundle)):
+    for item in rank(score_triples(test, bundle, features)):
         by_role.setdefault(item.triple.role, []).append(item)
 
     per_role: dict[str, EvalReport] = {}

@@ -4,10 +4,14 @@ Labels binarize as highly relevant / relevant -> 1, irrelevant -> 0;
 neutral triples carry ranking gain only and never enter training. Each
 role gets its own forest over the context vectors of its labeled
 triples. Each set of triples is featurized in one ``featurize`` call,
-and its rows are grouped by role with index lists. Scoring is total: a
-triple whose role has no classifier scores exactly 0.0 (the role in a
-query must match exactly for non-zero relevance), and a triple whose
-context has no known word falls back to the uninformative 0.5.
+and its rows are grouped by role with index lists. A run that trains,
+scores and evaluates on subsets of one labeled set featurizes it once
+(``featurize_triples``) and passes the result as ``features``; a row
+does not depend on the other contexts featurized with it, so the
+results are the same. Scoring is total: a triple whose role has no
+classifier scores exactly 0.0 (the role in a query must match exactly
+for non-zero relevance), and a triple whose context has no known word
+falls back to the uninformative 0.5.
 """
 
 from __future__ import annotations
@@ -50,6 +54,25 @@ class ModelBundle:
     skipped_roles: list[tuple[str, str]]
 
 
+# (row of each triple id, X, nonzero), as featurize_triples returns them
+Features = tuple[dict[str, int], np.ndarray, np.ndarray]
+
+
+def featurize_triples(triples: Sequence[ContextualTriple], embedding: EmbeddingModel) -> Features:
+    """``featurize`` the triples' contexts in one call, with each id's row."""
+    X, nonzero = featurize([t.sentences for t in triples], embedding)
+    return {t.id: row for row, t in enumerate(triples)}, X, nonzero
+
+
+def _features(triples, embedding: EmbeddingModel, features: Features | None):
+    """(X, nonzero) of the triples: featurized now, or their rows of ``features``."""
+    if features is None:
+        return featurize([t.sentences for t in triples], embedding)
+    row_of, X, nonzero = features
+    rows = [row_of[t.id] for t in triples]
+    return X[rows], nonzero[rows]
+
+
 def binarize_label(label: RelevanceLabel) -> int | None:
     """Positive for (highly) relevant, negative for irrelevant, None for neutral."""
     if label in (RelevanceLabel.HIGHLY_RELEVANT, RelevanceLabel.RELEVANT):
@@ -63,6 +86,7 @@ def train_role_models(
     labeled: Sequence[ContextualTriple],
     embedding: EmbeddingModel,
     forest_config: ForestConfig,
+    features: Features | None = None,
 ) -> ModelBundle:
     """Train one forest per role over the context vectors of the labeled triples.
 
@@ -72,13 +96,14 @@ def train_role_models(
     a per-role seed derived from the forest seed. Roles that end up with
     fewer than two samples in either class are recorded as skipped
     instead of failing the run; zero trainable roles is an error that
-    names each role's reason.
+    names each role's reason. ``features``, from ``featurize_triples``
+    over a superset of ``labeled``, supplies the rows featurize would.
     """
     for triple in labeled:
         if triple.label is None:
             raise ValueError(f"triple {triple.id!r} has no label")
     trainable = sorted((t for t in labeled if binarize_label(t.label) is not None), key=lambda t: t.id)
-    X, nonzero = featurize([t.sentences for t in trainable], embedding)
+    X, nonzero = _features(trainable, embedding, features)
     y = np.array([binarize_label(t.label) for t in trainable], dtype=np.int64)
     rows_by_role: dict[str, list[int]] = {t.role: [] for t in labeled}
     for row, triple in enumerate(trainable):
@@ -113,18 +138,18 @@ def train_role_models(
 
 
 def score_triples(
-    triples: Iterable[ContextualTriple], bundle: ModelBundle
+    triples: Iterable[ContextualTriple], bundle: ModelBundle, features: Features | None = None
 ) -> list[ScoredTriple]:
     """Score each triple with its role's classifier, in input order.
 
     Unknown roles score exactly 0.0 (exact role match is required for a
     non-zero score). The known-role triples are featurized in one call;
     zero rows score the 0.5 fallback, and the rest are scored with one
-    forest call per role.
+    forest call per role. ``features`` is as in ``train_role_models``.
     """
     triples = list(triples)
     known = [i for i, triple in enumerate(triples) if triple.role in bundle.classifiers]
-    X, nonzero = featurize([triples[i].sentences for i in known], bundle.embedding)
+    X, nonzero = _features([triples[i] for i in known], bundle.embedding, features)
     scores = [UNKNOWN_ROLE_SCORE] * len(triples)
     fallback = [False] * len(triples)
     by_role: dict[str, list[int]] = {}

@@ -5,6 +5,9 @@ mix a shared background vocabulary with role-specific signal words at a
 density that grades with the relevance label (highly relevant richest,
 irrelevant none). That makes relevance linearly recoverable from pooled
 word vectors while keeping the grades separable by score.
+
+``pair_loss_and_gradients`` is the one-pair view of the SGNS step kernel
+that the gradient checks difference.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import numpy as np
 
 from rolerank.corpus import ContextualTriple, RelevanceLabel, parse_triples
-from rolerank.embedding import EmbeddingModel, Vocabulary
+from rolerank.embedding import EmbeddingModel, Vocabulary, _sgns_step
 
 LABEL_CYCLE = (
     RelevanceLabel.HIGHLY_RELEVANT,
@@ -126,3 +129,14 @@ def unit_vector_model(words: list[str], dim: int = 8, seed: int = 0) -> Embeddin
 
 def parse_jsonl_lines(lines: list[str]):
     return parse_triples(lines)
+
+
+def pair_loss_and_gradients(center, context, negatives):
+    """One pair's negative-sampling loss and gradients, as one step of the
+    trainer's kernel: one input row against the context and the k
+    negatives, every entry at rate 1. Returns (loss, grad_center,
+    grad_context, grad_negatives), the last (k, d)."""
+    rows = np.vstack([center, context, negatives]).astype(np.float64)
+    ones = np.ones(len(rows) - 1)
+    loss, grad = _sgns_step(rows, 1, 1, np.arange(len(ones)), ones, ones)
+    return loss, grad[0], grad[1], grad[2:]

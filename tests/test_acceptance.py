@@ -21,7 +21,6 @@ from rolerank.embedding import (
     build_vocabulary,
     finalize,
     nearest_neighbors,
-    pair_loss_and_gradients,
     train_skipgram,
     _sgns_step,
 )
@@ -30,7 +29,9 @@ from rolerank.features import featurize
 from rolerank.forest import ForestConfig, classifier_to_json, predict_proba, train_forest
 from rolerank.pipeline import train_role_models
 from rolerank.seeds import derive_seed
-from synth import clique_corpus, make_labeled_triples, triples_to_jsonl, unit_vector_model
+from synth import (
+    clique_corpus, make_labeled_triples, pair_loss_and_gradients, triples_to_jsonl, unit_vector_model,
+)
 
 
 def elapsed_under(t0, limit):

@@ -1033,6 +1033,27 @@ class TestPipelineCommand:
         assert f"{unlabeled}: duplicate id {json.loads(first)['id']!r}" in err
         assert not (out / "embeddings.txt").exists()
 
+    @pytest.mark.parametrize("unlabeled, calls", [(False, [60]), (True, [60, 10])],
+                             ids=["scoring-labeled", "scoring-unlabeled"])
+    def test_labeled_set_featurized_once(self, workspace, monkeypatch, unlabeled, calls):
+        """Training, scoring the labeled file and every fraction's split take
+        their rows from one ``featurize`` call over the labeled set; an
+        unlabeled file to score is featurized on its own."""
+        from rolerank import pipeline
+
+        tmp, labeled, unlabeled_path, config = workspace
+        featurize, sizes = pipeline.featurize, []
+
+        def counting(contexts, model):
+            sizes.append(len(contexts))
+            return featurize(contexts, model)
+
+        monkeypatch.setattr(pipeline, "featurize", counting)
+        extra = ("--unlabeled", unlabeled_path) if unlabeled else ()
+        assert run("pipeline", "--labeled", labeled, *extra, "--fractions", "0.3,0.5,0.9",
+                   "--config", config, "--out", tmp / "once") == 0
+        assert sizes == calls
+
     def test_staged_equals_pipeline(self, workspace):
         tmp, labeled, unlabeled, config = workspace
         staged, chained = tmp / "staged", tmp / "chained"

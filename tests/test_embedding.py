@@ -3,10 +3,11 @@ import math
 import random
 import re
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -21,11 +22,10 @@ from rolerank.embedding import (
     finalize,
     load_embedding,
     nearest_neighbors,
-    pair_loss_and_gradients,
     save_embedding,
     train_skipgram,
 )
-from synth import clique_corpus, make_labeled_triples
+from synth import clique_corpus, make_labeled_triples, pair_loss_and_gradients
 
 
 def make_model(words, vectors, finalized=True):
@@ -115,6 +115,50 @@ class TestUnigramSampler:
         with pytest.raises(ValueError):
             UnigramSampler(vocab)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        counts=st.lists(st.integers(1, 10**9), min_size=1, max_size=40),
+        power=st.sampled_from([0.0, 0.75, 1.0]),
+        units=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20),
+    )
+    @example(counts=[1], power=1.0, units=[0.0, 0.5])
+    @example(counts=[1, 10**9], power=1.0, units=[])
+    @example(counts=[10**9, 1], power=0.0, units=[])
+    @example(counts=[7, 7], power=0.75, units=[0.5])
+    def test_guide_table_equals_searchsorted(self, counts, power, units):
+        """The guide-table search returns ``searchsorted(cum, x, side="right")``
+        for every draw x in [0, total): random ones, each cumulative weight
+        (a draw equal to one takes the next word), each bucket's lower edge
+        and its two neighbouring doubles, and the last double below total,
+        whose bucket is clamped to G - 1."""
+        words = tuple(f"w{i}" for i in range(len(counts)))
+        vocab = Vocabulary(words=words, counts=dict(zip(words, counts)),
+                           index={w: i for i, w in enumerate(words)})
+        sampler = UnigramSampler(vocab, power)
+        cum = sampler._cum
+        total = cum[-1]
+        edges = np.arange(len(cum)) * (total / len(cum))
+        draws = np.concatenate((
+            np.array(units) * total, cum, edges, np.nextafter(edges, 0), np.nextafter(edges, total),
+            [np.nextafter(total, 0)],
+        ))
+        draws = draws[(draws >= 0) & (draws < total)]
+        found = sampler._search(draws)
+        assert found.tolist() == np.searchsorted(cum, draws, side="right").tolist()
+        assert found[-1] == len(cum) - 1  # the draw just below total
+
+    def test_blocks_draw_the_doubles_of_one_call(self):
+        """``sample_n`` draws SAMPLE_BLOCK doubles at a time; the words equal
+        one ``rng.random(n)`` call's doubles looked up by ``searchsorted``."""
+        from rolerank.embedding import SAMPLE_BLOCK
+
+        vocab = build_vocabulary(zipf_corpus())
+        sampler = UnigramSampler(vocab)
+        n = 2 * SAMPLE_BLOCK + 123
+        drawn = sampler.sample_n(np.random.default_rng(3), n)
+        draws = np.random.default_rng(3).random(n) * sampler._cum[-1]
+        assert drawn.tolist() == np.searchsorted(sampler._cum, draws, side="right").tolist()
+
 
 def fd_center_gradient(center, context, negatives, eps=1e-5):
     grad = np.zeros_like(center)
@@ -201,18 +245,6 @@ class TestPairLossAndGradients:
         # positive-pair term of the center gradient vanishes; negatives leave 0.5 each
         expected = 0.5 * (negatives[0] + negatives[1])
         assert np.abs(g_center - expected).max() < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            pair_loss_and_gradients(np.zeros(3), np.zeros(4), [np.zeros(3)])
-
-    def test_requires_negatives(self):
-        with pytest.raises(ValueError, match="negative"):
-            pair_loss_and_gradients(np.zeros(3), np.zeros(3), [])
-
-    def test_center_must_be_a_vector(self):
-        with pytest.raises(ValueError, match="center_vec must be a 1-d vector"):
-            pair_loss_and_gradients(np.zeros((1, 3)), np.zeros(3), [np.zeros(3)])
 
 
 class TestEmbeddingConfig:
@@ -504,6 +536,72 @@ class TestTrainSkipgram:
         train_skipgram(corpus, config)
         assert digest.hexdigest() == expected
 
+    @pytest.mark.parametrize("case, expected", [
+        ("zipf", "ad637d3f169f70cd7432e2af7bd07a17fb7681aa34c30345e65e13fbc3cf0cff"),
+        ("c7", "9aaa7ee950d15e5a43d597bee6166b8f90dc6cb20cb48d911e2aec94b44e3daf"),
+    ], ids=["zipf", "c7"])
+    def test_step_rows_are_pinned(self, monkeypatch, case, expected):
+        """Every step's ``rows``, the stacked matrix's rows it gathers, hashed
+        as little-endian int64 on the cases of ``test_step_layouts_are_pinned``.
+        Recorded when ``_steps`` took the (step, row) keys from ``np.unique``."""
+        from rolerank import embedding
+
+        corpus, config = step_layout_case(case)
+        steps, digest = embedding._steps, hashlib.sha256()
+
+        def recording(*args):
+            for rows, *rest in steps(*args):
+                digest.update(np.asarray(rows, dtype="<i8").tobytes())
+                yield (rows, *rest)
+
+        monkeypatch.setattr(embedding, "_steps", recording)
+        train_skipgram(corpus, config)
+        assert digest.hexdigest() == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(vocab_size=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
+           n_sentences=st.integers(1, 150), window=st.integers(1, 5), k=st.integers(1, 5))
+    @example(vocab_size=3000, seed=1, n_sentences=150, window=5, k=5)
+    @example(vocab_size=1, seed=2, n_sentences=70, window=2, k=3)
+    def test_steps_equal_a_unique_reference(self, vocab_size, seed, n_sentences, window, k):
+        """``_steps`` on a random epoch layout equals a step-by-step
+        reference that takes each step's distinct input and output rows with
+        ``np.unique``; 150 sentences span three STEP_BLOCK blocks."""
+        from rolerank import embedding
+
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(2, 9, size=n_sentences)
+        ids = rng.integers(0, vocab_size, size=lengths.sum())
+        pos = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        windows = rng.integers(1, window + 1, size=len(ids))
+        left = np.minimum(pos, windows)
+        right = np.minimum(np.repeat(lengths, lengths) - 1 - pos, windows)
+        negatives = rng.integers(0, vocab_size, size=(len(ids), k))
+        lr = rng.uniform(0.01, 0.1, size=int((left + right).sum()))
+        layout = (ids, left, right, lengths, negatives, lr, vocab_size)
+        got = list(embedding._steps(*layout))
+        want = list(unique_reference_steps(*layout))
+        assert len(got) == len(want)
+        for step, expected in zip(got, want):
+            assert len(step) == len(expected)
+            for a, b in zip(step, expected):
+                assert np.array_equal(a, b)
+
+    def test_memory_peak(self):
+        """``train_skipgram``'s tracemalloc peak on C7 stays within 10% of the
+        5,625,421 bytes it peaked at when ``_steps`` took its keys from
+        ``np.unique`` and ``sample_n`` drew all of an epoch's doubles at once
+        (SAMPLE_BLOCK at a time: ~5.32 MB)."""
+        corpus, config = step_layout_case("c7")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            train_skipgram(corpus, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 5_625_421
+
     def test_shuffled_c7_loss_falls_every_epoch(self):
         """Read as built, the C7 corpus comes grouped by role (all of one
         role's sentences, then the next role's), and its epoch loss bottoms
@@ -516,6 +614,38 @@ class TestTrainSkipgram:
         random.Random(701).shuffle(corpus)
         losses = train_skipgram(corpus, EmbeddingConfig(epochs=6, seed=701)).epoch_losses
         assert all(later <= earlier for earlier, later in zip(losses, losses[1:])), losses
+
+
+def step_layout_case(case):
+    """The corpus and config of a pinned step layout: the Zipf corpus at
+    min_count = 3 and subsample = 1e-2, or C7 as C7 trains it."""
+    if case == "zipf":
+        return zipf_corpus(), EmbeddingConfig(dim=4, window=3, epochs=3, min_count=3, subsample=1e-2, seed=5)
+    return (build_corpus(make_labeled_triples(n_per_role=400, seed=700)),
+            EmbeddingConfig(dim=30, epochs=6, seed=701))
+
+
+def unique_reference_steps(ids, left, right, lengths, negatives, lr, vocab_size):
+    """``_steps`` one step at a time: its rows are ``np.unique`` of its input
+    rows, then of its output rows, and an entry's cell is found by
+    ``searchsorted`` in them. A shared negative's rate sums its center's
+    pair rates in pair order, as ``np.bincount`` adds them."""
+    from rolerank.embedding import SENTENCES_PER_STEP, _pairs
+
+    k = negatives.shape[1]
+    center, context = _pairs(left, right)
+    center_rate = np.bincount(center, lr, len(ids))
+    token_step = np.repeat(np.arange(len(lengths)) // SENTENCES_PER_STEP, lengths)
+    for s in range(token_step[-1] + 1):
+        tokens = np.flatnonzero(token_step == s)
+        pairs = np.flatnonzero(token_step[center] == s)
+        entry_in = np.concatenate((ids[center[pairs]], np.repeat(ids[tokens], k)))
+        entry_out = np.concatenate((ids[context[pairs]], negatives[tokens].ravel()))
+        inputs, outputs = np.unique(ids[tokens]), np.unique(entry_out)
+        flat = np.searchsorted(inputs, entry_in) * len(outputs) + np.searchsorted(outputs, entry_out)
+        rate = np.concatenate((lr[pairs], np.repeat(center_rate[tokens], k)))
+        mult = np.concatenate((np.ones(len(pairs)), np.repeat(left[tokens] + right[tokens], k)))
+        yield np.concatenate((inputs, outputs + vocab_size)), len(inputs), len(pairs), flat, rate, mult
 
 
 def zipf_corpus():

@@ -6,6 +6,7 @@ import pytest
 
 from rolerank import pipeline
 from rolerank.corpus import ContextualTriple, RelevanceLabel
+from rolerank.evaluation import evaluate, split_train_test
 from rolerank.features import featurize
 from rolerank.forest import ForestConfig, classifier_to_json, predict_proba
 from rolerank.pipeline import (
@@ -213,6 +214,39 @@ class TestScoreTriples:
                 assert type(s.score) is float
                 assert s.score == predict_proba(classifier, X[0])
         assert len({s.score for s in scored}) > 3
+
+
+class TestPrecomputedFeatures:
+    """``featurize_triples`` featurizes a labeled set once; its subsets then
+    train, score and evaluate as if each had been featurized on its own."""
+
+    def test_same_models_scores_and_reports(self, model, monkeypatch):
+        labeled = labeled_role("issuer", model, n=20) + labeled_role("trustee", model, n=20) + [
+            triple("n-0", "issuer", "word0 word7", L.NEUTRAL),
+            triple("oov-0", "trustee", "qqq zzz", L.RELEVANT),
+            triple("oov-1", "trustee", "zzz", L.IRRELEVANT),
+            triple("g-0", "guarantor", "word1 word2", L.RELEVANT),
+        ]
+        config = ForestConfig(n_trees=10, seed=3)
+        splits = [split_train_test(labeled, fraction, seed=9) for fraction in (0.3, 0.5, 0.8)]
+
+        def run(features=None):
+            """Per split: the skipped roles, each model's JSON, the scores of
+            the whole set and the test split's report."""
+            out = []
+            for train, test in splits:
+                bundle = train_role_models(train, model, config, features)
+                models = {role: classifier_to_json(c) for role, c in bundle.classifiers.items()}
+                out.append((bundle.skipped_roles, models, score_triples(labeled, bundle, features),
+                            evaluate(bundle, test, features=features)))
+            return out
+
+        features = pipeline.featurize_triples(labeled, model)
+        monkeypatch.setattr(pipeline, "featurize", None)  # every row must come from features
+        shared = run(features)
+        monkeypatch.undo()
+        assert run() == shared
+        assert {s.oov_fallback for _, _, scored, _ in shared for s in scored} == {True, False}
 
 
 class TestRank:

@@ -41,7 +41,6 @@ from .features import featurize
 from .forest import (
     ForestConfig,
     RoleClassifier,
-    best_split,
     load_classifier,
     predict_proba,
     save_classifier,
@@ -73,7 +72,6 @@ __all__ = [
     "TripleParseError",
     "UnigramSampler",
     "Vocabulary",
-    "best_split",
     "binarize_label",
     "build_corpus",
     "build_vocabulary",

@@ -187,7 +187,6 @@ class UnigramSampler:
         counts = np.array([vocab.counts[w] for w in vocab.words], dtype=np.float64)
         weights = counts**power
         self._cum = np.cumsum(weights)
-        self.probabilities = weights / self._cum[-1]
         self._scale = len(weights) / self._cum[-1]
         self._guide = np.searchsorted(self._bucket(self._cum), np.arange(len(weights)))
 
@@ -239,7 +238,8 @@ def _keep_probabilities(vocab: Vocabulary, threshold: float) -> np.ndarray:
     """Word2vec-style keep probability per word ordinal, clipped to 1."""
     counts = np.array([vocab.counts[w] for w in vocab.words], dtype=np.float64)
     freq = counts / counts.sum()
-    keep = np.sqrt(threshold / freq) + threshold / freq
+    with np.errstate(over="ignore"):  # a huge threshold overflows to inf, which keeps the word
+        keep = np.sqrt(threshold / freq) + threshold / freq
     return np.minimum(keep, 1.0)
 
 
@@ -274,7 +274,7 @@ def _epoch_layouts(ids, lengths, config: EmbeddingConfig, keep: np.ndarray | Non
         yield ids, left, right, lengths
 
 
-def _shared_negatives(sampler, rng, ids, left, right, k: int) -> np.ndarray:
+def _shared_negatives(sampler, rng, ids, left, right, k: int, vocab_size: int) -> np.ndarray:
     """(T, k) negative word ids for the epoch's T tokens, which all have a context.
 
     Row i belongs to token i, and all of its pairs share it. Slots are
@@ -295,7 +295,6 @@ def _shared_negatives(sampler, rng, ids, left, right, k: int) -> np.ndarray:
         return hit
 
     centers = np.arange(len(ids))
-    vocab_size = len(sampler.probabilities)
     covered = np.zeros(len(centers), dtype=bool)
     if vocab_size <= 2 * window:  # only then can the contexts cover the vocabulary
         covered = in_window(centers[:, None], np.arange(vocab_size)).all(axis=1)
@@ -443,7 +442,7 @@ def train_skipgram(
         for n_pairs, (ids, left, right, lengths) in zip(
             epoch_pairs, _epoch_layouts(*encoded, config, keep)
         ):
-            negatives = _shared_negatives(sampler, neg_rng, ids, left, right, k)
+            negatives = _shared_negatives(sampler, neg_rng, ids, left, right, k, vocab_size)
             lr = config.lr_initial - lr_span * (np.arange(pair_index, pair_index + n_pairs) / denom)
             loss_sum = _train_epoch(weights, ids, left, right, lengths, negatives, lr)
             losses.append(loss_sum / n_pairs if n_pairs else math.nan)

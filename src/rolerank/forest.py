@@ -21,7 +21,8 @@ candidate feature) column becomes one group of a single sort over
 integer keys (group, rank, label, draws), segmented cumulative sums give
 the draws and positives left of every cut, a float pass shortlists each
 node's cuts near its best ratio and exact integer arithmetic settles the
-winner.
+winner. A search returns only what growth reads: each node's feature,
+threshold and left child's counts, not the decrease.
 
 A forest is the struct-of-arrays layout of scikit-learn's ``Tree``: the
 nodes of all trees, in preorder, as arrays ``feature``, ``threshold``,
@@ -39,7 +40,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
@@ -166,10 +166,11 @@ def _split_chunk(X, codes, S, samples, weights, starts, stops, candidates, min_s
     node_max = np.maximum.reduceat(q, row_start * m)
     shortlist = np.flatnonzero(cut & (q >= np.repeat(node_max * (1.0 - 1e-12), sizes * m)))
 
-    # each node's best as the exact fraction N / (n^2 * D); decrease > 0 iff
-    # N > 0. The shortlist runs node by node, then feature, then threshold,
-    # and strict > keeps the first among true ties
-    best: dict[int, tuple[int, int, int, int]] = {}
+    # a cut's Gini decrease is the exact fraction N / (n^2 * D), and n is
+    # its node's, so a node's cuts compare as N / D; decrease > 0 iff N > 0.
+    # The shortlist runs node by node, then feature, then threshold, and
+    # strict > keeps the first among true ties
+    best: dict[int, tuple[int, int, int]] = {}
     node = np.searchsorted(row_start * m, shortlist, "right") - 1
     counts = (x[shortlist].astype(np.int64).tolist() for x in (nl, nr, pl, pr))
     for i, b, a, c, e, f in zip(shortlist.tolist(), node.tolist(), *counts):
@@ -177,17 +178,15 @@ def _split_chunk(X, codes, S, samples, weights, starts, stops, candidates, min_s
         t = (e**2 + (a - e) ** 2) * c + (f**2 + (c - f) ** 2) * a
         numer = n * t - (pos**2 + (n - pos) ** 2) * denom
         if numer > 0 and (b not in best or numer * best[b][1] > best[b][0] * denom):
-            best[b] = numer, denom, n, i
+            best[b] = numer, denom, i
     feature = np.full(k, -1)
     threshold = np.full(k, np.inf)  # a node without a split sends every row left
-    decrease = np.zeros(k)
     if best:
         node = np.array(list(best))
         won = np.array([i for *_, i in best.values()])
         f = feature[node] = candidates[node, (won - row_start[node] * m) // sizes[node]]
         rank = (1 << n_all.bit_length()) - 1
         threshold[node] = (S[step[won] & rank, f] + S[step[won + 1] & rank, f]) / 2.0
-        decrease[node] = [numer / (n * n * denom) for numer, denom, n, _ in best.values()]
     # the children are those of ``x <= threshold``, as predict routes them
     goes_left = X.take(rows * d + feature.clip(0)[row_node]) <= threshold[row_node]
     n_left = np.add.reduceat(goes_left * draws, row_start)
@@ -195,7 +194,7 @@ def _split_chunk(X, codes, S, samples, weights, starts, stops, candidates, min_s
     rows_left = np.add.reduceat(goes_left, row_start, dtype=np.int64)
     order = np.argsort(row_node * 2 + ~goes_left, kind="stable")
     samples[at], weights[at] = rows[order], draws[order]
-    return feature, threshold, decrease, n_left, pos_left, rows_left
+    return feature, threshold, n_left, pos_left, rows_left
 
 
 def _split_batch(X, codes, S, samples, weights, starts, stops, candidates, min_samples_leaf):
@@ -204,20 +203,23 @@ def _split_batch(X, codes, S, samples, weights, starts, stops, candidates, min_s
     ``codes`` and ``S`` come from ``_sort_codes(X, y)``. Node i's samples
     are the rows ``samples[starts[i]:stops[i]]`` of X, drawn
     ``weights[starts[i]:stops[i]]`` times each, and ``candidates[i]`` are
-    its m candidate features. Counting draws, it returns per-node arrays
-    (feature, threshold, Gini decrease, draws left, positives left, rows
-    left), with ``best_split``'s rules on the repeated rows; a node without
-    a positive decrease has feature -1 and decrease 0.0 and sends all of its
-    rows left. A node's (row, weight) pairs are reordered to hold its left
-    child's, then its right child's, each in their former order.
+    its m candidate features. Counting draws, it returns five per-node
+    arrays: feature, threshold, draws left, positives left and rows left.
+    A node's split is its cut of largest Gini decrease, ties going to the
+    lower feature index, then the lower threshold; the threshold is the
+    midpoint of the two distinct sorted values around the cut, and rows
+    with x <= threshold go left. A node without a cut of positive decrease
+    (pure, or conflicting labels on equal values) has feature -1 and sends
+    all of its rows left. A node's (row, weight) pairs are reordered to
+    hold its left child's, then its right child's, each in their former
+    order.
 
     Each (node, feature) column is one group of a single sort over integer
     keys (group, rank, label, draws), which orders every group by value at
     once; segmented cumulative sums of the draws and the positive draws
     give the class counts left of each cut. Split quality is settled
     exactly: a float ratio shortlists each node's cuts within rounding of
-    its maximum, and integer cross-multiplication picks the winner. The
-    threshold is the midpoint of the two sorted values around the cut.
+    its maximum, and integer cross-multiplication picks the winner.
     """
     before = np.append(0, np.cumsum((stops - starts) * candidates.shape[1]))  # entries before a node
     parts, first = [], 0
@@ -228,33 +230,6 @@ def _split_batch(X, codes, S, samples, weights, starts, stops, candidates, min_s
                                   candidates[first:end], min_samples_leaf))
         first = end
     return [np.concatenate(column) for column in zip(*parts)]
-
-
-def best_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    candidate_features: Sequence[int],
-    min_samples_leaf: int = 1,
-) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, Gini decrease) over the candidate features.
-
-    Thresholds are midpoints between consecutive distinct sorted values;
-    samples with value <= threshold go left. Returns None when no split
-    gives a positive impurity decrease (pure node, or conflicting labels
-    on identical feature vectors). Ties prefer the lower feature index,
-    then the lower threshold. This is the one-node call of the batched
-    search that grows forests (``_split_batch``).
-    """
-    X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
-    n, features = len(y), np.asarray(candidate_features, dtype=np.int64)
-    if X.ndim != 2 or len(X) != n or n == 0 or len(features) == 0:
-        raise ValueError("best_split needs (n, d) samples, one label per row and candidate features")
-    if len(bad := features[(features < 0) | (features >= X.shape[1])]):
-        raise ValueError(f"candidate feature {bad[0]} is outside [0, {X.shape[1]})")
-    feature, threshold, decrease = _split_batch(
-        X, *_sort_codes(X, y), np.arange(n), np.ones(n, dtype=np.int64), np.array([0]), np.array([n]),
-        features[None], min_samples_leaf)[:3]
-    return None if feature[0] < 0 else (int(feature[0]), float(threshold[0]), float(decrease[0]))
 
 
 def _candidate_sets(rngs, d, m):
@@ -366,7 +341,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
             sets[live] = _candidate_sets([rngs[t] for t in live], d, m)
         height[live] -= 1
         nodes = stack[live, height[live]]
-        feature, threshold, _, n_left, pos_left, rows_left = _split_batch(
+        feature, threshold, n_left, pos_left, rows_left = _split_batch(
             X, codes, S, samples, weights, nodes[:, 1], nodes[:, 2],
             sets[live, rounds % sets.shape[1]], config.min_samples_leaf)
         rounds += 1
@@ -460,10 +435,6 @@ def _json_parts(classifier: RoleClassifier):
     for name in ("roots", *NODE_ARRAYS):
         yield f',"{name}":' + json.dumps(getattr(classifier, name).tolist(), separators=(",", ":"))
     yield "}"
-
-
-def classifier_to_json(classifier: RoleClassifier) -> str:
-    return "".join(_json_parts(classifier))
 
 
 def _int(value, name: str, optional: bool = False) -> int | None:

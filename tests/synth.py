@@ -6,8 +6,12 @@ density that grades with the relevance label (highly relevant richest,
 irrelevant none). That makes relevance linearly recoverable from pooled
 word vectors while keeping the grades separable by score.
 
-``pair_loss_and_gradients`` is the one-pair view of the SGNS step kernel
-that the gradient checks difference.
+The helpers below the generators are the tests' references over the
+package's kernels: ``pair_loss_and_gradients`` is the one-pair view of the
+SGNS step kernel that the gradient checks difference, ``best_split`` the
+one-node view of the batched split search, ``classifier_to_json`` a model
+file's text and ``unigram_probabilities`` the distribution negatives are
+drawn from.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 
 from rolerank.corpus import ContextualTriple, RelevanceLabel, parse_triples
 from rolerank.embedding import EmbeddingModel, Vocabulary, _sgns_step
+from rolerank.forest import RoleClassifier, _json_parts, _sort_codes, _split_batch
 
 LABEL_CYCLE = (
     RelevanceLabel.HIGHLY_RELEVANT,
@@ -140,3 +145,41 @@ def pair_loss_and_gradients(center, context, negatives):
     ones = np.ones(len(rows) - 1)
     loss, grad = _sgns_step(rows, 1, 1, np.arange(len(ones)), ones, ones)
     return loss, grad[0], grad[1], grad[2:]
+
+
+def gini_decrease(n, pos, n_left, pos_left) -> float:
+    """The Gini decrease of a cut that sends ``n_left`` of a node's ``n``
+    draws, ``pos_left`` of its ``pos`` positives, left: the split kernel's
+    exact fraction numer / (n^2 * denom) over Python integers."""
+    n, pos, a, e = (int(x) for x in (n, pos, n_left, pos_left))
+    c, f = n - a, pos - e
+    denom = a * c
+    t = (e**2 + (a - e) ** 2) * c + (f**2 + (c - f) ** 2) * a
+    return (n * t - (pos**2 + (n - pos) ** 2) * denom) / (n * n * denom)
+
+
+def best_split(X, y, candidate_features, min_samples_leaf=1):
+    """(feature, threshold, Gini decrease) of the split kernel's search of
+    one node that holds each row of X once, or None when no cut decreases
+    the impurity. The decrease is worked out from the draws the threshold
+    sends left, which are the cut's unless its midpoint rounds onto the
+    upper value."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
+    n = len(y)
+    feature, threshold, n_left, pos_left, _ = _split_batch(
+        X, *_sort_codes(X, y), np.arange(n), np.ones(n, dtype=np.int64), np.array([0]), np.array([n]),
+        np.asarray(candidate_features, dtype=np.int64)[None], min_samples_leaf)
+    if feature[0] < 0:
+        return None
+    return int(feature[0]), float(threshold[0]), gini_decrease(n, y.sum(), n_left[0], pos_left[0])
+
+
+def classifier_to_json(classifier: RoleClassifier) -> str:
+    """The text ``save_classifier`` writes, without its final newline."""
+    return "".join(_json_parts(classifier))
+
+
+def unigram_probabilities(vocab: Vocabulary, power: float = 0.75) -> np.ndarray:
+    """Each word's share of counts^power, the distribution negatives are drawn from."""
+    weights = np.array([vocab.counts[w] for w in vocab.words], dtype=np.float64) ** power
+    return weights / weights.sum()

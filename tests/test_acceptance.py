@@ -26,11 +26,12 @@ from rolerank.embedding import (
 )
 from rolerank.evaluation import GainMap, evaluate, ndcg, split_train_test
 from rolerank.features import featurize
-from rolerank.forest import ForestConfig, classifier_to_json, predict_proba, train_forest
+from rolerank.forest import ForestConfig, predict_proba, train_forest
 from rolerank.pipeline import train_role_models
 from rolerank.seeds import derive_seed
 from synth import (
-    clique_corpus, make_labeled_triples, pair_loss_and_gradients, triples_to_jsonl, unit_vector_model,
+    classifier_to_json, clique_corpus, make_labeled_triples, pair_loss_and_gradients, triples_to_jsonl,
+    unigram_probabilities, unit_vector_model,
 )
 
 
@@ -136,7 +137,7 @@ def test_c3_negative_sampling_distribution():
     rng = np.random.default_rng(303)
     draws = sampler.sample_n(rng, 100_000)
     observed = np.bincount(draws, minlength=20)
-    expected = sampler.probabilities * len(draws)
+    expected = unigram_probabilities(vocab, 0.75) * len(draws)
     result = stats.chisquare(observed, expected)
     assert result.pvalue > 0.01, f"chi-square p={result.pvalue:.4f}"
     elapsed_under(t0, 2.0)

@@ -25,7 +25,7 @@ from rolerank.embedding import (
     save_embedding,
     train_skipgram,
 )
-from synth import clique_corpus, make_labeled_triples, pair_loss_and_gradients
+from synth import clique_corpus, make_labeled_triples, pair_loss_and_gradients, unigram_probabilities
 
 
 def make_model(words, vectors, finalized=True):
@@ -81,18 +81,23 @@ class TestEncode:
         assert lengths.tolist() == [len(q) for q in queries]
 
 
+def sampler_weights(sampler):
+    """The sampler's per-word weights, read back from its cumulative ones."""
+    return np.diff(sampler._cum, prepend=0.0)
+
+
 class TestUnigramSampler:
     def test_symmetric_two_words(self):
         vocab = build_vocabulary([["a"], ["b"]])
         sampler = UnigramSampler(vocab)
-        assert sampler.probabilities == pytest.approx([0.5, 0.5])
+        assert sampler_weights(sampler) / sampler._cum[-1] == pytest.approx([0.5, 0.5])
 
     def test_power_ratio_16_to_1(self):
         # 16^0.75 = 8 exactly
         vocab = build_vocabulary([["a"] * 16, ["b"]])
         sampler = UnigramSampler(vocab, power=0.75)
-        ratio = sampler.probabilities[0] / sampler.probabilities[1]
-        assert ratio == pytest.approx(8.0, abs=1e-12)
+        weights = sampler_weights(sampler)
+        assert weights[0] / weights[1] == pytest.approx(8.0, abs=1e-12)
 
     def test_power_ratio_empirical(self):
         vocab = build_vocabulary([["a"] * 16, ["b"]])
@@ -100,7 +105,7 @@ class TestUnigramSampler:
         rng = np.random.default_rng(31)
         draws = sampler.sample_n(rng, 100_000)
         observed = np.bincount(draws, minlength=2)
-        expected = sampler.probabilities * len(draws)
+        expected = unigram_probabilities(vocab, 0.75) * len(draws)
         result = stats.chisquare(observed, expected)
         assert result.pvalue > 0.01
 
@@ -412,14 +417,25 @@ class TestTrainSkipgram:
         norms = np.linalg.norm(model.input_vectors, axis=1)
         assert np.abs(norms - 1).max() < 1e-6
 
+    def test_huge_subsample_keeps_every_word(self):
+        """A threshold whose ratio to a word's frequency overflows keeps the
+        word, with no numpy overflow warning (this suite turns one into an
+        error): the vectors are those of a run without subsampling."""
+        corpus = clique_corpus(sentences_per_clique=60)
+        plain = train_skipgram(corpus, EmbeddingConfig(dim=6, epochs=2, seed=8))
+        huge = train_skipgram(corpus, EmbeddingConfig(dim=6, epochs=2, seed=8, subsample=1e308))
+        assert np.array_equal(huge.input_vectors, plain.input_vectors)
+        assert np.array_equal(huge.output_vectors, plain.output_vectors)
+        assert huge.epoch_losses == plain.epoch_losses
+
     def test_negatives_never_equal_their_context(self, monkeypatch):
         from rolerank import embedding
 
         draw = embedding._shared_negatives
         drawn = []
 
-        def recording(sampler, rng, ids, left, right, k):
-            negatives = draw(sampler, rng, ids, left, right, k)
+        def recording(sampler, rng, ids, left, right, k, vocab_size):
+            negatives = draw(sampler, rng, ids, left, right, k, vocab_size)
             drawn.append((ids.copy(), left.copy(), right.copy(), negatives.copy()))
             return negatives
 

@@ -8,7 +8,7 @@ from rolerank import pipeline
 from rolerank.corpus import ContextualTriple, RelevanceLabel
 from rolerank.evaluation import evaluate, split_train_test
 from rolerank.features import featurize
-from rolerank.forest import ForestConfig, classifier_to_json, predict_proba
+from rolerank.forest import ForestConfig, predict_proba
 from rolerank.pipeline import (
     ModelBundle,
     ScoredTriple,
@@ -18,7 +18,7 @@ from rolerank.pipeline import (
     train_role_models,
     write_scored,
 )
-from synth import unit_vector_model
+from synth import classifier_to_json, unit_vector_model
 
 L = RelevanceLabel
 

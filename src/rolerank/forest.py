@@ -27,8 +27,12 @@ threshold and left child's counts, not the decrease.
 A forest is the struct-of-arrays layout of scikit-learn's ``Tree``: the
 nodes of all trees, in preorder, as arrays ``feature``, ``threshold``,
 ``left``, ``right`` and ``value``, plus each tree's first node in
-``roots``. Model files store these arrays; a batch is predicted by
-stepping every (tree, row) pair down one level at a time.
+``roots``. Model files store these arrays. A batch is predicted over a
+copy of them, derived on a classifier's first prediction, in which a
+node's two children sit side by side (the predication layout of Asadi,
+Lin & de Vries, TKDE 2014): the live (tree, row) pairs step
+WALK_LEVELS levels by ``base + (x > threshold)``, a leaf looping to
+itself, and pairs that reached a leaf are dropped between those runs.
 
 Given a seed the whole construction is deterministic: per-tree RNGs are
 derived from (seed, tree index), and split ties break toward the lower
@@ -37,6 +41,7 @@ feature index and lower threshold.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -91,12 +96,31 @@ class RoleClassifier:
     right: np.ndarray
     value: np.ndarray
 
+    @functools.cached_property
+    def _walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """predict_proba's (feature, threshold, base, value) copy of the
+        forest: roots are 0..trees-1, an internal node's children are
+        ``base`` and ``base + 1``, and a leaf is its own base, with feature
+        0 and a threshold no row exceeds. Built on first use, so the node
+        arrays must not change after it; never saved or compared."""
+        internal, trees, size = np.flatnonzero(self.left >= 0), len(self.roots), len(self.left)
+        left = np.arange(trees, size, 2)  # each internal node's left child in the copy
+        new = np.empty(size, dtype=np.int64)  # each node's id in the copy
+        new[self.roots], new[self.left[internal]], new[self.right[internal]] = range(trees), left, left + 1
+        feature, threshold, base = np.zeros(size, dtype=np.int64), np.full(size, np.inf), np.arange(size)
+        at = new[internal]
+        feature[at], threshold[at], base[at] = self.feature[internal], self.threshold[internal], left
+        value = np.empty(size)
+        value[new] = self.value
+        return feature, threshold, base, value
+
 
 # Most (sample, feature) entries one batched split search sorts at once;
 # a round's nodes are searched in chunks of this size, and a node larger
 # than it is searched alone.
 SPLIT_BLOCK = 1 << 14
 CANDIDATE_BLOCK = 16  # candidate sets one draw takes from each tree's RNG
+WALK_LEVELS = 4  # levels predict_proba's live pairs step between compactions
 FLOYD_TABLE = 1 << 20  # most (set, value) cells of the membership table that checks Floyd's draws
 
 
@@ -232,6 +256,14 @@ def _split_batch(X, codes, S, samples, weights, starts, stops, candidates, min_s
     return [np.concatenate(column) for column in zip(*parts)]
 
 
+def _check_finite(X: np.ndarray) -> None:
+    """Refuse (n, d) features with a non-finite entry, naming the first."""
+    if not np.isfinite(X).all():
+        row, column = np.argwhere(~np.isfinite(X))[0].tolist()
+        raise ValueError(f"feature at row {row}, column {column} is {X[row, column]}; "
+                         "features must be finite")
+
+
 def _candidate_sets(rngs, d, m):
     """The next block of candidate sets of several trees, (len(rngs), block, m).
 
@@ -299,11 +331,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
     n, d = X.shape
     if d == 0:
         raise ValueError(f"X has {d} features; training needs at least one")
-    bad = np.argwhere(~np.isfinite(X))
-    if len(bad):
-        row, column = bad[0].tolist()
-        raise ValueError(f"feature at row {row}, column {column} is {X[row, column]}; "
-                         "features must be finite")
+    _check_finite(X)
     pos = int(y.sum())
     if pos == 0 or pos == n:
         raise ValueError(
@@ -398,26 +426,31 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
 def predict_proba(classifier: RoleClassifier, x: np.ndarray) -> float | np.ndarray:
     """Mean positive-class leaf fraction over all trees, in [0, 1].
 
-    A (d,) vector gives a float; an (n, d) matrix gives an (n,) array.
-    Every (tree, row) pair starts at its tree's root and all pairs still
-    at an internal node step down one level together.
+    A (d,) vector gives a float; an (n, d) matrix gives an (n,) array, and
+    every feature must be finite. Every (tree, row) pair starts at its
+    tree's root in the sibling-adjacent copy ``classifier._walk``; the
+    pairs still live step WALK_LEVELS levels together, a leaf keeping its
+    pairs in place, and then the pairs at a leaf are dropped.
     """
     x = np.asarray(x, dtype=np.float64)
-    c, d = classifier, classifier.n_features
+    d = classifier.n_features
     if x.shape != (d,) and (x.ndim != 2 or x.shape[1] != d):
         raise ValueError(f"expected vectors of dimension {d}, got shape {x.shape}")
-    flat, n, trees = x.ravel(), x.size // d, len(c.roots)
-    node = np.repeat(c.roots, n)  # pair t * n + i is (tree t, row i)
-    offset = np.tile(np.arange(0, n * d, d), trees)  # row i's start in flat
-    live = np.flatnonzero(c.left[node] >= 0)
+    _check_finite(x.reshape(-1, d))
+    feature, threshold, base, value = classifier._walk
+    flat, n, trees = x.ravel(), x.size // d, len(classifier.roots)
+    node = np.repeat(np.arange(trees), n)  # pair t * n + i is (tree t, row i)
+    live = np.flatnonzero(base[node] != node)
+    at, offset = node[live], live % n * d  # offset: row i's start in flat
     while live.size:
-        at = node[live]
-        at = np.where(flat[offset[live] + c.feature[at]] <= c.threshold[at], c.left[at], c.right[at])
+        for _ in range(WALK_LEVELS):
+            at = base.take(at) + (flat.take(offset + feature.take(at)) > threshold.take(at))
         node[live] = at
-        live = live[c.left[at] >= 0]
+        keep = np.flatnonzero(base.take(at) != at)
+        live, at, offset = live.take(keep), at.take(keep), offset.take(keep)
     # add.accumulate adds the trees strictly in order, so each score is
     # bit-identical to a running sum over the trees; np.sum may pair terms
-    scores = np.add.accumulate(c.value[node].reshape(trees, n), axis=0)[-1] / trees
+    scores = np.add.accumulate(value[node].reshape(trees, n), axis=0)[-1] / trees
     return float(scores[0]) if x.ndim == 1 else scores
 
 
@@ -481,14 +514,20 @@ def _check_nodes(c: RoleClassifier) -> None:
     for children in (c.left[parents], c.right[parents]):
         if np.any((children <= parents) | (children >= tree_end)):
             raise ValueError("a child index must lie after its parent, inside its tree")
-    # children lie after their parents, so this walk ends; np.unique keeps
-    # each level within the node count even if nodes share a child
+    # so no root is a child; predict_proba's copy places each child beside
+    # its sibling, which needs every other node to have exactly one parent
+    count = np.bincount(np.concatenate([c.left[parents], c.right[parents]]), minlength=size)
+    count[roots] += 1
+    if len(bad := np.flatnonzero(count != 1)):
+        raise ValueError(f"node {bad[0]} is the child of {count[bad[0]]} nodes; "
+                         "every node but a root must be the child of exactly one")
+    # children lie after their parents, so this walk ends
     depth, level = 0, roots[internal[roots]]
     while level.size:
         depth += 1
         if c.config.max_depth is not None and depth > c.config.max_depth:
             raise ValueError("tree deeper than config.max_depth")
-        level = np.unique(np.concatenate([c.left[level], c.right[level]]))
+        level = np.concatenate([c.left[level], c.right[level]])
         level = level[internal[level]]
 
 

@@ -10,8 +10,9 @@ The helpers below the generators are the tests' references over the
 package's kernels: ``pair_loss_and_gradients`` is the one-pair view of the
 SGNS step kernel that the gradient checks difference, ``best_split`` the
 one-node view of the batched split search, ``classifier_to_json`` a model
-file's text and ``unigram_probabilities`` the distribution negatives are
-drawn from.
+file's text, ``predict_reference`` the forest walk over a model's own node
+arrays and ``unigram_probabilities`` the distribution negatives are drawn
+from.
 """
 
 from __future__ import annotations
@@ -177,6 +178,25 @@ def best_split(X, y, candidate_features, min_samples_leaf=1):
 def classifier_to_json(classifier: RoleClassifier) -> str:
     """The text ``save_classifier`` writes, without its final newline."""
     return "".join(_json_parts(classifier))
+
+
+def predict_reference(classifier: RoleClassifier, x: np.ndarray) -> float | np.ndarray:
+    """``predict_proba`` over the model's own node arrays: every (tree, row)
+    pair starts at its tree's root and all pairs still at an internal node
+    step down one level together, left where ``x <= threshold``."""
+    x = np.asarray(x, dtype=np.float64)
+    c, d = classifier, classifier.n_features
+    flat, n, trees = x.ravel(), x.size // d, len(c.roots)
+    node = np.repeat(c.roots, n)  # pair t * n + i is (tree t, row i)
+    offset = np.tile(np.arange(0, n * d, d), trees)  # row i's start in flat
+    live = np.flatnonzero(c.left[node] >= 0)
+    while live.size:
+        at = node[live]
+        at = np.where(flat[offset[live] + c.feature[at]] <= c.threshold[at], c.left[at], c.right[at])
+        node[live] = at
+        live = live[c.left[at] >= 0]
+    scores = np.add.accumulate(c.value[node].reshape(trees, n), axis=0)[-1] / trees
+    return float(scores[0]) if x.ndim == 1 else scores
 
 
 def unigram_probabilities(vocab: Vocabulary, power: float = 0.75) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -21,7 +22,7 @@ from rolerank.forest import (
     train_forest,
 )
 from rolerank.seeds import make_rng
-from synth import best_split, classifier_to_json, gini_decrease
+from synth import best_split, classifier_to_json, gini_decrease, predict_reference
 
 
 def xor_dataset(n_per_cluster=50, noise=0.1, seed=17):
@@ -733,6 +734,100 @@ class TestPredictProba:
             with pytest.raises(ValueError, match="dimension"):
                 predict_proba(classifier, np.zeros(shape))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_refused(self, bad):
+        """A NaN compares false both ways, so no walk can route it; it is
+        refused, named by its first (row, column), as in ``train_forest``."""
+        classifier = leaf_forest([0.2, 0.8], n_features=3)
+        X = np.zeros((4, 3))
+        X[2, 1] = X[3, 0] = bad
+        with pytest.raises(ValueError, match=rf"feature at row 2, column 1 is {bad}; features must be finite"):
+            predict_proba(classifier, X)
+        with pytest.raises(ValueError, match=rf"feature at row 0, column 1 is {bad}; features must be finite"):
+            predict_proba(classifier, X[2])
+
+    def test_predicting_leaves_the_model_unchanged(self):
+        X, y = xor_dataset(n_per_cluster=25, noise=0.4)
+        classifier = train_forest(X, y, ForestConfig(n_trees=12, seed=3))
+        before = classifier_to_json(classifier)
+        predict_proba(classifier, X)
+        predict_proba(classifier, X[0])
+        assert classifier_to_json(classifier) == before
+
+
+def grid_probes(rng, classifier, rows):
+    """``rows`` probes over a forest's features: each entry one of its split
+    thresholds (so rows land exactly on them), 0, 1 or a grid value."""
+    values = np.concatenate([classifier.threshold[classifier.left >= 0], [0.0, 1.0, -1.5, 0.25, 2.0]])
+    return values[rng.integers(0, len(values), size=(rows, classifier.n_features))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    fit=small_fits(),
+    trees=st.integers(1, 30),
+    max_depth=st.sampled_from([None, 1, 3, 5]),
+    rows=st.sampled_from([0, 1, 2, 7, 64, 300]),
+)
+def test_predict_equals_reference_walk_on_trained_forests(fit, trees, max_depth, rows):
+    """Bit for bit the reference walk over the model's own node arrays,
+    on matrices of any row count and on the 1-d vector form."""
+    X, y, config = fit
+    classifier = train_forest(X, y, dataclasses.replace(config, n_trees=trees, max_depth=max_depth))
+    probes = grid_probes(np.random.default_rng(config.seed), classifier, rows)
+    assert np.array_equal(predict_proba(classifier, probes), predict_reference(classifier, probes))
+    for x in probes[:3]:
+        assert predict_proba(classifier, x) == predict_reference(classifier, x)
+
+
+def chain_tree(depth, rng, start):
+    """Preorder (feature, threshold, left, right, value) rows of a tree of
+    ``depth`` levels, numbered from ``start``, each of whose internal nodes
+    has one leaf child and one child that goes deeper, on a random side."""
+    rows = []
+
+    def grow(level):
+        at = start + len(rows)
+        if level == depth:
+            rows.append((-1, 0.0, -1, -1, float(rng.integers(0, 5)) / 4))
+            return at
+        rows.append(None)
+        deeper_left = rng.random() < 0.5
+        left = grow(level + 1 if deeper_left else depth)
+        right = grow(depth if deeper_left else level + 1)
+        rows[at - start] = (int(rng.integers(0, 2)), float(rng.integers(-2, 3)) / 2, left, right, 0.0)
+        return at
+
+    grow(0)
+    return rows
+
+
+K = forest.WALK_LEVELS
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    depths=st.lists(st.sampled_from([0, 1, K - 1, K, K + 1, 2 * K - 1, 2 * K, 2 * K + 1, 3 * K]),
+                    min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.sampled_from([0, 1, 5, 64]),
+)
+@example(depths=[0, 0, 0], seed=1, rows=5)  # an all-leaf forest
+def test_predict_equals_reference_walk_on_leaf_roots_and_deep_chains(depths, seed, rows):
+    """Leaf roots mixed with trees whose depth is near a multiple of
+    WALK_LEVELS, so pairs reach their leaves just before, at and just after
+    a compaction."""
+    rng = np.random.default_rng(seed)
+    roots, nodes = [], []
+    for depth in depths:
+        roots.append(len(nodes))
+        nodes += chain_tree(depth, rng, len(nodes))
+    classifier = classifier_from_json(json.dumps(forest_payload(roots, *map(list, zip(*nodes)))))
+    probes = grid_probes(rng, classifier, rows)
+    assert np.array_equal(predict_proba(classifier, probes), predict_reference(classifier, probes))
+    for x in probes[:2]:
+        assert predict_proba(classifier, x) == predict_reference(classifier, x)
+
 
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
@@ -770,6 +865,21 @@ class TestPersistence:
         payload = forest_payload([0], [0, -1], [0.5, 0.0], [1, -1], [-1, -1], [0.0, 0.5])
         with pytest.raises(ValueError, match="child"):
             classifier_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("left, right, feature, node, parents", [
+        ([1, -1, -1], [1, -1, -1], [0, -1, -1], 1, 2),  # one node as both children; node 2 unreached
+        ([1, -1, -1, -1], [2, -1, -1, -1], [0, -1, -1, -1], 3, 0),  # node 3: no parent points to it
+    ], ids=["shared-child", "orphan"])
+    def test_validation_one_parent_per_node(self, tmp_path, left, right, feature, node, parents):
+        """Every node but a root is the child of exactly one node, else the
+        load is refused, naming the file."""
+        size = len(left)
+        payload = forest_payload([0], feature, [0.5] + [0.0] * (size - 1), left, right,
+                                 [0.0] + [0.25] * (size - 1))
+        path = tmp_path / "shapes.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=rf"shapes\.json: node {node} is the child of {parents} nodes"):
+            load_classifier(path)
 
     def test_validation_feature_range(self):
         payload = forest_payload(

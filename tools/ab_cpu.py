@@ -4,9 +4,14 @@ Imports ``src/rolerank`` of each checkout under its own module name
 (``rolerank_a``, ``rolerank_b``), then times ``--reps`` pairs of runs with
 ``time.process_time``, A first in even pairs and B first in odd ones,
 after one untimed warm-up run of each. A run is ``train_skipgram`` on the
-chosen corpus, or with ``--pipeline`` an in-process ``rolerank pipeline``
+chosen corpus; with ``--pipeline`` an in-process ``rolerank pipeline``
 on the benchmark's C7 set (6 SGNS epochs, 100 trees) in a fresh temporary
-directory. Corpora:
+directory; with ``--score`` one pass of the benchmark's score-stream
+workload: ``score_triples`` + ``rank`` over ``stream(2101, 12800)`` in
+64-triple batches. Its models have train-noisy's shape (``noisy(2101,
+700, 0.2)``, 100 trees, embeddings of 2 SGNS epochs on 600 of its
+triples); A trains and saves them untimed, and each side loads them.
+Corpora:
 
   c7       the benchmark generator's C7 set (``labeled(2101, 400)``),
            pooled as ``build_corpus`` pools it, 6 epochs;
@@ -16,11 +21,13 @@ directory. Corpora:
 
 It prints each side's median CPU seconds, their ratio, the pairs B won
 and whether every run's digest (the vectors, output vectors and losses,
-or every file the pipeline wrote and its stdout) equals A's first, and
-exits 1 if one does not. Run from anywhere, with one BLAS thread unless
+every file the pipeline wrote and its stdout, or every scored triple's id,
+score and fallback flag in rank order) equals A's first, and exits 1 if
+one does not. Run from anywhere, with one BLAS thread unless
 ``OPENBLAS_NUM_THREADS`` says otherwise:
 
     python tools/ab_cpu.py PARENT_CHECKOUT CHANGE_CHECKOUT --corpus zipf10k --reps 10
+    python tools/ab_cpu.py PARENT_CHECKOUT CHANGE_CHECKOUT --score --reps 10
 """
 
 import argparse
@@ -44,8 +51,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import gen  # noqa: E402
 
-SEED = 2101  # of the C7 set, SGNS and the pipeline run
+SEED = 2101  # of the C7 set, SGNS, the pipeline run and the score stream
 C7_EPOCHS = 6
+BATCH = 64  # triples a score_triples call takes, as in the benchmark
 
 
 def load(checkout: str, name: str):
@@ -104,20 +112,64 @@ def pipeline_run(package):
     return seconds, digest.hexdigest()
 
 
+def score_bundles(sides, tmp: str):
+    """Train-noisy-shaped models and embeddings, trained and saved by side A
+    into ``tmp``, then loaded by each side: one ModelBundle per side."""
+    a = sides[0]
+    labeled = a.parse_triples(gen.to_jsonl(gen.noisy(SEED, 700, 0.2)).splitlines())
+    corpus = a.build_corpus(labeled[:: len(labeled) // 600])
+    embedding = a.finalize(a.train_skipgram(corpus, a.EmbeddingConfig(epochs=2, seed=SEED)))
+    trained = a.train_role_models(labeled, embedding, a.ForestConfig(n_trees=100, seed=SEED))
+    a.save_embedding(embedding, Path(tmp, "embeddings.txt"))
+    for role, classifier in trained.classifiers.items():
+        a.save_classifier(classifier, Path(tmp, f"{role}.json"))
+    roles = sorted(trained.classifiers)
+    return [package.ModelBundle(
+        embedding=package.load_embedding(Path(tmp, "embeddings.txt")),
+        classifiers={role: package.load_classifier(Path(tmp, f"{role}.json")) for role in roles},
+        skipped_roles=[],
+    ) for package in sides]
+
+
+def score_run(package, bundle, batches):
+    """One pass of ``score_triples`` + ``rank`` over the batches: its CPU
+    seconds and the digest of every ranked (id, score, fallback)."""
+    start = time.process_time()
+    ranked = [package.rank(package.score_triples(batch, bundle)) for batch in batches]
+    seconds = time.process_time() - start
+    digest = hashlib.sha256()
+    for s in (s for batch in ranked for s in batch):
+        digest.update(f"{s.triple.id}\t{s.score!r}\t{s.oov_fallback}\n".encode())
+    return seconds, digest.hexdigest()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout_a")
     parser.add_argument("checkout_b")
     parser.add_argument("--corpus", choices=("c7", "zipf10k"), default="c7")
     parser.add_argument("--pipeline", action="store_true", help="time rolerank pipeline (c7 only)")
+    parser.add_argument("--score", action="store_true", help="time a score-stream pass")
     parser.add_argument("--reps", type=int, default=10)
     args = parser.parse_args()
     if args.reps < 1:
         parser.error("--reps must be >= 1")
     if args.pipeline and args.corpus != "c7":
         parser.error("--pipeline runs on the c7 set only")
+    if args.score and (args.pipeline or args.corpus != "c7"):
+        parser.error("--score takes neither --pipeline nor --corpus")
     sides = [load(args.checkout_a, "rolerank_a"), load(args.checkout_b, "rolerank_b")]
-    if args.pipeline:
+    if args.score:
+        with tempfile.TemporaryDirectory() as tmp:
+            bundles = score_bundles(sides, tmp)
+        lines = gen.to_jsonl(gen.stream(SEED, 200 * BATCH)[0]).splitlines()
+        runs = []
+        for package, bundle in zip(sides, bundles):
+            triples = package.parse_triples(lines)
+            batches = [triples[i:i + BATCH] for i in range(0, len(triples), BATCH)]
+            runs.append(lambda package=package, bundle=bundle, batches=batches:
+                        score_run(package, bundle, batches))
+    elif args.pipeline:
         runs = [lambda package=package: pipeline_run(package) for package in sides]
     else:
         if args.corpus == "c7":

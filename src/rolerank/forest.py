@@ -9,8 +9,8 @@ fraction over trees, read as a probability in [0, 1].
 
 A forest's trees grow together, in rounds. Each tree keeps its own RNG
 and bootstrap, row t of one (trees, n) matrix of draw counts, and
-searches its nodes in preorder, so its draws and nodes are those of
-growing it alone. A node that needs a split search waits on its tree's
+searches its nodes depth first, left child first, so its draws and nodes
+are those of growing it alone. A node that needs a split search waits on its tree's
 row of one forest-wide stack; each round pops one node of every tree
 with one left and searches them all together. Every live tree is thus at
 the same place in its stream of candidate sets, and one call draws the
@@ -24,15 +24,16 @@ node's cuts near its best ratio and exact integer arithmetic settles the
 winner. A search returns only what growth reads: each node's feature,
 threshold and left child's counts, not the decrease.
 
-A forest is the struct-of-arrays layout of scikit-learn's ``Tree``: the
-nodes of all trees, in preorder, as arrays ``feature``, ``threshold``,
-``left``, ``right`` and ``value``, plus each tree's first node in
-``roots``. Model files store these arrays. A batch is predicted over a
-copy of them, derived on a classifier's first prediction, in which a
-node's two children sit side by side (the predication layout of Asadi,
-Lin & de Vries, TKDE 2014): the live (tree, row) pairs step
-WALK_LEVELS levels by ``base + (x > threshold)``, a leaf looping to
-itself, and pairs that reached a leaf are dropped between those runs.
+A forest is the struct-of-arrays layout of scikit-learn's ``Tree``, its
+nodes numbered as the fit makes them: node t < n_trees is tree t's root,
+an internal node's children are ``left`` and ``left + 1``, and the nodes
+of different trees interleave. Arrays ``feature``, ``threshold``,
+``left`` and ``value`` hold them, and model files store these arrays.
+Siblings sitting side by side is the predication layout of Asadi, Lin &
+de Vries (TKDE 2014): the live (tree, row) pairs of a batch step
+WALK_LEVELS levels by ``left + (x > threshold)`` over a copy, made on a
+classifier's first prediction, in which a leaf loops to itself, and
+pairs that reached a leaf are dropped between those runs.
 
 Given a seed the whole construction is deterministic: per-tree RNGs are
 derived from (seed, tree index), and split ties break toward the lower
@@ -72,47 +73,36 @@ class ForestConfig:
 
 
 # node array -> dtype. A node with left == -1 is a leaf whose value is its
-# positive fraction (feature, threshold, right written as -1, 0.0, -1); an
+# positive fraction (feature and threshold written as -1 and 0.0); an
 # internal node (value 0.0) sends x to left if x[feature] <= threshold,
-# else to right.
-NODE_ARRAYS = {
-    "feature": np.int64, "threshold": np.float64, "left": np.int64, "right": np.int64,
-    "value": np.float64,
-}
+# else to left + 1.
+NODE_ARRAYS = {"feature": np.int64, "threshold": np.float64, "left": np.int64, "value": np.float64}
 
 
 @dataclass
 class RoleClassifier:
-    """One role's forest: tree ``t`` is nodes ``roots[t]`` up to the next root."""
+    """One role's forest: node ``t < config.n_trees`` is tree t's root, and
+    an internal node's children are ``left`` and ``left + 1``."""
 
     role: str
     config: ForestConfig
     training_size: tuple[int, int]  # (positives, negatives) actually trained on
     n_features: int
-    roots: np.ndarray  # (n_trees,) int64
     feature: np.ndarray  # each NODE_ARRAYS entry is (nodes,) of its dtype
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
 
     @functools.cached_property
-    def _walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """predict_proba's (feature, threshold, base, value) copy of the
-        forest: roots are 0..trees-1, an internal node's children are
-        ``base`` and ``base + 1``, and a leaf is its own base, with feature
-        0 and a threshold no row exceeds. Built on first use, so the node
-        arrays must not change after it; never saved or compared."""
-        internal, trees, size = np.flatnonzero(self.left >= 0), len(self.roots), len(self.left)
-        left = np.arange(trees, size, 2)  # each internal node's left child in the copy
-        new = np.empty(size, dtype=np.int64)  # each node's id in the copy
-        new[self.roots], new[self.left[internal]], new[self.right[internal]] = range(trees), left, left + 1
-        feature, threshold, base = np.zeros(size, dtype=np.int64), np.full(size, np.inf), np.arange(size)
-        at = new[internal]
-        feature[at], threshold[at], base[at] = self.feature[internal], self.threshold[internal], left
-        value = np.empty(size)
-        value[new] = self.value
-        return feature, threshold, base, value
+    def _walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """predict_proba's (feature, threshold, base) copy of the forest:
+        an internal node's children are ``base`` and ``base + 1``, and a
+        leaf is its own base, with feature 0 and a threshold no row
+        exceeds. Built on first use, so the node arrays must not change
+        after it; never saved or compared."""
+        leaf = self.left < 0
+        return (np.where(leaf, 0, self.feature), np.where(leaf, np.inf, self.threshold),
+                np.where(leaf, np.arange(len(leaf)), self.left))
 
 
 # Most (sample, feature) entries one batched split search sorts at once;
@@ -319,10 +309,8 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
     (id, start, stop, draws, positives, depth) whose range of two buffers,
     ``samples`` and ``weights``, holds the nonzero entries of its tree's
     row: the rows drawn and their counts. Nodes get ids as they are made,
-    roots first, and a split's children the next two. Once no tree has a
-    search left, subtree sizes number each tree's nodes in preorder (a left
-    child follows its parent, a right child its left sibling's subtree),
-    and each node is written once, at its place.
+    roots first, and a split's children the next two; those ids are the
+    classifier's node numbering.
     """
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
@@ -355,11 +343,11 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
     samples = np.remainder(flat, n, out=flat)
     del drawn
     # node rows are (id, start, stop, draws, positives, depth); root t is node t
-    roots = np.stack([np.arange(trees), bounds[:-1], bounds[1:], np.full(trees, n), positives,
-                      np.zeros(trees, dtype=np.int64)], axis=1)
+    root_rows = np.stack([np.arange(trees), bounds[:-1], bounds[1:], np.full(trees, n), positives,
+                          np.zeros(trees, dtype=np.int64)], axis=1)
     stack, height = np.empty((trees, 8, 6), dtype=np.int64), np.zeros(trees, dtype=np.int64)
-    search = _needs_search(roots, config)
-    stack[search, 0], height[search] = roots[search], 1
+    search = _needs_search(root_rows, config)
+    stack[search, 0], height[search] = root_rows[search], 1
     values, splits = [positives / n], []
     sets = _candidate_sets(rngs, d, m)  # a leaf root's sets go unused; its RNG is not read again
 
@@ -395,30 +383,18 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
             height[t] += 1
     del samples, weights, stack  # 16% of the fit's peak on the train-noisy shape, 44% on 20,000 rows
 
-    size = np.ones(made, dtype=np.int64)
-    # a node's descendants split in later rounds than it: subtree sizes sum
-    # up from the last round, and preorder places go down from the first
-    for parent, child, *_ in reversed(splits):
-        size[parent] += size[child] + size[child + 1]
-    place, feature, left, right = np.full((4, made), -1)
-    place[:trees] = np.cumsum(size[:trees]) - size[:trees]
-    threshold, value = np.zeros(made), np.empty(made)
+    feature, left = np.full((2, made), -1)
+    threshold, value = np.zeros(made), np.concatenate(values)
     for parent, child, f, t in splits:
-        at = place[parent]
-        place[child], place[child + 1] = at + 1, at + 1 + size[child]
-        feature[at], threshold[at], left[at], right[at] = f, t, place[child], place[child + 1]
-    value[place] = np.concatenate(values)
-    value[left >= 0] = 0.0
+        feature[parent], threshold[parent], left[parent], value[parent] = f, t, child, 0.0
     return RoleClassifier(
         role=role,
         config=config,
         training_size=(pos, n - pos),
         n_features=d,
-        roots=place[:trees],
         feature=feature,
         threshold=threshold,
         left=left,
-        right=right,
         value=value,
     )
 
@@ -428,17 +404,17 @@ def predict_proba(classifier: RoleClassifier, x: np.ndarray) -> float | np.ndarr
 
     A (d,) vector gives a float; an (n, d) matrix gives an (n,) array, and
     every feature must be finite. Every (tree, row) pair starts at its
-    tree's root in the sibling-adjacent copy ``classifier._walk``; the
-    pairs still live step WALK_LEVELS levels together, a leaf keeping its
-    pairs in place, and then the pairs at a leaf are dropped.
+    tree's root in ``classifier._walk``; the pairs still live step
+    WALK_LEVELS levels together, a leaf keeping its pairs in place, and
+    then the pairs at a leaf are dropped.
     """
     x = np.asarray(x, dtype=np.float64)
     d = classifier.n_features
     if x.shape != (d,) and (x.ndim != 2 or x.shape[1] != d):
         raise ValueError(f"expected vectors of dimension {d}, got shape {x.shape}")
     _check_finite(x.reshape(-1, d))
-    feature, threshold, base, value = classifier._walk
-    flat, n, trees = x.ravel(), x.size // d, len(classifier.roots)
+    feature, threshold, base = classifier._walk
+    flat, n, trees = x.ravel(), x.size // d, classifier.config.n_trees
     node = np.repeat(np.arange(trees), n)  # pair t * n + i is (tree t, row i)
     live = np.flatnonzero(base[node] != node)
     at, offset = node[live], live % n * d  # offset: row i's start in flat
@@ -450,7 +426,7 @@ def predict_proba(classifier: RoleClassifier, x: np.ndarray) -> float | np.ndarr
         live, at, offset = live.take(keep), at.take(keep), offset.take(keep)
     # add.accumulate adds the trees strictly in order, so each score is
     # bit-identical to a running sum over the trees; np.sum may pair terms
-    scores = np.add.accumulate(value[node].reshape(trees, n), axis=0)[-1] / trees
+    scores = np.add.accumulate(classifier.value[node].reshape(trees, n), axis=0)[-1] / trees
     return float(scores[0]) if x.ndim == 1 else scores
 
 
@@ -465,7 +441,7 @@ def _json_parts(classifier: RoleClassifier):
         "n_features": classifier.n_features,
     }
     yield json.dumps(header, separators=(",", ":"))[:-1]
-    for name in ("roots", *NODE_ARRAYS):
+    for name in NODE_ARRAYS:
         yield f',"{name}":' + json.dumps(getattr(classifier, name).tolist(), separators=(",", ":"))
     yield "}"
 
@@ -494,40 +470,38 @@ def _number_array(obj, name: str, dtype) -> np.ndarray:
 
 def _check_nodes(c: RoleClassifier) -> None:
     """Vectorised structural checks of a loaded forest's node arrays."""
-    size = len(c.feature)
+    size, trees = len(c.feature), c.config.n_trees
     if any(len(getattr(c, name)) != size for name in NODE_ARRAYS):
         raise ValueError("node arrays differ in length")
-    roots = c.roots
-    if len(roots) != c.config.n_trees:
-        raise ValueError(f"expected {c.config.n_trees} trees, found {len(roots)}")
-    if roots[0] != 0 or np.any(roots[1:] <= roots[:-1]) or roots[-1] >= size:
-        raise ValueError("roots must start at 0 and increase strictly inside the node arrays")
+    if size < trees:
+        raise ValueError(f"expected {trees} trees, found {size} nodes")
     if not np.all(np.isfinite(c.threshold)):
         raise ValueError("non-finite split threshold")
-    if not np.all((c.value >= 0.0) & (c.value <= 1.0)):
+    if not np.all(~np.signbit(c.value) & (c.value <= 1.0)):  # -0.0 would score -0.0
         raise ValueError("leaf fraction outside [0, 1]")
     internal = c.left >= 0
-    parents = np.flatnonzero(internal)
+    parents, leaves = np.flatnonzero(internal), ~internal
     if np.any((c.feature[parents] < 0) | (c.feature[parents] >= c.n_features)):
         raise ValueError(f"feature index out of range [0, {c.n_features})")
-    tree_end = np.append(roots[1:], size)[np.searchsorted(roots, parents, side="right") - 1]
-    for children in (c.left[parents], c.right[parents]):
-        if np.any((children <= parents) | (children >= tree_end)):
-            raise ValueError("a child index must lie after its parent, inside its tree")
-    # so no root is a child; predict_proba's copy places each child beside
-    # its sibling, which needs every other node to have exactly one parent
-    count = np.bincount(np.concatenate([c.left[parents], c.right[parents]]), minlength=size)
-    count[roots] += 1
-    if len(bad := np.flatnonzero(count != 1)):
-        raise ValueError(f"node {bad[0]} is the child of {count[bad[0]]} nodes; "
-                         "every node but a root must be the child of exactly one")
+    # unused slots hold one value each, so that one model has one file (a
+    # leaf's threshold is compared bit for bit, as -0.0 == 0.0)
+    if np.any((c.left[leaves] != -1) | (c.feature[leaves] != -1) | (c.threshold[leaves].view(np.int64) != 0)):
+        raise ValueError("a leaf must have left -1, feature -1 and threshold 0.0")
+    if np.any(c.value[parents] != 0.0):
+        raise ValueError("an internal node must have value 0.0")
+    children = c.left[parents]
+    if np.any((children <= parents) | (children >= size - 1)):
+        raise ValueError("a child index must lie after its parent, inside the node arrays")
+    if not np.array_equal(np.sort(children), np.arange(trees, size, 2)):
+        raise ValueError(f"the left children must be {trees}, {trees + 2}, ... each once: "
+                         "every node but a root must be the child of exactly one node")
     # children lie after their parents, so this walk ends
-    depth, level = 0, roots[internal[roots]]
+    depth, level = 0, np.flatnonzero(internal[:trees])
     while level.size:
-        depth += 1
-        if c.config.max_depth is not None and depth > c.config.max_depth:
+        if depth == c.config.max_depth:
             raise ValueError("tree deeper than config.max_depth")
-        level = np.concatenate([c.left[level], c.right[level]])
+        depth += 1
+        level = np.concatenate([c.left[level], c.left[level] + 1])
         level = level[internal[level]]
 
 
@@ -538,7 +512,11 @@ def classifier_from_json(text: str) -> RoleClassifier:
         raise ValueError(f"corrupt classifier JSON: {getattr(exc, 'msg', exc)}") from None
     if not isinstance(payload, dict):
         raise ValueError("classifier JSON must be an object")
-    for key in ("role", "config", "training_size", "n_features", "roots", *NODE_ARRAYS):
+    keys = ("role", "config", "training_size", "n_features", *NODE_ARRAYS)
+    for key in payload:
+        if key not in keys:
+            raise ValueError(f"unknown classifier JSON key {key!r}")
+    for key in keys:
         if key not in payload:
             raise ValueError(f"classifier JSON missing {key!r}")
     config_obj = payload["config"]
@@ -567,7 +545,6 @@ def classifier_from_json(text: str) -> RoleClassifier:
         config=ForestConfig(**config_obj),
         training_size=size,
         n_features=n_features,
-        roots=_number_array(payload["roots"], "roots", np.int64),
         **{name: _number_array(payload[name], name, dtype) for name, dtype in NODE_ARRAYS.items()},
     )
     _check_nodes(classifier)

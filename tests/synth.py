@@ -10,9 +10,10 @@ The helpers below the generators are the tests' references over the
 package's kernels: ``pair_loss_and_gradients`` is the one-pair view of the
 SGNS step kernel that the gradient checks difference, ``best_split`` the
 one-node view of the batched split search, ``classifier_to_json`` a model
-file's text, ``predict_reference`` the forest walk over a model's own node
-arrays and ``unigram_probabilities`` the distribution negatives are drawn
-from.
+file's text, ``preorder_json`` that text in the preorder layout the golden
+digests were recorded on, ``predict_reference`` the forest walk over a
+model's own node arrays and ``unigram_probabilities`` the distribution
+negatives are drawn from.
 """
 
 from __future__ import annotations
@@ -180,19 +181,50 @@ def classifier_to_json(classifier: RoleClassifier) -> str:
     return "".join(_json_parts(classifier))
 
 
+def preorder_json(classifier: RoleClassifier) -> str:
+    """The model text of the layout model files had before they took the
+    fit's node order: each tree's nodes depth first, left child before
+    right, as arrays ``roots`` (each tree's first node), ``feature``,
+    ``threshold``, ``left``, ``right`` and ``value``. The golden digests
+    of tests/test_forest.py were recorded over this text."""
+    c = classifier
+    order = []  # order[place] is the node written there
+    for root in range(c.config.n_trees):
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            if c.left[node] >= 0:
+                stack += [c.left[node] + 1, c.left[node]]
+    order = np.array(order, dtype=np.int64)
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))
+    kids = c.left[order]
+    internal = kids >= 0
+    arrays = {
+        "roots": place[:c.config.n_trees], "feature": c.feature[order], "threshold": c.threshold[order],
+        "left": np.where(internal, place[kids.clip(0)], -1),
+        "right": np.where(internal, place[(kids + 1).clip(0)], -1), "value": c.value[order],
+    }
+    parts = (f',"{name}":' + json.dumps(values.tolist(), separators=(",", ":"))
+             for name, values in arrays.items())
+    return next(_json_parts(c)) + "".join(parts) + "}"
+
+
 def predict_reference(classifier: RoleClassifier, x: np.ndarray) -> float | np.ndarray:
     """``predict_proba`` over the model's own node arrays: every (tree, row)
-    pair starts at its tree's root and all pairs still at an internal node
-    step down one level together, left where ``x <= threshold``."""
+    pair starts at its tree's root, node t for tree t, and all pairs still
+    at an internal node step down one level together, to ``left`` where
+    ``x <= threshold`` and to ``left + 1`` elsewhere."""
     x = np.asarray(x, dtype=np.float64)
     c, d = classifier, classifier.n_features
-    flat, n, trees = x.ravel(), x.size // d, len(c.roots)
-    node = np.repeat(c.roots, n)  # pair t * n + i is (tree t, row i)
+    flat, n, trees = x.ravel(), x.size // d, c.config.n_trees
+    node = np.repeat(np.arange(trees), n)  # pair t * n + i is (tree t, row i)
     offset = np.tile(np.arange(0, n * d, d), trees)  # row i's start in flat
     live = np.flatnonzero(c.left[node] >= 0)
     while live.size:
         at = node[live]
-        at = np.where(flat[offset[live] + c.feature[at]] <= c.threshold[at], c.left[at], c.right[at])
+        at = np.where(flat[offset[live] + c.feature[at]] <= c.threshold[at], c.left[at], c.left[at] + 1)
         node[live] = at
         live = live[c.left[at] >= 0]
     scores = np.add.accumulate(c.value[node].reshape(trees, n), axis=0)[-1] / trees

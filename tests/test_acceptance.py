@@ -237,17 +237,18 @@ def test_c6_forest_oracle_and_determinism():
     payload = json.loads(classifier_to_json(classifier))
 
     def traverse(node, x):
+        # tree t's root is node t; a split's children are left and left + 1
         while payload["left"][node] >= 0:
             if x[payload["feature"][node]] <= payload["threshold"][node]:
                 node = payload["left"][node]
             else:
-                node = payload["right"][node]
+                node = payload["left"][node] + 1
         return payload["value"][node]
 
     probes = np.random.default_rng(608).normal(size=(100, 2))
     batch = predict_proba(classifier, probes)
     for x, batch_score in zip(probes, batch):
-        oracle = np.mean([traverse(root, x) for root in payload["roots"]])
+        oracle = np.mean([traverse(root, x) for root in range(payload["config"]["n_trees"])])
         assert predict_proba(classifier, x) == pytest.approx(oracle, abs=1e-12)
         assert batch_score == pytest.approx(oracle, abs=1e-12)
     elapsed_under(t0, 30.0)

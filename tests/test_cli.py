@@ -76,6 +76,16 @@ def edited(payload, key, index, value):
     return payload
 
 
+def other_split(payload):
+    """An internal root other than the first split: tree t's root is node t."""
+    trees = payload["config"]["n_trees"]
+    return next(i for i in range(first_split(payload) + 1, trees) if payload["left"][i] >= 0)
+
+
+ONE_PARENT = "every node but a root must be the child of exactly one node"
+UNUSED_SLOT = "a leaf must have left -1, feature -1 and threshold 0.0"
+
+
 # one broken model file per case, made from a trained one, with the
 # message its load must give
 MODEL_EDITS = {
@@ -85,13 +95,16 @@ MODEL_EDITS = {
         lambda p: edited(p, "threshold", first_split(p), None), "'threshold' must be a list"),
     "leaf value 1.5": (
         lambda p: edited(p, "value", first_leaf(p), 1.5), "leaf fraction"),
+    "leaf value -0.0": (
+        lambda p: edited(p, "value", first_leaf(p), -0.0), "leaf fraction"),
     "child before parent": (
         lambda p: edited(p, "left", first_split(p), first_split(p)), "after its parent"),
     "child in next tree": (
-        lambda p: edited(p, "right", first_split(p), p["roots"][1]), "inside its tree"),
+        lambda p: edited(p, "left", first_split(p), p["left"][other_split(p)]), ONE_PARENT),
     "feature out of range": (
         lambda p: edited(p, "feature", first_split(p), p["n_features"]), "feature index"),
-    "tree count": (lambda p: dict(p, roots=p["roots"][:-1]), "expected 5 trees"),
+    "tree count": (
+        lambda p: dict(p, **{k: p[k][:4] for k in forest.NODE_ARRAYS}), "expected 5 trees, found 4 nodes"),
     "deeper than max_depth": (
         lambda p: dict(p, config=dict(p["config"], max_depth=1)), "deeper than config.max_depth"),
     "training_size not a list": (lambda p: dict(p, training_size=7), "'training_size'"),
@@ -107,11 +120,17 @@ MODEL_EDITS = {
     "child past int64": (
         lambda p: edited(p, "left", first_split(p), 2**63), "'left' holds a number out of range"),
     "value array short": (lambda p: dict(p, value=p["value"][:-1]), "node arrays differ in length"),
-    "roots not from 0": (
-        lambda p: dict(p, roots=[1, *p["roots"][1:]]), "roots must start at 0 and increase"),
-    "roots not increasing": (
-        lambda p: dict(p, roots=[0, p["roots"][2], p["roots"][1], *p["roots"][3:]]),
-        "roots must start at 0 and increase"),
+    "child pair at odd offset": (
+        lambda p: edited(p, "left", first_split(p), p["left"][first_split(p)] + 1), ONE_PARENT),
+    "orphan node": (
+        lambda p: dict(p, **{k: p[k] + [v] for k, v in zip(forest.NODE_ARRAYS, (-1, 0.0, -1, 0.5))}),
+        ONE_PARENT),
+    "leaf feature set": (lambda p: edited(p, "feature", first_leaf(p), 0), UNUSED_SLOT),
+    "leaf threshold set": (lambda p: edited(p, "threshold", first_leaf(p), 0.5), UNUSED_SLOT),
+    "leaf threshold -0.0": (lambda p: edited(p, "threshold", first_leaf(p), -0.0), UNUSED_SLOT),
+    "leaf left -2": (lambda p: edited(p, "left", first_leaf(p), -2), UNUSED_SLOT),
+    "internal value set": (
+        lambda p: edited(p, "value", first_split(p), 0.5), "an internal node must have value 0.0"),
 }
 
 

@@ -22,7 +22,7 @@ from rolerank.forest import (
     train_forest,
 )
 from rolerank.seeds import make_rng
-from synth import best_split, classifier_to_json, gini_decrease, predict_reference
+from synth import best_split, classifier_to_json, gini_decrease, predict_reference, preorder_json
 
 
 def xor_dataset(n_per_cluster=50, noise=0.1, seed=17):
@@ -294,7 +294,7 @@ class TestTrainForest:
     def test_shapes_recorded(self):
         X, y = xor_dataset(n_per_cluster=10)
         classifier = train_forest(X, y, ForestConfig(n_trees=7, seed=3), role="issuer")
-        assert len(classifier.roots) == 7
+        assert len(classifier.left) - 2 * np.count_nonzero(classifier.left >= 0) == 7  # nobody's children
         assert classifier.n_features == 2
         assert classifier.training_size == (20, 20)
         assert classifier.role == "issuer"
@@ -326,8 +326,7 @@ class TestTrainForest:
         X = np.array([[low]] * 5 + [[high]] * 5)
         y = np.array([0] * 5 + [1] * 5)
         classifier = train_forest(X, y, ForestConfig(n_trees=3, seed=1))
-        assert classifier.roots.tolist() == [0, 1, 2]
-        assert np.all(classifier.left == -1)
+        assert classifier.left.tolist() == [-1, -1, -1]
 
     def test_features_per_split_bounds(self):
         X, y = xor_dataset(n_per_cluster=5)
@@ -339,17 +338,16 @@ class TestTrainForest:
         classifier = train_forest(
             X, y, ForestConfig(n_trees=4, max_depth=2, seed=1, features_per_split=2)
         )
-        payload = json.loads(classifier_to_json(classifier))
-        depths = []
-        for root in payload["roots"]:
+        left, depths = classifier.left.tolist(), []
+        for root in range(4):
             stack = [(root, 0)]
             while stack:
                 node, depth = stack.pop()
-                if payload["left"][node] < 0:
+                if left[node] < 0:
                     depths.append(depth)
                 else:
-                    stack += [(payload["left"][node], depth + 1), (payload["right"][node], depth + 1)]
-        assert len(depths) == sum(1 for left in payload["left"] if left < 0)
+                    stack += [(left[node], depth + 1), (left[node] + 1, depth + 1)]
+        assert len(depths) == left.count(-1)
         assert max(depths) == 2
 
     def test_bootstrap_fit_property(self):
@@ -386,7 +384,7 @@ GOLDEN = [
          0.2666666666666667, 0.625, 0.8, 0.4083333333333334, 0.6125],
     ),
     # Deep, tie-rich forests on 6-d noisy data, recorded on the per-feature
-    # split search; pinned by the sha256 of the whole model JSON.
+    # split search; pinned by the sha256 of the model's preorder_json text.
     pytest.param(
         {"flip": 0.2},
         ForestConfig(n_trees=20, seed=7),
@@ -468,7 +466,7 @@ def test_golden_forest(data, config, nodes, scores):
     classifier = train_forest(*golden_dataset(data), config)
     assert len(classifier.feature) == nodes
     if isinstance(scores, str):
-        assert hashlib.sha256(classifier_to_json(classifier).encode()).hexdigest() == scores
+        assert hashlib.sha256(preorder_json(classifier).encode()).hexdigest() == scores
     else:
         assert [predict_proba(classifier, x) for x in GOLDEN_PROBES] == scores
 
@@ -507,7 +505,7 @@ def test_split_block_does_not_change_a_tree(monkeypatch, block, data, config, no
     """One node per chunk or a whole round in one chunk: the same forests."""
     monkeypatch.setattr(forest, "SPLIT_BLOCK", block)
     classifier = train_forest(*golden_dataset(data), config)
-    assert hashlib.sha256(classifier_to_json(classifier).encode()).hexdigest() == digest
+    assert hashlib.sha256(preorder_json(classifier).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("block", [1, 1 << 10], ids=["one-set-per-block", "one-block"])
@@ -516,7 +514,7 @@ def test_candidate_blocks_do_not_change_a_tree(monkeypatch, block, data, config,
     """Candidate sets drawn one per block or all in one block: the same forests."""
     monkeypatch.setattr(forest, "CANDIDATE_BLOCK", block)
     classifier = train_forest(*golden_dataset(data), config)
-    assert hashlib.sha256(classifier_to_json(classifier).encode()).hexdigest() == digest
+    assert hashlib.sha256(preorder_json(classifier).encode()).hexdigest() == digest
 
 
 @st.composite
@@ -664,21 +662,19 @@ def traverse_oracle(payload: dict, root: int, x: np.ndarray) -> float:
         if x[payload["feature"][node]] <= payload["threshold"][node]:
             node = payload["left"][node]
         else:
-            node = payload["right"][node]
+            node = payload["left"][node] + 1
     return payload["value"][node]
 
 
-def forest_payload(roots, feature, threshold, left, right, value, n_trees=None, n_features=2):
-    """A serialized forest; ``n_trees`` defaults to the number of roots."""
+def forest_payload(n_trees, feature, threshold, left, value, n_features=2):
+    """A serialized forest of ``n_trees`` trees."""
     return {
         "role": "r",
-        "config": {"n_trees": len(roots) if n_trees is None else n_trees,
-                   "max_depth": None, "min_samples_leaf": 1,
+        "config": {"n_trees": n_trees, "max_depth": None, "min_samples_leaf": 1,
                    "features_per_split": None, "seed": 0},
         "training_size": [1, 1],
         "n_features": n_features,
-        "roots": roots, "feature": feature, "threshold": threshold,
-        "left": left, "right": right, "value": value,
+        "feature": feature, "threshold": threshold, "left": left, "value": value,
     }
 
 
@@ -686,7 +682,7 @@ def leaf_forest(values, n_features):
     """One one-leaf tree per value."""
     k = len(values)
     return classifier_from_json(json.dumps(forest_payload(
-        list(range(k)), [-1] * k, [0.0] * k, [-1] * k, [-1] * k, values, n_features=n_features,
+        k, [-1] * k, [0.0] * k, [-1] * k, values, n_features=n_features,
     )))
 
 
@@ -706,7 +702,7 @@ class TestPredictProba:
         rng = np.random.default_rng(6)
         for _ in range(50):
             x = rng.normal(size=2)
-            expected = np.mean([traverse_oracle(payload, root, x) for root in payload["roots"]])
+            expected = np.mean([traverse_oracle(payload, root, x) for root in range(20)])
             assert predict_proba(classifier, x) == pytest.approx(expected, abs=1e-12)
 
     def test_matrix_equals_row_by_row(self):
@@ -774,32 +770,36 @@ def test_predict_equals_reference_walk_on_trained_forests(fit, trees, max_depth,
     on matrices of any row count and on the 1-d vector form."""
     X, y, config = fit
     classifier = train_forest(X, y, dataclasses.replace(config, n_trees=trees, max_depth=max_depth))
+    forest._check_nodes(classifier)  # the fit's own numbering is a valid model file's
     probes = grid_probes(np.random.default_rng(config.seed), classifier, rows)
     assert np.array_equal(predict_proba(classifier, probes), predict_reference(classifier, probes))
     for x in probes[:3]:
         assert predict_proba(classifier, x) == predict_reference(classifier, x)
 
 
-def chain_tree(depth, rng, start):
-    """Preorder (feature, threshold, left, right, value) rows of a tree of
-    ``depth`` levels, numbered from ``start``, each of whose internal nodes
-    has one leaf child and one child that goes deeper, on a random side."""
-    rows = []
+def chain_tree(depth, rng):
+    """A tree of ``depth`` levels, each of whose internal nodes has one leaf
+    child and one child that goes deeper, on a random side: a leaf is its
+    value, an internal node (feature, threshold, left subtree, right subtree)."""
+    if depth == 0:
+        return float(rng.integers(0, 5)) / 4
+    deeper, leaf = chain_tree(depth - 1, rng), chain_tree(0, rng)
+    split = int(rng.integers(0, 2)), float(rng.integers(-2, 3)) / 2
+    return (*split, deeper, leaf) if rng.random() < 0.5 else (*split, leaf, deeper)
 
-    def grow(level):
-        at = start + len(rows)
-        if level == depth:
-            rows.append((-1, 0.0, -1, -1, float(rng.integers(0, 5)) / 4))
-            return at
-        rows.append(None)
-        deeper_left = rng.random() < 0.5
-        left = grow(level + 1 if deeper_left else depth)
-        right = grow(depth if deeper_left else level + 1)
-        rows[at - start] = (int(rng.integers(0, 2)), float(rng.integers(-2, 3)) / 2, left, right, 0.0)
-        return at
 
-    grow(0)
-    return rows
+def numbered(trees):
+    """(feature, threshold, left, value) lists of nested trees, numbered as
+    the fit numbers its nodes: the roots first, then each internal node's
+    children as the next two nodes, breadth first."""
+    nodes, rows = list(trees), []
+    for node in nodes:  # nodes grows as the loop reads it
+        if isinstance(node, float):
+            rows.append((-1, 0.0, -1, node))
+        else:
+            rows.append((*node[:2], len(nodes), 0.0))
+            nodes += node[2:]
+    return [list(column) for column in zip(*rows)]
 
 
 K = forest.WALK_LEVELS
@@ -818,11 +818,8 @@ def test_predict_equals_reference_walk_on_leaf_roots_and_deep_chains(depths, see
     WALK_LEVELS, so pairs reach their leaves just before, at and just after
     a compaction."""
     rng = np.random.default_rng(seed)
-    roots, nodes = [], []
-    for depth in depths:
-        roots.append(len(nodes))
-        nodes += chain_tree(depth, rng, len(nodes))
-    classifier = classifier_from_json(json.dumps(forest_payload(roots, *map(list, zip(*nodes)))))
+    trees = [chain_tree(depth, rng) for depth in depths]
+    classifier = classifier_from_json(json.dumps(forest_payload(len(trees), *numbered(trees))))
     probes = grid_probes(rng, classifier, rows)
     assert np.array_equal(predict_proba(classifier, probes), predict_reference(classifier, probes))
     for x in probes[:2]:
@@ -851,40 +848,50 @@ class TestPersistence:
             load_classifier(path)
 
     def test_validation_leaf_fraction(self):
-        payload = forest_payload([0], [-1], [0.0], [-1], [-1], [1.5])
+        payload = forest_payload(1, [-1], [0.0], [-1], [1.5])
         with pytest.raises(ValueError, match="leaf fraction"):
             classifier_from_json(json.dumps(payload))
 
     def test_validation_tree_count(self):
-        payload = forest_payload([0], [-1], [0.0], [-1], [-1], [0.5], n_trees=2)
-        with pytest.raises(ValueError, match="trees"):
+        payload = forest_payload(2, [-1], [0.0], [-1], [0.5])
+        with pytest.raises(ValueError, match="expected 2 trees, found 1 nodes"):
             classifier_from_json(json.dumps(payload))
 
     def test_validation_missing_child(self):
-        # an internal node whose right child is absent
-        payload = forest_payload([0], [0, -1], [0.5, 0.0], [1, -1], [-1, -1], [0.0, 0.5])
-        with pytest.raises(ValueError, match="child"):
+        # an internal node whose right child, left + 1, is absent
+        payload = forest_payload(1, [0, -1], [0.5, 0.0], [1, -1], [0.0, 0.5])
+        with pytest.raises(ValueError, match="child index must lie after its parent, inside the node arrays"):
             classifier_from_json(json.dumps(payload))
 
-    @pytest.mark.parametrize("left, right, feature, node, parents", [
-        ([1, -1, -1], [1, -1, -1], [0, -1, -1], 1, 2),  # one node as both children; node 2 unreached
-        ([1, -1, -1, -1], [2, -1, -1, -1], [0, -1, -1, -1], 3, 0),  # node 3: no parent points to it
+    @pytest.mark.parametrize("n_trees, left", [
+        (2, [2, 2, -1, -1]),  # both roots' children are nodes 2 and 3
+        (1, [1, -1, -1, -1]),  # node 3: no parent points to it
     ], ids=["shared-child", "orphan"])
-    def test_validation_one_parent_per_node(self, tmp_path, left, right, feature, node, parents):
+    def test_validation_one_parent_per_node(self, tmp_path, n_trees, left):
         """Every node but a root is the child of exactly one node, else the
         load is refused, naming the file."""
-        size = len(left)
-        payload = forest_payload([0], feature, [0.5] + [0.0] * (size - 1), left, right,
-                                 [0.0] + [0.25] * (size - 1))
+        internal = [x >= 0 for x in left]
+        payload = forest_payload(n_trees, [0 if i else -1 for i in internal],
+                                 [0.5 if i else 0.0 for i in internal], left,
+                                 [0.0 if i else 0.25 for i in internal])
         path = tmp_path / "shapes.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=rf"shapes\.json: node {node} is the child of {parents} nodes"):
+        with pytest.raises(ValueError, match=r"shapes\.json: the left children must be .* "
+                           "every node but a root must be the child of exactly one node"):
+            load_classifier(path)
+
+    def test_preorder_file_refused_naming_its_key(self, tmp_path):
+        """A model file in the preorder layout, with ``roots`` and ``right``
+        arrays, is refused by its first unknown key, not read as another
+        forest."""
+        X, y = xor_dataset(n_per_cluster=15)
+        path = tmp_path / "old.json"
+        path.write_text(preorder_json(train_forest(X, y, ForestConfig(n_trees=9, seed=12))))
+        with pytest.raises(ValueError, match=r"old\.json: unknown classifier JSON key 'roots'"):
             load_classifier(path)
 
     def test_validation_feature_range(self):
-        payload = forest_payload(
-            [0], [5, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.0, 0.0, 1.0]
-        )
+        payload = forest_payload(1, [5, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [0.0, 0.0, 1.0])
         with pytest.raises(ValueError, match="feature index"):
             classifier_from_json(json.dumps(payload))
 
@@ -892,6 +899,6 @@ class TestPersistence:
     def test_validation_feature_count(self, n_features):
         """An all-leaf forest over no features is refused on load, not by a
         division by zero in ``predict_proba``."""
-        payload = forest_payload([0], [-1], [0.0], [-1], [-1], [0.5], n_features=n_features)
+        payload = forest_payload(1, [-1], [0.0], [-1], [0.5], n_features=n_features)
         with pytest.raises(ValueError, match=f"'n_features' must be >= 1, got {n_features}"):
             classifier_from_json(json.dumps(payload))

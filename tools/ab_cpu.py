@@ -10,7 +10,8 @@ directory; with ``--score`` one pass of the benchmark's score-stream
 workload: ``score_triples`` + ``rank`` over ``stream(2101, 12800)`` in
 64-triple batches. Its models have train-noisy's shape (``noisy(2101,
 700, 0.2)``, 100 trees, embeddings of 2 SGNS epochs on 600 of its
-triples); A trains and saves them untimed, and each side loads them.
+triples); each side trains, saves and loads its own, untimed, so the two
+sides may store models in different file formats.
 Corpora:
 
   c7       the benchmark generator's C7 set (``labeled(2101, 400)``),
@@ -112,23 +113,23 @@ def pipeline_run(package):
     return seconds, digest.hexdigest()
 
 
-def score_bundles(sides, tmp: str):
-    """Train-noisy-shaped models and embeddings, trained and saved by side A
-    into ``tmp``, then loaded by each side: one ModelBundle per side."""
-    a = sides[0]
-    labeled = a.parse_triples(gen.to_jsonl(gen.noisy(SEED, 700, 0.2)).splitlines())
-    corpus = a.build_corpus(labeled[:: len(labeled) // 600])
-    embedding = a.finalize(a.train_skipgram(corpus, a.EmbeddingConfig(epochs=2, seed=SEED)))
-    trained = a.train_role_models(labeled, embedding, a.ForestConfig(n_trees=100, seed=SEED))
-    a.save_embedding(embedding, Path(tmp, "embeddings.txt"))
-    for role, classifier in trained.classifiers.items():
-        a.save_classifier(classifier, Path(tmp, f"{role}.json"))
-    roles = sorted(trained.classifiers)
-    return [package.ModelBundle(
-        embedding=package.load_embedding(Path(tmp, "embeddings.txt")),
-        classifiers={role: package.load_classifier(Path(tmp, f"{role}.json")) for role in roles},
-        skipped_roles=[],
-    ) for package in sides]
+def score_bundle(package):
+    """Train-noisy-shaped models and embeddings, trained and saved by
+    ``package`` into a temporary directory and loaded back: its ModelBundle."""
+    labeled = package.parse_triples(gen.to_jsonl(gen.noisy(SEED, 700, 0.2)).splitlines())
+    corpus = package.build_corpus(labeled[:: len(labeled) // 600])
+    embedding = package.finalize(package.train_skipgram(corpus, package.EmbeddingConfig(epochs=2, seed=SEED)))
+    trained = package.train_role_models(labeled, embedding, package.ForestConfig(n_trees=100, seed=SEED))
+    with tempfile.TemporaryDirectory() as tmp:
+        package.save_embedding(embedding, Path(tmp, "embeddings.txt"))
+        for role, classifier in trained.classifiers.items():
+            package.save_classifier(classifier, Path(tmp, f"{role}.json"))
+        return package.ModelBundle(
+            embedding=package.load_embedding(Path(tmp, "embeddings.txt")),
+            classifiers={role: package.load_classifier(Path(tmp, f"{role}.json"))
+                         for role in sorted(trained.classifiers)},
+            skipped_roles=[],
+        )
 
 
 def score_run(package, bundle, batches):
@@ -160,11 +161,10 @@ def main() -> None:
         parser.error("--score takes neither --pipeline nor --corpus")
     sides = [load(args.checkout_a, "rolerank_a"), load(args.checkout_b, "rolerank_b")]
     if args.score:
-        with tempfile.TemporaryDirectory() as tmp:
-            bundles = score_bundles(sides, tmp)
         lines = gen.to_jsonl(gen.stream(SEED, 200 * BATCH)[0]).splitlines()
         runs = []
-        for package, bundle in zip(sides, bundles):
+        for package in sides:
+            bundle = score_bundle(package)
             triples = package.parse_triples(lines)
             batches = [triples[i:i + BATCH] for i in range(0, len(triples), BATCH)]
             runs.append(lambda package=package, bundle=bundle, batches=batches:

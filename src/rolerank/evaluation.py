@@ -17,9 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Mapping, Sequence
 
+import numpy as np
+
 from .corpus import ContextualTriple, RelevanceLabel
 from .pipeline import Features, ModelBundle, ScoredTriple, binarize_label, rank, score_triples
-from .seeds import make_rng
+from .seeds import derive_seed
 
 AGGREGATE_ROLE = "ALL"
 
@@ -83,9 +85,11 @@ def split_train_test(
     would take 56).
 
     Strata are keyed by role and binarized label (neutral its own
-    stratum), ordered canonically by triple id, and shuffled by a
-    per-stratum RNG derived from the seed, so the same seed always yields
-    the same partition regardless of input order.
+    stratum) and ordered canonically by triple id. Each stratum is then
+    shuffled by sorting one ``random_raw`` key per member, drawn from a
+    PCG64 stream seeded from (seed, role, label), ties keeping id order; so
+    the same seed always yields the same partition, whatever the input
+    order and numpy version.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie strictly between 0 and 1")
@@ -100,8 +104,8 @@ def split_train_test(
     test: list[ContextualTriple] = []
     for (role, target), members in sorted(strata.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
         members = sorted(members, key=lambda t: t.id)
-        rng = make_rng(seed, f"{role}|{target}")
-        order = rng.permutation(len(members))
+        keys = np.random.PCG64(derive_seed(seed, f"{role}|{target}")).random_raw(len(members))
+        order = np.argsort(keys, kind="stable")
         take = math.ceil(exact * len(members))
         for pos, idx in enumerate(order):
             (train if pos < take else test).append(members[idx])

@@ -7,16 +7,19 @@ distinct values) is chosen. Leaves store the positive-class fraction of
 the samples that reached them, and the forest's score is the mean leaf
 fraction over trees, read as a probability in [0, 1].
 
-A forest's trees grow together, in rounds. Each tree keeps its own RNG
-and bootstrap, row t of one (trees, n) matrix of draw counts, and
-searches its nodes depth first, left child first, so its draws and nodes
-are those of growing it alone. A node that needs a split search waits on its tree's
-row of one forest-wide stack; each round pops one node of every tree
-with one left and searches them all together. Every live tree is thus at
-the same place in its stream of candidate sets, and one call draws the
-next CANDIDATE_BLOCK sets of each, equal to per-node ``rng.choice``. A
-tree holds the rows it drew weighted by draw count (scikit-learn's
-bootstrap sample weights). X is ranked once per column; each (node,
+A forest's trees grow together, in rounds. Each tree keeps its own
+PCG64 stream and bootstrap, row t of one (trees, n) matrix of draw
+counts, and searches its nodes depth first, left child first, so its
+draws and nodes are those of growing it alone. Every number is a raw
+64-bit draw, whose stream numpy keeps fixed across versions, unlike a
+``Generator``'s: a bootstrap row is a draw modulo n, and a candidate set
+the m features of smallest keys among d draws. A node that needs a split
+search waits on its tree's row of one forest-wide stack; each round pops
+one node of every tree with one left and searches them all together.
+Every live tree is thus at the same place in its stream of candidate
+sets, and one call draws the next CANDIDATE_BLOCK sets of each. A tree
+holds the rows it drew weighted by draw count (scikit-learn's bootstrap
+sample weights). X is ranked once per column; each (node,
 candidate feature) column becomes one group of a single sort over
 integer keys (group, rank, label, draws), segmented cumulative sums give
 the draws and positives left of every cut, a float pass shortlists each
@@ -35,9 +38,9 @@ WALK_LEVELS levels by ``left + (x > threshold)`` over a copy, made on a
 classifier's first prediction, in which a leaf loops to itself, and
 pairs that reached a leaf are dropped between those runs.
 
-Given a seed the whole construction is deterministic: per-tree RNGs are
-derived from (seed, tree index), and split ties break toward the lower
-feature index and lower threshold.
+Given a seed the whole construction is deterministic: per-tree streams
+are seeded from (seed, tree index), and split ties break toward the
+lower feature index and lower threshold.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .corpus import open_atomic
-from .seeds import make_rng
+from .seeds import derive_seed
 
 
 @dataclass(frozen=True)
@@ -109,9 +112,8 @@ class RoleClassifier:
 # a round's nodes are searched in chunks of this size, and a node larger
 # than it is searched alone.
 SPLIT_BLOCK = 1 << 14
-CANDIDATE_BLOCK = 16  # candidate sets one draw takes from each tree's RNG
+CANDIDATE_BLOCK = 16  # candidate sets one draw takes from each tree's stream
 WALK_LEVELS = 4  # levels predict_proba's live pairs step between compactions
-FLOYD_TABLE = 1 << 20  # most (set, value) cells of the membership table that checks Floyd's draws
 
 
 def _sort_codes(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,37 +256,26 @@ def _check_finite(X: np.ndarray) -> None:
                          "features must be finite")
 
 
-def _candidate_sets(rngs, d, m):
-    """The next block of candidate sets of several trees, (len(rngs), block, m).
+def _candidate_sets(streams, d, m):
+    """The next block of candidate sets of several trees, (len(streams), CANDIDATE_BLOCK, m).
 
-    Row i holds ``rngs[i]``'s next ``block`` sets, equal to as many
-    successive ``rng.choice(d, size=m, replace=False)`` calls, so the RNGs
-    must stand at the same place in their streams of sets. A block is
-    CANDIDATE_BLOCK sets, drawn as numpy draws one: by Floyd's algorithm
-    from [0, j], j = d-m ... d-1, then a shuffle from [0, i], i = m-1 ... 1;
-    ``rng.integers`` over those bounds draws the same stream. The shuffle's
-    bounds are drawn, to stay on that stream, but not applied: the split
-    search sorts each set, so a set is in Floyd's draw order. Where numpy
-    takes its tail shuffle instead, a block is one ``rng.choice`` set.
+    Each tree's block is a (CANDIDATE_BLOCK, d) draw of ``random_raw``
+    keys from its PCG64 stream, and set j holds the m columns with the
+    smallest keys in row j. A key's low ``(d - 1).bit_length()`` bits are
+    overwritten with its column, so a row's keys are distinct and a set's
+    columns are read back from them. The split search sorts each set, so a
+    set is in no particular order.
     """
-    if d > 10000 and m > d // 50:  # numpy's tail shuffle is not Floyd's algorithm
-        return np.array([[rng.choice(d, size=m, replace=False)] for rng in rngs])
-    bounds = np.tile(np.r_[d - m + 1:d + 1, m:1:-1], CANDIDATE_BLOCK)
-    sets = np.empty((len(rngs), CANDIDATE_BLOCK, m), dtype=np.int64)
-    for i, rng in enumerate(rngs):
-        sets[i] = rng.integers(0, bounds).reshape(CANDIDATE_BLOCK, -1)[:, :m]
-    # a value drawn before in its set is replaced by j; a (set, value)
-    # table answers that, filled and cleared FLOYD_TABLE cells at a time
-    flat = sets.reshape(-1, m)
-    chunk = max(1, FLOYD_TABLE // d)
-    seen = np.zeros((min(len(flat), chunk), d), dtype=bool)
-    for first in range(0, len(flat), chunk):
-        part = flat[first:first + chunk]
-        row = np.arange(len(part))
-        for j, v in zip(range(d - m, d), part.T):
-            v[seen[row, v]] = j
-            seen[row, v] = True
-        seen[row[:, None], part] = False
+    bits = (d - 1).bit_length()
+    sets = np.empty((len(streams), CANDIDATE_BLOCK, m), dtype=np.int64)
+    for i, stream in enumerate(streams):
+        keys = stream.random_raw((CANDIDATE_BLOCK, d))
+        keys >>= bits
+        keys <<= bits
+        keys |= np.arange(d, dtype=np.uint64)
+        keys.partition(m - 1, axis=1)  # in place: argpartition's index array would double the peak
+        sets[i] = keys[:, :m] & ((1 << bits) - 1)
+        del keys  # before the next tree's keys are drawn
     return sets
 
 
@@ -332,10 +323,9 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
 
     trees = config.n_trees
     drawn = np.empty((trees, n), dtype=np.int64)  # first, so a huge n_trees fails at once
-    rngs = [make_rng(config.seed, f"tree{t}") for t in range(trees)]
-    for t, rng in enumerate(rngs):
-        # int64, the default: a draw of another dtype is another stream
-        drawn[t] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    streams = [np.random.PCG64(derive_seed(config.seed, f"tree{t}")) for t in range(trees)]
+    for t, stream in enumerate(streams):
+        drawn[t] = np.bincount(stream.random_raw(n) % n, minlength=n)  # modulo bias <= n / 2**64
     flat = np.flatnonzero(drawn)  # t * n + i for each row i that tree t drew
     weights = drawn.ravel()[flat]
     bounds = np.searchsorted(flat, np.arange(trees + 1) * n)
@@ -349,12 +339,12 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
     search = _needs_search(root_rows, config)
     stack[search, 0], height[search] = root_rows[search], 1
     values, splits = [positives / n], []
-    sets = _candidate_sets(rngs, d, m)  # a leaf root's sets go unused; its RNG is not read again
+    sets = _candidate_sets(streams, d, m)  # a leaf root's sets go unused; its stream is not read again
 
     made, rounds = trees, 0
     while len(live := np.flatnonzero(height)):
         if rounds and rounds % sets.shape[1] == 0:
-            sets[live] = _candidate_sets([rngs[t] for t in live], d, m)
+            sets[live] = _candidate_sets([streams[t] for t in live], d, m)
         height[live] -= 1
         nodes = stack[live, height[live]]
         feature, threshold, n_left, pos_left, rows_left = _split_batch(
@@ -483,10 +473,14 @@ def _check_nodes(c: RoleClassifier) -> None:
     parents, leaves = np.flatnonzero(internal), ~internal
     if np.any((c.feature[parents] < 0) | (c.feature[parents] >= c.n_features)):
         raise ValueError(f"feature index out of range [0, {c.n_features})")
-    # unused slots hold one value each, so that one model has one file (a
-    # leaf's threshold is compared bit for bit, as -0.0 == 0.0)
-    if np.any((c.left[leaves] != -1) | (c.feature[leaves] != -1) | (c.threshold[leaves].view(np.int64) != 0)):
+    # unused slots hold one value each, and a split threshold is not -0.0
+    # (it routes rows as 0.0 does), so that one model has one file;
+    # thresholds are compared bit for bit, as -0.0 == 0.0
+    bits = c.threshold.view(np.int64)
+    if np.any((c.left[leaves] != -1) | (c.feature[leaves] != -1) | (bits[leaves] != 0)):
         raise ValueError("a leaf must have left -1, feature -1 and threshold 0.0")
+    if np.any(bits[parents] == np.float64(-0.0).view(np.int64)):
+        raise ValueError("a split threshold must not be -0.0")
     if np.any(c.value[parents] != 0.0):
         raise ValueError("an internal node must have value 0.0")
     children = c.left[parents]

@@ -13,7 +13,9 @@ one-node view of the batched split search, ``classifier_to_json`` a model
 file's text, ``preorder_json`` that text in the preorder layout the golden
 digests were recorded on, ``predict_reference`` the forest walk over a
 model's own node arrays and ``unigram_probabilities`` the distribution
-negatives are drawn from.
+negatives are drawn from. ``bootstrap_reference``,
+``candidate_set_reference`` and ``split_order_reference`` are the draws
+of forests and splits, in plain Python over ``PCG64.random_raw``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 from rolerank.corpus import ContextualTriple, RelevanceLabel, parse_triples
 from rolerank.embedding import EmbeddingModel, Vocabulary, _sgns_step
 from rolerank.forest import RoleClassifier, _json_parts, _sort_codes, _split_batch
+from rolerank.seeds import derive_seed
 
 LABEL_CYCLE = (
     RelevanceLabel.HIGHLY_RELEVANT,
@@ -235,3 +238,28 @@ def unigram_probabilities(vocab: Vocabulary, power: float = 0.75) -> np.ndarray:
     """Each word's share of counts^power, the distribution negatives are drawn from."""
     weights = np.array([vocab.counts[w] for w in vocab.words], dtype=np.float64) ** power
     return weights / weights.sum()
+
+
+def bootstrap_reference(seed: int, tree: int, n: int) -> list[int]:
+    """The n rows tree ``tree`` of a forest seeded ``seed`` draws: each is
+    one raw 64-bit draw of the tree's PCG64 stream, modulo n."""
+    stream = np.random.PCG64(derive_seed(seed, f"tree{tree}"))
+    return [raw % n for raw in stream.random_raw(n).tolist()]
+
+
+def candidate_set_reference(stream: np.random.PCG64, d: int, m: int) -> list[int]:
+    """The next candidate set of a tree's PCG64 stream, sorted: d raw keys,
+    one a column, and the m columns whose keys are smallest, once each
+    key's low (d - 1).bit_length() bits are dropped, ties going to the
+    lower column."""
+    bits = (d - 1).bit_length()
+    keys = stream.random_raw(d).tolist()
+    return sorted(sorted(range(d), key=lambda column: (keys[column] >> bits, column))[:m])
+
+
+def split_order_reference(seed: int, role: str, target: int | None, size: int) -> list[int]:
+    """The order ``split_train_test`` takes a stratum's ``size`` members in,
+    sorted by triple id: by one raw draw each of the stratum's PCG64
+    stream, ties in id order. The first ceil(fraction * size) train."""
+    keys = np.random.PCG64(derive_seed(seed, f"{role}|{target}")).random_raw(size).tolist()
+    return sorted(range(size), key=lambda i: (keys[i], i))

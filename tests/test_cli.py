@@ -129,6 +129,8 @@ MODEL_EDITS = {
     "leaf threshold set": (lambda p: edited(p, "threshold", first_leaf(p), 0.5), UNUSED_SLOT),
     "leaf threshold -0.0": (lambda p: edited(p, "threshold", first_leaf(p), -0.0), UNUSED_SLOT),
     "leaf left -2": (lambda p: edited(p, "left", first_leaf(p), -2), UNUSED_SLOT),
+    "internal threshold -0.0": (
+        lambda p: edited(p, "threshold", first_split(p), -0.0), "a split threshold must not be -0.0"),
     "internal value set": (
         lambda p: edited(p, "value", first_split(p), 0.5), "an internal node must have value 0.0"),
 }

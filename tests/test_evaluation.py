@@ -23,8 +23,8 @@ from rolerank.evaluation import (
 )
 from rolerank.features import featurize
 from rolerank.forest import ForestConfig
-from rolerank.pipeline import ScoredTriple, train_role_models
-from synth import unit_vector_model
+from rolerank.pipeline import ScoredTriple, binarize_label, train_role_models
+from synth import split_order_reference, unit_vector_model
 
 L = RelevanceLabel
 LABELS = (L.IRRELEVANT, L.NEUTRAL, L.RELEVANT, L.HIGHLY_RELEVANT)
@@ -127,6 +127,23 @@ class TestSplitTrainTest:
         # 100 per class: the float product 0.55 * 100 is 55.00000000000001
         train, _ = split_train_test(self.balanced(200), 0.55, seed=7)
         assert len(train) == 110
+
+    @pytest.mark.parametrize("fraction, seed", [(0.3, 1), (0.5, 9), (0.9, 4)])
+    def test_strata_taken_in_reference_order(self, fraction, seed):
+        """Each stratum, sorted by id, trains its first members in
+        ``split_order_reference``'s order."""
+        triples = (self.balanced(40) + self.balanced(31, role="trustee")
+                   + [triple(f"n-{i:02d}", label=L.NEUTRAL) for i in range(7)])
+        train, _ = split_train_test(triples, fraction, seed)
+        strata: dict = {}
+        for t in sorted(triples, key=lambda t: t.id):
+            strata.setdefault((t.role, binarize_label(t.label)), []).append(t.id)
+        assert len(strata) == 5
+        expected = []
+        for (role, target), ids in strata.items():
+            take = math.ceil(Fraction(str(fraction)) * len(ids))
+            expected += [ids[i] for i in split_order_reference(seed, role, target, len(ids))[:take]]
+        assert [t.id for t in train] == sorted(expected)
 
     @given(st.integers(1, 99), st.integers(1, 2000))
     @example(55, 100)

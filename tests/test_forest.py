@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rolerank import forest
+from rolerank.evaluation import split_train_test
 from rolerank.forest import (
     ForestConfig,
     _sort_codes,
@@ -22,7 +24,16 @@ from rolerank.forest import (
     train_forest,
 )
 from rolerank.seeds import make_rng
-from synth import best_split, classifier_to_json, gini_decrease, predict_reference, preorder_json
+from synth import (
+    best_split,
+    bootstrap_reference,
+    candidate_set_reference,
+    classifier_to_json,
+    gini_decrease,
+    make_labeled_triples,
+    predict_reference,
+    preorder_json,
+)
 
 
 def xor_dataset(n_per_cluster=50, noise=0.1, seed=17):
@@ -43,6 +54,19 @@ def flipped_dataset(flip, n=400, d=6, seed=31):
     X = np.round(rng.normal(size=(n, d)), 1)
     y = (X[:, 0] + X[:, 1] * X[:, 2] > 0).astype(np.int64)
     flipped = rng.random(n) < flip
+    y[flipped] = 1 - y[flipped]
+    return X, y
+
+
+def raw_dataset(flip, n=400, d=6, seed=31):
+    """``flipped_dataset``'s shape and labels with every number drawn from
+    PCG64's raw stream, so that no ``Generator`` algorithm makes them:
+    features on a 0.1 grid in [-2, 2], and a row's label inverted where
+    its own uniform draw falls below ``flip``."""
+    uniform = (np.random.PCG64(seed).random_raw((n, d + 1)) >> 11) * 2.0**-53
+    X = np.round(uniform[:, :d] * 4 - 2, 1)
+    y = (X[:, 0] + X[:, 1] * X[:, 2] > 0).astype(np.int64)
+    flipped = uniform[:, d] < flip
     y[flipped] = 1 - y[flipped]
     return X, y
 
@@ -363,99 +387,113 @@ class TestTrainForest:
         assert all(v in (0.0, 1.0) for v in leaves)
 
 
-# Pinned on the recursive node-graph grower this layout replaced: the
-# iterative grower must reproduce its trees (and rng draws) exactly.
+# Recorded when forests first drew from PCG64's raw stream (bootstrap rows
+# as raw draws mod n, candidate sets as the m smallest of d raw keys).
 GOLDEN_PROBES = np.random.default_rng(2024).uniform(-0.5, 1.5, size=(20, 2))
 GOLDEN = [
-    (
+    pytest.param(
         {"noise": 0.1},
         ForestConfig(n_trees=20, seed=4, features_per_split=2),
-        336,
-        [1.0, 0.95, 0.95, 0.0, 0.2, 0.4, 0.5, 0.0, 0.0, 1.0,
-         0.15, 0.9, 0.0, 0.95, 0.0, 0.05, 0.95, 1.0, 0.9, 0.9],
+        316,
+        [1.0, 1.0, 0.95, 0.0, 0.0, 0.45, 0.45, 0.05, 0.0, 0.95,
+         0.25, 1.0, 0.15, 0.95, 0.0, 0.0, 0.95, 1.0, 0.9, 0.95],
+        id="xor",
     ),
-    (
+    pytest.param(
         {"noise": 0.4},
         ForestConfig(n_trees=20, seed=4, features_per_split=1, min_samples_leaf=2),
-        794,
-        [0.85, 0.8583333333333334, 0.8916666666666666, 0.12916666666666668,
-         0.32083333333333336, 0.4666666666666667, 0.425, 0.175, 0.125, 0.5125,
-         0.7125, 0.95, 0.2958333333333333, 0.875, 0.2833333333333333,
-         0.2666666666666667, 0.625, 0.8, 0.4083333333333334, 0.6125],
+        764,
+        [0.8500000000000002, 1.0, 0.9041666666666666, 0.11666666666666667,
+         0.15833333333333333, 0.5583333333333333, 0.6625, 0.275, 0.10166666666666666,
+         0.22916666666666666, 0.8, 0.875, 0.1875, 0.7666666666666667, 0.26666666666666666,
+         0.25, 0.5666666666666667, 0.8291666666666668, 0.3625, 0.8375],
+        id="xor-noisy-leaf2",
     ),
-    # Deep, tie-rich forests on 6-d noisy data, recorded on the per-feature
-    # split search; pinned by the sha256 of the model's preorder_json text.
+    # Deep, tie-rich forests on 6-d noisy data; pinned by the sha256 of the
+    # model's preorder_json text.
     pytest.param(
         {"flip": 0.2},
         ForestConfig(n_trees=20, seed=7),
-        2796,
-        "a211f5ce767df0a521a9de66811e28cfe80740758c9f03b9c3b938818bf913b3",
+        2700,
+        "2e07d4ea3376b047cdb0731a578dff8eabf5f10484aa27bb94ce1461e40d2a70",
         id="flipped",
     ),
     pytest.param(
         {"flip": 0.2},
         ForestConfig(n_trees=20, seed=7, min_samples_leaf=2, max_depth=6),
-        1298,
-        "ee60fe45182d14a5443f182b0796bfe6921eb58f30152fc0f282bd0b9273a3a3",
+        1326,
+        "a766ad7ee0275d8547676425ea550a6a11b435c38d6d5fbde4e27d695f4ab348",
         id="flipped-leaf2-depth6",
     ),
     # The shape of one role's forest in the train-noisy benchmark workload:
-    # 100 deep trees on 560 x 30; recorded on the search over every draw.
+    # 100 deep trees on 560 x 30.
     pytest.param(
         {"flip": 0.2, "n": 560, "d": 30},
         ForestConfig(n_trees=100, seed=7),
-        17984,
-        "b715e2e85251e599c5f2ec10690a8eeb4578e87949286b532ad24514c99d12f7",
+        17776,
+        "d5a49b034e26d3361f3586a0879794ebd481822631f6056a109d195b61cbc398",
         id="train-noisy-shape",
     ),
-    # Edge shapes of forest-wide growth, recorded before it on the
-    # per-tree generators: roots that are leaves (19 of 50 bootstraps miss
-    # the one positive), one tree, every feature a candidate, one level,
-    # and candidate sets on numpy's tail-shuffle path.
+    # Edge shapes of forest-wide growth: roots that are leaves (bootstraps
+    # that miss the one positive), one tree, every feature a candidate, one
+    # level, and a block of keys wider than 10,000 features.
     pytest.param(
         {"flip": 0.0, "n": 6, "d": 3, "positives": 1},
         ForestConfig(n_trees=50, seed=7),
-        152,
-        "bad20316e8af30703ce73f5b29dd8efe4b34eb3c0b19ec331a11db8d2db74a20",
+        158,
+        "36b874580b634a63049660fed2c039f0c9de8c009cf3281bd0c8af566c8b1e39",
         id="leaf-roots",
     ),
     pytest.param(
         {"flip": 0.2},
         ForestConfig(n_trees=1, seed=7),
-        147,
-        "827178a2e7e026b862aebd01190db05e204fcd6184ab1476eba18e334bb6bb06",
+        131,
+        "d703c68e547630d1287088b03885000084b83bed665e75089b87b3d713a7f632",
         id="one-tree",
     ),
     pytest.param(
         {"flip": 0.2},
         ForestConfig(n_trees=20, seed=7, features_per_split=6),
-        2426,
-        "ece7fd94d3bf6da9b6891df2cd162463dfa6422b74a20d49242b1f0f0c855e14",
+        2394,
+        "664cb6ba5f67e0ea5b0135afbc9dceae7fe8cdbc3f9cebc713bffab9db59da7a",
         id="m-equals-d",
     ),
     pytest.param(
         {"flip": 0.2},
         ForestConfig(n_trees=20, seed=7, max_depth=1),
         60,
-        "9e7554650c93a90f0e87457d5399a02301f61686bf9aa23fc67dcf9d9a6724d1",
+        "66aadc17e5a222f03e620d44d9879e702c5b306291ad2f8b50e387654020a686",
         id="depth-1",
     ),
     pytest.param(
         {"flip": 0.2, "n": 40, "d": 10001},
         ForestConfig(n_trees=4, seed=7, features_per_split=201),
         30,
-        "dc18aa94d3d2284d46311073d8f0defbc727d5eed9f6d82cc01f2fff5ca21080",
-        id="tail-shuffle",
+        "68d9e53ff01e186a21aab8554e2b347d9fb429fdf663339d92de826441dd141c",
+        id="d-10001",
+    ),
+    # Data and forest both from PCG64's raw stream: no Generator algorithm
+    # touches this digest.
+    pytest.param(
+        {"flip": 0.2, "raw": True},
+        ForestConfig(n_trees=20, seed=7),
+        2966,
+        "4ea8e0548aeb3503362868c6331cd0809efb2381fd346062b7f2f5d7df5a0c1b",
+        id="raw-data",
     ),
 ]
 
 
 def golden_dataset(data):
-    """A GOLDEN case's (X, y): ``flipped_dataset`` if it names a flip, else
-    ``xor_dataset``; ``positives`` relabels that many first rows 1, the rest 0."""
+    """A GOLDEN case's (X, y): ``flipped_dataset`` if it names a flip
+    (``raw_dataset`` if it also says ``raw``), else ``xor_dataset``;
+    ``positives`` relabels that many first rows 1, the rest 0."""
     data = dict(data)
     positives = data.pop("positives", None)
-    X, y = flipped_dataset(**data) if "flip" in data else xor_dataset(n_per_cluster=25, **data)
+    if "flip" in data:
+        X, y = (raw_dataset if data.pop("raw", False) else flipped_dataset)(**data)
+    else:
+        X, y = xor_dataset(n_per_cluster=25, **data)
     if positives is not None:
         y = (np.arange(len(y)) < positives).astype(np.int64)
     return X, y
@@ -551,85 +589,53 @@ def test_candidate_block_size_never_changes_a_tree(fit):
     assert models[0] == models[1]
 
 
-# NumPy promises no Generator stream across versions (NEP 19); this equality
-# was recorded on numpy 2.4.6, the version CI pins.
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     shape=st.integers(1, 300).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, min(d, 40)))),
     wanted=st.lists(st.integers(1, 150), min_size=1, max_size=4),
 )
-@example(seed=1, shape=(30, 1), wanted=[70])  # m = 1
+@example(seed=1, shape=(1, 1), wanted=[1])  # d = 1
 @example(seed=2, shape=(12, 12), wanted=[70, 5, 1])  # m = d
 @example(seed=3, shape=(2, 1), wanted=[20])  # d = 2
 @example(seed=4, shape=(2, 2), wanted=[20, 20])
-@example(seed=5, shape=(20000, 500), wanted=[3, 1])  # numpy's tail shuffle
-@example(seed=6, shape=(20000, 20), wanted=[14, 1])  # Floyd's algorithm beyond d = 10000
-@example(seed=7, shape=(300, 300), wanted=[14, 2])  # m = d, a long shuffle
-@example(seed=9, shape=(1, 1), wanted=[1])  # d = 1
-@example(seed=10, shape=(30, 6), wanted=[1, 1, 1])  # trees with one split search
-def test_candidate_sets_equal_successive_choice_calls(seed, shape, wanted):
-    """Blocks drawn for several trees at once hold each tree's sets of
-    successive ``rng.choice`` calls, in any order, while trees drop out
-    once they have ``wanted`` sets; after its last block a tree's RNG
-    stands where the ``rng.choice`` calls leave it. A block holds
-    CANDIDATE_BLOCK sets, or one on numpy's tail-shuffle path."""
+@example(seed=5, shape=(10001, 201), wanted=[3, 1])  # d = 10001
+@example(seed=6, shape=(30, 6), wanted=[1, 1, 1])  # trees with one split search
+@example(seed=7, shape=(30, 1), wanted=[70])  # m = 1
+def test_candidate_sets_equal_reference(seed, shape, wanted):
+    """Blocks drawn for several trees at once hold each tree's successive
+    ``candidate_set_reference`` sets, in any order, while trees drop out
+    once they have ``wanted`` sets; after its last block a tree's stream
+    stands where the reference leaves it."""
     d, m = shape
-    block = 1 if d > 10000 and m > d // 50 else forest.CANDIDATE_BLOCK
-    rngs = [np.random.default_rng([seed, t]) for t in range(len(wanted))]
+    streams = [np.random.PCG64([seed, t]) for t in range(len(wanted))]
     drawn = [[] for _ in wanted]
     while live := [t for t, count in enumerate(wanted) if len(drawn[t]) < count]:
-        sets = forest._candidate_sets([rngs[t] for t in live], d, m)
-        assert sets.shape == (len(live), block, m)
+        sets = forest._candidate_sets([streams[t] for t in live], d, m)
+        assert sets.shape == (len(live), forest.CANDIDATE_BLOCK, m)
         for t, tree_sets in zip(live, sets.tolist()):
             drawn[t] += map(sorted, tree_sets)
-    for t, rng in enumerate(rngs):
-        plain = np.random.default_rng([seed, t])
-        assert drawn[t] == [sorted(plain.choice(d, size=m, replace=False).tolist()) for _ in drawn[t]]
-        assert rng.random() == plain.random()
+    for t, stream in enumerate(streams):
+        plain = np.random.PCG64([seed, t])
+        assert drawn[t] == [candidate_set_reference(plain, d, m) for _ in drawn[t]]
+        assert stream.random_raw() == plain.random_raw()
 
 
-@pytest.mark.parametrize("shape", [(30, 6), (1000, 48), (300, 300)])
-def test_floyd_table_chunks_do_not_change_sets(monkeypatch, shape):
-    """A membership table of one, three or every set at once: the same sets."""
-    d, m = shape
-    blocks = []
-    for rows in (1, 3, 1 << 20):
-        monkeypatch.setattr(forest, "FLOYD_TABLE", rows * d)
-        rngs = [np.random.default_rng([11, t]) for t in range(3)]
-        blocks.append([forest._candidate_sets(rngs, d, m).tolist() for _ in range(3)])
-    assert blocks[0] == blocks[1] == blocks[2]
-
-
-def test_floyd_table_memory_is_bounded():
-    """20 trees' 16-set block at d = 10000 would need a 3.2 MB (set, value)
-    table at once; filled a chunk of sets at a time it takes FLOYD_TABLE."""
-    rngs = [np.random.default_rng(t) for t in range(20)]
+def test_candidate_set_memory_is_bounded():
+    """20 trees' 16-set block at d = 10000 needs one tree's (16, 10000)
+    keys at a time, 1.28 MB, partitioned in place: the sets plus 2 MiB
+    bound it, as they bounded the membership table that checked Floyd's
+    draws before the keys replaced them."""
+    streams = [np.random.PCG64(t) for t in range(20)]
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        sets = forest._candidate_sets(rngs, 10000, 100)
+        sets = forest._candidate_sets(streams, 10000, 100)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert sets.shape == (20, 16, 100)
-    assert peak <= sets.nbytes + 2 * forest.FLOYD_TABLE
-
-
-def test_tail_shuffle_sets_build_no_block_bounds(monkeypatch):
-    """Where numpy takes its tail-shuffle path every set is a plain
-    ``rng.choice``, one set per block, so no bounds tile (16 * (2m - 1)
-    values) is built."""
-    def tile(*args):
-        raise AssertionError("np.tile called")
-    monkeypatch.setattr(forest.np, "tile", tile)
-    rngs = [np.random.default_rng(8), np.random.default_rng(9)]
-    plain = [np.random.default_rng(8), np.random.default_rng(9)]
-    for _ in range(3):
-        sets = forest._candidate_sets(rngs, 20000, 20000)
-        assert sets.shape == (2, 1, 20000)
-        for drawn, rng in zip(sets, plain):
-            assert drawn[0].tolist() == rng.choice(20000, size=20000, replace=False).tolist()
+    assert peak <= 2_353_152
 
 
 def test_trees_search_their_distinct_bootstrap_rows(monkeypatch):
@@ -649,10 +655,26 @@ def test_trees_search_their_distinct_bootstrap_rows(monkeypatch):
     train_forest(X, y, config)
     assert len(first_rounds) == config.n_trees
     for t, pairs in enumerate(first_rounds):
-        draw = make_rng(config.seed, f"tree{t}").integers(0, len(y), size=len(y))
-        rows, counts = np.unique(draw, return_counts=True)
-        assert len(rows) < 0.7 * len(y)
-        assert pairs == list(zip(rows.tolist(), counts.tolist()))
+        drawn = sorted(Counter(bootstrap_reference(config.seed, t, len(y))).items())
+        assert len(drawn) < 0.7 * len(y)
+        assert pairs == drawn
+
+
+def test_forests_and_splits_make_no_generator(monkeypatch):
+    """Fits and splits draw only from PCG64's raw stream, whose bits numpy
+    keeps across versions, and never through a ``Generator``."""
+    X, y = flipped_dataset(0.2, n=100)
+    labeled = make_labeled_triples(n_per_role=20)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Generator was made")
+
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    with pytest.raises(AssertionError, match="Generator"):
+        make_rng(1, "tree0")
+    train_forest(X, y, ForestConfig(n_trees=5, seed=3))
+    split_train_test(labeled, 0.5, seed=3)
 
 
 def traverse_oracle(payload: dict, root: int, x: np.ndarray) -> float:

@@ -108,10 +108,12 @@ class EmbeddingConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
-        if self.window < 1 or self.negatives < 1 or self.epochs < 1 or self.min_count < 1:
-            raise ValueError("window, negatives, epochs and min_count must be >= 1")
+        # a seed is hashed as text and may be any integer; the other ints must fit int64
+        if not 2 <= self.dim < 2**63:
+            raise ValueError("dim must lie in [2, 2**63)")
+        for name in ("window", "negatives", "epochs", "min_count"):
+            if not 1 <= getattr(self, name) < 2**63:
+                raise ValueError(f"{name} must lie in [1, 2**63)")
         if not all(map(math.isfinite, (self.lr_initial, self.lr_final, self.subsample))):
             raise ValueError("lr_initial, lr_final and subsample must be finite")
         if not 0 < self.lr_final < self.lr_initial:

@@ -7,17 +7,17 @@ distinct values) is chosen. Leaves store the positive-class fraction of
 the samples that reached them, and the forest's score is the mean leaf
 fraction over trees, read as a probability in [0, 1].
 
-A forest's trees grow together, in rounds. Each tree keeps its own
+A forest's trees grow together, one depth at a time, as XGBoost grows
+its trees depth-wise (Chen & Guestrin 2016). Each tree keeps its own
 PCG64 stream and bootstrap, row t of one (trees, n) matrix of draw
-counts, and searches its nodes depth first, left child first, so its
-draws and nodes are those of growing it alone. Every number is a raw
-64-bit draw, whose stream numpy keeps fixed across versions, unlike a
-``Generator``'s: a bootstrap row is a draw modulo n, and a candidate set
-the m features of smallest keys among d draws. A node that needs a split
-search waits on its tree's row of one forest-wide stack; each round pops
-one node of every tree with one left and searches them all together.
-Every live tree is thus at the same place in its stream of candidate
-sets, and one call draws the next CANDIDATE_BLOCK sets of each. A tree
+counts, and draws one candidate set per node it searches, in the order
+the fit makes its nodes, so its draws and nodes are those of growing it
+alone. Every number is a raw 64-bit draw, whose stream numpy keeps fixed
+across versions, unlike a ``Generator``'s: a bootstrap row is a draw
+modulo n, and a candidate set the m features of smallest keys among d
+draws. The nodes of one depth that need a split search form the
+frontier, ordered by tree; one batched search splits them all, and
+their children that need a search are the next depth's frontier. A tree
 holds the rows it drew weighted by draw count (scikit-learn's bootstrap
 sample weights). X is ranked once per column; each (node,
 candidate feature) column becomes one group of a single sort over
@@ -65,14 +65,14 @@ class ForestConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1 or None")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise ValueError("features_per_split must be >= 1 or None")
+        if not 1 <= self.n_trees < 2**63:
+            raise ValueError("n_trees must lie in [1, 2**63)")
+        if self.max_depth is not None and not 1 <= self.max_depth < 2**63:
+            raise ValueError("max_depth must lie in [1, 2**63) or be None")
+        if not 1 <= self.min_samples_leaf < 2**63:
+            raise ValueError("min_samples_leaf must lie in [1, 2**63)")
+        if self.features_per_split is not None and not 1 <= self.features_per_split < 2**63:
+            raise ValueError("features_per_split must lie in [1, 2**63) or be None")
 
 
 # node array -> dtype. A node with left == -1 is a leaf whose value is its
@@ -109,10 +109,9 @@ class RoleClassifier:
 
 
 # Most (sample, feature) entries one batched split search sorts at once;
-# a round's nodes are searched in chunks of this size, and a node larger
+# a depth's nodes are searched in chunks of this size, and a node larger
 # than it is searched alone.
 SPLIT_BLOCK = 1 << 14
-CANDIDATE_BLOCK = 16  # candidate sets one draw takes from each tree's stream
 WALK_LEVELS = 4  # levels predict_proba's live pairs step between compactions
 
 
@@ -256,35 +255,37 @@ def _check_finite(X: np.ndarray) -> None:
                          "features must be finite")
 
 
-def _candidate_sets(streams, d, m):
-    """The next block of candidate sets of several trees, (len(streams), CANDIDATE_BLOCK, m).
+def _candidate_sets(streams, tree, d, m):
+    """One candidate set per node, (len(tree), m): node i's is drawn from
+    ``streams[tree[i]]``, and ``tree`` is in nondecreasing order.
 
-    Each tree's block is a (CANDIDATE_BLOCK, d) draw of ``random_raw``
-    keys from its PCG64 stream, and set j holds the m columns with the
-    smallest keys in row j. A key's low ``(d - 1).bit_length()`` bits are
-    overwritten with its column, so a row's keys are distinct and a set's
-    columns are read back from them. The split search sorts each set, so a
-    set is in no particular order.
+    A tree with j nodes draws a (j, d) block of ``random_raw`` keys from
+    its PCG64 stream, and its nodes' sets, in order, hold the m columns
+    with the smallest keys of each row. A key's low ``(d - 1).bit_length()``
+    bits are overwritten with its column, so a row's keys are distinct and
+    a set's columns are read back from them. The split search sorts each
+    set, so a set is in no particular order.
     """
     bits = (d - 1).bit_length()
-    sets = np.empty((len(streams), CANDIDATE_BLOCK, m), dtype=np.int64)
-    for i, stream in enumerate(streams):
-        keys = stream.random_raw((CANDIDATE_BLOCK, d))
+    sets = np.empty((len(tree), m), dtype=np.int64)
+    trees, first, count = np.unique(tree, return_index=True, return_counts=True)
+    for t, a, j in zip(trees.tolist(), first.tolist(), count.tolist()):
+        keys = streams[t].random_raw((j, d))
         keys >>= bits
         keys <<= bits
         keys |= np.arange(d, dtype=np.uint64)
         keys.partition(m - 1, axis=1)  # in place: argpartition's index array would double the peak
-        sets[i] = keys[:, :m] & ((1 << bits) - 1)
+        sets[a:a + j] = keys[:, :m] & ((1 << bits) - 1)
         del keys  # before the next tree's keys are drawn
     return sets
 
 
-def _needs_search(nodes, config):
-    """Which (id, start, stop, draws, positives, depth) node rows need a
-    split search: impure, above ``max_depth``, with draws for two leaves."""
-    draws, pos, depth = nodes[..., 3], nodes[..., 4], nodes[..., 5]
-    search = (pos > 0) & (pos < draws) & (draws >= 2 * config.min_samples_leaf)
-    return search if config.max_depth is None else search & (depth < config.max_depth)
+def _needs_search(nodes, config, depth):
+    """Which (id, start, stop, draws, positives, tree) node rows at
+    ``depth`` need a split search: impure, above ``max_depth``, with draws
+    for two leaves."""
+    draws, pos = nodes[:, 3], nodes[:, 4]
+    return (pos > 0) & (pos < draws) & (draws >= 2 * config.min_samples_leaf) & (depth != config.max_depth)
 
 
 def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str = "") -> RoleClassifier:
@@ -297,11 +298,13 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
 
     Tree t's bootstrap is row t of ``drawn``, the (trees, n) matrix of
     draw counts; its zeros are the tree's out-of-bag rows. A node is a row
-    (id, start, stop, draws, positives, depth) whose range of two buffers,
+    (id, start, stop, draws, positives, tree) whose range of two buffers,
     ``samples`` and ``weights``, holds the nonzero entries of its tree's
-    row: the rows drawn and their counts. Nodes get ids as they are made,
-    roots first, and a split's children the next two; those ids are the
-    classifier's node numbering.
+    row: the rows drawn and their counts. The trees grow one depth at a
+    time: the frontier holds the nodes of this depth that need a split
+    search, in id order, and one batched search splits them all. Nodes
+    get ids as they are made, roots first, and a split's children the next
+    two; those ids are the classifier's node numbering.
     """
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
@@ -332,46 +335,30 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
     positives = drawn @ (codes[:, 0] & 1)
     samples = np.remainder(flat, n, out=flat)
     del drawn
-    # node rows are (id, start, stop, draws, positives, depth); root t is node t
-    root_rows = np.stack([np.arange(trees), bounds[:-1], bounds[1:], np.full(trees, n), positives,
-                          np.zeros(trees, dtype=np.int64)], axis=1)
-    stack, height = np.empty((trees, 8, 6), dtype=np.int64), np.zeros(trees, dtype=np.int64)
-    search = _needs_search(root_rows, config)
-    stack[search, 0], height[search] = root_rows[search], 1
-    values, splits = [positives / n], []
-    sets = _candidate_sets(streams, d, m)  # a leaf root's sets go unused; its stream is not read again
-
-    made, rounds = trees, 0
-    while len(live := np.flatnonzero(height)):
-        if rounds and rounds % sets.shape[1] == 0:
-            sets[live] = _candidate_sets([streams[t] for t in live], d, m)
-        height[live] -= 1
-        nodes = stack[live, height[live]]
+    # node rows are (id, start, stop, draws, positives, tree); root t is node t
+    roots = np.stack([np.arange(trees), bounds[:-1], bounds[1:], np.full(trees, n), positives,
+                      np.arange(trees)], axis=1)
+    frontier, values, splits = roots[_needs_search(roots, config, 0)], [positives / n], []
+    made, depth = trees, 0
+    while len(frontier):
         feature, threshold, n_left, pos_left, rows_left = _split_batch(
-            X, codes, S, samples, weights, nodes[:, 1], nodes[:, 2],
-            sets[live, rounds % sets.shape[1]], config.min_samples_leaf)
-        rounds += 1
+            X, codes, S, samples, weights, frontier[:, 1], frontier[:, 2],
+            _candidate_sets(streams, frontier[:, 5], d, m), config.min_samples_leaf)
         # no split, or a midpoint that rounds onto the upper of two adjacent
         # floats, sends every draw left; such a node stays a leaf
-        split = n_left < nodes[:, 3]
-        parents, grown, k = nodes[split], live[split], int(split.sum())
+        split = n_left < frontier[:, 3]
+        parents, k = frontier[split], int(split.sum())
         kids = np.repeat(parents[:, None], 2, axis=1)  # (k, [left, right], node row)
         kids[:, :, 0] = made + np.arange(2 * k).reshape(k, 2)
         kids[:, 0, 2] = kids[:, 1, 1] = parents[:, 1] + rows_left[split]
         kids[:, 0, 3], kids[:, 0, 4] = n_left[split], pos_left[split]
         kids[:, 1, 3:5] -= kids[:, 0, 3:5]
-        kids[:, :, 5] += 1
-        made += 2 * k
+        made, depth = made + 2 * k, depth + 1
         splits.append((parents[:, 0], kids[:, 0, 0], feature[split], threshold[split]))
         values.append((kids[:, :, 4] / kids[:, :, 3]).ravel())
-        search = _needs_search(kids, config)
-        if height.max() + 2 > stack.shape[1]:
-            stack = np.concatenate([stack, np.empty_like(stack)], axis=1)
-        for side in (1, 0):  # the right child below the left
-            t = grown[search[:, side]]
-            stack[t, height[t]] = kids[search[:, side], side]
-            height[t] += 1
-    del samples, weights, stack  # 16% of the fit's peak on the train-noisy shape, 44% on 20,000 rows
+        kids = kids.reshape(2 * k, 6)
+        frontier = kids[_needs_search(kids, config, depth)]
+    del samples, weights  # 16% of the fit's peak on the train-noisy shape, 44% on 20,000 rows
 
     feature, left = np.full((2, made), -1)
     threshold, value = np.zeros(made), np.concatenate(values)

@@ -206,6 +206,27 @@ class TestConfig:
         assert "Traceback" not in err
         assert not (out / "embeddings.txt").exists()
 
+    @pytest.mark.parametrize("key", [
+        "embedding.dim", "embedding.window", "embedding.negatives", "embedding.epochs",
+        "embedding.min_count", "forest.n_trees", "forest.max_depth", "forest.min_samples_leaf",
+        "forest.features_per_split",
+    ])
+    def test_integer_past_int64_exits_2_naming_the_key(self, workspace, capsys, key):
+        """Every integer key but a seed must fit int64; a seed, hashed as
+        text, may be any integer."""
+        tmp, labeled, _, _ = workspace
+        path = tmp / "big.cfg"
+        path.write_text(f"{key} = {2**63 - 1}\nembedding.seed = {2**63}\nforest.seed = {10**20}\n")
+        build_run_config(path, None)
+        path.write_text(f"{key} = {2**63}\n")
+        out = tmp / "out"
+        assert run("pipeline", "--labeled", labeled, "--fractions", "0.5",
+                   "--config", path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: {key.split('.')[1]} must lie in [" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "evaluate", "pipeline"])
     def test_features_per_split_above_dim_exit_2(self, trained, tmp_path, capsys, command):
         _, labeled, _, config, out = trained

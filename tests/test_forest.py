@@ -387,8 +387,9 @@ class TestTrainForest:
         assert all(v in (0.0, 1.0) for v in leaves)
 
 
-# Recorded when forests first drew from PCG64's raw stream (bootstrap rows
-# as raw draws mod n, candidate sets as the m smallest of d raw keys).
+# Recorded when trees first grew one depth at a time, drawing from PCG64's
+# raw stream (bootstrap rows as raw draws mod n, candidate sets as the m
+# smallest of d raw keys, one set per node in the order the fit makes them).
 GOLDEN_PROBES = np.random.default_rng(2024).uniform(-0.5, 1.5, size=(20, 2))
 GOLDEN = [
     pytest.param(
@@ -402,11 +403,11 @@ GOLDEN = [
     pytest.param(
         {"noise": 0.4},
         ForestConfig(n_trees=20, seed=4, features_per_split=1, min_samples_leaf=2),
-        764,
-        [0.8500000000000002, 1.0, 0.9041666666666666, 0.11666666666666667,
-         0.15833333333333333, 0.5583333333333333, 0.6625, 0.275, 0.10166666666666666,
-         0.22916666666666666, 0.8, 0.875, 0.1875, 0.7666666666666667, 0.26666666666666666,
-         0.25, 0.5666666666666667, 0.8291666666666668, 0.3625, 0.8375],
+        756,
+        [0.9166666666666667, 1.0, 0.925, 0.14166666666666666, 0.29583333333333334,
+         0.5833333333333334, 0.7083333333333333, 0.3333333333333333, 0.1875, 0.4333333333333333,
+         0.7833333333333333, 0.9875, 0.25, 0.8083333333333333, 0.26666666666666666, 0.2375,
+         0.6833333333333333, 0.8625, 0.5458333333333334, 0.9],
         id="xor-noisy-leaf2",
     ),
     # Deep, tie-rich forests on 6-d noisy data; pinned by the sha256 of the
@@ -414,15 +415,15 @@ GOLDEN = [
     pytest.param(
         {"flip": 0.2},
         ForestConfig(n_trees=20, seed=7),
-        2700,
-        "2e07d4ea3376b047cdb0731a578dff8eabf5f10484aa27bb94ce1461e40d2a70",
+        2696,
+        "8cc974fc17bf29f4691b5d8dd2f90360e5c3117e2373c56e8965be342b6bd6fe",
         id="flipped",
     ),
     pytest.param(
         {"flip": 0.2},
         ForestConfig(n_trees=20, seed=7, min_samples_leaf=2, max_depth=6),
-        1326,
-        "a766ad7ee0275d8547676425ea550a6a11b435c38d6d5fbde4e27d695f4ab348",
+        1328,
+        "d9bf7bee98db8f75943bd500c579bc275960efeb0d4f0bb50fffee1446f50d8e",
         id="flipped-leaf2-depth6",
     ),
     # The shape of one role's forest in the train-noisy benchmark workload:
@@ -430,13 +431,13 @@ GOLDEN = [
     pytest.param(
         {"flip": 0.2, "n": 560, "d": 30},
         ForestConfig(n_trees=100, seed=7),
-        17776,
-        "d5a49b034e26d3361f3586a0879794ebd481822631f6056a109d195b61cbc398",
+        17728,
+        "4f85dbc9e9d5eaaa28f18c3c3acbb9383f31f5b3869bb5e2ea24fce4ab3bcb31",
         id="train-noisy-shape",
     ),
     # Edge shapes of forest-wide growth: roots that are leaves (bootstraps
     # that miss the one positive), one tree, every feature a candidate, one
-    # level, and a block of keys wider than 10,000 features.
+    # level, and keys wider than 10,000 features.
     pytest.param(
         {"flip": 0.0, "n": 6, "d": 3, "positives": 1},
         ForestConfig(n_trees=50, seed=7),
@@ -448,7 +449,7 @@ GOLDEN = [
         {"flip": 0.2},
         ForestConfig(n_trees=1, seed=7),
         131,
-        "d703c68e547630d1287088b03885000084b83bed665e75089b87b3d713a7f632",
+        "2cfd01ff0fda8783e728ccf63d8f95c035ea6394a7689aad96ddcbe339af7f69",
         id="one-tree",
     ),
     pytest.param(
@@ -477,8 +478,8 @@ GOLDEN = [
     pytest.param(
         {"flip": 0.2, "raw": True},
         ForestConfig(n_trees=20, seed=7),
-        2966,
-        "4ea8e0548aeb3503362868c6331cd0809efb2381fd346062b7f2f5d7df5a0c1b",
+        3052,
+        "12c978638ad502468764e767b28615750bde9edeaaf40db8ceb4fdf1bbf28543",
         id="raw-data",
     ),
 ]
@@ -546,15 +547,6 @@ def test_split_block_does_not_change_a_tree(monkeypatch, block, data, config, no
     assert hashlib.sha256(preorder_json(classifier).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("block", [1, 1 << 10], ids=["one-set-per-block", "one-block"])
-@pytest.mark.parametrize("data, config, nodes, digest", GOLDEN[2:])  # the sha256-pinned cases
-def test_candidate_blocks_do_not_change_a_tree(monkeypatch, block, data, config, nodes, digest):
-    """Candidate sets drawn one per block or all in one block: the same forests."""
-    monkeypatch.setattr(forest, "CANDIDATE_BLOCK", block)
-    classifier = train_forest(*golden_dataset(data), config)
-    assert hashlib.sha256(preorder_json(classifier).encode()).hexdigest() == digest
-
-
 @st.composite
 def small_fits(draw):
     """A small fit: up to 60 rows of up to 12 features on a coarse grid
@@ -574,47 +566,58 @@ def small_fits(draw):
     return X, y, config
 
 
+def tree_preorder(classifier, root):
+    """Tree ``root``'s nodes depth first, left child first, each as its
+    (feature, threshold, value); a leaf's feature is -1."""
+    c, nodes, stack = classifier, [], [root]
+    while stack:
+        node = stack.pop()
+        nodes.append((int(c.feature[node]), float(c.threshold[node]), float(c.value[node])))
+        if c.left[node] >= 0:
+            stack += [c.left[node] + 1, c.left[node]]
+    return nodes
+
+
 @settings(max_examples=100, deadline=None)
-@given(small_fits())
-def test_candidate_block_size_never_changes_a_tree(fit):
-    """One candidate set per draw or CANDIDATE_BLOCK of them: the same model."""
+@given(small_fits(), st.integers(1, 4))
+def test_a_tree_does_not_depend_on_its_siblings(fit, more):
+    """Tree t of a forest with ``more`` trees beyond n is tree t of the
+    n-tree forest of the same seed: a tree's draws and nodes are those of
+    growing it alone."""
     X, y, config = fit
-    models, saved = [], forest.CANDIDATE_BLOCK
-    try:
-        for block in (1, 16):
-            forest.CANDIDATE_BLOCK = block
-            models.append(classifier_to_json(train_forest(X, y, config)))
-    finally:
-        forest.CANDIDATE_BLOCK = saved
-    assert models[0] == models[1]
+    small = train_forest(X, y, config)
+    large = train_forest(X, y, dataclasses.replace(config, n_trees=config.n_trees + more))
+    for t in range(config.n_trees):
+        assert tree_preorder(large, t) == tree_preorder(small, t)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     shape=st.integers(1, 300).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, min(d, 40)))),
-    wanted=st.lists(st.integers(1, 150), min_size=1, max_size=4),
+    calls=st.lists(st.lists(st.integers(0, 3), max_size=60).map(sorted), min_size=1, max_size=4),
 )
-@example(seed=1, shape=(1, 1), wanted=[1])  # d = 1
-@example(seed=2, shape=(12, 12), wanted=[70, 5, 1])  # m = d
-@example(seed=3, shape=(2, 1), wanted=[20])  # d = 2
-@example(seed=4, shape=(2, 2), wanted=[20, 20])
-@example(seed=5, shape=(10001, 201), wanted=[3, 1])  # d = 10001
-@example(seed=6, shape=(30, 6), wanted=[1, 1, 1])  # trees with one split search
-@example(seed=7, shape=(30, 1), wanted=[70])  # m = 1
-def test_candidate_sets_equal_reference(seed, shape, wanted):
-    """Blocks drawn for several trees at once hold each tree's successive
-    ``candidate_set_reference`` sets, in any order, while trees drop out
-    once they have ``wanted`` sets; after its last block a tree's stream
-    stands where the reference leaves it."""
+@example(seed=1, shape=(1, 1), calls=[[0]])  # d = 1
+@example(seed=2, shape=(12, 12), calls=[[0] * 70 + [1] * 5 + [2]])  # m = d
+@example(seed=3, shape=(2, 1), calls=[[0] * 20])  # d = 2
+@example(seed=4, shape=(2, 2), calls=[[0] * 20 + [1] * 20])
+@example(seed=5, shape=(10001, 201), calls=[[0, 0, 0, 1]])  # d = 10001
+@example(seed=6, shape=(30, 6), calls=[[0, 1, 2], [0, 1, 2], [0, 1, 2]])  # one node per tree and call
+@example(seed=7, shape=(30, 1), calls=[[0] * 70])  # m = 1
+@example(seed=8, shape=(30, 6), calls=[[], [1, 1], [0, 3, 3, 3]])  # calls and trees without a node
+def test_candidate_sets_equal_reference(seed, shape, calls):
+    """Over several calls, each with its nodes' tree ids in order, node i
+    gets the next ``candidate_set_reference`` set of stream ``tree[i]``;
+    afterwards each stream stands where the reference leaves it."""
     d, m = shape
-    streams = [np.random.PCG64([seed, t]) for t in range(len(wanted))]
-    drawn = [[] for _ in wanted]
-    while live := [t for t, count in enumerate(wanted) if len(drawn[t]) < count]:
-        sets = forest._candidate_sets([streams[t] for t in live], d, m)
-        assert sets.shape == (len(live), forest.CANDIDATE_BLOCK, m)
-        for t, tree_sets in zip(live, sets.tolist()):
-            drawn[t] += map(sorted, tree_sets)
+    streams = [np.random.PCG64([seed, t]) for t in range(4)]
+    drawn = [[] for _ in streams]
+    for call in calls:
+        tree = np.array(call, dtype=np.int64)
+        sets = forest._candidate_sets(streams, tree, d, m)
+        assert sets.shape == (len(tree), m)
+        for t, node_set in zip(call, sets.tolist()):
+            drawn[t].append(sorted(node_set))
     for t, stream in enumerate(streams):
         plain = np.random.PCG64([seed, t])
         assert drawn[t] == [candidate_set_reference(plain, d, m) for _ in drawn[t]]
@@ -622,19 +625,20 @@ def test_candidate_sets_equal_reference(seed, shape, wanted):
 
 
 def test_candidate_set_memory_is_bounded():
-    """20 trees' 16-set block at d = 10000 needs one tree's (16, 10000)
+    """20 trees' 16 nodes each at d = 10000 need one tree's (16, 10000)
     keys at a time, 1.28 MB, partitioned in place: the sets plus 2 MiB
     bound it, as they bounded the membership table that checked Floyd's
     draws before the keys replaced them."""
     streams = [np.random.PCG64(t) for t in range(20)]
+    tree = np.repeat(np.arange(20), 16)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        sets = forest._candidate_sets(streams, 10000, 100)
+        sets = forest._candidate_sets(streams, tree, 10000, 100)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sets.shape == (20, 16, 100)
+    assert sets.shape == (320, 100)
     assert peak <= 2_353_152
 
 
@@ -643,18 +647,18 @@ def test_trees_search_their_distinct_bootstrap_rows(monkeypatch):
     bootstrap draw, weighted by that row's draw count, not every draw."""
     X, y = flipped_dataset(0.2)
     config = ForestConfig(n_trees=8, seed=7)
-    split_batch, first_rounds = forest._split_batch, []
+    split_batch, roots = forest._split_batch, []
 
     def spy(X, codes, S, samples, weights, starts, stops, *rest):
-        if not first_rounds:
-            first_rounds.extend(sorted(zip(samples[a:b].tolist(), weights[a:b].tolist()))
+        if not roots:
+            roots.extend(sorted(zip(samples[a:b].tolist(), weights[a:b].tolist()))
                                 for a, b in zip(starts, stops))
         return split_batch(X, codes, S, samples, weights, starts, stops, *rest)
 
     monkeypatch.setattr(forest, "_split_batch", spy)
     train_forest(X, y, config)
-    assert len(first_rounds) == config.n_trees
-    for t, pairs in enumerate(first_rounds):
+    assert len(roots) == config.n_trees
+    for t, pairs in enumerate(roots):
         drawn = sorted(Counter(bootstrap_reference(config.seed, t, len(y))).items())
         assert len(drawn) < 0.7 * len(y)
         assert pairs == drawn

@@ -41,8 +41,11 @@ place among them. A negative draw takes its word through a guide table
 (``UnigramSampler``), which finds the word a binary search over the
 cumulative weights would.
 
-All randomness is driven by the config seed through named substreams
-(init / window / subsample / negatives), which makes training
+All randomness is driven by the config seed through four named PCG64
+streams (init / window / subsample / negatives), read by ``random_raw``:
+a uniform double is a raw draw's top 53 bits times 2**-53 (the doubles
+of ``Generator.random``), and a window is 1 + a raw draw modulo the
+configured window (bias at most window / 2**64). That makes training
 bit-reproducible on one machine and numpy build, whatever the number of
 BLAS threads. It is not reproducible across CPU kernels, whose SIMD
 paths sum in different orders.
@@ -60,7 +63,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import NUM_TOKEN, open_atomic, open_text, tokenize
-from .seeds import make_rng
+from .seeds import make_stream
 
 logger = logging.getLogger(__name__)
 
@@ -169,6 +172,11 @@ def build_vocabulary(corpus: Sequence[Sequence[str]], min_count: int = 1) -> Voc
     )
 
 
+def _uniform(stream: np.random.PCG64, shape) -> np.ndarray:
+    """Doubles in [0, 1) of ``shape``: each a raw draw's top 53 bits times 2**-53."""
+    return (stream.random_raw(shape) >> 11) * 2.0**-53
+
+
 SAMPLE_BLOCK = 1 << 14  # draws UnigramSampler searches at a time; bounds its temporaries
 
 
@@ -204,11 +212,11 @@ class UnigramSampler:
             walk = walk[self._cum[found[walk]] <= draws[walk]]
         return found
 
-    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n draws, SAMPLE_BLOCK at a time: the same doubles as one ``rng.random(n)``."""
+    def sample_n(self, stream: np.random.PCG64, n: int) -> np.ndarray:
+        """n draws, SAMPLE_BLOCK at a time: the same doubles as one ``_uniform(stream, n)``."""
         found = np.empty(n, dtype=np.intp)
         for start in range(0, n, SAMPLE_BLOCK):
-            draws = rng.random(min(n - start, SAMPLE_BLOCK)) * self._cum[-1]
+            draws = _uniform(stream, min(n - start, SAMPLE_BLOCK)) * self._cum[-1]
             found[start:start + len(draws)] = self._search(draws)
         return found
 
@@ -259,15 +267,15 @@ def _epoch_layouts(ids, lengths, config: EmbeddingConfig, keep: np.ndarray | Non
     """
     tokens = ids[ids >= 0]
     sentence_of = np.repeat(np.arange(len(lengths)), lengths)[ids >= 0]
-    win_rng = make_rng(config.seed, "window")
-    sub_rng = make_rng(config.seed, "subsample") if keep is not None else None
+    win_stream = make_stream(config.seed, "window")
+    sub_stream = make_stream(config.seed, "subsample") if keep is not None else None
     for _ in range(config.epochs):
         ids, sentence = tokens, sentence_of
-        if sub_rng is not None:
-            kept = sub_rng.random(len(tokens)) < keep[tokens]
+        if sub_stream is not None:
+            kept = _uniform(sub_stream, len(tokens)) < keep[tokens]
             ids, sentence = tokens[kept], sentence_of[kept]
         lengths = np.bincount(sentence)
-        windows = win_rng.integers(1, config.window + 1, size=len(ids))
+        windows = (win_stream.random_raw(len(ids)) % config.window).astype(np.intp) + 1
         paired = lengths[sentence] > 1  # a one-word sentence has no pairs
         ids, windows, lengths = ids[paired], windows[paired], lengths[lengths > 1]
         pos = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
@@ -276,11 +284,11 @@ def _epoch_layouts(ids, lengths, config: EmbeddingConfig, keep: np.ndarray | Non
         yield ids, left, right, lengths
 
 
-def _shared_negatives(sampler, rng, ids, left, right, k: int, vocab_size: int) -> np.ndarray:
+def _shared_negatives(sampler, stream, ids, left, right, k: int, vocab_size: int) -> np.ndarray:
     """(T, k) negative word ids for the epoch's T tokens, which all have a context.
 
     Row i belongs to token i, and all of its pairs share it. Slots are
-    filled row-major from ``rng``; a draw equal to any of its center's
+    filled row-major from ``stream``; a draw equal to any of its center's
     in-window context words is redrawn (again row-major over the rejected
     slots) until none is left, except for a center whose context words
     cover the whole vocabulary. Every other center has a word left to
@@ -300,11 +308,11 @@ def _shared_negatives(sampler, rng, ids, left, right, k: int, vocab_size: int) -
     covered = np.zeros(len(centers), dtype=bool)
     if vocab_size <= 2 * window:  # only then can the contexts cover the vocabulary
         covered = in_window(centers[:, None], np.arange(vocab_size)).all(axis=1)
-    negatives = sampler.sample_n(rng, len(centers) * k).reshape(-1, k)
+    negatives = sampler.sample_n(stream, len(centers) * k).reshape(-1, k)
     redraw = np.flatnonzero(in_window(centers[:, None], negatives) & ~covered[:, None])
     flat = negatives.reshape(-1)
     while len(redraw):
-        flat[redraw] = sampler.sample_n(rng, len(redraw))
+        flat[redraw] = sampler.sample_n(stream, len(redraw))
         redraw = redraw[in_window(centers[redraw // k], flat[redraw])]
     return negatives
 
@@ -432,9 +440,9 @@ def train_skipgram(
     # input vectors are rows [0, V), output vectors rows [V, 2V) of one
     # matrix, so a step is one gather and one scatter
     weights = np.zeros((2 * vocab_size, dim))
-    weights[:vocab_size] = (make_rng(config.seed, "init").random((vocab_size, dim)) - 0.5) / dim
+    weights[:vocab_size] = (_uniform(make_stream(config.seed, "init"), (vocab_size, dim)) - 0.5) / dim
     sampler = UnigramSampler(vocab, config.unigram_power)
-    neg_rng = make_rng(config.seed, "negatives")
+    neg_stream = make_stream(config.seed, "negatives")
     lr_span = config.lr_initial - config.lr_final
     denom = max(sum(epoch_pairs) - 1, 1)
     losses = []
@@ -444,7 +452,7 @@ def train_skipgram(
         for n_pairs, (ids, left, right, lengths) in zip(
             epoch_pairs, _epoch_layouts(*encoded, config, keep)
         ):
-            negatives = _shared_negatives(sampler, neg_rng, ids, left, right, k, vocab_size)
+            negatives = _shared_negatives(sampler, neg_stream, ids, left, right, k, vocab_size)
             lr = config.lr_initial - lr_span * (np.arange(pair_index, pair_index + n_pairs) / denom)
             loss_sum = _train_epoch(weights, ids, left, right, lengths, negatives, lr)
             losses.append(loss_sum / n_pairs if n_pairs else math.nan)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .corpus import ContextualTriple, RelevanceLabel
 from .pipeline import Features, ModelBundle, ScoredTriple, binarize_label, rank, score_triples
-from .seeds import derive_seed
+from .seeds import make_stream
 
 AGGREGATE_ROLE = "ALL"
 
@@ -104,7 +104,7 @@ def split_train_test(
     test: list[ContextualTriple] = []
     for (role, target), members in sorted(strata.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
         members = sorted(members, key=lambda t: t.id)
-        keys = np.random.PCG64(derive_seed(seed, f"{role}|{target}")).random_raw(len(members))
+        keys = make_stream(seed, f"{role}|{target}").random_raw(len(members))
         order = np.argsort(keys, kind="stable")
         take = math.ceil(exact * len(members))
         for pos, idx in enumerate(order):

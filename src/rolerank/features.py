@@ -48,9 +48,11 @@ def featurize(
     by one ``np.bincount`` over (row, column) keys, which adds each row's
     tokens in order from 0.0, as ``context_vector`` does.
     ``np.add.reduceat`` would not: it does not add along axis 0 in order.
-    The norms are ``sqrt(vecdot)``, the same ddot as a per-row
-    ``np.linalg.norm``; the vectorised ``axis=1`` norm can differ in the
-    last bit.
+    A row's norm is the square root of its squares summed in column
+    order by ``np.add.accumulate``: elementwise IEEE operations and one
+    sequential sum, so the rows have the same bits on every BLAS kernel.
+    A BLAS ddot (``vecdot``, ``np.linalg.norm``) sums in an order that
+    differs from kernel to kernel.
     """
     if not model.finalized:
         raise ValueError("featurize requires a finalized model")
@@ -66,7 +68,8 @@ def featurize(
         X[start:start + len(block)] = np.bincount(
             keys, weights=model.input_vectors[ids[ids >= 0]].ravel(), minlength=len(block) * d
         ).reshape(len(block), d)
-    norms = np.sqrt(np.vecdot(X, X))
+    squares = np.square(X)
+    norms = np.sqrt(np.add.accumulate(squares, axis=1, out=squares)[:, -1])
     nonzero = norms > ZERO_NORM_EPS
     X[~nonzero] = 0.0
     np.divide(X, norms[:, None], out=X, where=nonzero[:, None])

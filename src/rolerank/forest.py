@@ -53,7 +53,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .corpus import open_atomic
-from .seeds import derive_seed
+from .seeds import make_stream
 
 
 @dataclass(frozen=True)
@@ -326,7 +326,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
 
     trees = config.n_trees
     drawn = np.empty((trees, n), dtype=np.int64)  # first, so a huge n_trees fails at once
-    streams = [np.random.PCG64(derive_seed(config.seed, f"tree{t}")) for t in range(trees)]
+    streams = [make_stream(config.seed, f"tree{t}") for t in range(trees)]
     for t, stream in enumerate(streams):
         drawn[t] = np.bincount(stream.random_raw(n) % n, minlength=n)  # modulo bias <= n / 2**64
     flat = np.flatnonzero(drawn)  # t * n + i for each row i that tree t drew

@@ -2,7 +2,10 @@
 
 Every random stream in the project is derived from one master seed plus a
 short tag, so reruns with the same seed are bit-reproducible and the
-stages (embedding, forests, splits) stay decorrelated.
+stages (embedding, forests, splits) stay decorrelated. A stream is a
+PCG64 bit generator, and every draw is read from its raw 64-bit output,
+which numpy keeps fixed across versions; no ``Generator`` is made, since
+its algorithms carry no such promise (NEP 19).
 """
 
 from __future__ import annotations
@@ -22,6 +25,6 @@ def derive_seed(master: int, tag: str) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-def make_rng(seed: int, tag: str) -> np.random.Generator:
-    """PCG64 generator for the seed derived from (``seed``, ``tag``)."""
-    return np.random.Generator(np.random.PCG64(derive_seed(seed, tag)))
+def make_stream(seed: int, tag: str) -> np.random.PCG64:
+    """The PCG64 stream seeded from (``seed``, ``tag``); read it by ``random_raw``."""
+    return np.random.PCG64(derive_seed(seed, tag))

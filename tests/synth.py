@@ -13,9 +13,10 @@ one-node view of the batched split search, ``classifier_to_json`` a model
 file's text, ``preorder_json`` that text in the preorder layout the golden
 digests were recorded on, ``predict_reference`` the forest walk over a
 model's own node arrays and ``unigram_probabilities`` the distribution
-negatives are drawn from. ``bootstrap_reference``,
-``candidate_set_reference`` and ``split_order_reference`` are the draws
-of forests and splits, in plain Python over ``PCG64.random_raw``.
+negatives are drawn from. ``uniform_reference`` and ``window_reference``
+are the draws of SGNS, and ``bootstrap_reference``,
+``candidate_set_reference`` and ``split_order_reference`` those of
+forests and splits, in plain Python over ``PCG64.random_raw``.
 """
 
 from __future__ import annotations
@@ -238,6 +239,20 @@ def unigram_probabilities(vocab: Vocabulary, power: float = 0.75) -> np.ndarray:
     """Each word's share of counts^power, the distribution negatives are drawn from."""
     weights = np.array([vocab.counts[w] for w in vocab.words], dtype=np.float64) ** power
     return weights / weights.sum()
+
+
+def uniform_reference(seed: int, tag: str, n: int) -> list[float]:
+    """The first n doubles in [0, 1) of the stream seeded from (seed, tag):
+    each is one raw 64-bit draw's top 53 bits times 2**-53."""
+    stream = np.random.PCG64(derive_seed(seed, tag))
+    return [(raw >> 11) * 2.0**-53 for raw in stream.random_raw(n).tolist()]
+
+
+def window_reference(seed: int, window: int, n: int) -> list[int]:
+    """The first n effective windows of an SGNS run seeded ``seed``: each is
+    1 + one raw 64-bit draw of its ``window`` stream modulo ``window``."""
+    stream = np.random.PCG64(derive_seed(seed, "window"))
+    return [1 + raw % window for raw in stream.random_raw(n).tolist()]
 
 
 def bootstrap_reference(seed: int, tree: int, n: int) -> list[int]:

@@ -134,8 +134,7 @@ def test_c3_negative_sampling_distribution():
     corpus = [[f"w{i:02d}"] * (i + 1) for i in range(20)]
     vocab = build_vocabulary(corpus)
     sampler = UnigramSampler(vocab, power=0.75)
-    rng = np.random.default_rng(303)
-    draws = sampler.sample_n(rng, 100_000)
+    draws = sampler.sample_n(np.random.PCG64(303), 100_000)
     observed = np.bincount(draws, minlength=20)
     expected = unigram_probabilities(vocab, 0.75) * len(draws)
     result = stats.chisquare(observed, expected)

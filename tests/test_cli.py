@@ -317,7 +317,7 @@ class TestTrainEmbeddings:
         assert len(losses) == 3
         assert f"final mean loss: {losses[-1]:.6f}" in lines
 
-    @pytest.mark.parametrize("seed", [4, 7])
+    @pytest.mark.parametrize("seed", [28, 76])
     def test_one_epoch_run_just_above_its_start_is_kept(self, tmp_path, capsys, seed):
         """One epoch on three triples per role ends a few 1e-6 above
         (1 + k) ln 2, where it started, without diverging; it is kept."""

@@ -25,7 +25,15 @@ from rolerank.embedding import (
     save_embedding,
     train_skipgram,
 )
-from synth import clique_corpus, make_labeled_triples, pair_loss_and_gradients, unigram_probabilities
+from rolerank.seeds import derive_seed
+from synth import (
+    clique_corpus,
+    make_labeled_triples,
+    pair_loss_and_gradients,
+    uniform_reference,
+    unigram_probabilities,
+    window_reference,
+)
 
 
 def make_model(words, vectors, finalized=True):
@@ -102,8 +110,7 @@ class TestUnigramSampler:
     def test_power_ratio_empirical(self):
         vocab = build_vocabulary([["a"] * 16, ["b"]])
         sampler = UnigramSampler(vocab, power=0.75)
-        rng = np.random.default_rng(31)
-        draws = sampler.sample_n(rng, 100_000)
+        draws = sampler.sample_n(np.random.PCG64(31), 100_000)
         observed = np.bincount(draws, minlength=2)
         expected = unigram_probabilities(vocab, 0.75) * len(draws)
         result = stats.chisquare(observed, expected)
@@ -112,8 +119,7 @@ class TestUnigramSampler:
     def test_single_word_always_zero(self):
         vocab = build_vocabulary([["only"]])
         sampler = UnigramSampler(vocab)
-        rng = np.random.default_rng(0)
-        assert np.all(sampler.sample_n(rng, 50) == 0)
+        assert np.all(sampler.sample_n(np.random.PCG64(0), 50) == 0)
 
     def test_loaded_model_has_no_sampler(self):
         vocab = Vocabulary(words=("a",), counts={}, index={"a": 0})
@@ -154,14 +160,14 @@ class TestUnigramSampler:
 
     def test_blocks_draw_the_doubles_of_one_call(self):
         """``sample_n`` draws SAMPLE_BLOCK doubles at a time; the words equal
-        one ``rng.random(n)`` call's doubles looked up by ``searchsorted``."""
+        the stream's first n doubles looked up by ``searchsorted``."""
         from rolerank.embedding import SAMPLE_BLOCK
 
         vocab = build_vocabulary(zipf_corpus())
         sampler = UnigramSampler(vocab)
         n = 2 * SAMPLE_BLOCK + 123
-        drawn = sampler.sample_n(np.random.default_rng(3), n)
-        draws = np.random.default_rng(3).random(n) * sampler._cum[-1]
+        drawn = sampler.sample_n(np.random.PCG64(derive_seed(3, "negatives")), n)
+        draws = np.array(uniform_reference(3, "negatives", n)) * sampler._cum[-1]
         assert drawn.tolist() == np.searchsorted(sampler._cum, draws, side="right").tolist()
 
 
@@ -493,7 +499,8 @@ class TestTrainSkipgram:
         them, hashed as little-endian int64. The corpus draws 80 words by a
         Zipf law, so min_count = 3 drops the rare ones and subsampling thins
         the frequent ones: sentences of 0 and 1 words, before and after, are
-        filtered out. The arrays are integers, so the pin holds on any CPU."""
+        filtered out. The arrays are integers, so the pin holds on any CPU.
+        Recorded with the windows drawn from PCG64's raw stream."""
         from rolerank import embedding
 
         corpus = zipf_corpus()
@@ -514,23 +521,22 @@ class TestTrainSkipgram:
         config = EmbeddingConfig(dim=4, window=3, epochs=3, min_count=3, subsample=1e-2, seed=5)
         train_skipgram(corpus, config)
         assert digests == [
-            "1aa24d8f06d686166125bdb6d9aaab3b5ea4499ed74ffb30410277c6c56a7df2",
-            "195fce966f6b69913ca999188b24e6867e4115441828a07a524766cac68dcf95",
-            "d3615cb6295b294589089af581bcb37d15eaf4fd54914410d9985efd0e278812",
+            "d7030f0dc2c3bd8ca9771f6ac4275a262de1ca93d98c7b8cceb63fec17be3fd9",
+            "159b55c8113cced1ea049fc8f5bb13afa0f54fbbaa46129875c7a7d340589564",
+            "bc89279944c7ddba2edc335a356be0126b1ca2ad62974b97dd912cd96a1e6482",
         ]
 
     @pytest.mark.parametrize("case, expected", [
-        ("zipf", "2d3b5ccff463937a41bbc3aaa42c5f4e5331df23f57951f3367fb3328b77cd7d"),
-        ("c7", "d52f14fb70bacd477f3bcfac16ab4ba9fdf550f9375d19bcbb3a85ab239d1e96"),
+        ("zipf", "345b536530577ab7e0d11efd0da72428aa7631f10e3bf09314dae84e549bc76c"),
+        ("c7", "1b492593dc6d46b6f14ac1fa3c1a3b22714ff4df343665f2ee8d497cf241b527"),
     ], ids=["zipf", "c7"])
     def test_step_layouts_are_pinned(self, monkeypatch, case, expected):
         """Every step's (n_in, n_pos, flat, rate, mult), as ``_sgns_step``
         takes them, hashed as little-endian int64 and float64, on the Zipf
         corpus at min_count = 3 and subsample = 1e-2 and on C7 as C7 trains
         it. They come from the integer layout and the rate schedule, with
-        no BLAS in between, so the pin holds on any CPU. The digests were
-        recorded when the kernel still took a sign per entry, with n_pos
-        its count of -1 signs and those entries checked to come first."""
+        no BLAS in between, so the pin holds on any CPU. Recorded with the
+        windows drawn from PCG64's raw stream."""
         from rolerank import embedding
 
         if case == "zipf":
@@ -553,13 +559,13 @@ class TestTrainSkipgram:
         assert digest.hexdigest() == expected
 
     @pytest.mark.parametrize("case, expected", [
-        ("zipf", "ad637d3f169f70cd7432e2af7bd07a17fb7681aa34c30345e65e13fbc3cf0cff"),
-        ("c7", "9aaa7ee950d15e5a43d597bee6166b8f90dc6cb20cb48d911e2aec94b44e3daf"),
+        ("zipf", "61bc20486f6db6684a20595848a2834b8259471db7c8174e7853339c3b195c59"),
+        ("c7", "5217daffb33990be463867c5e17bb3088864b4ea9b3819b3a78d16765b252e56"),
     ], ids=["zipf", "c7"])
     def test_step_rows_are_pinned(self, monkeypatch, case, expected):
         """Every step's ``rows``, the stacked matrix's rows it gathers, hashed
         as little-endian int64 on the cases of ``test_step_layouts_are_pinned``.
-        Recorded when ``_steps`` took the (step, row) keys from ``np.unique``."""
+        Recorded with the windows drawn from PCG64's raw stream."""
         from rolerank import embedding
 
         corpus, config = step_layout_case(case)
@@ -572,6 +578,34 @@ class TestTrainSkipgram:
 
         monkeypatch.setattr(embedding, "_steps", recording)
         train_skipgram(corpus, config)
+        assert digest.hexdigest() == expected
+
+    @pytest.mark.parametrize("subsample, expected", [
+        (0.0, "85ab85c569eca05a113054c3c1e47d41864be3bf03bfd4d28423053d1d75f0f5"),
+        (1e-3, "e6ff065a10babf71d711f06a3df05271fc383e2de8e48a2fad0c21e113ca113d"),
+    ], ids=["no-subsample", "subsample"])
+    def test_window_one_draws_are_pinned(self, monkeypatch, subsample, expected):
+        """At window 1 every window is 1, whatever the window stream draws,
+        so the draws of the other three streams were recorded when windows
+        still came from ``Generator.integers`` and must not move: the
+        initial vectors, then each epoch's ``_train_epoch`` arguments after
+        the weights (layout, shared negatives, rates), hashed as their
+        bytes. None of them passes through BLAS, so the pin holds on any
+        CPU."""
+        from rolerank import embedding
+
+        train_epoch, digest = embedding._train_epoch, hashlib.sha256()
+
+        def recording(weights, *rest):
+            if digest.digest() == hashlib.sha256().digest():  # the first epoch
+                digest.update(weights.tobytes())
+            for array in rest:
+                digest.update(np.asarray(array).tobytes())
+            return train_epoch(weights, *rest)
+
+        monkeypatch.setattr(embedding, "_train_epoch", recording)
+        config = EmbeddingConfig(dim=4, window=1, epochs=3, min_count=3, subsample=subsample, seed=5)
+        train_skipgram(zipf_corpus(), config)
         assert digest.hexdigest() == expected
 
     @settings(max_examples=60, deadline=None)
@@ -684,13 +718,9 @@ def replay_first_epoch(corpus, config):
     context words is redrawn, row-major over the rejected slots of the
     whole epoch, unless those words cover the vocabulary.
     """
-    from rolerank.embedding import UnigramSampler, build_vocabulary
-    from rolerank.seeds import make_rng
-
     vocab = build_vocabulary(corpus)
     encoded = [[vocab.index[w] for w in sentence] for sentence in corpus]
-    windows = iter(make_rng(config.seed, "window").integers(
-        1, config.window + 1, size=sum(map(len, encoded))).tolist())
+    windows = iter(window_reference(config.seed, config.window, sum(map(len, encoded))))
     steps = []
     for sentence in encoded:
         n = len(sentence)
@@ -700,7 +730,7 @@ def replay_first_epoch(corpus, config):
                          if j != i] for i in range(n)]
             steps.append((sentence, contexts))
     stream = iter(UnigramSampler(vocab, config.unigram_power).sample_n(
-        make_rng(config.seed, "negatives"), 100_000).tolist())
+        np.random.PCG64(derive_seed(config.seed, "negatives")), 100_000).tolist())
     rows = [(contexts[i], [next(stream) for _ in range(config.negatives)])
             for _, contexts in steps for i in range(len(contexts))]
     while True:
@@ -716,10 +746,9 @@ def replay_first_epoch(corpus, config):
 
 
 def initial_vectors(vocab, config):
-    from rolerank.seeds import make_rng
-
-    inp = (make_rng(config.seed, "init").random((len(vocab), config.dim)) - 0.5) / config.dim
-    return inp, np.zeros((len(vocab), config.dim))
+    shape = (len(vocab), config.dim)
+    uniform = np.array(uniform_reference(config.seed, "init", math.prod(shape))).reshape(shape)
+    return (uniform - 0.5) / config.dim, np.zeros(shape)
 
 
 def pair_rates(config, n_pairs):

@@ -179,12 +179,17 @@ class TestBlockedSum:
         return contexts
 
     def reference(self, contexts, model):
-        """The rows and mask of ``context_vector`` / ``np.linalg.norm``, one context at a time."""
+        """The rows and mask of ``context_vector`` over its norm, one context
+        at a time: the squares summed in column order in plain Python, then
+        ``math.sqrt``, with no BLAS in between."""
         X = np.zeros((len(contexts), model.dim))
         nonzero = np.zeros(len(contexts), dtype=bool)
         for i, sentences in enumerate(contexts):
             total = context_vector(sentences, model)
-            norm = float(np.linalg.norm(total))
+            squares = 0.0
+            for x in total.tolist():
+                squares += x * x
+            norm = math.sqrt(squares)
             if norm > 1e-12:
                 X[i], nonzero[i] = total / norm, True
         return X, nonzero
@@ -208,6 +213,47 @@ class TestBlockedSum:
         model = self.model(dim)
         contexts = self.contexts(FEATURIZE_BLOCK + 7, seed=dim)
         assert featurize(contexts, model)[0].tobytes() == self.reference(contexts, model)[0].tobytes()
+
+    def test_rows_do_not_depend_on_the_blas_kernel(self, tmp_path):
+        """Given one embeddings file, the rows have the same bits on every
+        BLAS kernel. Children featurize 2,000 contexts against one saved
+        file under OPENBLAS_CORETYPE unset, Prescott and Nehalem, kernels
+        any x86-64 CPU runs, and their bytes must match; on an AVX-512 CPU
+        with numpy 2.4.6, norms taken by BLAS ddot gave three digests. An
+        OpenBLAS built without DYNAMIC_ARCH ignores the variable, and the
+        test then compares one kernel with itself."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from rolerank.embedding import save_embedding
+
+        paths = tmp_path / "emb.txt", tmp_path / "contexts.json"
+        save_embedding(self.model(), paths[0])
+        paths[1].write_text(json.dumps(self.contexts(2000, seed=9)))
+        script = (
+            "import hashlib, json, sys\n"
+            "from rolerank.embedding import load_embedding\n"
+            "from rolerank.features import featurize\n"
+            "contexts = json.load(open(sys.argv[2]))\n"
+            "X, nonzero = featurize(contexts, load_embedding(sys.argv[1]))\n"
+            "print(hashlib.sha256(X.tobytes() + nonzero.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(rolerank.__file__).resolve().parent.parent)
+        digests = []
+        for coretype in (None, "Prescott", "Nehalem"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            if coretype is not None:
+                env["OPENBLAS_CORETYPE"] = coretype
+            run = subprocess.run([sys.executable, "-c", script, *map(str, paths)], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout)
+        assert len(digests[0].split()) == 1
+        assert digests[1:] == [digests[0]] * 2
 
     def test_peak_memory_bounded_by_output(self):
         """Blocks bound the temporaries: an unblocked sum over 8,000

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rolerank import forest
-from rolerank.evaluation import split_train_test
+from rolerank.corpus import build_corpus
+from rolerank.embedding import EmbeddingConfig, finalize, train_skipgram
+from rolerank.evaluation import evaluate, split_train_test
 from rolerank.forest import (
     ForestConfig,
     _sort_codes,
@@ -23,7 +25,7 @@ from rolerank.forest import (
     save_classifier,
     train_forest,
 )
-from rolerank.seeds import make_rng
+from rolerank.pipeline import train_role_models
 from synth import (
     best_split,
     bootstrap_reference,
@@ -665,8 +667,10 @@ def test_trees_search_their_distinct_bootstrap_rows(monkeypatch):
 
 
 def test_forests_and_splits_make_no_generator(monkeypatch):
-    """Fits and splits draw only from PCG64's raw stream, whose bits numpy
-    keeps across versions, and never through a ``Generator``."""
+    """No stage makes a ``Generator``: SGNS, with subsampling on so that
+    all four of its streams draw, fits, splits, role models and evaluation
+    draw only from PCG64's raw stream, whose bits numpy keeps across
+    versions."""
     X, y = flipped_dataset(0.2, n=100)
     labeled = make_labeled_triples(n_per_role=20)
 
@@ -676,9 +680,12 @@ def test_forests_and_splits_make_no_generator(monkeypatch):
     monkeypatch.setattr(np.random, "Generator", refuse)
     monkeypatch.setattr(np.random, "default_rng", refuse)
     with pytest.raises(AssertionError, match="Generator"):
-        make_rng(1, "tree0")
+        np.random.default_rng(1)
+    config = EmbeddingConfig(dim=8, epochs=2, subsample=1e-2, seed=3)
+    embedding = finalize(train_skipgram(build_corpus(labeled), config))
     train_forest(X, y, ForestConfig(n_trees=5, seed=3))
-    split_train_test(labeled, 0.5, seed=3)
+    train, test = split_train_test(labeled, 0.5, seed=3)
+    evaluate(train_role_models(train, embedding, ForestConfig(n_trees=5, seed=3)), test)
 
 
 def traverse_oracle(payload: dict, root: int, x: np.ndarray) -> float:

@@ -5,10 +5,15 @@ pinned set of seeds. This sweep runs the same flow, in one process, on
 seed sets s = S, S + 1, ...:
 
   labeled triples   ``make_labeled_triples(n_per_role=400, seed=4s)``
-  embeddings        ``train_skipgram`` (dim 30, 6 epochs, seed 4s + 1)
-  forests           ``ForestConfig(n_trees=100, seed=4s + 2)``
+  embeddings        ``train_skipgram`` (dim 30, 6 epochs, seed 4s + 1 + K)
+  forests           ``ForestConfig(n_trees=100, seed=4s + 2 + K)``
   splits            fractions 0.1, 0.5, 0.9, each seeded
                     ``derive_seed(4s + 3, f"{fraction:g}")``
+
+``--reseed K`` adds K to every set's embedding and forest seeds and
+keeps its labeled triples and splits: the spread between a run and its
+reseeded twin is the noise those seeds alone move the numbers by, the
+reference to judge an artifact change against.
 
 A cell is one (set, role, fraction). It prints each set's worst F1 and
 NDCG over its nine cells, the means of those over the sets, the worst
@@ -36,12 +41,13 @@ FRACTIONS = (0.1, 0.5, 0.9)
 FLOOR = 0.90  # C7's threshold on every cell's F1 and NDCG
 
 
-def sweep_set(package, make_labeled_triples, s: int) -> list[tuple[str, float, float, float]]:
-    """The (role, fraction, F1, NDCG) cells of seed set ``s``."""
+def sweep_set(package, make_labeled_triples, s: int, reseed: int) -> list[tuple[str, float, float, float]]:
+    """The (role, fraction, F1, NDCG) cells of seed set ``s``, its
+    embedding and forest seeds shifted by ``reseed``."""
     labeled = make_labeled_triples(n_per_role=400, seed=4 * s)
-    config = package.EmbeddingConfig(dim=30, epochs=6, seed=4 * s + 1)
+    config = package.EmbeddingConfig(dim=30, epochs=6, seed=4 * s + 1 + reseed)
     embedding = package.finalize(package.train_skipgram(package.build_corpus(labeled), config))
-    forest_config = package.ForestConfig(n_trees=100, seed=4 * s + 2)
+    forest_config = package.ForestConfig(n_trees=100, seed=4 * s + 2 + reseed)
     cells = []
     for fraction in FRACTIONS:
         split_seed = package.seeds.derive_seed(4 * s + 3, f"{fraction:g}")
@@ -56,6 +62,8 @@ def main() -> None:
     parser.add_argument("checkout", nargs="?", default=str(ROOT))
     parser.add_argument("--sets", type=int, default=40)
     parser.add_argument("--first", type=int, default=201)
+    parser.add_argument("--reseed", type=int, default=0, metavar="K",
+                        help="add K to every set's embedding and forest seeds")
     args = parser.parse_args()
     if args.sets < 1:
         parser.error("--sets must be >= 1")
@@ -66,7 +74,7 @@ def main() -> None:
     cells, worst = [], []  # cells: (set, role, fraction, F1, NDCG)
     print("set   worst F1  worst NDCG")
     for s in range(args.first, args.first + args.sets):
-        found = sweep_set(package, make_labeled_triples, s)
+        found = sweep_set(package, make_labeled_triples, s, args.reseed)
         cells += [(s, *cell) for cell in found]
         worst.append((min(f1 for *_, f1, _ in found), min(ndcg for *_, ndcg in found)))
         print(f"{s:<5} {worst[-1][0]:8.4f}  {worst[-1][1]:10.4f}")

@@ -10,7 +10,10 @@ Subcommands cover the four stages, a neighbor table and the chain of all four:
   pipeline           the four stages in one run
 
 Each stage is one ``_stage_*`` function, run by its subcommand and by
-``pipeline`` alike, so both write the same artifacts.
+``pipeline`` alike, so both write the same artifacts. This module holds
+no artifact format: it parses the config, runs the stages through the
+library (a models directory goes through ``pipeline.save_bundle`` and
+``pipeline.load_bundle``), prints, and maps errors to exit codes.
 
 Hyperparameters come from an optional flat "key = value" config file with
 command-line overrides; every stage seed derives deterministically from
@@ -21,10 +24,7 @@ artifacts (no timestamps are ever written into them).
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
-import re
 import sys
 from dataclasses import dataclass, fields
 from itertools import chain
@@ -154,75 +154,6 @@ def _check_features_per_split(run: RunConfig, config_path, dim: int) -> None:
         )
 
 
-def _safe_filename(role: str, taken: set[str]) -> str:
-    base = re.sub(r"[^a-z0-9._-]", "_", role) or "role"
-    name = f"{base}.json"
-    counter = 1
-    while name in taken:
-        name = f"{base}.{counter}.json"
-        counter += 1
-    taken.add(name)
-    return name
-
-
-def _is_string_pair(entry) -> bool:
-    return isinstance(entry, list) and len(entry) == 2 and all(isinstance(s, str) for s in entry)
-
-
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _load_models(models_dir: Path, embeddings_path) -> pipeline.ModelBundle:
-    """The embeddings and the models a manifest lists, if trained on those
-    embeddings and unchanged since (each file's sha256 as recorded)."""
-    embedding_model = emb.load_embedding(embeddings_path)
-    manifest_path = models_dir / "manifest.json"
-    embeddings_sha256 = _sha256(embeddings_path)
-    data = manifest_path.read_bytes()  # an OSError names the path and exits 2, as unreadable input
-    try:
-        manifest = json.loads(data.decode("utf-8"))
-        if not isinstance(manifest, dict):
-            raise ValueError("not a JSON object")
-        roles = manifest.get("roles")
-        if not isinstance(roles, dict) or not roles:
-            raise ValueError("'roles' must map at least one role name to a file name")
-        model_hashes = manifest.get("models_sha256")
-        for name in roles.values():  # a plain name: no separator, so no other directory
-            if not (isinstance(name, str) and Path(name).name == name and (models_dir / name).is_file()):
-                raise ValueError(f"'roles' lists {name!r}, not the plain name of a file in {models_dir}")
-        skipped = manifest.get("skipped", [])
-        if not isinstance(skipped, list) or not all(map(_is_string_pair, skipped)):
-            raise ValueError("'skipped' must hold [role, reason] string pairs")
-        if manifest.get("embeddings_sha256") != embeddings_sha256:
-            raise ValueError(f"'embeddings_sha256' is missing or is not the sha256 of {embeddings_path}")
-    # ValueError covers bad UTF-8 and bad JSON; RecursionError too deep a nesting
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"cannot read model manifest {manifest_path}: {exc}") from None
-    classifiers = {}
-    for role, name in roles.items():
-        classifier = forest.load_classifier(models_dir / name)
-        if classifier.role != role:
-            raise ValueError(
-                f"{manifest_path} says {models_dir / name} holds role {role!r}; "
-                f"it holds {classifier.role!r}"
-            )
-        if classifier.n_features != embedding_model.dim:
-            raise ValueError(
-                f"{models_dir / name}: trained on {classifier.n_features}-d features, "
-                f"embedding has dimension {embedding_model.dim}"
-            )
-        # checked once the file validates, so that a malformed one is named with its fault
-        if not isinstance(model_hashes, dict) or model_hashes.get(role) != _sha256(models_dir / name):
-            raise ValueError(
-                f"{manifest_path}: 'models_sha256' is missing or lacks the sha256 of {models_dir / name}"
-            )
-        classifiers[role] = classifier
-    return pipeline.ModelBundle(
-        embedding=embedding_model, classifiers=classifiers, skipped_roles=list(map(tuple, skipped))
-    )
-
-
 def _parse_fractions(text: str) -> list[float]:
     """The fractions in order; each is told apart by its ``:g`` form, which
     derives its split seed and labels its report rows."""
@@ -259,21 +190,7 @@ def _stage_train(labeled, model, embeddings_path, run: RunConfig, out_dir: Path,
                  features=None) -> pipeline.ModelBundle:
     bundle = pipeline.train_role_models(labeled, model, run.forest, features)
     models_dir = out_dir / "models"
-    models_dir.mkdir(parents=True, exist_ok=True)
-    taken = {"manifest.json"}  # no role's model may overwrite the manifest
-    role_files = {}
-    for role in sorted(bundle.classifiers):
-        role_files[role] = _safe_filename(role, taken)
-        forest.save_classifier(bundle.classifiers[role], models_dir / role_files[role])
-    manifest = {
-        "embeddings_sha256": _sha256(embeddings_path),
-        "models_sha256": {role: _sha256(models_dir / name) for role, name in role_files.items()},
-        "roles": role_files,
-        "skipped": [[role, reason] for role, reason in bundle.skipped_roles],
-    }
-    with open_atomic(models_dir / "manifest.json") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    pipeline.save_bundle(bundle, models_dir, embeddings_path)
     print(f"trained roles: {', '.join(sorted(bundle.classifiers))}")
     for role, reason in bundle.skipped_roles:
         print(f"skipped role {role!r}: {reason}")
@@ -340,7 +257,7 @@ def cmd_train(args) -> int:
 
 def cmd_score(args) -> int:
     build_run_config(args.config, args.seed)  # scoring reads no key, but a bad file is named
-    bundle = _load_models(Path(args.models), args.embeddings)
+    bundle = pipeline.load_bundle(args.models, args.embeddings)
     triples = load_triples(args.triples)
     _stage_score(triples, bundle, Path(args.out), per_role=args.per_role)
     return EXIT_OK

@@ -4,7 +4,7 @@ Precision/recall/F1 are computed for the positive class at a score
 threshold (default 0.5). NDCG uses the standard exponential-gain form
 (2^gain - 1) / log2(rank + 1) with graded gains that preserve the
 required order highly relevant > relevant > neutral > irrelevant.
-Undefined metrics (no predicted positives, no positive gain, no test
+Undefined metrics (no predicted positives, an ideal DCG of 0, no test
 triple) are reported as flagged conventional values rather than omitted.
 """
 
@@ -165,13 +165,9 @@ def dcg(gains: Sequence[float]) -> float:
     return sum((2.0 ** gain - 1.0) / math.log2(i + 2) for i, gain in enumerate(gains))
 
 
-def ndcg(ranking: Sequence[ContextualTriple], gains: GainMap = GainMap()) -> float:
-    """Normalized discounted cumulative gain of a ranked list of labeled triples.
-
-    DCG sums (2^gain - 1) / log2(position + 1) over the ranking; the ideal
-    DCG re-sorts the same gains in descending order. A ranking with no
-    positive gain anywhere has IDCG 0 and returns 1.0 by convention.
-    """
+def _ndcg(ranking: Sequence[ContextualTriple], gains: GainMap) -> tuple[float, bool]:
+    """``ndcg`` of the ranking and whether it is defined, that is whether
+    its IDCG is positive; an IDCG of 0 gives 1.0, flagged undefined."""
     if not ranking:
         raise ValueError("ranking is empty")
     gain_values = []
@@ -179,11 +175,19 @@ def ndcg(ranking: Sequence[ContextualTriple], gains: GainMap = GainMap()) -> flo
         if triple.label is None:
             raise ValueError(f"triple {triple.id!r} has no label")
         gain_values.append(gains.for_label(triple.label))
-    ideal = sorted(gain_values, reverse=True)
-    idcg = dcg(ideal)
-    if idcg == 0.0:
-        return 1.0
-    return dcg(gain_values) / idcg
+    idcg = dcg(sorted(gain_values, reverse=True))
+    return (dcg(gain_values) / idcg, True) if idcg > 0.0 else (1.0, False)
+
+
+def ndcg(ranking: Sequence[ContextualTriple], gains: GainMap = GainMap()) -> float:
+    """Normalized discounted cumulative gain of a ranked list of labeled triples.
+
+    DCG sums (2^gain - 1) / log2(position + 1) over the ranking; the ideal
+    DCG re-sorts the same gains in descending order. A ranking whose IDCG
+    is 0 returns 1.0 by convention: one with no positive gain anywhere, or
+    whose gains are too small for 2^gain - 1 to leave 0.0.
+    """
+    return _ndcg(ranking, gains)[0]
 
 
 def evaluate(
@@ -211,11 +215,12 @@ def evaluate(
         ranked = by_role[role]
         binarizable = [s for s in ranked if binarize_label(s.triple.label) is not None]
         prf = precision_recall_f1(binarizable, threshold)
+        value, defined = _ndcg([s.triple for s in ranked], gains)
         per_role[role] = EvalReport(
             role=role,
-            ndcg=ndcg([s.triple for s in ranked], gains),
+            ndcg=value,
             threshold=threshold,
-            ndcg_defined=any(gains.for_label(s.triple.label) > 0 for s in ranked),
+            ndcg_defined=defined,
             **vars(prf),
         )
 

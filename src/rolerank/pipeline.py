@@ -12,21 +12,32 @@ results are the same. Scoring is total: a triple whose role has no
 classifier scores exactly 0.0 (the role in a query must match exactly
 for non-zero relevance), and a triple whose context has no known word
 falls back to the uninformative 0.5.
+
+A trained bundle lives on disk as a models directory, written by
+``save_bundle`` and read back by ``load_bundle``: one ``<role>.json``
+forest per trained role and ``manifest.json``, which maps each role to
+its file name, lists the skipped roles with their reasons, and records
+the sha256 of every model file (``models_sha256``) and of the
+``embeddings.txt`` the models were trained on (``embeddings_sha256``).
+The embeddings file itself is written and passed separately.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
+import re
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import ContextualTriple, RelevanceLabel
-from .embedding import EmbeddingModel
+from .corpus import ContextualTriple, RelevanceLabel, open_atomic
+from .embedding import EmbeddingModel, load_embedding
 from .features import featurize
-from .forest import ForestConfig, RoleClassifier, predict_proba, train_forest
+from .forest import ForestConfig, RoleClassifier, load_classifier, predict_proba, save_classifier, train_forest
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -183,3 +194,92 @@ def write_scored(scored: Iterable[ScoredTriple], out: IO[str]) -> None:
             )
             + "\n"
         )
+
+
+def _safe_filename(role: str, taken: set[str]) -> str:
+    base = re.sub(r"[^a-z0-9._-]", "_", role) or "role"
+    name = f"{base}.json"
+    counter = 1
+    while name in taken:
+        name = f"{base}.{counter}.json"
+        counter += 1
+    taken.add(name)
+    return name
+
+
+def _is_string_pair(entry) -> bool:
+    return isinstance(entry, list) and len(entry) == 2 and all(isinstance(s, str) for s in entry)
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def save_bundle(bundle: ModelBundle, models_dir, embeddings_path) -> None:
+    """Write each classifier and then the manifest (atomically) into
+    ``models_dir``, recording the sha256 of ``embeddings_path``, the
+    embeddings file the bundle's models were trained on."""
+    models_dir = Path(models_dir)
+    models_dir.mkdir(parents=True, exist_ok=True)
+    taken = {"manifest.json"}  # no role's model may overwrite the manifest
+    role_files = {}
+    for role in sorted(bundle.classifiers):
+        role_files[role] = _safe_filename(role, taken)
+        save_classifier(bundle.classifiers[role], models_dir / role_files[role])
+    manifest = {
+        "embeddings_sha256": _sha256(embeddings_path),
+        "models_sha256": {role: _sha256(models_dir / name) for role, name in role_files.items()},
+        "roles": role_files,
+        "skipped": [[role, reason] for role, reason in bundle.skipped_roles],
+    }
+    with open_atomic(models_dir / "manifest.json") as f:
+        json.dump(manifest, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def load_bundle(models_dir, embeddings_path) -> ModelBundle:
+    """The embeddings and the models a manifest lists, if trained on those
+    embeddings and unchanged since (each file's sha256 as recorded)."""
+    models_dir = Path(models_dir)
+    embedding_model = load_embedding(embeddings_path)
+    manifest_path = models_dir / "manifest.json"
+    data = manifest_path.read_bytes()  # an OSError names the path and exits 2, as unreadable input
+    try:
+        manifest = json.loads(data.decode("utf-8"))
+        if not isinstance(manifest, dict):
+            raise ValueError("not a JSON object")
+        roles = manifest.get("roles")
+        if not isinstance(roles, dict) or not roles:
+            raise ValueError("'roles' must map at least one role name to a file name")
+        model_hashes = manifest.get("models_sha256")
+        for name in roles.values():  # a plain name: no separator, so no other directory
+            if not (isinstance(name, str) and Path(name).name == name and (models_dir / name).is_file()):
+                raise ValueError(f"'roles' lists {name!r}, not the plain name of a file in {models_dir}")
+        skipped = manifest.get("skipped", [])
+        if not isinstance(skipped, list) or not all(map(_is_string_pair, skipped)):
+            raise ValueError("'skipped' must hold [role, reason] string pairs")
+        if manifest.get("embeddings_sha256") != _sha256(embeddings_path):
+            raise ValueError(f"'embeddings_sha256' is missing or is not the sha256 of {embeddings_path}")
+    # ValueError covers bad UTF-8 and bad JSON; RecursionError too deep a nesting
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"cannot read model manifest {manifest_path}: {exc}") from None
+    classifiers = {}
+    for role, name in roles.items():
+        classifier = load_classifier(models_dir / name)
+        if classifier.role != role:
+            raise ValueError(
+                f"{manifest_path} says {models_dir / name} holds role {role!r}; "
+                f"it holds {classifier.role!r}"
+            )
+        if classifier.n_features != embedding_model.dim:
+            raise ValueError(
+                f"{models_dir / name}: trained on {classifier.n_features}-d features, "
+                f"embedding has dimension {embedding_model.dim}"
+            )
+        # checked once the file validates, so that a malformed one is named with its fault
+        if not isinstance(model_hashes, dict) or model_hashes.get(role) != _sha256(models_dir / name):
+            raise ValueError(
+                f"{manifest_path}: 'models_sha256' is missing or lacks the sha256 of {models_dir / name}"
+            )
+        classifiers[role] = classifier
+    return ModelBundle(embedding_model, classifiers, list(map(tuple, skipped)))

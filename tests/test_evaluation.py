@@ -358,6 +358,20 @@ class TestEvaluate:
         assert run.aggregate.ndcg == 1.0 and not run.aggregate.ndcg_defined
         assert not run.aggregate.precision_defined and not run.aggregate.recall_defined
 
+    def test_ndcg_flagged_undefined_exactly_when_its_ideal_dcg_is_zero(self, setup):
+        model, _, _ = setup
+        bundle = pipeline.ModelBundle(embedding=model, classifiers={}, skipped_roles=[])
+        test = [triple("a", label=L.IRRELEVANT), triple("b", label=L.NEUTRAL)]  # both score 0.0
+        # a positive neutral gain whose 2 ** gain - 1 is 0.0 leaves the ideal DCG at 0
+        run = evaluate(bundle, test, gains=GainMap(neutral=1e-17))
+        report = run.per_role["issuer"]
+        assert (report.ndcg, report.ndcg_defined) == (1.0, False)
+        assert (run.aggregate.ndcg, run.aggregate.ndcg_defined) == (1.0, False)
+        run = evaluate(bundle, test, gains=GainMap(neutral=1e-15))
+        report = run.per_role["issuer"]
+        assert report.ndcg == pytest.approx(1 / math.log2(3)) and report.ndcg_defined
+        assert run.aggregate.ndcg_defined
+
     def test_unlabeled_test_triple_rejected(self, setup):
         _, _, bundle = setup
         with pytest.raises(ValueError, match="no label"):

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from rolerank import pipeline
-from rolerank.corpus import ContextualTriple, RelevanceLabel
+from rolerank.cli import main
+from rolerank.corpus import ContextualTriple, RelevanceLabel, load_triples
+from rolerank.embedding import load_embedding, save_embedding
 from rolerank.evaluation import evaluate, split_train_test
 from rolerank.features import featurize
-from rolerank.forest import ForestConfig, predict_proba
+from rolerank.forest import NODE_ARRAYS, ForestConfig, predict_proba
 from rolerank.pipeline import (
     ModelBundle,
     ScoredTriple,
@@ -18,7 +20,7 @@ from rolerank.pipeline import (
     train_role_models,
     write_scored,
 )
-from synth import classifier_to_json, unit_vector_model
+from synth import classifier_to_json, triples_to_jsonl, unit_vector_model
 
 L = RelevanceLabel
 
@@ -280,3 +282,49 @@ def test_write_scored_format(model):
     write_scored(scored, buf)
     obj = json.loads(buf.getvalue())
     assert obj == {"id": "q1", "role": "nobody", "score": 0.0, "oov_fallback": False}
+
+
+class TestBundleOnDisk:
+    @pytest.fixture
+    def saved(self, model, tmp_path):
+        """A library bundle written by save_bundle into ``lib``, next to
+        what ``rolerank train`` writes into ``cli/models`` for the same
+        labeled file, embeddings and forest config."""
+        labeled = labeled_role("issuer", model, n=20) + labeled_role("trustee", model, n=20) + [
+            triple(f"g-{i}", "guarantor", "word0 word1", L.RELEVANT) for i in range(3)]
+        labeled_path, embeddings = tmp_path / "labeled.jsonl", tmp_path / "embeddings.txt"
+        triples_to_jsonl(labeled, labeled_path)
+        save_embedding(model, embeddings)
+        (tmp_path / "run.conf").write_text("forest.n_trees = 5\nforest.seed = 7\n")
+        assert main(["train", "--labeled", str(labeled_path), "--embeddings", str(embeddings),
+                     "--config", str(tmp_path / "run.conf"), "--out", str(tmp_path / "cli")]) == 0
+        bundle = train_role_models(load_triples(labeled_path), load_embedding(embeddings),
+                                   ForestConfig(n_trees=5, seed=7))
+        pipeline.save_bundle(bundle, str(tmp_path / "lib"), embeddings)
+        return bundle, tmp_path / "lib", embeddings, tmp_path / "cli" / "models"
+
+    def test_round_trip_and_one_writer(self, saved):
+        bundle, models, embeddings, cli_models = saved
+        loaded = pipeline.load_bundle(models, str(embeddings))
+        assert loaded.skipped_roles == bundle.skipped_roles == [("guarantor", "single-class")]
+        assert sorted(loaded.classifiers) == sorted(bundle.classifiers) == ["issuer", "trustee"]
+        for role, classifier in bundle.classifiers.items():
+            for name in NODE_ARRAYS:
+                got, want = getattr(loaded.classifiers[role], name), getattr(classifier, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (role, name)
+        written = {p.name: p.read_bytes() for p in cli_models.iterdir()}
+        assert sorted(written) == ["issuer.json", "manifest.json", "trustee.json"]
+        assert {p.name: p.read_bytes() for p in models.iterdir()} == written
+
+    def test_changed_embeddings_sha256_refused_with_the_cli_message(self, saved):
+        _, models, embeddings, _ = saved
+        manifest = models / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["embeddings_sha256"] = "0" * 64
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as refused:
+            pipeline.load_bundle(models, embeddings)
+        assert str(refused.value) == (
+            f"cannot read model manifest {manifest}: "
+            f"'embeddings_sha256' is missing or is not the sha256 of {embeddings}"
+        )

@@ -10,8 +10,10 @@ directory; with ``--score`` one pass of the benchmark's score-stream
 workload: ``score_triples`` + ``rank`` over ``stream(2101, 12800)`` in
 64-triple batches. Its models have train-noisy's shape (``noisy(2101,
 700, 0.2)``, 100 trees, embeddings of 2 SGNS epochs on 600 of its
-triples); each side trains, saves and loads its own, untimed, so the two
-sides may store models in different file formats.
+triples); each side trains its own and saves and loads it, untimed,
+through its ``pipeline.save_bundle`` and ``pipeline.load_bundle``, so
+the two sides may store models in different file formats, but
+``--score`` needs both checkouts to have that pair.
 Corpora:
 
   c7       the benchmark generator's C7 set (``labeled(2101, 400)``),
@@ -115,21 +117,16 @@ def pipeline_run(package):
 
 def score_bundle(package):
     """Train-noisy-shaped models and embeddings, trained and saved by
-    ``package`` into a temporary directory and loaded back: its ModelBundle."""
+    ``package`` into a temporary directory and loaded back, with the
+    checks of ``rolerank score``: its ModelBundle."""
     labeled = package.parse_triples(gen.to_jsonl(gen.noisy(SEED, 700, 0.2)).splitlines())
     corpus = package.build_corpus(labeled[:: len(labeled) // 600])
     embedding = package.finalize(package.train_skipgram(corpus, package.EmbeddingConfig(epochs=2, seed=SEED)))
     trained = package.train_role_models(labeled, embedding, package.ForestConfig(n_trees=100, seed=SEED))
     with tempfile.TemporaryDirectory() as tmp:
         package.save_embedding(embedding, Path(tmp, "embeddings.txt"))
-        for role, classifier in trained.classifiers.items():
-            package.save_classifier(classifier, Path(tmp, f"{role}.json"))
-        return package.ModelBundle(
-            embedding=package.load_embedding(Path(tmp, "embeddings.txt")),
-            classifiers={role: package.load_classifier(Path(tmp, f"{role}.json"))
-                         for role in sorted(trained.classifiers)},
-            skipped_roles=[],
-        )
+        package.pipeline.save_bundle(trained, Path(tmp, "models"), Path(tmp, "embeddings.txt"))
+        return package.pipeline.load_bundle(Path(tmp, "models"), Path(tmp, "embeddings.txt"))
 
 
 def score_run(package, bundle, batches):

@@ -90,27 +90,32 @@ def canonicalize_role(raw: str) -> str:
     return role
 
 
-def tokenize(sentence: str) -> list[str]:
-    """Split a raw sentence into normalized tokens.
+def token_of(piece: str) -> str | None:
+    """The token of one lowercased whitespace piece, or None if it has none.
 
-    Lowercases, splits on whitespace, strips non-alphanumeric characters
-    from both ends of each piece (internal ones such as "." in "j.p" or
-    "&" in "at&t" survive), drops pieces that strip to nothing, and
-    replaces pure-digit tokens with the ``<num>`` sentinel.
-
-    A piece that is all alphanumeric is its own token, so only the others
-    go through ``_WORD``; str.split and the regex's ``\\S`` agree on what
-    is whitespace.
+    Strips non-alphanumeric characters from both ends (internal ones such
+    as "." in "j.p" or "&" in "at&t" survive), gives None for a piece that
+    strips to nothing, and replaces a pure-digit token with the ``<num>``
+    sentinel. A piece that is all alphanumeric is its own token, so only
+    the others go through ``_WORD``; str.split and the regex's ``\\S``
+    agree on what is whitespace.
     """
-    tokens = []
-    for piece in sentence.lower().split():
-        if not piece.isalnum():
-            match = _WORD.search(piece)
-            if match is None:
-                continue
-            piece = match.group()
-        tokens.append(NUM_TOKEN if piece.isdigit() else piece)
-    return tokens
+    if not piece.isalnum():
+        match = _WORD.search(piece)
+        if match is None:
+            return None
+        piece = match.group()
+    return NUM_TOKEN if piece.isdigit() else piece
+
+
+def tokenize(sentence: str) -> list[str]:
+    """Split a raw sentence into normalized tokens: lowercase it, split it
+    on whitespace and keep each piece's ``token_of`` that is not None.
+
+    ``Vocabulary.encode_texts`` maps the same pieces through the same
+    ``token_of``, once per distinct piece, so the two cannot disagree.
+    """
+    return [token for token in map(token_of, sentence.lower().split()) if token is not None]
 
 
 def _parse_record(obj: dict, line_no: int) -> ContextualTriple:

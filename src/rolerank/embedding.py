@@ -56,13 +56,13 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import NUM_TOKEN, open_atomic, open_text, tokenize
+from .corpus import NUM_TOKEN, open_atomic, open_text, token_of, tokenize
 from .seeds import make_stream
 
 logger = logging.getLogger(__name__)
@@ -74,6 +74,31 @@ UNIT_NORM_TOL = 1e-6  # how far a loaded vector's norm may be from 1
 DIVERGENCE_MARGIN = 0.01
 
 
+# Pieces a vocabulary's memo holds before it is cleared. Full, it holds a
+# 0.96 MB dict table and its pieces: a str of n characters is 49 + n bytes in
+# ASCII, 74 + 2n beyond Latin-1 and 76 + 4n beyond the BMP (sys.getsizeof).
+# Full of 12-character pieces it took 3.0 MB, 5.0 MB beyond the BMP
+# (tracemalloc). The cap bounds how many pieces it keeps, not their length.
+PIECE_CACHE = 1 << 15
+
+
+class _PieceIds(dict):
+    """Lowercased whitespace piece -> its token's id, or -1 if it has no
+    token or its token is out of the vocabulary. A miss runs ``token_of``
+    once and stores the id, clearing the memo first if it is full."""
+
+    def __init__(self, index: dict[str, int]):
+        super().__init__()
+        self.index = index
+
+    def __missing__(self, piece: str) -> int:
+        if len(self) >= PIECE_CACHE:
+            self.clear()
+        token = token_of(piece)
+        self[piece] = i = -1 if token is None else self.index.get(token, -1)
+        return i
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """Retained words in deterministic order (count desc, then lexicographic)."""
@@ -81,6 +106,11 @@ class Vocabulary:
     words: tuple[str, ...]
     counts: dict[str, int]  # empty for models loaded from disk
     index: dict[str, int]
+    # lives as long as the vocabulary; not part of its value
+    _pieces: _PieceIds = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_pieces", _PieceIds(self.index))
 
     def __len__(self) -> int:
         return len(self.words)
@@ -94,6 +124,20 @@ class Vocabulary:
         for tokens in token_lists:
             ids += map(get, tokens, repeat(-1))
             lengths.append(len(tokens))
+        return np.array(ids, dtype=np.intp), np.array(lengths, dtype=np.intp)
+
+    def encode_texts(self, texts: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Each whitespace piece's id, back to back, and each text's number
+        of pieces. A piece's id is -1 if ``tokenize`` drops it or its token
+        is out of the vocabulary, so the ids >= 0 of a text are those of
+        ``encode([tokenize(text)])``, in the same order. Pieces are mapped
+        through the vocabulary's memo: a piece seen before costs one dict
+        lookup in C; a new one runs ``token_of`` once (``_PieceIds``)."""
+        lookup, ids, lengths = self._pieces.__getitem__, [], []
+        for text in texts:
+            pieces = text.lower().split()
+            ids += map(lookup, pieces)
+            lengths.append(len(pieces))
         return np.array(ids, dtype=np.intp), np.array(lengths, dtype=np.intp)
 
 
@@ -414,10 +458,11 @@ def train_skipgram(
 ) -> EmbeddingModel:
     """Train a (non-finalized) skip-gram model over the pooled corpus.
 
-    ``Vocabulary.encode`` maps the corpus to ids, as ``featurize`` maps its
-    contexts. A pair's loss is its positive term plus its center's
-    negative term, and ``epoch_losses`` holds each epoch's mean per-pair
-    loss, nan for an epoch that subsampling left without a pair. Raises
+    ``Vocabulary.encode`` maps the corpus to ids, the ids ``featurize``
+    gives its contexts' tokens (``Vocabulary.encode_texts``). A pair's
+    loss is its positive term plus its center's negative term, and
+    ``epoch_losses`` holds each epoch's mean per-pair loss, nan for an
+    epoch that subsampling left without a pair. Raises
     ``ValueError`` for a corpus with no (center, context) pair in any
     epoch, and for a run that diverged: training starts at all-zero
     scores, whose loss is (1 + negatives) * ln 2, since the output vectors

@@ -7,6 +7,12 @@ the sum is L2-normalized back onto the unit hypersphere. Out-of-vocabulary
 tokens are skipped. A context whose sum has norm <= 1e-12 (no known token,
 or the vanishingly rare exact cancellation) keeps an all-zero row and a
 False mask entry, so callers choose their own fallback.
+
+Tokens reach their ids through the vocabulary's piece memo
+(``Vocabulary.encode_texts``): each whitespace piece is tokenized once
+and its id kept, up to ``embedding.PIECE_CACHE`` pieces, for later calls.
+The memo gives each piece the id ``tokenize`` and the vocabulary would,
+in the same order, so a row does not depend on what it held before.
 """
 
 from __future__ import annotations
@@ -44,9 +50,10 @@ def featurize(
     bool mask of rows whose sum had norm > 1e-12 (the others are zero).
 
     Each block of FEATURIZE_BLOCK whole contexts is mapped to ids by
-    ``Vocabulary.encode``, as ``train_skipgram`` maps its corpus, and summed
-    by one ``np.bincount`` over (row, column) keys, which adds each row's
-    tokens in order from 0.0, as ``context_vector`` does.
+    ``Vocabulary.encode_texts``, whose ids >= 0 are those ``encode`` gives
+    the contexts' tokens, and summed by one ``np.bincount`` over (row,
+    column) keys, which adds each row's tokens in order from 0.0, as
+    ``context_vector`` does.
     ``np.add.reduceat`` would not: it does not add along axis 0 in order.
     A row's norm is the square root of its squares summed in column
     order by ``np.add.accumulate``: elementwise IEEE operations and one
@@ -62,7 +69,7 @@ def featurize(
     for start in range(0, n, FEATURIZE_BLOCK):
         block = contexts[start:start + FEATURIZE_BLOCK]
         # no token spans whitespace, so a context tokenizes as one string
-        ids, lengths = model.vocab.encode(tokenize(" ".join(sentences)) for sentences in block)
+        ids, lengths = model.vocab.encode_texts(" ".join(sentences) for sentences in block)
         rows = np.repeat(np.arange(len(block)), lengths)[ids >= 0]
         keys = (rows[:, None] * d + columns).ravel()
         X[start:start + len(block)] = np.bincount(

@@ -30,6 +30,9 @@ from rolerank.embedding import EmbeddingModel, Vocabulary, _sgns_step
 from rolerank.forest import RoleClassifier, _json_parts, _sort_codes, _split_batch
 from rolerank.seeds import derive_seed
 
+# Unicode whitespace that str.split() splits on, mixed into generated text
+WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2003\u2028\u202f\u3000"
+
 LABEL_CYCLE = (
     RelevanceLabel.HIGHLY_RELEVANT,
     RelevanceLabel.RELEVANT,

@@ -15,10 +15,7 @@ from rolerank.corpus import (
     parse_triples,
     tokenize,
 )
-from synth import triples_to_jsonl
-
-# Unicode whitespace that str.split() splits on, mixed into generated text
-WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u202f\u3000"
+from synth import WHITESPACE, triples_to_jsonl
 
 
 def tokenize_oracle(sentence: str) -> list[str]:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from rolerank.corpus import build_corpus
+from rolerank.corpus import NUM_TOKEN, build_corpus, tokenize
 
 from rolerank.embedding import (
     EmbeddingConfig,
@@ -27,6 +27,7 @@ from rolerank.embedding import (
 )
 from rolerank.seeds import derive_seed
 from synth import (
+    WHITESPACE,
     clique_corpus,
     make_labeled_triples,
     pair_loss_and_gradients,
@@ -87,6 +88,45 @@ class TestEncode:
         assert ids.dtype == lengths.dtype == np.intp
         assert ids.tolist() == [vocab.index.get(w, -1) for q in queries for w in q]
         assert lengths.tolist() == [len(q) for q in queries]
+
+
+# pieces that exercise the tokenizer's edge cases: Unicode digits, pieces of
+# punctuation only, and "\u0130", whose lowercase is two characters long
+PIECE_PARTS = WHITESPACE + "\u0663\u00b2\u0130.,;-_()'&%"
+
+
+def vocabulary_of(texts) -> Vocabulary:
+    """A vocabulary of every other distinct token of the texts and <num>,
+    so that the texts hold both known and unknown tokens."""
+    tokens = sorted({t for text in texts for t in tokenize(text)})
+    words = tuple(dict.fromkeys([NUM_TOKEN, *tokens[::2]]))
+    return Vocabulary(words=words, counts={}, index={w: i for i, w in enumerate(words)})
+
+
+class TestEncodeTexts:
+    @given(st.lists(st.text(st.characters() | st.sampled_from(PIECE_PARTS)), max_size=6),
+           st.lists(st.text(st.characters() | st.sampled_from(PIECE_PARTS)), max_size=6))
+    @example(["\u0130stanbul A\u00b2 x\u00a0y _a_ a_b \u0663\u0664 --- 12", "x\x1cy\u2003z\u3000W."],
+             ["\u0130STANBUL a\u00b2 \u0661"])
+    @settings(max_examples=300, deadline=None)
+    def test_known_ids_equal_encode_of_tokenize(self, texts, others):
+        """Cold, then warm from the same texts, then warm from other texts:
+        each text's ids >= 0 are ``encode([tokenize(text)])``'s, and it
+        has one id per whitespace piece."""
+        vocab = vocabulary_of(texts + others)
+        expected = [vocab.encode([tokenize(text)])[0] for text in texts]
+        for warm_up in ([], texts, others):
+            vocab.encode_texts(warm_up)
+            ids, lengths = vocab.encode_texts(texts)
+            assert ids.dtype == lengths.dtype == np.intp
+            assert lengths.tolist() == [len(text.lower().split()) for text in texts]
+            per_text = np.split(ids, np.cumsum(lengths)[:-1]) if texts else []
+            assert [i[i >= 0].tolist() for i in per_text] == [e[e >= 0].tolist() for e in expected]
+
+    def test_memo_is_not_part_of_the_value(self):
+        vocab, fresh = vocabulary_of(["a b"]), vocabulary_of(["a b"])
+        vocab.encode_texts(["a b c"])
+        assert vocab._pieces and vocab == fresh and repr(vocab) == repr(fresh)
 
 
 def sampler_weights(sampler):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rolerank
+from rolerank import embedding
 from rolerank.corpus import NUM_TOKEN
 from rolerank.features import FEATURIZE_BLOCK, context_vector, featurize
 from synth import unit_vector_model
@@ -267,6 +268,44 @@ class TestBlockedSum:
         finally:
             tracemalloc.stop()
         assert peak < 3 * X.nbytes, (peak, X.nbytes)
+
+
+class TestPieceMemo:
+    """``featurize`` maps pieces through a memo kept on the vocabulary; the
+    rows must not depend on what the memo held before."""
+
+    model = TestBlockedSum.model
+    contexts = TestBlockedSum.contexts
+
+    def test_memo_never_exceeds_its_cap(self, monkeypatch):
+        cap = 16
+        contexts = self.contexts(3 * FEATURIZE_BLOCK, seed=4)
+        distinct = {p for c in contexts for s in c for p in s.lower().split()}
+        assert len(distinct) > 3 * cap
+        monkeypatch.setattr(embedding, "PIECE_CACHE", cap)
+        model, rows, sizes = self.model(), [], []
+        for c in contexts:
+            rows.append(featurize([c], model)[0])
+            sizes.append(len(model.vocab._pieces))
+        rows.append(featurize(contexts, model)[0])
+        sizes.append(len(model.vocab._pieces))
+        assert max(sizes) <= cap
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it filled and was cleared
+        monkeypatch.undo()
+        fresh = featurize(contexts, self.model())[0]
+        assert np.vstack(rows).tobytes() == np.vstack([fresh, fresh]).tobytes()
+
+    def test_rows_do_not_depend_on_earlier_calls(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        embedding.save_embedding(self.model(), path)
+        a, b = self.contexts(FEATURIZE_BLOCK + 5, seed=6), self.contexts(FEATURIZE_BLOCK + 9, seed=7)
+        b += [["J.P. Morgan, 2016.", "\u0130stanbul -- word3"], ["WORD1; word1 (word2)"]]
+        warm = embedding.load_embedding(path)
+        featurize(a, warm)
+        after_a = featurize(b, warm)
+        cold = featurize(b, embedding.load_embedding(path))
+        assert after_a[0].tobytes() == cold[0].tobytes()
+        assert after_a[1].tolist() == cold[1].tolist()
 
 
 def test_every_exported_name_resolves():

@@ -26,8 +26,11 @@ It prints each side's median CPU seconds, their ratio, the pairs B won
 and whether every run's digest (the vectors, output vectors and losses,
 every file the pipeline wrote and its stdout, or every scored triple's id,
 score and fallback flag in rank order) equals A's first, and exits 1 if
-one does not. Run from anywhere, with one BLAS thread unless
-``OPENBLAS_NUM_THREADS`` says otherwise:
+one does not. With ``--score`` it also prints each side's median CPU
+seconds a pass spends inside ``featurize`` and ``predict_proba``, timed
+by wrapping the names ``pipeline`` calls them by on both sides. Run from
+anywhere, with one BLAS thread unless ``OPENBLAS_NUM_THREADS`` says
+otherwise:
 
     python tools/ab_cpu.py PARENT_CHECKOUT CHANGE_CHECKOUT --corpus zipf10k --reps 10
     python tools/ab_cpu.py PARENT_CHECKOUT CHANGE_CHECKOUT --score --reps 10
@@ -57,6 +60,7 @@ import gen  # noqa: E402
 SEED = 2101  # of the C7 set, SGNS, the pipeline run and the score stream
 C7_EPOCHS = 6
 BATCH = 64  # triples a score_triples call takes, as in the benchmark
+SPANS = ("featurize", "predict_proba")  # what --score times inside score_triples
 
 
 def load(checkout: str, name: str):
@@ -129,16 +133,31 @@ def score_bundle(package):
         return package.pipeline.load_bundle(Path(tmp, "models"), Path(tmp, "embeddings.txt"))
 
 
-def score_run(package, bundle, batches):
+def time_inside(module, names, spent: dict) -> None:
+    """Wrap each of ``module``'s ``names`` so that every call adds its CPU
+    seconds to ``spent[name]``."""
+    for name in names:
+        def timed(*args, inner=getattr(module, name), name=name, **kwargs):
+            start = time.process_time()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                spent[name] += time.process_time() - start
+        setattr(module, name, timed)
+
+
+def score_run(package, bundle, batches, spent: dict):
     """One pass of ``score_triples`` + ``rank`` over the batches: its CPU
-    seconds and the digest of every ranked (id, score, fallback)."""
+    seconds, the digest of every ranked (id, score, fallback) and the CPU
+    seconds spent inside each of SPANS."""
+    spent.update(dict.fromkeys(SPANS, 0.0))
     start = time.process_time()
     ranked = [package.rank(package.score_triples(batch, bundle)) for batch in batches]
     seconds = time.process_time() - start
     digest = hashlib.sha256()
     for s in (s for batch in ranked for s in batch):
         digest.update(f"{s.triple.id}\t{s.score!r}\t{s.oov_fallback}\n".encode())
-    return seconds, digest.hexdigest()
+    return seconds, digest.hexdigest(), dict(spent)
 
 
 def main() -> None:
@@ -164,8 +183,10 @@ def main() -> None:
             bundle = score_bundle(package)
             triples = package.parse_triples(lines)
             batches = [triples[i:i + BATCH] for i in range(0, len(triples), BATCH)]
-            runs.append(lambda package=package, bundle=bundle, batches=batches:
-                        score_run(package, bundle, batches))
+            spent = {}
+            time_inside(package.pipeline, SPANS, spent)
+            runs.append(lambda package=package, bundle=bundle, batches=batches, spent=spent:
+                        score_run(package, bundle, batches, spent))
     elif args.pipeline:
         runs = [lambda package=package: pipeline_run(package) for package in sides]
     else:
@@ -176,18 +197,22 @@ def main() -> None:
             corpus, epochs = zipf10k(), 1
         runs = [lambda package=package: skipgram_run(package, corpus, epochs) for package in sides]
 
-    times, digests = ([], []), set()
+    times, inside, digests = ([], []), ([], []), set()
     for rep in range(-1, args.reps):  # rep -1 is the warm-up
         order = (0, 1) if rep % 2 == 0 else (1, 0)
         for side in order:
-            seconds, digest = runs[side]()
+            seconds, digest, *spans = runs[side]()
             digests.add(digest)
             if rep >= 0:
                 times[side].append(seconds)
+                inside[side].extend(spans)
     median_a, median_b = map(statistics.median, times)
     won = sum(b < a for a, b in zip(*times))
-    print(f"A {args.checkout_a}: median {median_a:.4f} s CPU")
-    print(f"B {args.checkout_b}: median {median_b:.4f} s CPU")
+    for label, checkout, median, spans in zip("AB", (args.checkout_a, args.checkout_b),
+                                              (median_a, median_b), inside):
+        split = "".join(f", {name} {statistics.median(s[name] for s in spans):.4f}"
+                        for name in SPANS if spans)
+        print(f"{label} {checkout}: median {median:.4f} s CPU{split}")
     print(f"B/A {median_b / median_a:.3f}; B faster in {won} of {args.reps} pairs")
     print(f"digests equal: {len(digests) == 1}")
     if len(digests) != 1:

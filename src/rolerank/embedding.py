@@ -101,16 +101,19 @@ class _PieceIds(dict):
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Retained words in deterministic order (count desc, then lexicographic)."""
+    """A model's words, a word's id its place among them: by count desc,
+    then lexicographic, as trained, and in file order, as loaded, which is
+    the same. ``index`` (word -> id) and the piece memo are derived from
+    ``words`` and live as long as the vocabulary; neither is its value."""
 
     words: tuple[str, ...]
-    counts: dict[str, int]  # empty for models loaded from disk
-    index: dict[str, int]
-    # lives as long as the vocabulary; not part of its value
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
     _pieces: _PieceIds = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_pieces", _PieceIds(self.index))
+        index = {w: i for i, w in enumerate(self.words)}
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_pieces", _PieceIds(index))
 
     def __len__(self) -> int:
         return len(self.words)
@@ -209,11 +212,7 @@ def build_vocabulary(corpus: Sequence[Sequence[str]], min_count: int = 1) -> Voc
     )
     if not retained:
         raise ValueError(f"no word occurs at least min_count={min_count} times")
-    return Vocabulary(
-        words=tuple(retained),
-        counts={w: counter[w] for w in retained},
-        index={w: i for i, w in enumerate(retained)},
-    )
+    return Vocabulary(words=tuple(retained))
 
 
 def _uniform(stream: np.random.PCG64, shape) -> np.ndarray:
@@ -225,7 +224,8 @@ SAMPLE_BLOCK = 1 << 14  # draws UnigramSampler searches at a time; bounds its te
 
 
 class UnigramSampler:
-    """Draws word ordinals with probability proportional to count^power.
+    """Draws word ids with probability proportional to counts[id]^power,
+    for ``counts`` of one count >= 1 per id.
 
     A draw x in [0, total) takes the first word whose cumulative weight
     exceeds it, ``searchsorted(cum, x, side="right")``, found through a
@@ -235,11 +235,8 @@ class UnigramSampler:
     walks on from there. Bucketing is monotone, so no entry overshoots.
     """
 
-    def __init__(self, vocab: Vocabulary, power: float = 0.75):
-        if not vocab.counts:
-            raise ValueError("vocabulary has no counts (loaded models are query-only)")
-        counts = np.array([vocab.counts[w] for w in vocab.words], dtype=np.float64)
-        weights = counts**power
+    def __init__(self, counts, power: float = 0.75):
+        weights = np.asarray(counts, dtype=np.float64) ** power
         self._cum = np.cumsum(weights)
         self._scale = len(weights) / self._cum[-1]
         self._guide = np.searchsorted(self._bucket(self._cum), np.arange(len(weights)))
@@ -288,9 +285,8 @@ def _sgns_step(vectors, n_in, n_pos, flat, rate, mult):
     return float(np.dot(mult, loss)), grad
 
 
-def _keep_probabilities(vocab: Vocabulary, threshold: float) -> np.ndarray:
-    """Word2vec-style keep probability per word ordinal, clipped to 1."""
-    counts = np.array([vocab.counts[w] for w in vocab.words], dtype=np.float64)
+def _keep_probabilities(counts: np.ndarray, threshold: float) -> np.ndarray:
+    """Word2vec-style keep probability per word id, from its count, clipped to 1."""
     freq = counts / counts.sum()
     with np.errstate(over="ignore"):  # a huge threshold overflows to inf, which keeps the word
         keep = np.sqrt(threshold / freq) + threshold / freq
@@ -459,10 +455,11 @@ def train_skipgram(
     """Train a (non-finalized) skip-gram model over the pooled corpus.
 
     ``Vocabulary.encode`` maps the corpus to ids, the ids ``featurize``
-    gives its contexts' tokens (``Vocabulary.encode_texts``). A pair's
-    loss is its positive term plus its center's negative term, and
-    ``epoch_losses`` holds each epoch's mean per-pair loss, nan for an
-    epoch that subsampling left without a pair. Raises
+    gives its contexts' tokens (``Vocabulary.encode_texts``), and each
+    word's count is read off them once for the negatives and subsampling
+    to draw by. A pair's loss is its positive term plus its center's
+    negative term, and ``epoch_losses`` holds each epoch's mean per-pair
+    loss, nan for an epoch that subsampling left without a pair. Raises
     ``ValueError`` for a corpus with no (center, context) pair in any
     epoch, and for a run that diverged: training starts at all-zero
     scores, whose loss is (1 + negatives) * ln 2, since the output vectors
@@ -471,7 +468,8 @@ def train_skipgram(
     """
     vocab = build_vocabulary(corpus, config.min_count)
     encoded = vocab.encode(corpus)
-    keep = _keep_probabilities(vocab, config.subsample) if config.subsample > 0 else None
+    counts = np.bincount(encoded[0][encoded[0] >= 0])  # per id; the -1s are below min_count
+    keep = _keep_probabilities(counts, config.subsample) if config.subsample > 0 else None
     layouts = _epoch_layouts(*encoded, config, keep)
     epoch_pairs = [int(left.sum() + right.sum()) for _, left, right, _ in layouts]
     if not any(epoch_pairs):
@@ -486,7 +484,7 @@ def train_skipgram(
     # matrix, so a step is one gather and one scatter
     weights = np.zeros((2 * vocab_size, dim))
     weights[:vocab_size] = (_uniform(make_stream(config.seed, "init"), (vocab_size, dim)) - 0.5) / dim
-    sampler = UnigramSampler(vocab, config.unigram_power)
+    sampler = UnigramSampler(counts, config.unigram_power)
     neg_stream = make_stream(config.seed, "negatives")
     lr_span = config.lr_initial - config.lr_final
     denom = max(sum(epoch_pairs) - 1, 1)
@@ -595,9 +593,9 @@ def load_embedding(path) -> EmbeddingModel:
     Validates the header counts, per-line arity, that every word is one
     ``tokenize`` can produce (lowercase, no edge punctuation, not all
     digits), that every value is a finite number and that every vector
-    has unit norm (within UNIT_NORM_TOL). Counts are not stored in the
-    format, so loaded models are query-only (they can back feature
-    extraction and neighbor queries but not further training).
+    has unit norm (within UNIT_NORM_TOL), and refuses a word that occurs
+    twice. The words keep the file's order, so the vocabulary equals the
+    one the saved model was trained with.
     """
     with open_text(path) as f:
         header = f.readline().split()
@@ -612,7 +610,7 @@ def load_embedding(path) -> EmbeddingModel:
         words: list[str] = []
         rows: list[np.ndarray] = []
         line_nos: list[int] = []
-        index: dict[str, int] = {}
+        seen: set[str] = set()
         for line_no, line in enumerate(f, start=2):
             parts = line.split()
             if not parts:
@@ -624,9 +622,9 @@ def load_embedding(path) -> EmbeddingModel:
             word = parts[0]
             if word != NUM_TOKEN and tokenize(word) != [word]:  # no context could ever use it
                 raise ValueError(f"{path}: line {line_no}: {word!r} is not a token tokenize can produce")
-            if word in index:
+            if word in seen:
                 raise ValueError(f"{path}: line {line_no}: duplicate word {word!r}")
-            index[word] = len(words)
+            seen.add(word)
             words.append(word)
             try:
                 row = np.array([float(x) for x in parts[1:]], dtype=np.float64)
@@ -648,6 +646,5 @@ def load_embedding(path) -> EmbeddingModel:
             f"{path}: line {line_nos[first]}: vector norm {norms[first]:.9g} is not 1 "
             f"(tolerance {UNIT_NORM_TOL:g})"
         )
-    vocab = Vocabulary(words=tuple(words), counts={}, index=index)
-    return EmbeddingModel(vocab=vocab, input_vectors=vectors)
+    return EmbeddingModel(vocab=Vocabulary(words=tuple(words)), input_vectors=vectors)
 

@@ -25,7 +25,7 @@ import json
 
 import numpy as np
 
-from rolerank.corpus import ContextualTriple, RelevanceLabel, parse_triples
+from rolerank.corpus import ContextualTriple, RelevanceLabel
 from rolerank.embedding import EmbeddingModel, Vocabulary, _sgns_step
 from rolerank.forest import RoleClassifier, _json_parts, _sort_codes, _split_batch
 from rolerank.seeds import derive_seed
@@ -133,16 +133,7 @@ def unit_vector_model(words: list[str], dim: int = 8, seed: int = 0) -> Embeddin
     rng = np.random.default_rng(seed)
     vectors = rng.normal(size=(len(words), dim))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    vocab = Vocabulary(
-        words=tuple(words),
-        counts={w: 1 for w in words},
-        index={w: i for i, w in enumerate(words)},
-    )
-    return EmbeddingModel(vocab=vocab, input_vectors=vectors)
-
-
-def parse_jsonl_lines(lines: list[str]):
-    return parse_triples(lines)
+    return EmbeddingModel(vocab=Vocabulary(words=tuple(words)), input_vectors=vectors)
 
 
 def pair_loss_and_gradients(center, context, negatives):
@@ -238,9 +229,9 @@ def predict_reference(classifier: RoleClassifier, x: np.ndarray) -> float | np.n
     return float(scores[0]) if x.ndim == 1 else scores
 
 
-def unigram_probabilities(vocab: Vocabulary, power: float = 0.75) -> np.ndarray:
-    """Each word's share of counts^power, the distribution negatives are drawn from."""
-    weights = np.array([vocab.counts[w] for w in vocab.words], dtype=np.float64) ** power
+def unigram_probabilities(counts, power: float = 0.75) -> np.ndarray:
+    """Each word id's share of counts^power, the distribution negatives are drawn from."""
+    weights = np.asarray(counts, dtype=np.float64) ** power
     return weights / weights.sum()
 
 

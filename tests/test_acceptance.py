@@ -132,11 +132,11 @@ def test_c3_negative_sampling_distribution():
     """Empirical draws over a 20-word vocabulary fit counts^0.75 (chi-square)."""
     t0 = time.perf_counter()
     corpus = [[f"w{i:02d}"] * (i + 1) for i in range(20)]
-    vocab = build_vocabulary(corpus)
-    sampler = UnigramSampler(vocab, power=0.75)
+    counts = np.bincount(build_vocabulary(corpus).encode(corpus)[0])
+    sampler = UnigramSampler(counts, power=0.75)
     draws = sampler.sample_n(np.random.PCG64(303), 100_000)
     observed = np.bincount(draws, minlength=20)
-    expected = unigram_probabilities(vocab, 0.75) * len(draws)
+    expected = unigram_probabilities(counts, 0.75) * len(draws)
     result = stats.chisquare(observed, expected)
     assert result.pvalue > 0.01, f"chi-square p={result.pvalue:.4f}"
     elapsed_under(t0, 2.0)

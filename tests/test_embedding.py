@@ -4,6 +4,7 @@ import random
 import re
 import signal
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -40,21 +41,18 @@ from synth import (
 def make_model(words, vectors, finalized=True):
     """A model of these rows; an unfinalized one also has (zero) output vectors."""
     vectors = np.asarray(vectors, dtype=np.float64)
-    vocab = Vocabulary(
-        words=tuple(words),
-        counts={w: 1 for w in words},
-        index={w: i for i, w in enumerate(words)},
-    )
+    vocab = Vocabulary(words=tuple(words))
     outputs = None if finalized else np.zeros_like(vectors)
     return EmbeddingModel(vocab=vocab, input_vectors=vectors, output_vectors=outputs)
 
 
 class TestBuildVocabulary:
     def test_counts_and_order(self):
-        vocab = build_vocabulary([["a", "b", "a"]])
+        corpus = [["a", "b", "a"]]
+        vocab = build_vocabulary(corpus)
         assert vocab.words == ("a", "b")
-        assert vocab.counts == {"a": 2, "b": 1}
         assert vocab.index == {"a": 0, "b": 1}
+        assert np.bincount(vocab.encode(corpus)[0]).tolist() == [2, 1]
 
     def test_min_count_threshold(self):
         vocab = build_vocabulary([["a", "b", "a"]], min_count=2)
@@ -100,7 +98,7 @@ def vocabulary_of(texts) -> Vocabulary:
     so that the texts hold both known and unknown tokens."""
     tokens = sorted({t for text in texts for t in tokenize(text)})
     words = tuple(dict.fromkeys([NUM_TOKEN, *tokens[::2]]))
-    return Vocabulary(words=words, counts={}, index={w: i for i, w in enumerate(words)})
+    return Vocabulary(words=words)
 
 
 class TestEncodeTexts:
@@ -127,6 +125,8 @@ class TestEncodeTexts:
         vocab, fresh = vocabulary_of(["a b"]), vocabulary_of(["a b"])
         vocab.encode_texts(["a b c"])
         assert vocab._pieces and vocab == fresh and repr(vocab) == repr(fresh)
+        # the index is derived from the words, whose order is part of the value
+        assert vocab.index == {NUM_TOKEN: 0, "a": 1} and vocab != Vocabulary(words=("a", NUM_TOKEN))
 
 
 def sampler_weights(sampler):
@@ -136,35 +136,27 @@ def sampler_weights(sampler):
 
 class TestUnigramSampler:
     def test_symmetric_two_words(self):
-        vocab = build_vocabulary([["a"], ["b"]])
-        sampler = UnigramSampler(vocab)
+        sampler = UnigramSampler(np.array([1, 1]))
         assert sampler_weights(sampler) / sampler._cum[-1] == pytest.approx([0.5, 0.5])
 
     def test_power_ratio_16_to_1(self):
         # 16^0.75 = 8 exactly
-        vocab = build_vocabulary([["a"] * 16, ["b"]])
-        sampler = UnigramSampler(vocab, power=0.75)
+        sampler = UnigramSampler(np.array([16, 1]), power=0.75)
         weights = sampler_weights(sampler)
         assert weights[0] / weights[1] == pytest.approx(8.0, abs=1e-12)
 
     def test_power_ratio_empirical(self):
-        vocab = build_vocabulary([["a"] * 16, ["b"]])
-        sampler = UnigramSampler(vocab, power=0.75)
+        counts = np.array([16, 1])
+        sampler = UnigramSampler(counts, power=0.75)
         draws = sampler.sample_n(np.random.PCG64(31), 100_000)
         observed = np.bincount(draws, minlength=2)
-        expected = unigram_probabilities(vocab, 0.75) * len(draws)
+        expected = unigram_probabilities(counts, 0.75) * len(draws)
         result = stats.chisquare(observed, expected)
         assert result.pvalue > 0.01
 
     def test_single_word_always_zero(self):
-        vocab = build_vocabulary([["only"]])
-        sampler = UnigramSampler(vocab)
+        sampler = UnigramSampler(np.array([1]))
         assert np.all(sampler.sample_n(np.random.PCG64(0), 50) == 0)
-
-    def test_loaded_model_has_no_sampler(self):
-        vocab = Vocabulary(words=("a",), counts={}, index={"a": 0})
-        with pytest.raises(ValueError):
-            UnigramSampler(vocab)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -182,10 +174,7 @@ class TestUnigramSampler:
         (a draw equal to one takes the next word), each bucket's lower edge
         and its two neighbouring doubles, and the last double below total,
         whose bucket is clamped to G - 1."""
-        words = tuple(f"w{i}" for i in range(len(counts)))
-        vocab = Vocabulary(words=words, counts=dict(zip(words, counts)),
-                           index={w: i for i, w in enumerate(words)})
-        sampler = UnigramSampler(vocab, power)
+        sampler = UnigramSampler(np.array(counts), power)
         cum = sampler._cum
         total = cum[-1]
         edges = np.arange(len(cum)) * (total / len(cum))
@@ -203,8 +192,8 @@ class TestUnigramSampler:
         the stream's first n doubles looked up by ``searchsorted``."""
         from rolerank.embedding import SAMPLE_BLOCK
 
-        vocab = build_vocabulary(zipf_corpus())
-        sampler = UnigramSampler(vocab)
+        corpus = zipf_corpus()
+        sampler = UnigramSampler(np.bincount(build_vocabulary(corpus).encode(corpus)[0]))
         n = 2 * SAMPLE_BLOCK + 123
         drawn = sampler.sample_n(np.random.PCG64(derive_seed(3, "negatives")), n)
         draws = np.array(uniform_reference(3, "negatives", n)) * sampler._cum[-1]
@@ -769,7 +758,8 @@ def replay_first_epoch(corpus, config):
             contexts = [[sentence[j] for j in range(max(0, i - spans[i]), min(n, i + spans[i] + 1))
                          if j != i] for i in range(n)]
             steps.append((sentence, contexts))
-    stream = iter(UnigramSampler(vocab, config.unigram_power).sample_n(
+    counts = Counter(word for sentence in corpus for word in sentence)
+    stream = iter(UnigramSampler([counts[w] for w in vocab.words], config.unigram_power).sample_n(
         np.random.PCG64(derive_seed(config.seed, "negatives")), 100_000).tolist())
     rows = [(contexts[i], [next(stream) for _ in range(config.negatives)])
             for _, contexts in steps for i in range(len(contexts))]
@@ -1024,6 +1014,16 @@ class TestPersistence:
         assert loaded.vocab.words == model.vocab.words
         assert np.array_equal(loaded.input_vectors, model.input_vectors)
         assert loaded.finalized
+
+    def test_trained_vocabulary_equals_loaded(self, tmp_path):
+        """A vocabulary is its words: the one training built equals the one
+        read back from its saved model, ids included."""
+        corpus = [["b", "a", "b"], ["c", "a", "b"]]
+        model = finalize(train_skipgram(corpus, EmbeddingConfig(dim=4, epochs=1, seed=2)))
+        path = tmp_path / "embeddings.txt"
+        save_embedding(model, path)
+        loaded = load_embedding(path).vocab
+        assert loaded == model.vocab and loaded.index == model.vocab.index == {"b": 0, "a": 1, "c": 2}
 
     def test_header_and_arity(self, tmp_path):
         path = tmp_path / "emb.txt"

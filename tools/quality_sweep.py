@@ -67,6 +67,8 @@ def main() -> None:
     args = parser.parse_args()
     if args.sets < 1:
         parser.error("--sets must be >= 1")
+    if args.first < 0:  # a set's seeds are 4s + i, and default_rng refuses a negative seed
+        parser.error("--first must be >= 0")
     package = load(args.checkout, "rolerank")
     sys.path.insert(0, str(ROOT / "tests"))
     from synth import make_labeled_triples  # only once rolerank is the package under test

@@ -2,17 +2,19 @@
 
 Prose is docstrings and comment-only lines; blank lines inside a
 docstring count as prose. The ``lines`` column is their sum, which is
-``wc -l`` for a module that ends in a newline. Run from the repository
-root:
+``wc -l`` for a module that ends in a newline. It finds src/rolerank
+from its own path, so it prints the same table from any directory:
 
     python tools/src_lines.py
 """
 
 import ast
-import glob
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def counts(path: str) -> list[int]:
+def counts(path: Path) -> list[int]:
     """[code, prose, blank] lines of one module."""
     with open(path, encoding="utf-8") as f:
         text = f.read()
@@ -30,10 +32,10 @@ def counts(path: str) -> list[int]:
 def main() -> None:
     print(f"{'lines':>6} {'code':>6} {'prose':>6} {'blank':>6}  (prose: docstrings and comment-only lines)")
     totals = [0, 0, 0]
-    for path in sorted(glob.glob("src/rolerank/*.py")):
+    for path in sorted((ROOT / "src" / "rolerank").glob("*.py")):
         module = counts(path)
         totals = [t + c for t, c in zip(totals, module)]
-        print(*(f"{c:6d}" for c in [sum(module), *module]), "", path)
+        print(*(f"{c:6d}" for c in [sum(module), *module]), "", path.relative_to(ROOT).as_posix())
     print(*(f"{t:6d}" for t in [sum(totals), *totals]), "", "total")
 
 

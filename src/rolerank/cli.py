@@ -233,6 +233,9 @@ def _stage_evaluate(labeled, model, run: RunConfig, fractions, out_dir: Path, fe
         evaluation.write_reports_csv(runs, f)
     for fraction in sorted(runs):
         aggregate = runs[fraction].aggregate
+        if not runs[fraction].per_role:  # no role report, so no test triple
+            print(f"fraction {fraction:g}: no test triple")
+            continue
         print(
             f"fraction {fraction:g}: P={aggregate.precision:.4f} "
             f"R={aggregate.recall:.4f} F1={aggregate.f1:.4f} NDCG={aggregate.ndcg:.4f}"

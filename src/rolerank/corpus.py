@@ -220,14 +220,9 @@ def load_triples(path) -> list[ContextualTriple]:
 def build_corpus(triples: Iterable[ContextualTriple]) -> list[list[str]]:
     """Tokenize every context sentence into one token list per sentence.
 
-    Labeled and unlabeled triples are pooled alike; sentences that
-    tokenize to nothing are dropped. Head/tail entity names are not
-    injected, only the context sentences.
+    Labeled and unlabeled triples are pooled alike; head/tail entity names
+    are not injected. A sentence that tokenizes to nothing stays in place
+    as ``[]``: ``train_skipgram``, not this, drops sentences without a
+    pair and refuses a corpus that has none.
     """
-    corpus = []
-    for triple in triples:
-        for sentence in triple.sentences:
-            tokens = tokenize(sentence)
-            if tokens:
-                corpus.append(tokens)
-    return corpus
+    return [tokenize(sentence) for triple in triples for sentence in triple.sentences]

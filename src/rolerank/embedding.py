@@ -57,7 +57,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -200,18 +200,13 @@ class EmbeddingModel:
 
 
 def build_vocabulary(corpus: Sequence[Sequence[str]], min_count: int = 1) -> Vocabulary:
-    """Count words across the corpus and retain those seen >= min_count times."""
-    if not corpus:
-        raise ValueError("corpus is empty")
-    counter: Counter[str] = Counter()
-    for sentence in corpus:
-        counter.update(sentence)
+    """The words seen >= min_count times across the corpus, possibly none:
+    ``train_skipgram``, not this, refuses a corpus without a pair."""
+    counter = Counter(chain.from_iterable(corpus))
     retained = sorted(
         (w for w, c in counter.items() if c >= min_count),
         key=lambda w: (-counter[w], w),
     )
-    if not retained:
-        raise ValueError(f"no word occurs at least min_count={min_count} times")
     return Vocabulary(words=tuple(retained))
 
 
@@ -459,12 +454,16 @@ def train_skipgram(
     word's count is read off them once for the negatives and subsampling
     to draw by. A pair's loss is its positive term plus its center's
     negative term, and ``epoch_losses`` holds each epoch's mean per-pair
-    loss, nan for an epoch that subsampling left without a pair. Raises
-    ``ValueError`` for a corpus with no (center, context) pair in any
-    epoch, and for a run that diverged: training starts at all-zero
-    scores, whose loss is (1 + negatives) * ln 2, since the output vectors
-    start at zero, and a last epoch with a pair whose mean loss is above
-    that by more than DIVERGENCE_MARGIN (or nan) diverged.
+    loss, nan for an epoch that subsampling left without a pair.
+    ``_epoch_layouts`` is the one place sentences are dropped (those with
+    fewer than two words left after min_count and subsampling), and the
+    pair check below the one refusal of a corpus: ``ValueError`` when no
+    epoch has a (center, context) pair, which covers an empty corpus, one
+    without a token and one without a word at min_count. It also raises
+    for a run that diverged: training starts at all-zero scores, whose
+    loss is (1 + negatives) * ln 2, since the output vectors start at
+    zero, and a last epoch with a pair whose mean loss is above that by
+    more than DIVERGENCE_MARGIN (or nan) diverged.
     """
     vocab = build_vocabulary(corpus, config.min_count)
     encoded = vocab.encode(corpus)

@@ -4,7 +4,9 @@ The labeled generator builds role-tagged triples whose context sentences
 mix a shared background vocabulary with role-specific signal words at a
 density that grades with the relevance label (highly relevant richest,
 irrelevant none). That makes relevance linearly recoverable from pooled
-word vectors while keeping the grades separable by score.
+word vectors while keeping the grades separable by score. ``c7_flow``
+runs acceptance C7's flow on one seed set of its triples; C7 and
+``tools/quality_sweep.py`` both run it.
 
 The helpers below the generators are the tests' references over the
 package's kernels: ``pair_loss_and_gradients`` is the one-pair view of the
@@ -25,9 +27,13 @@ import json
 
 import numpy as np
 
-from rolerank.corpus import ContextualTriple, RelevanceLabel
-from rolerank.embedding import EmbeddingModel, Vocabulary, _sgns_step
-from rolerank.forest import RoleClassifier, _json_parts, _sort_codes, _split_batch
+from rolerank.corpus import ContextualTriple, RelevanceLabel, build_corpus
+from rolerank.embedding import (
+    EmbeddingConfig, EmbeddingModel, Vocabulary, _sgns_step, finalize, train_skipgram,
+)
+from rolerank.evaluation import EvalRun, evaluate, split_train_test
+from rolerank.forest import ForestConfig, RoleClassifier, _json_parts, _sort_codes, _split_batch
+from rolerank.pipeline import train_role_models
 from rolerank.seeds import derive_seed
 
 # Unicode whitespace that str.split() splits on, mixed into generated text
@@ -97,6 +103,25 @@ def make_labeled_triples(
                 )
             )
     return triples
+
+
+def c7_flow(s: int, reseed: int = 0) -> tuple[EmbeddingModel, dict[float, EvalRun]]:
+    """Acceptance C7's flow on seed set ``s``: the finalized embedding and
+    each fraction's ``EvalRun``. Its seeds are labeled triples 4s (400 per
+    role), SGNS 4s + 1 + reseed (dim 30, 6 epochs), forests 4s + 2 +
+    reseed (100 trees) and the split base 4s + 3, whose
+    ``derive_seed(4s + 3, f"{fraction:g}")`` seeds each fraction's split.
+    C7 is set 175 (seeds 700-703); ``tools/quality_sweep.py`` runs others.
+    """
+    labeled = make_labeled_triples(n_per_role=400, seed=4 * s)
+    config = EmbeddingConfig(dim=30, epochs=6, seed=4 * s + 1 + reseed)
+    embedding = finalize(train_skipgram(build_corpus(labeled), config))
+    forest_config = ForestConfig(n_trees=100, seed=4 * s + 2 + reseed)
+    runs = {}
+    for fraction in (0.1, 0.5, 0.9):
+        train, test = split_train_test(labeled, fraction, derive_seed(4 * s + 3, f"{fraction:g}"))
+        runs[fraction] = evaluate(train_role_models(train, embedding, forest_config), test)
+    return embedding, runs
 
 
 def triples_to_jsonl(triples, path) -> None:

@@ -24,14 +24,12 @@ from rolerank.embedding import (
     train_skipgram,
     _sgns_step,
 )
-from rolerank.evaluation import GainMap, evaluate, ndcg, split_train_test
+from rolerank.evaluation import GainMap, ndcg
 from rolerank.features import featurize
 from rolerank.forest import ForestConfig, predict_proba, train_forest
-from rolerank.pipeline import train_role_models
-from rolerank.seeds import derive_seed
 from synth import (
-    classifier_to_json, clique_corpus, make_labeled_triples, pair_loss_and_gradients, triples_to_jsonl,
-    unigram_probabilities, unit_vector_model,
+    c7_flow, classifier_to_json, clique_corpus, make_labeled_triples, pair_loss_and_gradients,
+    triples_to_jsonl, unigram_probabilities, unit_vector_model,
 )
 
 
@@ -255,21 +253,13 @@ def test_c6_forest_oracle_and_determinism():
 
 def test_c7_end_to_end_synthetic_f1_and_ndcg():
     """Three synthetic roles, fractions 0.1/0.5/0.9: per-cell F1 and
-    per-role NDCG at or above 0.90."""
+    per-role NDCG at or above 0.90. The flow is ``c7_flow`` of seed set
+    175, whose seeds are 700-703."""
     t0 = time.perf_counter()
-    labeled = make_labeled_triples(n_per_role=400, seed=700)
-    corpus = build_corpus(labeled)
-    embedding = finalize(
-        train_skipgram(corpus, EmbeddingConfig(dim=30, epochs=6, seed=701))
-    )
+    embedding, runs = c7_flow(175)
     norms = np.linalg.norm(embedding.input_vectors, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-6  # criterion 2 rides along
-
-    forest_config = ForestConfig(n_trees=100, seed=702)
-    for fraction in (0.1, 0.5, 0.9):
-        train, test = split_train_test(labeled, fraction, derive_seed(703, f"{fraction:g}"))
-        bundle = train_role_models(train, embedding, forest_config)
-        run = evaluate(bundle, test)
+    for fraction, run in runs.items():
         for role, report in run.per_role.items():
             assert report.f1 >= 0.90, f"{role}@{fraction}: F1 {report.f1:.3f}"
             assert report.ndcg >= 0.90, f"{role}@{fraction}: NDCG {report.ndcg:.3f}"

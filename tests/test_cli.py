@@ -399,22 +399,29 @@ class TestTrainEmbeddings:
     @pytest.mark.parametrize("contexts, settings", [
         ((["Hello."], ["World."]), ""),
         ((["alpha beta gamma delta"], ["alpha epsilon"]), "embedding.min_count = 2\n"),
-    ], ids=["one-word", "min_count"])
+        ((["alpha beta gamma delta"], ["alpha epsilon"]), "embedding.min_count = 1000\n"),
+        ((), ""),
+        ((["...", "- !"], ["\u2014"]), ""),
+    ], ids=["one-word", "min_count", "min_count-1000", "empty", "punctuation"])
     def test_corpus_without_a_pair_exits_1_writing_nothing(self, tmp_path, capsys, contexts,
                                                            settings):
         """Without a (center, context) pair the vectors would stay at their
-        init; the run is refused instead of reporting a loss of 0."""
+        init; the run is refused instead of reporting a loss of 0. An empty
+        file and contexts of punctuation only meet the same refusal, in
+        train-embeddings and in pipeline alike."""
         data, config, out = tmp_path / "data.jsonl", tmp_path / "cfg", tmp_path / "out"
         data.write_text("".join(
             json.dumps({"id": f"t{i}", "head": "h", "role": "trustee", "tail": "t",
-                        "sentences": sentences}) + "\n"
+                        "sentences": sentences, "label": "RELEVANT"}) + "\n"
             for i, sentences in enumerate(contexts)))
         config.write_text(settings)
-        assert run("train-embeddings", "--data", data, "--config", config, "--out", out) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: no (center, context) pair to train on: ")
-        assert "embedding.min_count" in err and "embedding.subsample" in err
-        assert not out.exists()
+        for command, flag in (("train-embeddings", "--data"), ("pipeline", "--labeled")):
+            assert run(command, flag, data, "--config", config, "--out", out) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: no (center, context) pair to train on: ")
+            assert "embedding.min_count" in captured.err and "embedding.subsample" in captured.err
+            assert captured.out == ""
+            assert not out.exists()
 
     def test_unreadable_path_exit_2(self, tmp_path):
         assert run("train-embeddings", "--data", tmp_path / "missing.jsonl") == 2
@@ -1049,7 +1056,7 @@ class TestPipelineCommand:
         rows = [json.loads(line) for line in (out / "scores.jsonl").read_text().splitlines()]
         assert len(rows) == 60  # the labeled file itself
 
-    def test_fraction_with_no_test_triple(self, workspace):
+    def test_fraction_with_no_test_triple(self, workspace, capsys):
         tmp, _, _, config = workspace
         labeled = tmp / "small.jsonl"
         # 10 per role: strata of 5, 3 and 2 triples, each trained whole at 0.9
@@ -1057,6 +1064,7 @@ class TestPipelineCommand:
         out = tmp / "small"
         assert run("pipeline", "--labeled", labeled, "--fractions", "0.5,0.9",
                    "--config", config, "--out", out) == 0
+        assert "fraction 0.9: no test triple" in capsys.readouterr().out.splitlines()
         half, most = json.loads((out / "report.json").read_text())["fractions"]
         assert half["roles"] and half["aggregate"]["ndcg_defined"]
         assert most["roles"] == {}

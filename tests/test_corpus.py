@@ -237,9 +237,10 @@ class TestBuildCorpus:
         assert len(corpus) == 6
         assert corpus[0] == ["one", "two"]
 
-    def test_degenerate_sentence_dropped(self):
-        triples = [self.triple("a", ["...", "real words"])]
-        assert build_corpus(triples) == [["real", "words"]]
+    def test_token_less_sentence_kept_empty(self):
+        """train_skipgram drops what has no pair; the corpus keeps every sentence in place."""
+        triples = [self.triple("a", ["...", "real words"]), self.triple("b", ["- !"])]
+        assert build_corpus(triples) == [[], ["real", "words"], []]
 
     def test_labeled_and_unlabeled_pooled(self):
         labeled = self.triple("a", ["alpha beta"])

@@ -4,6 +4,7 @@ import random
 import re
 import signal
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -62,13 +63,15 @@ class TestBuildVocabulary:
         vocab = build_vocabulary([["zeta", "alpha"], ["alpha", "zeta"]])
         assert vocab.words == ("alpha", "zeta")
 
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
-            build_vocabulary([])
+    @pytest.mark.parametrize("corpus", [[], [[], []]], ids=["empty", "token-less"])
+    def test_empty_corpus_gives_empty_vocabulary(self, corpus):
+        """train_skipgram, not the vocabulary, refuses a corpus without a pair."""
+        assert build_vocabulary(corpus) == Vocabulary(words=())
 
-    def test_nothing_survives_rejected(self):
-        with pytest.raises(ValueError, match="min_count"):
-            build_vocabulary([["a", "b"]], min_count=3)
+    def test_nothing_survives_gives_empty_vocabulary(self):
+        vocab = build_vocabulary([["a", "b"]], min_count=3)
+        assert vocab.words == () and vocab.index == {}
+        assert vocab.encode([["a", "b"]])[0].tolist() == [-1, -1]
 
 
 class TestEncode:
@@ -78,10 +81,7 @@ class TestEncode:
         min_count=st.integers(1, 3),
     )
     def test_equals_a_per_token_lookup(self, corpus, queries, min_count):
-        try:
-            vocab = build_vocabulary(corpus, min_count)
-        except ValueError:  # no word is frequent enough
-            return
+        vocab = build_vocabulary(corpus, min_count)
         ids, lengths = vocab.encode(queries)
         assert ids.dtype == lengths.dtype == np.intp
         assert ids.tolist() == [vocab.index.get(w, -1) for q in queries for w in q]
@@ -444,6 +444,21 @@ class TestTrainSkipgram:
                    r"and embedding\.subsample = 0")
         with pytest.raises(ValueError, match=message):
             train_skipgram([["solo"]] * 4, EmbeddingConfig(dim=25, epochs=1, seed=8))
+
+    @pytest.mark.parametrize("subsample", [0.0, 1e-2])
+    @pytest.mark.parametrize("corpus", [[], [[], []], [["a", "b"]]],
+                             ids=["empty", "token-less", "below-min_count"])
+    def test_untrainable_corpus_has_the_one_refusal(self, corpus, subsample):
+        """An empty corpus, one of token-less sentences and one with no word
+        at min_count all end in the no-pair refusal, with no numpy warning
+        from the empty arrays on the way (any warning is an error here)."""
+        config = EmbeddingConfig(dim=4, epochs=2, min_count=3, subsample=subsample, seed=8)
+        message = (r"no \(center, context\) pair to train on: .*embedding\.min_count = 3 "
+                   rf"and embedding\.subsample = {subsample:g}$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                train_skipgram(corpus, config)
 
     def test_subsampling_smoke(self):
         corpus = clique_corpus(sentences_per_clique=100)

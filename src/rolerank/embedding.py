@@ -53,7 +53,6 @@ paths sum in different orders.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -64,8 +63,6 @@ import numpy as np
 
 from .corpus import NUM_TOKEN, open_atomic, open_text, token_of, tokenize
 from .seeds import make_stream
-
-logger = logging.getLogger(__name__)
 
 ZERO_NORM_EPS = 1e-12
 UNIT_NORM_TOL = 1e-6  # how far a loaded vector's norm may be from 1
@@ -180,15 +177,15 @@ class EmbeddingModel:
     """Vocabulary plus a |V| x dim matrix of word vectors.
 
     ``output_vectors`` (the context-side matrix) exists only while
-    training; ``finalize`` drops it and renormalizes every word vector to
-    unit length, so a model is finalized exactly when it has none.
+    training; ``finalize`` drops it and scales every word vector to unit
+    length, so a model is finalized exactly when it has none. No word's
+    vector is replaced: ``finalize`` refuses one it cannot scale.
     """
 
     vocab: Vocabulary
     input_vectors: np.ndarray
     output_vectors: np.ndarray | None = None
     epoch_losses: tuple[float, ...] = ()
-    zero_replaced: tuple[str, ...] = ()
 
     @property
     def dim(self) -> int:
@@ -517,12 +514,14 @@ def train_skipgram(
 
 
 def finalize(model: EmbeddingModel) -> EmbeddingModel:
-    """Project every word vector onto the unit hypersphere.
+    """Project every word vector onto the unit hypersphere and drop the
+    output vectors.
 
-    A vector with (near-)zero norm is replaced by the first basis vector
-    and the word is recorded in ``zero_replaced``; output vectors are
-    dropped. The input model must not already be finalized, and a
-    non-finite vector (training diverged) raises ``ValueError``.
+    The input model must not already be finalized. A vector that has no
+    direction raises ``ValueError`` naming its word: first a non-finite
+    one (training diverged), then one of norm <= ZERO_NORM_EPS. Training
+    leaves no such short row: a row starts at (uniform - 0.5) / dim, and
+    a word that never trains keeps it.
     """
     if model.finalized:
         raise ValueError("model is already finalized")
@@ -534,21 +533,14 @@ def finalize(model: EmbeddingModel) -> EmbeddingModel:
             "(try a lower embedding.lr_initial)"
         )
     norms = np.linalg.norm(vectors, axis=1)
-    zero_rows = np.flatnonzero(norms <= ZERO_NORM_EPS)
-    zero_words = tuple(model.vocab.words[i] for i in zero_rows)
-    for i in zero_rows:
-        vectors[i] = 0.0
-        vectors[i, 0] = 1.0
-        norms[i] = 1.0
-        logger.warning("zero-norm vector for %r replaced by basis vector e1",
-                       model.vocab.words[i])
+    zero = np.flatnonzero(norms <= ZERO_NORM_EPS)
+    if zero.size:
+        raise ValueError(
+            f"the vector of {model.vocab.words[zero[0]]!r} has norm <= {ZERO_NORM_EPS:g} "
+            "and no direction to project"
+        )
     vectors /= norms[:, None]
-    return EmbeddingModel(
-        vocab=model.vocab,
-        input_vectors=vectors,
-        epoch_losses=model.epoch_losses,
-        zero_replaced=zero_words,
-    )
+    return EmbeddingModel(vocab=model.vocab, input_vectors=vectors, epoch_losses=model.epoch_losses)
 
 
 def nearest_neighbors(

@@ -260,14 +260,16 @@ def write_reports_json(runs: Mapping[float, EvalRun], out: IO[str]) -> None:
 
 
 def write_reports_csv(runs: Mapping[float, EvalRun], out: IO[str]) -> None:
-    """Flat rows (role, fraction, precision, recall, f1, ndcg), aggregate last."""
+    """Flat rows (role, fraction, precision, recall, f1, ndcg), aggregate last.
+    A fraction that left no test triple has no row: no role report and,
+    as on stdout, no aggregate numbers (``report.json`` flags them undefined)."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["role", "fraction", "precision", "recall", "f1", "ndcg"])
     roles = sorted({role for run in runs.values() for role in run.per_role})
     for role in roles + [AGGREGATE_ROLE]:
         for fraction, run in sorted(runs.items()):
             report = run.aggregate if role == AGGREGATE_ROLE else run.per_role.get(role)
-            if report is None:
+            if report is None or not run.per_role:  # no role report: no test triple
                 continue
             writer.writerow(
                 [

@@ -1069,8 +1069,15 @@ class TestPipelineCommand:
         assert half["roles"] and half["aggregate"]["ndcg_defined"]
         assert most["roles"] == {}
         assert most["aggregate"]["ndcg"] == 1.0 and not most["aggregate"]["ndcg_defined"]
-        rows = (out / "report.csv").read_text().splitlines()
-        assert [row for row in rows if ",0.9," in row] == [row for row in rows if row.startswith("ALL,0.9,")]
+        # report.csv has no row for 0.9, from pipeline or from a staged evaluate
+        staged = tmp / "small-staged"
+        assert run("evaluate", "--labeled", labeled, "--embeddings", out / "embeddings.txt",
+                   "--fractions", "0.5,0.9", "--config", config, "--out", staged) == 0
+        assert "fraction 0.9: no test triple" in capsys.readouterr().out.splitlines()
+        for target in (out, staged):
+            rows = (target / "report.csv").read_text().splitlines()
+            assert any(row.startswith("ALL,0.5,") for row in rows)
+            assert not [row for row in rows if ",0.9," in row]
 
     def test_id_in_both_files_exit_2(self, workspace, capsys):
         tmp, labeled, unlabeled, config = workspace

@@ -942,11 +942,22 @@ class TestFinalize:
         out = finalize(make_model(["w"], v, finalized=False))
         assert np.abs(out.input_vectors - v).max() < 1e-12
 
-    def test_zero_vector_replaced_by_e1(self):
+    def test_zero_vector_refused(self):
         vectors = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
-        out = finalize(make_model(["dead", "live"], vectors, finalized=False))
-        assert out.input_vectors[0] == pytest.approx([1.0, 0.0, 0.0])
-        assert out.zero_replaced == ("dead",)
+        with pytest.raises(ValueError, match="the vector of 'dead' has norm <= 1e-12"):
+            finalize(make_model(["dead", "live"], vectors, finalized=False))
+
+    def test_untrained_word_keeps_its_initial_direction(self):
+        """A word seen only alone is never a center with a pair, so its row
+        stays at its initial draw, which finalize projects like any other."""
+        corpus = [["a", "b", "a", "c"]] * 20 + [["lonely"]]
+        config = EmbeddingConfig(dim=6, epochs=3, seed=4)
+        model = train_skipgram(corpus, config)
+        i = model.vocab.index["lonely"]
+        initial = initial_vectors(model.vocab, config)[0][i]
+        assert np.array_equal(model.input_vectors[i], initial)
+        projected = finalize(model).input_vectors[i]
+        assert np.array_equal(projected, initial / np.linalg.norm(initial[None], axis=1)[0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_vector_rejected(self, bad):

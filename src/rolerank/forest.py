@@ -8,15 +8,19 @@ the samples that reached them, and the forest's score is the mean leaf
 fraction over trees, read as a probability in [0, 1].
 
 A forest's trees grow together, one depth at a time, as XGBoost grows
-its trees depth-wise (Chen & Guestrin 2016). Each tree keeps its own
-PCG64 stream and bootstrap, row t of one (trees, n) matrix of draw
-counts, and draws one candidate set per node it searches, in the order
-the fit makes its nodes, so its draws and nodes are those of growing it
-alone. Every number is a raw 64-bit draw, whose stream numpy keeps fixed
-across versions, unlike a ``Generator``'s: a bootstrap row is a draw
-modulo n, and a candidate set the m features of smallest keys among d
-draws. The nodes of one depth that need a split search form the
-frontier, ordered by tree; one batched search splits them all, and
+its trees depth-wise (Chen & Guestrin 2016). Every random choice is a
+hash of where it lands, the counter-based idea of Salmon et al.,
+"Parallel Random Numbers: As Easy as 1, 2, 3" (SC 2011): ``_mix(key,
+counter)`` is the SplitMix64 finalizer of Steele, Lea & Flood (OOPSLA
+2014) in uint64 arithmetic. Tree t's key is the mix of the forest's seed
+and t, its root's key is that key, and a child's key is the mix of its
+parent's key and its side. A bootstrap row is the mix of the tree key
+and the draw index, modulo n; a node's candidate set is the m features
+whose mix of node key and column is smallest. So a tree's draws depend
+on that tree alone, in no order, and are the same integers on every
+numpy version and CPU. Tree t's bootstrap is row t of one (trees, n)
+matrix of draw counts. The nodes of one depth that need a split search
+form the frontier, in id order; one batched search splits them all, and
 their children that need a search are the next depth's frontier. A tree
 holds the rows it drew weighted by draw count (scikit-learn's bootstrap
 sample weights). X is ranked once per column; each (node,
@@ -38,9 +42,9 @@ WALK_LEVELS levels by ``left + (x > threshold)`` over a copy, made on a
 classifier's first prediction, in which a leaf loops to itself, and
 pairs that reached a leaf are dropped between those runs.
 
-Given a seed the whole construction is deterministic: per-tree streams
-are seeded from (seed, tree index), and split ties break toward the
-lower feature index and lower threshold.
+Given a seed the whole construction is deterministic: every draw is a
+hash of (seed, tree, node path, column or draw index), and split ties
+break toward the lower feature index and lower threshold.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .corpus import open_atomic
-from .seeds import make_stream
+from .seeds import derive_seed
 
 
 @dataclass(frozen=True)
@@ -110,7 +114,7 @@ class RoleClassifier:
 
 # Most (sample, feature) entries one batched split search sorts at once;
 # a depth's nodes are searched in chunks of this size, and a node larger
-# than it is searched alone.
+# than it is searched alone. Candidate sets hash as many columns at once.
 SPLIT_BLOCK = 1 << 14
 WALK_LEVELS = 4  # levels predict_proba's live pairs step between compactions
 
@@ -255,33 +259,44 @@ def _check_finite(X: np.ndarray) -> None:
                          "features must be finite")
 
 
-def _candidate_sets(streams, tree, d, m):
-    """One candidate set per node, (len(tree), m): node i's is drawn from
-    ``streams[tree[i]]``, and ``tree`` is in nondecreasing order.
+# _mix counters of a key: its bootstrap draws count from 0, its columns
+# from COLUMN, and CHILD are its (left, right) children's, so no two of
+# them share an input
+COLUMN, CHILD = 1 << 62, (1 << 63) + np.arange(2, dtype=np.uint64)
 
-    A tree with j nodes draws a (j, d) block of ``random_raw`` keys from
-    its PCG64 stream, and its nodes' sets, in order, hold the m columns
-    with the smallest keys of each row. A key's low ``(d - 1).bit_length()``
-    bits are overwritten with its column, so a row's keys are distinct and
-    a set's columns are read back from them. The split search sorts each
+
+def _mix(key, counter):
+    """The SplitMix64 finalizer of ``key + counter * 0x9E3779B97F4A7C15``
+    over uint64 arrays, which wrap mod 2**64 without a warning; for
+    counter >= 1 it is output ``counter`` of SplitMix64 seeded ``key``.
+    It works in place, so its peak is the result and one temporary."""
+    z = counter * 0x9E3779B97F4A7C15 + key
+    for shift, factor in (30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB):
+        z ^= z >> shift
+        z *= factor
+    return np.bitwise_xor(z, z >> 31, out=z)
+
+
+def _candidate_sets(keys, d, m):
+    """One candidate set per uint64 node key, (len(keys), m): the m columns
+    c of smallest ``_mix(key, COLUMN + c)``, whose low
+    ``(d - 1).bit_length()`` bits are replaced by c, so a key's hashes are
+    distinct and a set's columns are read back from them. Keys are hashed
+    SPLIT_BLOCK // d at a time, one at least, so a draw holds one such
+    block of hashes whatever the frontier. The split search sorts each
     set, so a set is in no particular order.
     """
-    bits = (d - 1).bit_length()
-    sets = np.empty((len(tree), m), dtype=np.int64)
-    trees, first, count = np.unique(tree, return_index=True, return_counts=True)
-    for t, a, j in zip(trees.tolist(), first.tolist(), count.tolist()):
-        keys = streams[t].random_raw((j, d))
-        keys >>= bits
-        keys <<= bits
-        keys |= np.arange(d, dtype=np.uint64)
-        keys.partition(m - 1, axis=1)  # in place: argpartition's index array would double the peak
-        sets[a:a + j] = keys[:, :m] & ((1 << bits) - 1)
-        del keys  # before the next tree's keys are drawn
+    bits, columns = (d - 1).bit_length(), np.arange(d, dtype=np.uint64)
+    sets, step = np.empty((len(keys), m), dtype=np.int64), max(1, SPLIT_BLOCK // d)
+    for a in range(0, len(keys), step):
+        hashes = _mix(keys[a:a + step, None], COLUMN + columns) >> bits << bits | columns
+        hashes.partition(m - 1, axis=1)  # in place: argpartition's index array would add a block
+        sets[a:a + step] = hashes[:, :m] & (1 << bits) - 1
     return sets
 
 
 def _needs_search(nodes, config, depth):
-    """Which (id, start, stop, draws, positives, tree) node rows at
+    """Which (id, start, stop, draws, positives, key) node rows at
     ``depth`` need a split search: impure, above ``max_depth``, with draws
     for two leaves."""
     draws, pos = nodes[:, 3], nodes[:, 4]
@@ -298,7 +313,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
 
     Tree t's bootstrap is row t of ``drawn``, the (trees, n) matrix of
     draw counts; its zeros are the tree's out-of-bag rows. A node is a row
-    (id, start, stop, draws, positives, tree) whose range of two buffers,
+    (id, start, stop, draws, positives, key) whose range of two buffers,
     ``samples`` and ``weights``, holds the nonzero entries of its tree's
     row: the rows drawn and their counts. The trees grow one depth at a
     time: the frontier holds the nodes of this depth that need a split
@@ -325,25 +340,27 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
     m = config.features_per_split or math.ceil(math.sqrt(d))
 
     trees = config.n_trees
-    drawn = np.empty((trees, n), dtype=np.int64)  # first, so a huge n_trees fails at once
-    streams = [make_stream(config.seed, f"tree{t}") for t in range(trees)]
-    for t, stream in enumerate(streams):
-        drawn[t] = np.bincount(stream.random_raw(n) % n, minlength=n)  # modulo bias <= n / 2**64
+    # tree t's key is keys[t, 0], made first so that a huge n_trees fails at
+    # once; its draw i is row _mix(key, i) mod n (modulo bias <= n / 2**64),
+    # counted at t * n + row
+    keys = _mix(derive_seed(config.seed, "forest"), np.arange(trees, dtype=np.uint64)[:, None])
+    drawn = _mix(keys, np.arange(n, dtype=np.uint64)) % n + n * np.arange(trees, dtype=np.uint64)[:, None]
+    drawn = np.bincount(drawn.view(np.int64).ravel(), minlength=trees * n).reshape(trees, n)
     flat = np.flatnonzero(drawn)  # t * n + i for each row i that tree t drew
     weights = drawn.ravel()[flat]
     bounds = np.searchsorted(flat, np.arange(trees + 1) * n)
     positives = drawn @ (codes[:, 0] & 1)
     samples = np.remainder(flat, n, out=flat)
     del drawn
-    # node rows are (id, start, stop, draws, positives, tree); root t is node t
-    roots = np.stack([np.arange(trees), bounds[:-1], bounds[1:], np.full(trees, n), positives,
-                      np.arange(trees)], axis=1)
-    frontier, values, splits = roots[_needs_search(roots, config, 0)], [positives / n], []
-    made, depth = trees, 0
-    while len(frontier):
+    # node rows are (id, start, stop, draws, positives, key), the key's
+    # uint64 bits held as int64; root t is node t, keyed by tree t's key
+    nodes = np.stack([np.arange(trees), bounds[:-1], bounds[1:], np.full(trees, n), positives,
+                      keys.view(np.int64)[:, 0]], axis=1)
+    values, splits, made, depth = [positives / n], [], trees, 0
+    while len(frontier := nodes[_needs_search(nodes, config, depth)]):
         feature, threshold, n_left, pos_left, rows_left = _split_batch(
             X, codes, S, samples, weights, frontier[:, 1], frontier[:, 2],
-            _candidate_sets(streams, frontier[:, 5], d, m), config.min_samples_leaf)
+            _candidate_sets(frontier[:, 5].view(np.uint64), d, m), config.min_samples_leaf)
         # no split, or a midpoint that rounds onto the upper of two adjacent
         # floats, sends every draw left; such a node stays a leaf
         split = n_left < frontier[:, 3]
@@ -353,11 +370,10 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
         kids[:, 0, 2] = kids[:, 1, 1] = parents[:, 1] + rows_left[split]
         kids[:, 0, 3], kids[:, 0, 4] = n_left[split], pos_left[split]
         kids[:, 1, 3:5] -= kids[:, 0, 3:5]
-        made, depth = made + 2 * k, depth + 1
+        kids[:, :, 5] = _mix(parents[:, 5:].view(np.uint64), CHILD).view(np.int64)
         splits.append((parents[:, 0], kids[:, 0, 0], feature[split], threshold[split]))
         values.append((kids[:, :, 4] / kids[:, :, 3]).ravel())
-        kids = kids.reshape(2 * k, 6)
-        frontier = kids[_needs_search(kids, config, depth)]
+        nodes, made, depth = kids.reshape(2 * k, 6), made + 2 * k, depth + 1
     del samples, weights  # 16% of the fit's peak on the train-noisy shape, 44% on 20,000 rows
 
     feature, left = np.full((2, made), -1)

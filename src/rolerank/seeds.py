@@ -1,11 +1,14 @@
 """Deterministic seed derivation for the pipeline stages.
 
-Every random stream in the project is derived from one master seed plus a
+Every random draw in the project is derived from one master seed plus a
 short tag, so reruns with the same seed are bit-reproducible and the
-stages (embedding, forests, splits) stay decorrelated. A stream is a
-PCG64 bit generator, and every draw is read from its raw 64-bit output,
-which numpy keeps fixed across versions; no ``Generator`` is made, since
-its algorithms carry no such promise (NEP 19).
+stages (embedding, forests, splits) stay decorrelated. SGNS and
+``split_train_test`` draw from streams: a stream is a PCG64 bit
+generator, and every draw is read from its raw 64-bit output, which numpy
+keeps fixed across versions; no ``Generator`` is made, since its
+algorithms carry no such promise (NEP 19). A forest keeps no stream: it
+hashes ``derive_seed(seed, "forest")`` with integer arithmetic
+(``forest._mix``).
 """
 
 from __future__ import annotations

@@ -16,9 +16,11 @@ file's text, ``preorder_json`` that text in the preorder layout the golden
 digests were recorded on, ``predict_reference`` the forest walk over a
 model's own node arrays and ``unigram_probabilities`` the distribution
 negatives are drawn from. ``uniform_reference`` and ``window_reference``
-are the draws of SGNS, and ``bootstrap_reference``,
-``candidate_set_reference`` and ``split_order_reference`` those of
-forests and splits, in plain Python over ``PCG64.random_raw``.
+are the draws of SGNS and ``split_order_reference`` those of splits, in
+plain Python over ``PCG64.random_raw``. ``mix_reference`` is the
+SplitMix64 hash forests draw by, in Python ints mod 2**64, and
+``tree_key_reference``, ``child_key_reference``, ``bootstrap_reference``
+and ``candidate_set_reference`` are a forest's draws in its terms.
 """
 
 from __future__ import annotations
@@ -274,21 +276,42 @@ def window_reference(seed: int, window: int, n: int) -> list[int]:
     return [1 + raw % window for raw in stream.random_raw(n).tolist()]
 
 
+def mix_reference(key: int, counter: int) -> int:
+    """The SplitMix64 finalizer of key + counter * 0x9E3779B97F4A7C15, in
+    Python ints mod 2**64: for counter >= 1, output ``counter`` of
+    SplitMix64 seeded ``key`` (Steele, Lea & Flood 2014)."""
+    mask = (1 << 64) - 1
+    z = (key + counter * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def tree_key_reference(seed: int, tree: int) -> int:
+    """Tree ``tree``'s key in a forest seeded ``seed``, which is also its root's."""
+    return mix_reference(derive_seed(seed, "forest"), tree)
+
+
+def child_key_reference(key: int, side: int) -> int:
+    """The key of the left (side 0) or right (side 1) child of the node keyed ``key``."""
+    return mix_reference(key, 2**63 + side)
+
+
 def bootstrap_reference(seed: int, tree: int, n: int) -> list[int]:
-    """The n rows tree ``tree`` of a forest seeded ``seed`` draws: each is
-    one raw 64-bit draw of the tree's PCG64 stream, modulo n."""
-    stream = np.random.PCG64(derive_seed(seed, f"tree{tree}"))
-    return [raw % n for raw in stream.random_raw(n).tolist()]
+    """The n rows tree ``tree`` of a forest seeded ``seed`` draws: draw i is
+    the mix of the tree's key and i, modulo n."""
+    key = tree_key_reference(seed, tree)
+    return [mix_reference(key, i) % n for i in range(n)]
 
 
-def candidate_set_reference(stream: np.random.PCG64, d: int, m: int) -> list[int]:
-    """The next candidate set of a tree's PCG64 stream, sorted: d raw keys,
-    one a column, and the m columns whose keys are smallest, once each
-    key's low (d - 1).bit_length() bits are dropped, ties going to the
-    lower column."""
+def candidate_set_reference(key: int, d: int, m: int) -> list[int]:
+    """The candidate set of the node keyed ``key``, sorted: column c's hash
+    is the mix of the key and 2**62 + c, and the set is the m columns
+    whose hashes are smallest, once each hash's low (d - 1).bit_length()
+    bits are dropped, ties going to the lower column."""
     bits = (d - 1).bit_length()
-    keys = stream.random_raw(d).tolist()
-    return sorted(sorted(range(d), key=lambda column: (keys[column] >> bits, column))[:m])
+    hashes = [mix_reference(key, 2**62 + column) for column in range(d)]
+    return sorted(sorted(range(d), key=lambda column: (hashes[column] >> bits, column))[:m])
 
 
 def split_order_reference(seed: int, role: str, target: int | None, size: int) -> list[int]:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import stats
 
 from rolerank import forest
 from rolerank.corpus import build_corpus
@@ -30,11 +31,14 @@ from synth import (
     best_split,
     bootstrap_reference,
     candidate_set_reference,
+    child_key_reference,
     classifier_to_json,
     gini_decrease,
     make_labeled_triples,
+    mix_reference,
     predict_reference,
     preorder_json,
+    tree_key_reference,
 )
 
 
@@ -389,27 +393,28 @@ class TestTrainForest:
         assert all(v in (0.0, 1.0) for v in leaves)
 
 
-# Recorded when trees first grew one depth at a time, drawing from PCG64's
-# raw stream (bootstrap rows as raw draws mod n, candidate sets as the m
-# smallest of d raw keys, one set per node in the order the fit makes them).
+# Recorded when forests first drew by the SplitMix64 hash: a bootstrap row
+# is the hash of (tree key, draw index) mod n, and a candidate set the m
+# columns of smallest hash of (node key, column), a node's key being the
+# hash of its parent's key and its side.
 GOLDEN_PROBES = np.random.default_rng(2024).uniform(-0.5, 1.5, size=(20, 2))
 GOLDEN = [
     pytest.param(
         {"noise": 0.1},
         ForestConfig(n_trees=20, seed=4, features_per_split=2),
-        316,
-        [1.0, 1.0, 0.95, 0.0, 0.0, 0.45, 0.45, 0.05, 0.0, 0.95,
-         0.25, 1.0, 0.15, 0.95, 0.0, 0.0, 0.95, 1.0, 0.9, 0.95],
+        336,
+        [1.0, 1.0, 0.9, 0.05, 0.1, 0.4, 0.85, 0.1, 0.05, 1.0,
+         0.1, 1.0, 0.0, 0.95, 0.1, 0.15, 0.9, 1.0, 0.95, 0.9],
         id="xor",
     ),
     pytest.param(
         {"noise": 0.4},
         ForestConfig(n_trees=20, seed=4, features_per_split=1, min_samples_leaf=2),
-        756,
-        [0.9166666666666667, 1.0, 0.925, 0.14166666666666666, 0.29583333333333334,
-         0.5833333333333334, 0.7083333333333333, 0.3333333333333333, 0.1875, 0.4333333333333333,
-         0.7833333333333333, 0.9875, 0.25, 0.8083333333333333, 0.26666666666666666, 0.2375,
-         0.6833333333333333, 0.8625, 0.5458333333333334, 0.9],
+        752,
+        [0.8666666666666666, 0.875, 0.8125, 0.3, 0.2,
+         0.3666666666666667, 0.47333333333333333, 0.22999999999999998, 0.15, 0.6583333333333334,
+         0.45, 0.9416666666666667, 0.14166666666666666, 0.8708333333333332, 0.4, 0.2875,
+         0.6958333333333333, 0.875, 0.4625, 0.7625],
         id="xor-noisy-leaf2",
     ),
     # Deep, tie-rich forests on 6-d noisy data; pinned by the sha256 of the
@@ -417,15 +422,15 @@ GOLDEN = [
     pytest.param(
         {"flip": 0.2},
         ForestConfig(n_trees=20, seed=7),
-        2696,
-        "8cc974fc17bf29f4691b5d8dd2f90360e5c3117e2373c56e8965be342b6bd6fe",
+        2758,
+        "c20b23a71252361718b291e87c4d40ab80a91adae001cbda5a760a26f152ca22",
         id="flipped",
     ),
     pytest.param(
         {"flip": 0.2},
         ForestConfig(n_trees=20, seed=7, min_samples_leaf=2, max_depth=6),
-        1328,
-        "d9bf7bee98db8f75943bd500c579bc275960efeb0d4f0bb50fffee1446f50d8e",
+        1182,
+        "c36a7f1a86df6777f7b2953d7939664918ff6d341c8334e812ad7ded5c77400e",
         id="flipped-leaf2-depth6",
     ),
     # The shape of one role's forest in the train-noisy benchmark workload:
@@ -433,8 +438,8 @@ GOLDEN = [
     pytest.param(
         {"flip": 0.2, "n": 560, "d": 30},
         ForestConfig(n_trees=100, seed=7),
-        17728,
-        "4f85dbc9e9d5eaaa28f18c3c3acbb9383f31f5b3869bb5e2ea24fce4ab3bcb31",
+        17952,
+        "3b6ab0fb0eed3641a7e14e69c2dfc26b87170d415cdb87ea0aa2fc1f5c06496f",
         id="train-noisy-shape",
     ),
     # Edge shapes of forest-wide growth: roots that are leaves (bootstraps
@@ -443,45 +448,45 @@ GOLDEN = [
     pytest.param(
         {"flip": 0.0, "n": 6, "d": 3, "positives": 1},
         ForestConfig(n_trees=50, seed=7),
-        158,
-        "36b874580b634a63049660fed2c039f0c9de8c009cf3281bd0c8af566c8b1e39",
+        174,
+        "ec1d201629d38f56bf6815ab871303a6d771cb9030aca3a5bddcaea46771d523",
         id="leaf-roots",
     ),
     pytest.param(
         {"flip": 0.2},
         ForestConfig(n_trees=1, seed=7),
-        131,
-        "2cfd01ff0fda8783e728ccf63d8f95c035ea6394a7689aad96ddcbe339af7f69",
+        119,
+        "ff76e3da82ea8b4e52b57d3bf9a22ea086f5a727bd14be101d364b19ce5dfa13",
         id="one-tree",
     ),
     pytest.param(
         {"flip": 0.2},
         ForestConfig(n_trees=20, seed=7, features_per_split=6),
-        2394,
-        "664cb6ba5f67e0ea5b0135afbc9dceae7fe8cdbc3f9cebc713bffab9db59da7a",
+        2434,
+        "eab2b6c711755c299c8b992cad356732f5f61cd44e8e4c369eb0e619aecb0fe2",
         id="m-equals-d",
     ),
     pytest.param(
         {"flip": 0.2},
         ForestConfig(n_trees=20, seed=7, max_depth=1),
         60,
-        "66aadc17e5a222f03e620d44d9879e702c5b306291ad2f8b50e387654020a686",
+        "26c47fc564f186432225b65103f34279a9a941bed347ceb230272a4ee2d46e59",
         id="depth-1",
     ),
     pytest.param(
         {"flip": 0.2, "n": 40, "d": 10001},
         ForestConfig(n_trees=4, seed=7, features_per_split=201),
         30,
-        "68d9e53ff01e186a21aab8554e2b347d9fb429fdf663339d92de826441dd141c",
+        "1ce08f90147727f25819d19bd65ba04cc16704dd5666dc8411e6eaacb18d5677",
         id="d-10001",
     ),
-    # Data and forest both from PCG64's raw stream: no Generator algorithm
-    # touches this digest.
+    # Data from PCG64's raw stream and forest from the integer hash: no
+    # Generator algorithm touches this digest.
     pytest.param(
         {"flip": 0.2, "raw": True},
         ForestConfig(n_trees=20, seed=7),
-        3052,
-        "12c978638ad502468764e767b28615750bde9edeaaf40db8ceb4fdf1bbf28543",
+        2864,
+        "86d7813bc9c88f4af4985a161ae21f9b2520b2c02b1c3ebabeca9942c50cba60",
         id="raw-data",
     ),
 ]
@@ -593,55 +598,107 @@ def test_a_tree_does_not_depend_on_its_siblings(fit, more):
         assert tree_preorder(large, t) == tree_preorder(small, t)
 
 
+def test_mix_is_splitmix64():
+    """The reference gives SplitMix64's published first outputs (seed 0;
+    seed 1234567), and ``_mix`` equals it on broadcast uint64 arrays of
+    edge keys and counters, the column and child counters among them."""
+    assert mix_reference(0, 1) == 0xE220A8397B1DCDAF
+    assert [mix_reference(1234567, i) for i in (1, 2)] == [6457827717110365317, 3203168211198807973]
+    keys = [0, 1, 2**63 - 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15]
+    counters = [0, 1, 2, 559, 2**62, 2**62 + 29, 2**63, 2**63 + 1, 2**64 - 1]
+    mixed = forest._mix(np.array(keys, dtype=np.uint64)[:, None], np.array(counters, dtype=np.uint64))
+    assert mixed.dtype == np.uint64
+    assert mixed.tolist() == [[mix_reference(key, c) for c in counters] for key in keys]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    seed=st.integers(0, 2**32 - 1),
     shape=st.integers(1, 300).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, min(d, 40)))),
-    calls=st.lists(st.lists(st.integers(0, 3), max_size=60).map(sorted), min_size=1, max_size=4),
+    keys=st.lists(st.integers(0, 2**64 - 1), max_size=60),
 )
-@example(seed=1, shape=(1, 1), calls=[[0]])  # d = 1
-@example(seed=2, shape=(12, 12), calls=[[0] * 70 + [1] * 5 + [2]])  # m = d
-@example(seed=3, shape=(2, 1), calls=[[0] * 20])  # d = 2
-@example(seed=4, shape=(2, 2), calls=[[0] * 20 + [1] * 20])
-@example(seed=5, shape=(10001, 201), calls=[[0, 0, 0, 1]])  # d = 10001
-@example(seed=6, shape=(30, 6), calls=[[0, 1, 2], [0, 1, 2], [0, 1, 2]])  # one node per tree and call
-@example(seed=7, shape=(30, 1), calls=[[0] * 70])  # m = 1
-@example(seed=8, shape=(30, 6), calls=[[], [1, 1], [0, 3, 3, 3]])  # calls and trees without a node
-def test_candidate_sets_equal_reference(seed, shape, calls):
-    """Over several calls, each with its nodes' tree ids in order, node i
-    gets the next ``candidate_set_reference`` set of stream ``tree[i]``;
-    afterwards each stream stands where the reference leaves it."""
+@example(shape=(1, 1), keys=[0])  # d = 1
+@example(shape=(12, 12), keys=list(range(70)))  # m = d
+@example(shape=(2, 1), keys=[2**64 - 1] * 20)  # d = 2, one key many times
+@example(shape=(2, 2), keys=list(range(40)))
+@example(shape=(10001, 201), keys=[7, 2**63, 2**64 - 1])  # d = 10001, one key a chunk
+@example(shape=(300, 18), keys=list(range(60)))  # chunks of 54 keys
+@example(shape=(30, 1), keys=list(range(70)))  # m = 1
+@example(shape=(30, 6), keys=[])  # no node
+def test_candidate_sets_equal_reference(shape, keys):
+    """Node i's set is ``candidate_set_reference`` of key i: a pure
+    function of (key, d, m), whatever the other keys of the call."""
     d, m = shape
-    streams = [np.random.PCG64([seed, t]) for t in range(4)]
-    drawn = [[] for _ in streams]
-    for call in calls:
-        tree = np.array(call, dtype=np.int64)
-        sets = forest._candidate_sets(streams, tree, d, m)
-        assert sets.shape == (len(tree), m)
-        for t, node_set in zip(call, sets.tolist()):
-            drawn[t].append(sorted(node_set))
-    for t, stream in enumerate(streams):
-        plain = np.random.PCG64([seed, t])
-        assert drawn[t] == [candidate_set_reference(plain, d, m) for _ in drawn[t]]
-        assert stream.random_raw() == plain.random_raw()
+    sets = forest._candidate_sets(np.array(keys, dtype=np.uint64), d, m)
+    assert sets.shape == (len(keys), m)
+    assert sets.dtype == np.int64
+    assert [sorted(node_set) for node_set in sets.tolist()] == [candidate_set_reference(key, d, m) for key in keys]
+
+
+def test_candidate_columns_are_uniform():
+    """Over 200,000 consecutive node keys at d = 30, m = 6, each column and
+    each pair of columns turns up as often as in uniform draws of m
+    distinct columns. Under those, ``columns`` (Pearson's statistic scaled
+    by (d - 1) / (d - m)) is chi-square on d - 1 = 29 degrees of freedom,
+    and ``pairs`` (Pearson's statistic over the 435 pairs) has mean 420 and
+    standard deviation 38.7: the pair covariance's eigenvalues weigh
+    chi-squares on 29 and 405 degrees of freedom by 4.286 and 0.730. Each
+    bound is a tail of about 1e-6 or less."""
+    d, m, nodes = 30, 6, 200_000
+    sets = forest._candidate_sets(np.arange(nodes, dtype=np.uint64), d, m)
+    expected = nodes * m / d
+    columns = ((np.bincount(sets.ravel(), minlength=d) - expected) ** 2).sum() / expected * (d - 1) / (d - m)
+    assert stats.chi2.ppf(1e-6, d - 1) < columns < stats.chi2.isf(1e-6, d - 1)
+    sets.sort(axis=1)
+    i, j = np.triu_indices(m, 1)
+    counts = np.bincount((sets[:, i] * d + sets[:, j]).ravel(), minlength=d * d)
+    expected = nodes * m * (m - 1) / (d * (d - 1))
+    pairs = ((counts.reshape(d, d)[np.triu_indices(d, 1)] - expected) ** 2 / expected).sum()
+    assert abs(pairs - 420) < 6 * 38.7
 
 
 def test_candidate_set_memory_is_bounded():
-    """20 trees' 16 nodes each at d = 10000 need one tree's (16, 10000)
-    keys at a time, 1.28 MB, partitioned in place: the sets plus 2 MiB
-    bound it, as they bounded the membership table that checked Floyd's
-    draws before the keys replaced them."""
-    streams = [np.random.PCG64(t) for t in range(20)]
-    tree = np.repeat(np.arange(20), 16)
+    """320 node keys at d = 10000 hash one key at a time, as SPLIT_BLOCK //
+    d is 0: beside the sets, a draw holds five (d,) uint64 vectors, 400 kB
+    (the columns, their counters, the key's hashes, the mixer's temporary
+    and the last key's hashes until they are rebound), and 64 KiB bound
+    the rest, however many keys there are."""
+    keys = np.arange(320, dtype=np.uint64)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        sets = forest._candidate_sets(streams, tree, 10000, 100)
+        sets = forest._candidate_sets(keys, 10000, 100)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert sets.shape == (320, 100)
-    assert peak <= 2_353_152
+    assert peak <= sets.nbytes + 5 * 10000 * 8 + 65536
+
+
+def test_nodes_draw_by_the_keys_of_their_paths(monkeypatch):
+    """Root t is keyed by tree t's key and a child by its parent's key and
+    side. Each node searched is one of the forest's nodes, searched once;
+    every internal node is among them, and its split feature lies in the
+    ``candidate_set_reference`` set of its key."""
+    X, y = flipped_dataset(0.2)
+    config = ForestConfig(n_trees=8, seed=7, features_per_split=2)
+    candidate_sets, searched = forest._candidate_sets, []
+
+    def spy(keys, d, m):
+        searched.extend(keys.tolist())
+        return candidate_sets(keys, d, m)
+
+    monkeypatch.setattr(forest, "_candidate_sets", spy)
+    c = train_forest(X, y, config)
+    key = {t: tree_key_reference(config.seed, t) for t in range(config.n_trees)}
+    left = c.left.tolist()
+    internal = [node for node, child in enumerate(left) if child >= 0]
+    for node in internal:  # in id order, and a child's id is above its parent's
+        key[left[node]], key[left[node] + 1] = (child_key_reference(key[node], side) for side in (0, 1))
+    assert len(key) == len(left)
+    assert len(set(searched)) == len(searched)
+    assert {key[node] for node in internal} <= set(searched) <= set(key.values())
+    for node in internal:
+        assert c.feature[node] in candidate_set_reference(key[node], X.shape[1], 2)
 
 
 def test_trees_search_their_distinct_bootstrap_rows(monkeypatch):
@@ -668,9 +725,9 @@ def test_trees_search_their_distinct_bootstrap_rows(monkeypatch):
 
 def test_forests_and_splits_make_no_generator(monkeypatch):
     """No stage makes a ``Generator``: SGNS, with subsampling on so that
-    all four of its streams draw, fits, splits, role models and evaluation
-    draw only from PCG64's raw stream, whose bits numpy keeps across
-    versions."""
+    all four of its streams draw, splits and evaluation draw only from
+    PCG64's raw stream, whose bits numpy keeps across versions, and fits
+    and role models only from the forest's integer hash."""
     X, y = flipped_dataset(0.2, n=100)
     labeled = make_labeled_triples(n_per_role=20)
 

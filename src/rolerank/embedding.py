@@ -5,11 +5,10 @@ For every center word an effective window is drawn uniformly from
 ("Parallelizing Word2Vec in Shared and Distributed Memory"). Negatives
 are shared: each epoch draws one row of k negative words per center (a
 token with at least one in-window context), and every (center, context)
-pair of that center uses it. Negatives come from the ``negatives``
-substream in token order, filling slots row-major. A draw equal to any
-of its center's in-window context words is redrawn, row-major over the
-rejected slots, until none is left. A center whose context words cover
-the whole vocabulary keeps its draws, since no word could replace them.
+pair of that center uses it, its slots filled row-major in token order.
+A draw equal to any of its center's in-window context words is redrawn
+until none is left. A center whose context words cover the whole
+vocabulary keeps its draws, since no word could replace them.
 
 Steps are gather / score / scatter. A step is SENTENCES_PER_STEP
 consecutive sentences that each have a pair (the epoch's last step may
@@ -41,14 +40,15 @@ place among them. A negative draw takes its word through a guide table
 (``UnigramSampler``), which finds the word a binary search over the
 cumulative weights would.
 
-All randomness is driven by the config seed through four named PCG64
-streams (init / window / subsample / negatives), read by ``random_raw``:
-a uniform double is a raw draw's top 53 bits times 2**-53 (the doubles
-of ``Generator.random``), and a window is 1 + a raw draw modulo the
-configured window (bias at most window / 2**64). That makes training
-bit-reproducible on one machine and numpy build, whatever the number of
-BLAS threads. It is not reproducible across CPU kernels, whose SIMD
-paths sum in different orders.
+Every draw is ``seeds.mix(key, counter)``, keyed by the config seed and
+a tag (init / window / subsample / negatives): a uniform double is a
+hash's top 53 bits times 2**-53, a window 1 + a hash modulo the window
+(bias at most window / 2**64). Initial vector entry (row, column) is
+counter row * dim + column; token i of epoch e, of T in-vocabulary
+tokens, counter e * T + i; epoch e's negatives count from 0 under the
+mix of the negatives key and e. So training is bit-reproducible on one
+machine and numpy build, whatever the number of BLAS threads, but not
+across CPU kernels, whose SIMD paths sum in different orders.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import NUM_TOKEN, open_atomic, open_text, token_of, tokenize
-from .seeds import make_stream
+from .seeds import derive_seed, mix
 
 ZERO_NORM_EPS = 1e-12
 UNIT_NORM_TOL = 1e-6  # how far a loaded vector's norm may be from 1
@@ -207,9 +207,9 @@ def build_vocabulary(corpus: Sequence[Sequence[str]], min_count: int = 1) -> Voc
     return Vocabulary(words=tuple(retained))
 
 
-def _uniform(stream: np.random.PCG64, shape) -> np.ndarray:
-    """Doubles in [0, 1) of ``shape``: each a raw draw's top 53 bits times 2**-53."""
-    return (stream.random_raw(shape) >> 11) * 2.0**-53
+def _uniform(key, counter) -> np.ndarray:
+    """Doubles in [0, 1), one per uint64 counter: ``mix(key, counter)``'s top 53 bits times 2**-53."""
+    return (mix(key, counter) >> 11) * 2.0**-53
 
 
 SAMPLE_BLOCK = 1 << 14  # draws UnigramSampler searches at a time; bounds its temporaries
@@ -245,12 +245,13 @@ class UnigramSampler:
             walk = walk[self._cum[found[walk]] <= draws[walk]]
         return found
 
-    def sample_n(self, stream: np.random.PCG64, n: int) -> np.ndarray:
-        """n draws, SAMPLE_BLOCK at a time: the same doubles as one ``_uniform(stream, n)``."""
+    def sample_n(self, key, first: int, n: int) -> np.ndarray:
+        """The words of ``_uniform(key, counter)`` for counters first, ...,
+        first + n - 1, made SAMPLE_BLOCK at a time."""
         found = np.empty(n, dtype=np.intp)
         for start in range(0, n, SAMPLE_BLOCK):
-            draws = _uniform(stream, min(n - start, SAMPLE_BLOCK)) * self._cum[-1]
-            found[start:start + len(draws)] = self._search(draws)
+            counters = np.arange(first + start, first + min(n, start + SAMPLE_BLOCK), dtype=np.uint64)
+            found[start:start + len(counters)] = self._search(_uniform(key, counters) * self._cum[-1])
         return found
 
 
@@ -292,22 +293,22 @@ def _epoch_layouts(ids, lengths, config: EmbeddingConfig, keep: np.ndarray | Non
     (words below min_count). ``ids`` holds the kept tokens of every
     sentence that keeps at least two back to back (a one-word sentence has
     no pairs), ``left`` and ``right`` how many in-window context words each
-    token has on either side, and ``lengths`` the sentence lengths. Each
-    epoch draws the subsampling and window substreams once, in a fixed
-    order, from substreams made afresh for every call, so a config always
-    yields the same layouts and only one epoch's layout is held at a time.
+    token has on either side, and ``lengths`` the sentence lengths. Token
+    i of epoch e draws counter e * T + i, so its window does not depend on
+    which tokens subsampling kept, and only one epoch's layout is held at
+    a time.
     """
     tokens = ids[ids >= 0]
     sentence_of = np.repeat(np.arange(len(lengths)), lengths)[ids >= 0]
-    win_stream = make_stream(config.seed, "window")
-    sub_stream = make_stream(config.seed, "subsample") if keep is not None else None
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
+        counters = np.arange(epoch * len(tokens), (epoch + 1) * len(tokens), dtype=np.uint64)
+        windows = (mix(derive_seed(config.seed, "window"), counters) % config.window).astype(np.intp) + 1
         ids, sentence = tokens, sentence_of
-        if sub_stream is not None:
-            kept = _uniform(sub_stream, len(tokens)) < keep[tokens]
-            ids, sentence = tokens[kept], sentence_of[kept]
+        if keep is not None:
+            kept = _uniform(derive_seed(config.seed, "subsample"), counters) < keep[tokens]
+            ids, sentence, windows = tokens[kept], sentence_of[kept], windows[kept]
+        del counters  # else held while the epoch trains, 0.19 MB on C7
         lengths = np.bincount(sentence)
-        windows = (win_stream.random_raw(len(ids)) % config.window).astype(np.intp) + 1
         paired = lengths[sentence] > 1  # a one-word sentence has no pairs
         ids, windows, lengths = ids[paired], windows[paired], lengths[lengths > 1]
         pos = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
@@ -316,15 +317,15 @@ def _epoch_layouts(ids, lengths, config: EmbeddingConfig, keep: np.ndarray | Non
         yield ids, left, right, lengths
 
 
-def _shared_negatives(sampler, stream, ids, left, right, k: int, vocab_size: int) -> np.ndarray:
+def _shared_negatives(sampler, key, ids, left, right, k: int, vocab_size: int) -> np.ndarray:
     """(T, k) negative word ids for the epoch's T tokens, which all have a context.
 
-    Row i belongs to token i, and all of its pairs share it. Slots are
-    filled row-major from ``stream``; a draw equal to any of its center's
-    in-window context words is redrawn (again row-major over the rejected
-    slots) until none is left, except for a center whose context words
-    cover the whole vocabulary. Every other center has a word left to
-    draw, so the loop ends.
+    Row i belongs to token i, and all of its pairs share it. Slot s
+    (row-major) is counter s of ``key``; a draw equal to any of its
+    center's in-window context words is redrawn by the next counters, in
+    slot order, until none is left, except for a center whose context
+    words cover the whole vocabulary. Every other center has a word left
+    to draw, so the loop ends.
     """
     window = int(max(left.max(initial=0), right.max(initial=0)))
 
@@ -340,11 +341,12 @@ def _shared_negatives(sampler, stream, ids, left, right, k: int, vocab_size: int
     covered = np.zeros(len(centers), dtype=bool)
     if vocab_size <= 2 * window:  # only then can the contexts cover the vocabulary
         covered = in_window(centers[:, None], np.arange(vocab_size)).all(axis=1)
-    negatives = sampler.sample_n(stream, len(centers) * k).reshape(-1, k)
+    negatives = sampler.sample_n(key, 0, len(centers) * k).reshape(-1, k)
     redraw = np.flatnonzero(in_window(centers[:, None], negatives) & ~covered[:, None])
-    flat = negatives.reshape(-1)
+    flat, drawn = negatives.reshape(-1), negatives.size
     while len(redraw):
-        flat[redraw] = sampler.sample_n(stream, len(redraw))
+        flat[redraw] = sampler.sample_n(key, drawn, len(redraw))
+        drawn += len(redraw)
         redraw = redraw[in_window(centers[redraw // k], flat[redraw])]
     return negatives
 
@@ -479,19 +481,20 @@ def train_skipgram(
     # input vectors are rows [0, V), output vectors rows [V, 2V) of one
     # matrix, so a step is one gather and one scatter
     weights = np.zeros((2 * vocab_size, dim))
-    weights[:vocab_size] = (_uniform(make_stream(config.seed, "init"), (vocab_size, dim)) - 0.5) / dim
+    init = _uniform(derive_seed(config.seed, "init"), np.arange(vocab_size * dim, dtype=np.uint64))
+    weights[:vocab_size] = (init.reshape(vocab_size, dim) - 0.5) / dim
     sampler = UnigramSampler(counts, config.unigram_power)
-    neg_stream = make_stream(config.seed, "negatives")
+    neg_keys = mix(derive_seed(config.seed, "negatives"), np.arange(config.epochs, dtype=np.uint64))
     lr_span = config.lr_initial - config.lr_final
     denom = max(sum(epoch_pairs) - 1, 1)
     losses = []
     pair_index = 0
     # a diverging run overflows to inf and nan; the loss check below names it
     with np.errstate(over="ignore", invalid="ignore"):
-        for n_pairs, (ids, left, right, lengths) in zip(
-            epoch_pairs, _epoch_layouts(*encoded, config, keep)
+        for neg_key, n_pairs, (ids, left, right, lengths) in zip(
+            neg_keys, epoch_pairs, _epoch_layouts(*encoded, config, keep)
         ):
-            negatives = _shared_negatives(sampler, neg_stream, ids, left, right, k, vocab_size)
+            negatives = _shared_negatives(sampler, neg_key, ids, left, right, k, vocab_size)
             lr = config.lr_initial - lr_span * (np.arange(pair_index, pair_index + n_pairs) / denom)
             loss_sum = _train_epoch(weights, ids, left, right, lengths, negatives, lr)
             losses.append(loss_sum / n_pairs if n_pairs else math.nan)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .corpus import ContextualTriple, RelevanceLabel
 from .pipeline import Features, ModelBundle, ScoredTriple, binarize_label, rank, score_triples
-from .seeds import make_stream
+from .seeds import derive_seed, mix
 
 AGGREGATE_ROLE = "ALL"
 
@@ -86,10 +86,10 @@ def split_train_test(
 
     Strata are keyed by role and binarized label (neutral its own
     stratum) and ordered canonically by triple id. Each stratum is then
-    shuffled by sorting one ``random_raw`` key per member, drawn from a
-    PCG64 stream seeded from (seed, role, label), ties keeping id order; so
-    the same seed always yields the same partition, whatever the input
-    order and numpy version.
+    shuffled by sorting its members by ``mix(derive_seed(seed,
+    "role|label"), member index)``, ties keeping id order; so the same
+    seed always yields the same partition, whatever the input order and
+    numpy version.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie strictly between 0 and 1")
@@ -104,7 +104,7 @@ def split_train_test(
     test: list[ContextualTriple] = []
     for (role, target), members in sorted(strata.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
         members = sorted(members, key=lambda t: t.id)
-        keys = make_stream(seed, f"{role}|{target}").random_raw(len(members))
+        keys = mix(derive_seed(seed, f"{role}|{target}"), np.arange(len(members), dtype=np.uint64))
         order = np.argsort(keys, kind="stable")
         take = math.ceil(exact * len(members))
         for pos, idx in enumerate(order):

@@ -9,10 +9,8 @@ fraction over trees, read as a probability in [0, 1].
 
 A forest's trees grow together, one depth at a time, as XGBoost grows
 its trees depth-wise (Chen & Guestrin 2016). Every random choice is a
-hash of where it lands, the counter-based idea of Salmon et al.,
-"Parallel Random Numbers: As Easy as 1, 2, 3" (SC 2011): ``_mix(key,
-counter)`` is the SplitMix64 finalizer of Steele, Lea & Flood (OOPSLA
-2014) in uint64 arithmetic. Tree t's key is the mix of the forest's seed
+hash of where it lands, ``seeds.mix(key, counter)``, in uint64
+arithmetic. Tree t's key is the mix of the forest's seed
 and t, its root's key is that key, and a child's key is the mix of its
 parent's key and its side. A bootstrap row is the mix of the tree key
 and the draw index, modulo n; a node's candidate set is the m features
@@ -57,7 +55,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .corpus import open_atomic
-from .seeds import derive_seed
+from .seeds import derive_seed, mix
 
 
 @dataclass(frozen=True)
@@ -259,27 +257,15 @@ def _check_finite(X: np.ndarray) -> None:
                          "features must be finite")
 
 
-# _mix counters of a key: its bootstrap draws count from 0, its columns
+# mix counters of a key: its bootstrap draws count from 0, its columns
 # from COLUMN, and CHILD are its (left, right) children's, so no two of
 # them share an input
 COLUMN, CHILD = 1 << 62, (1 << 63) + np.arange(2, dtype=np.uint64)
 
 
-def _mix(key, counter):
-    """The SplitMix64 finalizer of ``key + counter * 0x9E3779B97F4A7C15``
-    over uint64 arrays, which wrap mod 2**64 without a warning; for
-    counter >= 1 it is output ``counter`` of SplitMix64 seeded ``key``.
-    It works in place, so its peak is the result and one temporary."""
-    z = counter * 0x9E3779B97F4A7C15 + key
-    for shift, factor in (30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB):
-        z ^= z >> shift
-        z *= factor
-    return np.bitwise_xor(z, z >> 31, out=z)
-
-
 def _candidate_sets(keys, d, m):
     """One candidate set per uint64 node key, (len(keys), m): the m columns
-    c of smallest ``_mix(key, COLUMN + c)``, whose low
+    c of smallest ``mix(key, COLUMN + c)``, whose low
     ``(d - 1).bit_length()`` bits are replaced by c, so a key's hashes are
     distinct and a set's columns are read back from them. Keys are hashed
     SPLIT_BLOCK // d at a time, one at least, so a draw holds one such
@@ -289,7 +275,7 @@ def _candidate_sets(keys, d, m):
     bits, columns = (d - 1).bit_length(), np.arange(d, dtype=np.uint64)
     sets, step = np.empty((len(keys), m), dtype=np.int64), max(1, SPLIT_BLOCK // d)
     for a in range(0, len(keys), step):
-        hashes = _mix(keys[a:a + step, None], COLUMN + columns) >> bits << bits | columns
+        hashes = mix(keys[a:a + step, None], COLUMN + columns) >> bits << bits | columns
         hashes.partition(m - 1, axis=1)  # in place: argpartition's index array would add a block
         sets[a:a + step] = hashes[:, :m] & (1 << bits) - 1
     return sets
@@ -341,10 +327,10 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
 
     trees = config.n_trees
     # tree t's key is keys[t, 0], made first so that a huge n_trees fails at
-    # once; its draw i is row _mix(key, i) mod n (modulo bias <= n / 2**64),
+    # once; its draw i is row mix(key, i) mod n (modulo bias <= n / 2**64),
     # counted at t * n + row
-    keys = _mix(derive_seed(config.seed, "forest"), np.arange(trees, dtype=np.uint64)[:, None])
-    drawn = _mix(keys, np.arange(n, dtype=np.uint64)) % n + n * np.arange(trees, dtype=np.uint64)[:, None]
+    keys = mix(derive_seed(config.seed, "forest"), np.arange(trees, dtype=np.uint64)[:, None])
+    drawn = mix(keys, np.arange(n, dtype=np.uint64)) % n + n * np.arange(trees, dtype=np.uint64)[:, None]
     drawn = np.bincount(drawn.view(np.int64).ravel(), minlength=trees * n).reshape(trees, n)
     flat = np.flatnonzero(drawn)  # t * n + i for each row i that tree t drew
     weights = drawn.ravel()[flat]
@@ -370,7 +356,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, role: str =
         kids[:, 0, 2] = kids[:, 1, 1] = parents[:, 1] + rows_left[split]
         kids[:, 0, 3], kids[:, 0, 4] = n_left[split], pos_left[split]
         kids[:, 1, 3:5] -= kids[:, 0, 3:5]
-        kids[:, :, 5] = _mix(parents[:, 5:].view(np.uint64), CHILD).view(np.int64)
+        kids[:, :, 5] = mix(parents[:, 5:].view(np.uint64), CHILD).view(np.int64)
         splits.append((parents[:, 0], kids[:, 0, 0], feature[split], threshold[split]))
         values.append((kids[:, :, 4] / kids[:, :, 3]).ravel())
         nodes, made, depth = kids.reshape(2 * k, 6), made + 2 * k, depth + 1

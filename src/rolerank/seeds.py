@@ -1,14 +1,13 @@
-"""Deterministic seed derivation for the pipeline stages.
+"""Deterministic seed derivation and the one random primitive.
 
 Every random draw in the project is derived from one master seed plus a
 short tag, so reruns with the same seed are bit-reproducible and the
-stages (embedding, forests, splits) stay decorrelated. SGNS and
-``split_train_test`` draw from streams: a stream is a PCG64 bit
-generator, and every draw is read from its raw 64-bit output, which numpy
-keeps fixed across versions; no ``Generator`` is made, since its
-algorithms carry no such promise (NEP 19). A forest keeps no stream: it
-hashes ``derive_seed(seed, "forest")`` with integer arithmetic
-(``forest._mix``).
+stages (embedding, forests, splits) stay decorrelated. No stage keeps a
+stream: a draw is ``mix(key, counter)``, a hash of where it lands (the
+counter-based idea of Salmon et al., "Parallel Random Numbers: As Easy as
+1, 2, 3", SC 2011), with a key derived from the seed and a tag. It is
+uint64 arithmetic, so every draw is the same integer on every numpy
+version and CPU.
 """
 
 from __future__ import annotations
@@ -28,6 +27,14 @@ def derive_seed(master: int, tag: str) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-def make_stream(seed: int, tag: str) -> np.random.PCG64:
-    """The PCG64 stream seeded from (``seed``, ``tag``); read it by ``random_raw``."""
-    return np.random.PCG64(derive_seed(seed, tag))
+def mix(key, counter):
+    """The SplitMix64 finalizer of ``key + counter * 0x9E3779B97F4A7C15``
+    (Steele, Lea & Flood, OOPSLA 2014) over uint64 arrays, which wrap mod
+    2**64 without a warning; for counter >= 1 it is output ``counter`` of
+    SplitMix64 seeded ``key``. It works in place, so its peak is the
+    result and one temporary."""
+    z = counter * 0x9E3779B97F4A7C15 + key
+    for shift, factor in (30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB):
+        z ^= z >> shift
+        z *= factor
+    return np.bitwise_xor(z, z >> 31, out=z)

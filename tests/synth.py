@@ -15,12 +15,12 @@ one-node view of the batched split search, ``classifier_to_json`` a model
 file's text, ``preorder_json`` that text in the preorder layout the golden
 digests were recorded on, ``predict_reference`` the forest walk over a
 model's own node arrays and ``unigram_probabilities`` the distribution
-negatives are drawn from. ``uniform_reference`` and ``window_reference``
-are the draws of SGNS and ``split_order_reference`` those of splits, in
-plain Python over ``PCG64.random_raw``. ``mix_reference`` is the
-SplitMix64 hash forests draw by, in Python ints mod 2**64, and
+negatives are drawn from. ``mix_reference`` is the SplitMix64 hash
+every stage draws by, in Python ints mod 2**64. ``uniform_reference``
+and ``window_reference`` are the draws of SGNS and
+``split_order_reference`` those of splits in its terms, and
 ``tree_key_reference``, ``child_key_reference``, ``bootstrap_reference``
-and ``candidate_set_reference`` are a forest's draws in its terms.
+and ``candidate_set_reference`` a forest's.
 """
 
 from __future__ import annotations
@@ -262,20 +262,6 @@ def unigram_probabilities(counts, power: float = 0.75) -> np.ndarray:
     return weights / weights.sum()
 
 
-def uniform_reference(seed: int, tag: str, n: int) -> list[float]:
-    """The first n doubles in [0, 1) of the stream seeded from (seed, tag):
-    each is one raw 64-bit draw's top 53 bits times 2**-53."""
-    stream = np.random.PCG64(derive_seed(seed, tag))
-    return [(raw >> 11) * 2.0**-53 for raw in stream.random_raw(n).tolist()]
-
-
-def window_reference(seed: int, window: int, n: int) -> list[int]:
-    """The first n effective windows of an SGNS run seeded ``seed``: each is
-    1 + one raw 64-bit draw of its ``window`` stream modulo ``window``."""
-    stream = np.random.PCG64(derive_seed(seed, "window"))
-    return [1 + raw % window for raw in stream.random_raw(n).tolist()]
-
-
 def mix_reference(key: int, counter: int) -> int:
     """The SplitMix64 finalizer of key + counter * 0x9E3779B97F4A7C15, in
     Python ints mod 2**64: for counter >= 1, output ``counter`` of
@@ -285,6 +271,20 @@ def mix_reference(key: int, counter: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
     return z ^ (z >> 31)
+
+
+def uniform_reference(key: int, first: int, n: int) -> list[float]:
+    """The doubles in [0, 1) of counters first, ..., first + n - 1 under
+    ``key``: each is its hash's top 53 bits times 2**-53."""
+    return [(mix_reference(key, c) >> 11) * 2.0**-53 for c in range(first, first + n)]
+
+
+def window_reference(seed: int, window: int, first: int, n: int) -> list[int]:
+    """The effective windows of counters first, ..., first + n - 1 of an
+    SGNS run seeded ``seed``: each is 1 + its hash under the ``window``
+    key modulo ``window``."""
+    key = derive_seed(seed, "window")
+    return [1 + mix_reference(key, c) % window for c in range(first, first + n)]
 
 
 def tree_key_reference(seed: int, tree: int) -> int:
@@ -316,7 +316,7 @@ def candidate_set_reference(key: int, d: int, m: int) -> list[int]:
 
 def split_order_reference(seed: int, role: str, target: int | None, size: int) -> list[int]:
     """The order ``split_train_test`` takes a stratum's ``size`` members in,
-    sorted by triple id: by one raw draw each of the stratum's PCG64
-    stream, ties in id order. The first ceil(fraction * size) train."""
-    keys = np.random.PCG64(derive_seed(seed, f"{role}|{target}")).random_raw(size).tolist()
-    return sorted(range(size), key=lambda i: (keys[i], i))
+    sorted by triple id: member i by its hash under the stratum's key,
+    ties in id order. The first ceil(fraction * size) train."""
+    key = derive_seed(seed, f"{role}|{target}")
+    return sorted(range(size), key=lambda i: (mix_reference(key, i), i))

@@ -132,7 +132,7 @@ def test_c3_negative_sampling_distribution():
     corpus = [[f"w{i:02d}"] * (i + 1) for i in range(20)]
     counts = np.bincount(build_vocabulary(corpus).encode(corpus)[0])
     sampler = UnigramSampler(counts, power=0.75)
-    draws = sampler.sample_n(np.random.PCG64(303), 100_000)
+    draws = sampler.sample_n(303, 0, 100_000)
     observed = np.bincount(draws, minlength=20)
     expected = unigram_probabilities(counts, 0.75) * len(draws)
     result = stats.chisquare(observed, expected)

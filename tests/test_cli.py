@@ -317,7 +317,7 @@ class TestTrainEmbeddings:
         assert len(losses) == 3
         assert f"final mean loss: {losses[-1]:.6f}" in lines
 
-    @pytest.mark.parametrize("seed", [28, 76])
+    @pytest.mark.parametrize("seed", [9, 15])
     def test_one_epoch_run_just_above_its_start_is_kept(self, tmp_path, capsys, seed):
         """One epoch on three triples per role ends a few 1e-6 above
         (1 + k) ln 2, where it started, without diverging; it is kept."""
@@ -333,14 +333,14 @@ class TestTrainEmbeddings:
         assert (out / "embeddings.txt").exists()
 
     def test_epoch_without_a_pair_prints_nan(self, tmp_path, capsys):
-        """With seed 24 subsampling leaves the second epoch of a two-word
+        """With seed 12 subsampling leaves the second epoch of a two-word
         corpus without a pair: it prints nan, and the final loss is the
         first epoch's."""
         data, config, out = tmp_path / "data.jsonl", tmp_path / "cfg", tmp_path / "out"
         data.write_text("".join(
             json.dumps({"id": f"t{i}", "head": "h", "role": "trustee", "tail": "t",
                         "sentences": ["a b."]}) + "\n" for i in range(20)))
-        config.write_text("embedding.seed = 24\nembedding.epochs = 2\n"
+        config.write_text("embedding.seed = 12\nembedding.epochs = 2\n"
                           "embedding.subsample = 0.001\nembedding.dim = 4\n")
         assert run("train-embeddings", "--data", data, "--config", config, "--out", out) == 0
         lines = capsys.readouterr().out.splitlines()

@@ -27,6 +27,7 @@ from rolerank.forest import (
     train_forest,
 )
 from rolerank.pipeline import train_role_models
+from rolerank.seeds import mix
 from synth import (
     best_split,
     bootstrap_reference,
@@ -600,13 +601,13 @@ def test_a_tree_does_not_depend_on_its_siblings(fit, more):
 
 def test_mix_is_splitmix64():
     """The reference gives SplitMix64's published first outputs (seed 0;
-    seed 1234567), and ``_mix`` equals it on broadcast uint64 arrays of
+    seed 1234567), and ``seeds.mix`` equals it on broadcast uint64 arrays of
     edge keys and counters, the column and child counters among them."""
     assert mix_reference(0, 1) == 0xE220A8397B1DCDAF
     assert [mix_reference(1234567, i) for i in (1, 2)] == [6457827717110365317, 3203168211198807973]
     keys = [0, 1, 2**63 - 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15]
     counters = [0, 1, 2, 559, 2**62, 2**62 + 29, 2**63, 2**63 + 1, 2**64 - 1]
-    mixed = forest._mix(np.array(keys, dtype=np.uint64)[:, None], np.array(counters, dtype=np.uint64))
+    mixed = mix(np.array(keys, dtype=np.uint64)[:, None], np.array(counters, dtype=np.uint64))
     assert mixed.dtype == np.uint64
     assert mixed.tolist() == [[mix_reference(key, c) for c in counters] for key in keys]
 
@@ -723,21 +724,22 @@ def test_trees_search_their_distinct_bootstrap_rows(monkeypatch):
         assert pairs == drawn
 
 
-def test_forests_and_splits_make_no_generator(monkeypatch):
-    """No stage makes a ``Generator``: SGNS, with subsampling on so that
-    all four of its streams draw, splits and evaluation draw only from
-    PCG64's raw stream, whose bits numpy keeps across versions, and fits
-    and role models only from the forest's integer hash."""
+def test_no_stage_makes_a_generator_or_bit_generator(monkeypatch):
+    """No stage makes a ``Generator`` or a ``PCG64``: SGNS, with
+    subsampling on so that all four of its keys draw, fits, splits, role
+    models and evaluation draw only from ``seeds.mix``, whose integers are
+    the same on every numpy version. The refusals are installed once the
+    test data is built."""
     X, y = flipped_dataset(0.2, n=100)
     labeled = make_labeled_triples(n_per_role=20)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a Generator was made")
+        raise AssertionError("a Generator or bit generator was made")
 
-    monkeypatch.setattr(np.random, "Generator", refuse)
-    monkeypatch.setattr(np.random, "default_rng", refuse)
-    with pytest.raises(AssertionError, match="Generator"):
-        np.random.default_rng(1)
+    for name in ("Generator", "default_rng", "PCG64"):
+        monkeypatch.setattr(np.random, name, refuse)
+        with pytest.raises(AssertionError, match="bit generator"):
+            getattr(np.random, name)(1)
     config = EmbeddingConfig(dim=8, epochs=2, subsample=1e-2, seed=3)
     embedding = finalize(train_skipgram(build_corpus(labeled), config))
     train_forest(X, y, ForestConfig(n_trees=5, seed=3))
